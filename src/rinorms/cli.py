@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import math
 import sys
 
 from .counterexamples import report_rows, step_function_report
@@ -34,6 +33,7 @@ from .interp import (
 from .lorentz import (
     LorentzParams,
     SpaceDescriptor,
+    _check_exponent,
     dilation_operator_norm,
     estimate_boyd_indices,
     lorentz_norm,
@@ -42,12 +42,10 @@ from .stepfn import INF, StepFunction
 
 
 def _exponent(text: str) -> float:
-    if text.lower() in ("inf", "infinity"):
-        return INF
-    v = float(text)
-    if math.isnan(v) or v <= 0.0:
-        raise argparse.ArgumentTypeError(f"exponent must be in (0, inf], got {text}")
-    return v
+    try:
+        return _check_exponent(text, "exponent")
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
 
 
 def _load_function(path: str) -> StepFunction:
@@ -109,9 +107,9 @@ def cmd_hardy(args) -> int:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["t", "value", "lower", "upper"])
-    lower, upper = env.lower, env.upper
-    for t, val in zip(env.grid, env.values):
-        writer.writerow([repr(float(t)), repr(float(val)), repr(lower(t)), repr(upper(t))])
+    lower, upper = env.lower(env.grid), env.upper(env.grid)
+    for row in zip(env.grid, env.values, lower, upper):
+        writer.writerow([repr(float(x)) for x in row])
     if args.p is not None and args.q is not None:
         enc = envelope_norm(env, _params(args))
         writer.writerow(["norm_enclosure", repr(enc.lo), repr(enc.hi), repr(enc.width)])

@@ -45,17 +45,8 @@ class Enclosure:
             return 0.0 if self.lo == INF else INF
         return (self.hi - self.lo) / self.hi
 
-    @property
-    def finite(self) -> bool:
-        return self.hi < INF
-
     def contains(self, x: float, slack: float = 0.0) -> bool:
         return self.lo - slack <= x <= self.hi + slack
-
-    def scale(self, s: float) -> "Enclosure":
-        if s < 0.0:
-            raise ValueError("scale factor must be >= 0")
-        return Enclosure(self.lo * s, self.hi * s)
 
     def __str__(self) -> str:
         return f"[{self.lo!r}, {self.hi!r}]"

@@ -39,7 +39,7 @@ from typing import Callable, Literal
 import numpy as np
 
 from .enclosure import Enclosure
-from .lorentz import LorentzParams, SpaceDescriptor
+from .lorentz import LorentzParams, SpaceDescriptor, _check_exponent
 from .stepfn import INF, StepFunction, _power_integral_array, power_integral
 
 __all__ = [
@@ -167,9 +167,6 @@ class MonotoneEnvelope:
         head = max(self.head_hi.coef, float(v[0])) if self.head_hi.decay == 0.0 else float(v[0])
         return StepFunction(tuple(g), (head,) + tuple(v[:-1]), float(v[-1]))
 
-    def window_width(self) -> float:
-        return float(np.max(self.values[:-1] - self.values[1:], initial=0.0))
-
 
 def _constant_envelope(c: float, grid_spec: GridSpec, label: str) -> MonotoneEnvelope:
     g = grid_spec.build([1.0])
@@ -205,21 +202,25 @@ def _diverged_envelope(grid_spec: GridSpec, label: str) -> MonotoneEnvelope:
     )
 
 
-def _check_hardy_exponents(order: float, w: float) -> tuple[float, float]:
-    order = float(order)
-    w = float(w)
-    if math.isnan(order) or not 0.0 < order < INF:
-        raise ValueError(f"averaging exponent must be in (0, inf), got {order}")
-    if math.isnan(w) or w <= 0.0:
-        raise ValueError(f"inner exponent w must be in (0, inf], got {w}")
-    return order, w
+def _power_segments(bp: np.ndarray, vals: np.ndarray, w: float, order: float):
+    """Shared finite-``w`` tables of both families, with ``e = w / order``.
+
+    Returns ``(e, edges_pow, seg)``: ``edges_pow = [0, bp**e]`` and ``seg[i]``
+    is the inner integral ``vals[i]**w * (edges_pow[i+1] - edges_pow[i]) / e``
+    over piece ``i``.
+    """
+    e = w / order
+    edges_pow = np.concatenate([[0.0], bp**e])
+    seg = vals**w * np.diff(edges_pow) / e
+    return e, edges_pow, seg
 
 
 def hardy_upper(
     f: StepFunction, u: float, w: float, grid_spec: GridSpec = DEFAULT_GRID
 ) -> MonotoneEnvelope:
     """Averaging operator over ``(0, t)``; ``upper(1,1)`` is the classical ``f**``."""
-    u, w = _check_hardy_exponents(u, w)
+    u = _check_exponent(u, "averaging exponent", finite=True)
+    w = _check_exponent(w, "inner exponent w")
     fs = f.rearrange()
     label = f"H_upper(u={u},w={w})"
     if fs.is_zero:
@@ -235,9 +236,7 @@ def hardy_upper(
     allv = np.append(vals, tail)
 
     if w < INF:
-        e = w / u
-        edges_pow = np.concatenate([[0.0], bp**e])
-        seg = vals**w * np.diff(edges_pow) / e
+        e, edges_pow, seg = _power_segments(bp, vals, w, u)
         cum = np.concatenate([[0.0], np.cumsum(seg)])  # inner integral at piece starts
 
         def eval_upper(t: np.ndarray) -> np.ndarray:
@@ -248,16 +247,11 @@ def hardy_upper(
             # the clamp keeps the fractional power real
             return t ** (-1.0 / u) * np.maximum(inner, 0.0) ** (1.0 / w)
 
-        head_c = vals[0] * (u / w) ** (1.0 / w)
-        head_lo = head_hi = PowerLaw(float(head_c), 0.0)
-        if tail == 0.0:
-            c = float(cum[-1] ** (1.0 / w))
-            tail_lo = tail_hi = PowerLaw(c, 1.0 / u)
-            values = _monotone_values(eval_upper, grid)
-        else:
-            values = _monotone_values(eval_upper, grid)
-            tail_lo = PowerLaw(float(tail * (u / w) ** (1.0 / w)), 0.0)
-            tail_hi = PowerLaw(float(values[-1]), 0.0)
+        head_lo = head_hi = PowerLaw(float(vals[0] * (u / w) ** (1.0 / w)), 0.0)
+        # tail descriptors: power-law decay past a compact support, else the
+        # average tends to the tail's own constant
+        decay_coef = float(cum[-1] ** (1.0 / w))
+        tail_const = float(tail * (u / w) ** (1.0 / w))
     else:
         run = np.maximum.accumulate(vals * bp ** (1.0 / u))
         prev = np.concatenate([[0.0], run])  # sup over pieces fully left of piece k
@@ -268,14 +262,15 @@ def hardy_upper(
             return np.maximum(prev[k] * t ** (-1.0 / u), allv[k])
 
         head_lo = head_hi = PowerLaw(float(vals[0]), 0.0)
-        if tail == 0.0:
-            tail_lo = tail_hi = PowerLaw(float(run[-1]), 1.0 / u)
-            values = _monotone_values(eval_upper, grid)
-        else:
-            values = _monotone_values(eval_upper, grid)
-            tail_lo = PowerLaw(float(tail), 0.0)
-            tail_hi = PowerLaw(float(values[-1]), 0.0)
+        decay_coef = float(run[-1])
+        tail_const = float(tail)
 
+    values = _monotone_values(eval_upper, grid)
+    if tail == 0.0:
+        tail_lo = tail_hi = PowerLaw(decay_coef, 1.0 / u)
+    else:
+        tail_lo = PowerLaw(tail_const, 0.0)
+        tail_hi = PowerLaw(float(values[-1]), 0.0)
     return MonotoneEnvelope(
         grid=grid,
         values=values,
@@ -298,7 +293,8 @@ def hardy_lower(
     diverge for every ``t``; the returned envelope is then identically
     ``+inf`` with ``diverged`` set.
     """
-    v, w = _check_hardy_exponents(v, w)
+    v = _check_exponent(v, "averaging exponent", finite=True)
+    w = _check_exponent(w, "inner exponent w")
     fs = f.rearrange()
     label = f"H_lower(v={v},w={w})"
     if fs.is_zero:
@@ -311,9 +307,7 @@ def hardy_lower(
     allv = np.append(vals, 0.0)
 
     if w < INF:
-        e = w / v
-        edges_pow = np.concatenate([[0.0], bp**e])
-        seg = vals**w * np.diff(edges_pow) / e
+        e, edges_pow, seg = _power_segments(bp, vals, w, v)
         # suffix sums keep the integral-from-t positive-term only (no
         # cancellation near the right edge of the support)
         suf = np.concatenate([np.cumsum(seg[::-1])[::-1], [0.0]])
@@ -538,9 +532,7 @@ def predicted_bounded(
     For ``w = inf`` the same conditions are sufficient only (their converses
     fail), so a ``False`` here does not certify unboundedness.
     """
-    order = float(order)
-    if math.isnan(order) or not 0.0 < order < INF:
-        raise ValueError(f"averaging exponent must be in (0, inf), got {order}")
+    order = _check_exponent(order, "averaging exponent", finite=True)
     if kind == "upper":
         return space.boyd_lower > order
     if kind == "lower":

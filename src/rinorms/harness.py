@@ -4,7 +4,11 @@ Every ``verify_*`` function is deterministic given (seed, configuration),
 evaluates each corpus member independently (pure functions throughout, so
 the scans could run in parallel; reduction is a stable min/max over the
 corpus order) and returns a :class:`RatioReport` with the observed ratio
-range plus a pass verdict whose semantics are fixed per check:
+range plus a pass verdict.  The drivers share one accumulator, ``_Scan``:
+it holds the corpus, filters members to those with finite nonzero norm in
+E where a check needs that, and keeps the ratio range, the widest relative
+enclosure, the violation count and the first witness; each driver supplies
+only its per-member check.  Verdict semantics are fixed per check:
 
 * pointwise checks pass iff no grid point violates the inequality beyond a
   relative slack;
@@ -177,8 +181,84 @@ class RatioReport:
         }
 
 
-def _finalize_ratio(values: list[float]) -> tuple[float, float]:
-    return (min(values), max(values)) if values else (INF, INF)
+class _Scan:
+    """Bookkeeping shared by the ``verify_*`` drivers over one corpus.
+
+    ``empty_ratio`` is reported as both ratio endpoints when no finite ratio
+    was observed.
+    """
+
+    def __init__(self, corpus: Iterable[StepFunction], empty_ratio: float = 1.0):
+        self.corpus = list(corpus)
+        if not self.corpus:
+            raise ValueError("corpus must be nonempty")
+        self.empty_ratio = empty_ratio
+        self.used = 0
+        self.min_ratio = INF
+        self.max_ratio = -INF
+        self.max_width = 0.0
+        self.violations = 0
+        self.witness = ""
+
+    def members(self, space: SpaceDescriptor):
+        """Yield ``(f, ||f||_E)`` for members with finite nonzero norm, counting them in ``used``."""
+        for f in self.corpus:
+            n = lorentz_norm(f, space.params)
+            if 0.0 < n < INF:
+                self.used += 1
+                yield f, n
+        if self.used == 0:
+            raise ValueError("corpus has no member with finite nonzero norm in E")
+
+    def observe(self, lo: float, hi: float, width: float = 0.0) -> None:
+        """Widen the ratio range to cover ``[lo, hi]`` and record an enclosure width."""
+        self.min_ratio = min(self.min_ratio, lo)
+        self.max_ratio = max(self.max_ratio, hi)
+        self.max_width = max(self.max_width, width)
+
+    def note(self, **witness) -> None:
+        """Keep ``witness`` (as JSON) unless an earlier one was recorded."""
+        if not self.witness:
+            self.witness = json.dumps(witness)
+
+    def violation(self, count: int = 1, **witness) -> None:
+        self.violations += count
+        self.note(**witness)
+
+    def ratio_range(self) -> tuple[float, float]:
+        if self.min_ratio == INF:
+            return self.empty_ratio, self.empty_ratio
+        return self.min_ratio, self.max_ratio
+
+    def report(
+        self,
+        check: str,
+        config: str,
+        size: int,
+        passed: bool | None = None,
+        extras: dict | None = None,
+    ) -> RatioReport:
+        """The run's report; ``passed`` defaults to "no violations"."""
+        min_ratio, max_ratio = self.ratio_range()
+        return RatioReport(
+            check=check,
+            config=config,
+            size=size,
+            min_ratio=min_ratio,
+            max_ratio=max_ratio,
+            max_width=self.max_width,
+            violations=self.violations,
+            passed=self.violations == 0 if passed is None else passed,
+            witness=self.witness,
+            extras=extras or {},
+        )
+
+
+def _averaging_kind(u: float | None, v: float | None) -> tuple[str, float]:
+    """``("upper", u)`` or ``("lower", v)``; exactly one of the two may be given."""
+    if (u is None) == (v is None):
+        raise ValueError("exactly one of u (upper kind) or v (lower kind) is required")
+    return ("upper", u) if u is not None else ("lower", v)
 
 
 def verify_hardy_pointwise(
@@ -196,55 +276,30 @@ def verify_hardy_pointwise(
     grid point.  Lower kind (``v`` given): ``H_(v,w) f(t) >= f*(2t)``.
     Violations beyond the relative slack fail the check and record a witness.
     """
-    if (u is None) == (v is None):
-        raise ValueError("exactly one of u (upper kind) or v (lower kind) is required")
-    corpus = list(corpus)
-    if not corpus:
-        raise ValueError("corpus must be nonempty")
-    worst = INF
-    best = -INF
-    violations = 0
-    witness = ""
-    for f in corpus:
+    kind, order = _averaging_kind(u, v)
+    scan = _Scan(corpus)
+    for f in scan.corpus:
         fs = f.rearrange()
-        if u is not None:
-            env_w = hardy_upper(f, u, w, grid_spec)
+        if kind == "upper":
+            env_w = hardy_upper(f, order, w, grid_spec)
             grid = env_w.grid
-            lhs_w = env_w.values
-            lhs_inf = hardy_upper(f, u, INF, grid_spec).values
-            rhs = np.array([fs(t) for t in grid])
-            checks = [(lhs_w, lhs_inf), (lhs_inf, rhs)]
+            lhs_inf = hardy_upper(f, order, INF, grid_spec).values
+            checks = [(env_w.values, lhs_inf), (lhs_inf, fs(grid))]
         else:
-            env = hardy_lower(f, v, w, grid_spec)
+            env = hardy_lower(f, order, w, grid_spec)
             grid = env.grid
-            rhs = np.array([fs(2.0 * t) for t in grid])
-            checks = [(env.values, rhs)]
+            checks = [(env.values, fs(2.0 * grid))]
         for lhs, low in checks:
             mask = low > 0.0
             if mask.any():
                 ratios = lhs[mask] / low[mask]
-                worst = min(worst, float(ratios.min()))
-                best = max(best, float(ratios.max(initial=-INF)))
+                scan.observe(float(ratios.min()), float(ratios.max()))
             bad = lhs < low * (1.0 - slack)
             if bad.any():
-                violations += int(bad.sum())
-                if not witness:
-                    t_bad = float(grid[np.argmax(bad)])
-                    witness = json.dumps({"function": f.to_dict(), "t": t_bad})
-    if worst == INF:
-        worst, best = 1.0, 1.0
-    kind = f"u={u}" if u is not None else f"v={v}"
-    return RatioReport(
-        check="lemma10",
-        config=f"{kind},w={w}",
-        size=len(corpus),
-        min_ratio=worst,
-        max_ratio=best,
-        max_width=0.0,
-        violations=violations,
-        passed=violations == 0,
-        witness=witness,
-    )
+                t_bad = float(grid[np.argmax(bad)])
+                scan.violation(int(bad.sum()), function=f.to_dict(), t=t_bad)
+    label = "u" if kind == "upper" else "v"
+    return scan.report("lemma10", f"{label}={order},w={w}", size=len(scan.corpus))
 
 
 def verify_hardy_equivalence(
@@ -265,73 +320,44 @@ def verify_hardy_equivalence(
     At the boundary ``u = p_E`` with ``w < inf`` the check inverts: every
     compactly supported member must produce an infinite upper endpoint.
     """
-    if (u is None) == (v is None):
-        raise ValueError("exactly one of u (upper kind) or v (lower kind) is required")
-    corpus = list(corpus)
-    if not corpus:
-        raise ValueError("corpus must be nonempty")
-    kind = "upper" if u is not None else "lower"
-    order = u if u is not None else v
+    kind, order = _averaging_kind(u, v)
+    scan = _Scan(corpus, empty_ratio=INF)
     expected = predicted_bounded(space, kind, order, w)
     boundary = kind == "upper" and w < INF and order == space.boyd_lower
-    ratios_hi: list[float] = []
-    ratios_lo: list[float] = []
-    widths: list[float] = []
-    violations = 0
-    witness = ""
     diverged = 0
-    used = 0
-    for f in corpus:
-        n = lorentz_norm(f, space.params)
-        if not 0.0 < n < INF:
-            continue
-        used += 1
-        env = (
-            hardy_upper(f, u, w, grid_spec)
-            if u is not None
-            else hardy_lower(f, v, w, grid_spec)
-        )
-        enc = envelope_norm(env, space.params)
+    min_ratio_lo = INF
+    for f, n in scan.members(space):
+        hardy = hardy_upper if kind == "upper" else hardy_lower
+        enc = envelope_norm(hardy(f, order, w, grid_spec), space.params)
         if enc.hi == INF:
             diverged += 1
             if not boundary and expected:
-                violations += 1
-                if not witness:
-                    witness = json.dumps({"function": f.to_dict(), "norm": n})
+                scan.violation(function=f.to_dict(), norm=n)
             continue
-        ratios_hi.append(enc.hi / n)
-        ratios_lo.append(enc.lo / n)
-        widths.append(enc.relative_width)
-    if used == 0:
-        raise ValueError("corpus has no member with finite nonzero norm in E")
+        scan.observe(enc.hi / n, enc.hi / n, enc.relative_width)
+        min_ratio_lo = min(min_ratio_lo, enc.lo / n)
+    min_r, max_r = scan.ratio_range()
     if boundary:
-        passed = diverged == used
-        min_r, max_r = (min(ratios_hi), max(ratios_hi)) if ratios_hi else (INF, INF)
+        passed = diverged == scan.used
     else:
-        min_r, max_r = _finalize_ratio(ratios_hi)
         floor_ok = min_r >= 1.0 - EQUIV_FLOOR_SLACK
         passed = (
             expected
-            and violations == 0
+            and scan.violations == 0
             and diverged == 0
             and floor_ok
             and max_r <= ratio_bound
         )
-        if not floor_ok and not witness:
-            witness = json.dumps({"floor": min_r})
-    return RatioReport(
-        check="thm11",
-        config=f"E={space},{kind} {order},w={w}",
-        size=used,
-        min_ratio=min_r,
-        max_ratio=max_r,
-        max_width=max(widths) if widths else 0.0,
-        violations=violations,
+        if not floor_ok:
+            scan.note(floor=min_r)
+    return scan.report(
+        "thm11",
+        f"E={space},{kind} {order},w={w}",
+        size=scan.used,
         passed=passed,
-        witness=witness,
         extras={
             "diverged": diverged,
-            "min_ratio_lo": min(ratios_lo) if ratios_lo else INF,
+            "min_ratio_lo": min_ratio_lo,
             "expected_bounded": expected,
         },
     )
@@ -359,35 +385,17 @@ def verify_interpolation_identity(
     per decade and its enclosure must trap sqrt(2) within width 1e-3 (the
     exact value of ``|| f** ||_{L_2}`` for that function).
     """
-    corpus = list(corpus)
-    if not corpus:
-        raise ValueError("corpus must be nonempty")
+    scan = _Scan(corpus, empty_ratio=INF)
     fp = FunctorParams(theta=theta, r=couple.params0.p, space=space)
-    ratios_hi: list[float] = []
-    ratios_lo: list[float] = []
-    widths: list[float] = []
-    violations = 0
-    witness = ""
-    used = 0
-    for f in corpus:
-        n = lorentz_norm(f, space.params)
-        if not 0.0 < n < INF:
-            continue
-        used += 1
+    for f, n in scan.members(space):
         enc = functor_norm(f, fp, couple, grid_spec)
         if enc.hi == INF or enc.lo <= 0.0:
-            violations += 1
-            if not witness:
-                witness = json.dumps({"function": f.to_dict(), "enclosure": str(enc)})
+            scan.violation(function=f.to_dict(), enclosure=str(enc))
             continue
-        ratios_hi.append(enc.hi / n)
-        ratios_lo.append(enc.lo / n)
-        widths.append(enc.relative_width)
-    if used == 0:
-        raise ValueError("corpus has no member with finite nonzero norm in E")
-    min_r, max_r = (min(ratios_lo), max(ratios_hi)) if ratios_hi else (INF, INF)
-    spread = max_r / min_r if ratios_hi and min_r > 0.0 else INF
-    passed = violations == 0 and spread <= ratio_bound
+        scan.observe(enc.lo / n, enc.hi / n, enc.relative_width)
+    min_r, max_r = scan.ratio_range()
+    spread = max_r / min_r if 0.0 < min_r < INF else INF
+    passed = scan.violations == 0 and spread <= ratio_bound
     extras = {"spread": spread}
     if calibrate:
         chi = StepFunction.indicator(0.0, 1.0)
@@ -398,17 +406,12 @@ def verify_interpolation_identity(
         # endpoint sums are plain float accumulations; 1e-12 absorbs their roundoff
         if not (enc.contains(_CALIBRATION_TARGET, slack=1e-12) and enc.width <= _CALIBRATION_WIDTH):
             passed = False
-            witness = witness or json.dumps({"calibration": str(enc)})
-    return RatioReport(
-        check="thm15",
-        config=f"E={space},couple={couple},theta={theta}",
-        size=used,
-        min_ratio=min_r,
-        max_ratio=max_r,
-        max_width=max(widths) if widths else 0.0,
-        violations=violations,
+            scan.note(calibration=str(enc))
+    return scan.report(
+        "thm15",
+        f"E={space},couple={couple},theta={theta}",
+        size=scan.used,
         passed=passed,
-        witness=witness,
         extras=extras,
     )
 
@@ -431,35 +434,24 @@ def verify_k_properties(
     exact subadditivity ``K(t, f+g) <= K(t,f) + K(t,g)``; and the
     Holmstedt-to-exact ratio staying inside [1, 2].
     """
-    corpus = list(corpus)
-    if not corpus:
-        raise ValueError("corpus must be nonempty")
+    scan = _Scan(corpus)
+    corpus = scan.corpus
     t_grid = np.geomspace(2.0**-8, 2.0**8, 33)
-    violations = 0
-    witness = ""
-    ratio_min, ratio_max = INF, -INF
-    checked = 0
-
-    def fail(f: StepFunction, what: str, **info) -> None:
-        nonlocal violations, witness
-        violations += 1
-        if not witness:
-            witness = json.dumps({"check": what, "function": f.to_dict(), **info})
-
     for i in range(n_pairs):
         f = corpus[i % len(corpus)]
         t = float(t_grid[i % t_grid.size])
-        checked += 1
         k_exact = k_exact_l1_linf(f, t)
         k_oracle = k_upper_oracle(f, t, _L1_LINF)
         if abs(k_exact - k_oracle) > oracle_tol * max(1.0, k_exact):
-            fail(f, "oracle", t=t, exact=k_exact, oracle=k_oracle)
+            scan.violation(
+                check="oracle", function=f.to_dict(), t=t, exact=k_exact, oracle=k_oracle
+            )
         ks = np.array([k_exact_l1_linf(f, s) for s in t_grid])
         if np.any(np.diff(ks) < -slack * ks[:-1]):
-            fail(f, "monotone")
+            scan.violation(check="monotone", function=f.to_dict())
         over_t = ks / t_grid
         if np.any(np.diff(over_t) > slack * over_t[:-1]):
-            fail(f, "k_over_t")
+            scan.violation(check="k_over_t", function=f.to_dict())
         mid = np.array(
             [
                 k_exact_l1_linf(f, 0.5 * (t_grid[j] + t_grid[j + 1]))
@@ -467,36 +459,25 @@ def verify_k_properties(
             ]
         )
         if np.any(mid < 0.5 * (ks[:-1] + ks[1:]) * (1.0 - slack)):
-            fail(f, "concavity")
+            scan.violation(check="concavity", function=f.to_dict())
         k1 = k_exact_l1_linf(f, 1.0)
         cap = intersection_norm(f, _L1_LINF)
         mins = np.minimum(1.0, t_grid)
         if np.any(ks < mins * k1 * (1.0 - slack)):
-            fail(f, "sandwich_lower")
+            scan.violation(check="sandwich_lower", function=f.to_dict())
         if np.any(ks > mins * cap * (1.0 + slack)):
-            fail(f, "sandwich_upper")
+            scan.violation(check="sandwich_upper", function=f.to_dict())
         g = corpus[(i + 1) % len(corpus)]
         k_sum = k_exact_l1_linf(f + g, t)
         if k_sum > k_exact + k_exact_l1_linf(g, t) + slack * max(1.0, k_sum):
-            fail(f, "subadditivity", t=t)
+            scan.violation(check="subadditivity", function=f.to_dict(), t=t)
         if k_exact > 0.0:
             r = holmstedt_k(f, t, _L1_LINF, 1.0) / k_exact
-            ratio_min = min(ratio_min, r)
-            ratio_max = max(ratio_max, r)
+            scan.observe(r, r)
             if not (1.0 - slack) <= r <= 2.0 * (1.0 + slack):
-                fail(f, "holmstedt_ratio", t=t, ratio=r)
-    if ratio_min == INF:
-        ratio_min = ratio_max = 1.0
-    return RatioReport(
-        check="kprops",
-        config=f"couple={_L1_LINF},pairs={n_pairs}",
-        size=checked,
-        min_ratio=ratio_min,
-        max_ratio=ratio_max,
-        max_width=0.0,
-        violations=violations,
-        passed=violations == 0,
-        witness=witness,
+                scan.violation(check="holmstedt_ratio", function=f.to_dict(), t=t, ratio=r)
+    return scan.report(
+        "kprops", f"couple={_L1_LINF},pairs={n_pairs}", size=max(n_pairs, 0)
     )
 
 

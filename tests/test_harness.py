@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 import math
@@ -170,3 +171,36 @@ class TestReports:
         a = reports_to_csv(default_check_reports("kprops", seed=3, size=30))
         b = reports_to_csv(default_check_reports("kprops", seed=3, size=30))
         assert a == b
+
+    def test_all_checks_golden(self):
+        # Pinned report bytes for `verify all --seed 7 --corpus-size 40`; any
+        # refactor of the drivers must reproduce them exactly.  The digests
+        # were recorded on Python 3.11 with numpy 2.4.
+        reports = default_check_reports("all", seed=7, size=40)
+        text = reports_to_csv(reports)
+        assert text == GOLDEN_ALL_SEED7_SIZE40
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "63160e1b1d6cae1ddda3e33cd7daa8d9be0fb067caa817cef0c8582ffa21a3c1"
+        )
+        assert hashlib.sha256(reports_to_json(reports).encode()).hexdigest() == (
+            "d15b322bb7f64aa6a82338f75972db5f5e8faf7944f6e4b352180d53eaea0c08"
+        )
+
+
+GOLDEN_ALL_SEED7_SIZE40 = """\
+check,config,size,min_ratio,max_ratio,max_width,violations,pass
+lemma10,"u=1.0,w=1.0",40,0.9999999999999998,12863.92043620183,0.0,0,True
+lemma10,"u=1.0,w=inf",40,1.0,12863.92043620183,0.0,0,True
+lemma10,"u=2.0,w=1.0",40,1.0,13716.303567719688,0.0,0,True
+lemma10,"v=2.0,w=1.0",40,0.8285882718934788,942544.9183772199,0.0,148,False
+lemma10,"v=3.0,w=inf",40,1.2599576554808933,17596.254268831603,0.0,0,True
+thm11,"E=L(2.0,2.0),upper 1.0,w=1.0",40,1.414213562373095,1.6884508642785847,0.005208022947407306,0,True
+thm11,"E=L(2.0,2.0),lower 3.0,w=2.0",40,1.7371470172650332,1.7372080020508813,0.005958110914303285,0,True
+thm11,"E=L(2.0,2.0),upper 2.0,w=1.0",40,inf,inf,0.0,0,True
+thm15,"E=L(2.0,2.0),couple=(L(1.0,1.0), L(4.0,4.0)),theta=1.3333333333333333",40,2.38480481054347,2.7442378729423575,0.01739928539310728,0,True
+thm15,"E=L(2.0,2.0),couple=(L(1.0,2.0), L(inf,inf)),theta=1.0",40,0.9984145471726918,1.0016403584868756,0.003220528492938194,0,True
+thm15,"E=L(3.0,1.0),couple=(L(1.0,1.0), L(inf,inf)),theta=1.0",40,1.4972280229545707,1.5028219779764658,0.003722300514547557,0,True
+thm15,"E=L(inf,inf),couple=(L(1.0,1.0), L(inf,inf)),theta=1.0",40,1.0,1.0000000000000002,0.0,0,True
+thm15,"E=L(2.0,2.0),couple=(L(1.0,1.0), L(inf,inf)),theta=1.0",40,1.414213562373095,1.6884508642785847,0.005208022947407306,0,True
+kprops,"couple=(L(1.0,1.0), L(inf,inf)),pairs=200",200,1.0,2.0,0.0,0,True
+"""

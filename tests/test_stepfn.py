@@ -79,11 +79,20 @@ class TestEvaluate:
         f = StepFunction((1.0, 2.0), (1.0, 3.0))
         assert f(1.5) == 3.0
         assert f(1.0) == 1.0  # pieces are half-open (lo, hi]
+        g = StepFunction((1.0, 2.0, 4.0), (5.0, 1.0, 3.0), 0.5)
+        ts = np.array([0.25, 1.0, 1.5, 2.0, np.nextafter(2.0, 3.0), 4.0, 9.0])
+        out = g(ts)
+        assert isinstance(out, np.ndarray)
+        assert out.tolist() == [g(t) for t in ts]  # breakpoints included
+        assert out.tolist() == [5.0, 5.0, 1.0, 1.0, 3.0, 3.0, 0.5]
+        assert StepFunction.constant(2.0)(ts).tolist() == [2.0] * ts.size
 
     def test_rejects_nonpositive_argument(self, unit_indicator):
         for t in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(ValueError):
                 unit_indicator(t)
+            with pytest.raises(ValueError):
+                unit_indicator(np.array([0.5, t, 2.0]))
 
     def test_right_limit_at_breakpoint(self):
         f = StepFunction((1.0, 2.0), (3.0, 1.0), 0.5)
