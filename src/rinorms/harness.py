@@ -432,21 +432,25 @@ def verify_k_properties(
     monotonicity of ``t -> K`` and ``t -> K/t``; midpoint concavity; the
     sandwich ``min(1,t) K(1,f) <= K(t,f) <= min(1,t) ||f||_{X0 ∩ X1}``;
     exact subadditivity ``K(t, f+g) <= K(t,f) + K(t,g)``; and the
-    Holmstedt-to-exact ratio staying inside [1, 2].
+    Holmstedt-to-exact ratio staying inside [1, 2].  ``f*`` is computed
+    once per pair and shared by every K evaluation of ``f``.
     """
+    if n_pairs <= 0:
+        raise ValueError(f"n_pairs must be positive, got {n_pairs}")
     scan = _Scan(corpus)
     corpus = scan.corpus
     t_grid = np.geomspace(2.0**-8, 2.0**8, 33)
     for i in range(n_pairs):
         f = corpus[i % len(corpus)]
         t = float(t_grid[i % t_grid.size])
-        k_exact = k_exact_l1_linf(f, t)
-        k_oracle = k_upper_oracle(f, t, _L1_LINF)
+        fs = f.rearrange()
+        k_exact = k_exact_l1_linf(fs, t)
+        k_oracle = k_upper_oracle(fs, t, _L1_LINF)
         if abs(k_exact - k_oracle) > oracle_tol * max(1.0, k_exact):
             scan.violation(
                 check="oracle", function=f.to_dict(), t=t, exact=k_exact, oracle=k_oracle
             )
-        ks = np.array([k_exact_l1_linf(f, s) for s in t_grid])
+        ks = np.array([k_exact_l1_linf(fs, s) for s in t_grid])
         if np.any(np.diff(ks) < -slack * ks[:-1]):
             scan.violation(check="monotone", function=f.to_dict())
         over_t = ks / t_grid
@@ -454,14 +458,14 @@ def verify_k_properties(
             scan.violation(check="k_over_t", function=f.to_dict())
         mid = np.array(
             [
-                k_exact_l1_linf(f, 0.5 * (t_grid[j] + t_grid[j + 1]))
+                k_exact_l1_linf(fs, 0.5 * (t_grid[j] + t_grid[j + 1]))
                 for j in range(t_grid.size - 1)
             ]
         )
         if np.any(mid < 0.5 * (ks[:-1] + ks[1:]) * (1.0 - slack)):
             scan.violation(check="concavity", function=f.to_dict())
-        k1 = k_exact_l1_linf(f, 1.0)
-        cap = intersection_norm(f, _L1_LINF)
+        k1 = k_exact_l1_linf(fs, 1.0)
+        cap = intersection_norm(fs, _L1_LINF)
         mins = np.minimum(1.0, t_grid)
         if np.any(ks < mins * k1 * (1.0 - slack)):
             scan.violation(check="sandwich_lower", function=f.to_dict())
@@ -472,12 +476,12 @@ def verify_k_properties(
         if k_sum > k_exact + k_exact_l1_linf(g, t) + slack * max(1.0, k_sum):
             scan.violation(check="subadditivity", function=f.to_dict(), t=t)
         if k_exact > 0.0:
-            r = holmstedt_k(f, t, _L1_LINF, 1.0) / k_exact
+            r = holmstedt_k(fs, t, _L1_LINF, 1.0) / k_exact
             scan.observe(r, r)
             if not (1.0 - slack) <= r <= 2.0 * (1.0 + slack):
                 scan.violation(check="holmstedt_ratio", function=f.to_dict(), t=t, ratio=r)
     return scan.report(
-        "kprops", f"couple={_L1_LINF},pairs={n_pairs}", size=max(n_pairs, 0)
+        "kprops", f"couple={_L1_LINF},pairs={n_pairs}", size=n_pairs
     )
 
 

@@ -45,7 +45,7 @@ from .lorentz import (
     is_nontrivial,
     lorentz_norm,
 )
-from .stepfn import INF, StepFunction, weighted_power_integral
+from .stepfn import INF, StepFunction, _power_integral_array, weighted_power_integral
 
 __all__ = [
     "LorentzCouple",
@@ -95,12 +95,17 @@ class FunctorParams:
             raise ValueError(f"r must be in (0, inf), got {self.r}")
 
 
+def _check_t(t) -> float:
+    """``float(t)`` if it lies in ``(0, inf)``; NaN and ``inf`` raise ``ValueError``."""
+    t = float(t)
+    if not 0.0 < t < INF:
+        raise ValueError(f"t must be in (0, inf), got {t}")
+    return t
+
+
 def k_exact_l1_linf(f: StepFunction, t: float) -> float:
     """Exact ``K(t, f; L_1, L_inf) = integral_0^t f*(s) ds``."""
-    t = float(t)
-    if math.isnan(t) or t <= 0.0:
-        raise ValueError(f"t must be in (0, inf), got {t}")
-    return weighted_power_integral(f.rearrange(), 1.0, 1.0, 0.0, t)
+    return weighted_power_integral(f.rearrange(), 1.0, 1.0, 0.0, _check_t(t))
 
 
 def _default_levels(fs: StepFunction, n_grid: int = 200) -> list[float]:
@@ -110,6 +115,83 @@ def _default_levels(fs: StepFunction, n_grid: int = 200) -> list[float]:
     if positive:
         levels.update(np.geomspace(min(positive), max(positive), n_grid).tolist())
     return sorted(levels)
+
+
+# Levels x columns entries k_upper_oracle evaluates per block: its working
+# arrays stay a few MB whatever the piece count.
+_ORACLE_BLOCK = 1 << 18
+
+
+def _check_levels(levels) -> np.ndarray:
+    lams = np.fromiter(levels, dtype=float)
+    if lams.size == 0:
+        raise ValueError("level grid must be nonempty")
+    bad = np.isnan(lams) | (lams < 0.0)
+    if bad.any():
+        lam = float(lams[bad.argmax()])
+        raise ValueError(
+            "level must not be NaN" if math.isnan(lam) else f"level must be >= 0, got {lam}"
+        )
+    return lams
+
+
+class _RowNorm:
+    """L_{p,q} norms of step functions given as rows over the pieces of ``f*``.
+
+    A row holds one value per piece of ``f*`` and its tail value last; the
+    per-column weights are computed once.  Finite ``q``: the norm is
+    ``(sum_i r_i**q w_i)**(1/q)`` with ``w_i`` the integral of
+    ``s**(q/p - 1)`` over piece ``i``.  ``q = inf``, finite ``p``: it is
+    ``max_i r_i w_i`` with ``w_i = b_i**(1/p)`` at the piece's right end
+    ``b_i`` (the rule of ``lorentz._weighted_sup``).  ``p = q = inf``: the
+    largest entry.  A column of weight ``inf`` (the tail for finite ``p``, or
+    a piece whose weight overflows) makes the norm ``inf`` wherever its entry
+    is positive; it is kept apart so that ``0 * inf`` never arises.
+    """
+
+    def __init__(self, fs: StepFunction, params: LorentzParams):
+        bps = np.asarray(fs.breakpoints, dtype=float)
+        self.p, self.q = params.p, params.q
+        with np.errstate(over="ignore"):
+            if self.q < INF:
+                alpha = self.q / self.p
+                w = np.full(bps.size + 1, INF)
+                if bps.size:
+                    w[0] = bps[0] ** alpha / alpha
+                    w[1:-1] = _power_integral_array(alpha, bps[:-1], bps[1:])
+            elif self.p < INF:
+                w = np.append(bps ** (1.0 / self.p), INF)
+            else:
+                w = np.ones(bps.size + 1)
+        vals = np.asarray(fs.values + (fs.tail,), dtype=float)
+        finite = np.isfinite(w)
+        self.vals, self.w, self.vals_inf = vals[finite], w[finite], vals[~finite]
+
+    def __call__(self, row_of, lam: np.ndarray) -> np.ndarray:
+        """Norms of the rows ``row_of(values, lam)``, one per entry of the column ``lam``.
+
+        ``row_of`` returns a new array, which is then updated in place.
+        """
+        rows = row_of(self.vals, lam)
+        with np.errstate(over="ignore"):
+            if self.q < INF:
+                if self.q != 1.0:
+                    rows **= self.q
+                cost = rows @ self.w
+                if self.q != 1.0:
+                    cost **= 1.0 / self.q
+            else:
+                if self.p < INF:
+                    rows *= self.w
+                cost = rows.max(axis=1, initial=0.0)
+        if self.vals_inf.size:
+            cost[(row_of(self.vals_inf, lam) > 0.0).any(axis=1)] = INF
+        return cost
+
+
+def _excess(vals: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    rows = vals - lam
+    return np.maximum(rows, 0.0, out=rows)
 
 
 def k_upper_oracle(
@@ -125,25 +207,33 @@ def k_upper_oracle(
     ``f*`` plus a 200-point log grid; since the truncation cost is piecewise
     linear in ``lam`` with kinks exactly at the values of ``f*``, the default
     grid attains the true minimum over all truncations, and for (L_1, L_inf)
-    that minimum is the K-functional itself.
+    that minimum is the K-functional itself.  ``levels`` (any iterable of
+    levels ``>= 0``, a 1-D array included) replaces the default grid.
+
+    The levels are scored in blocks by array arithmetic: each block is a
+    levels x pieces matrix of the rows ``(f* - lam)_+`` and ``min(f*, lam)``,
+    whose norms are weighted sums or maxima with weights computed once per
+    call; levels whose X0 cost is ``inf`` are skipped.  No step function is
+    built per level and the arithmetic is O(levels x pieces).  A block
+    holds at most ``_ORACLE_BLOCK`` entries (a single level once ``f*`` has
+    more pieces than that), so memory stays bounded at any piece count.
     """
-    t = float(t)
-    if math.isnan(t) or t <= 0.0:
-        raise ValueError(f"t must be in (0, inf), got {t}")
+    t = _check_t(t)
     fs = f.rearrange()
     if fs.is_zero:
         return 0.0
-    if levels is None:
-        levels = _default_levels(fs)
-    elif not levels:
-        raise ValueError("level grid must be nonempty")
+    lams = np.array(_default_levels(fs)) if levels is None else _check_levels(levels)
+    norm0 = _RowNorm(fs, couple.params0)
+    norm1 = _RowNorm(fs, couple.params1)
+    step = max(1, _ORACLE_BLOCK // (len(fs.values) + 1))
     best = INF
-    for lam in levels:
-        cost0 = lorentz_norm(fs.excess(lam), couple.params0)
-        if cost0 == INF:
-            continue
-        cost1 = lorentz_norm(fs.minimum(lam), couple.params1)
-        best = min(best, cost0 + t * cost1)
+    for i in range(0, lams.size, step):
+        lam = lams[i : i + step, None]
+        cost0 = norm0(_excess, lam)
+        kept = cost0 < INF
+        if kept.any():
+            cost = cost0[kept] + t * norm1(np.minimum, lam[kept])
+            best = min(best, float(cost.min()))
     return best
 
 
@@ -160,7 +250,7 @@ def _check_theta(couple: LorentzCouple, theta: float) -> None:
             )
         return
     target = 1.0 / p0 - 1.0 / p1
-    if target <= 0.0 or not math.isclose(1.0 / theta, target, rel_tol=1e-9):
+    if target <= 0.0 or not math.isclose(1.0 / theta, target, rel_tol=_REL_TOL):
         raise ValueError(
             f"theta={theta} inconsistent with 1/theta = 1/p0 - 1/p1 = {target} for couple {couple}"
         )
@@ -176,9 +266,7 @@ def holmstedt_k(f: StepFunction, t: float, couple: LorentzCouple, theta: float) 
     K-functional up to couple-dependent constants (for (L_1, L_inf) the
     ratio lies in [1, 2]).
     """
-    t = float(t)
-    if math.isnan(t) or t <= 0.0:
-        raise ValueError(f"t must be in (0, inf), got {t}")
+    t = _check_t(t)
     _check_theta(couple, theta)
     fs = f.rearrange()
     if fs.is_zero:

@@ -204,7 +204,10 @@ class StepFunction:
         :meth:`rearrange` are driven by this single routine, with the lengths
         grouped in piece order and accumulated in descending value order, so
         the two sides of any equimeasurability comparison perform the same
-        float additions and agree bit for bit.
+        float additions and agree bit for bit.  A value whose length is lost
+        to rounding in the running sum is left out: its level set adds no
+        measure, and keeping it would give :meth:`rearrange` a repeated
+        breakpoint.
         """
         sums: dict[float, float] = {}
         prev = 0.0
@@ -212,12 +215,15 @@ class StepFunction:
             if v > self.tail:
                 sums[v] = sums.get(v, 0.0) + (b - prev)
             prev = b
-        values_desc = sorted(sums, reverse=True)
+        values_desc: list[float] = []
         cumlens: list[float] = []
         acc = 0.0
-        for v in values_desc:
-            acc += sums[v]
-            cumlens.append(acc)
+        for v in sorted(sums, reverse=True):
+            nxt = acc + sums[v]
+            if nxt > acc:
+                values_desc.append(v)
+                cumlens.append(nxt)
+                acc = nxt
         return values_desc, cumlens
 
     def _is_canonical_nonincreasing(self) -> bool:

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from rinorms import StepFunction, generate_corpus
+from rinorms import StepFunction, generate_corpus, lorentz_norm
+from rinorms.interp import _default_levels
 
 INF = math.inf
 
@@ -48,6 +49,26 @@ def quad_lorentz_norm(f: StepFunction, p: float, q: float) -> float:
         return 0.0
     assert fs.tail == 0.0 and p < INF and q < INF
     return quad_weighted_power(fs, q / p, q, 0.0, fs.breakpoints[-1]) ** (1.0 / q)
+
+
+def loop_k_upper_oracle(f: StepFunction, t: float, couple, levels=None) -> float:
+    """Per-level reference for :func:`rinorms.k_upper_oracle`.
+
+    Builds ``(f* - lam)_+`` and ``min(f*, lam)`` as step functions for each
+    level and takes their Lorentz norms one at a time; the array oracle must
+    agree with it.  O(levels x pieces) Python objects, so keep inputs small.
+    """
+    fs = f.rearrange()
+    if fs.is_zero:
+        return 0.0
+    best = INF
+    for lam in _default_levels(fs) if levels is None else levels:
+        cost0 = lorentz_norm(fs.excess(lam), couple.params0)
+        if cost0 == INF:
+            continue
+        cost1 = lorentz_norm(fs.minimum(lam), couple.params1)
+        best = min(best, cost0 + t * cost1)
+    return best
 
 
 @pytest.fixture(scope="session")

@@ -105,6 +105,17 @@ class TestKfunAndFunctor:
         assert float(got["oracle_upper"]) == pytest.approx(0.25, rel=1e-9)
         assert float(got["holmstedt"]) == pytest.approx(0.5, rel=1e-12)
 
+    def test_kfun_rejects_infinite_t(self, chi_file):
+        with pytest.raises(SystemExit, match=r"t must be in \(0, inf\), got inf"):
+            main(
+                [
+                    "kfun",
+                    "--p0", "1", "--q0", "1", "--p1", "inf", "--q1", "inf",
+                    "--t", "inf",
+                    "--input", chi_file,
+                ]
+            )
+
     def test_functor_norm_calibration(self, capsys, chi_file):
         code, out = run_cli(
             capsys,

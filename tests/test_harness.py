@@ -141,6 +141,11 @@ class TestKDriver:
         assert rep.min_ratio >= 1.0 - 1e-12
         assert rep.max_ratio <= 2.0 + 1e-12
 
+    @pytest.mark.parametrize("n_pairs", [0, -3])
+    def test_empty_battery_rejected(self, small_corpus, n_pairs):
+        with pytest.raises(ValueError, match="n_pairs must be positive"):
+            verify_k_properties(list(small_corpus), n_pairs=n_pairs)
+
 
 class TestReports:
     def test_csv_shape_and_determinism(self, small_corpus):

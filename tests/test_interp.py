@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rinorms import (
     INF,
@@ -23,9 +25,12 @@ from rinorms import (
     k_upper_oracle,
     lorentz_norm,
     min_power_norm_finite,
+    interp,
     select_parameters,
     sum_norm,
 )
+
+from conftest import loop_k_upper_oracle
 
 CHI = StepFunction.indicator(0.0, 1.0)
 L1_LINF = LorentzCouple(LorentzParams(1.0, 1.0), LorentzParams(INF, INF))
@@ -41,9 +46,16 @@ class TestExactK:
         assert k_exact_l1_linf(CHI, 2.0) == pytest.approx(1.0, rel=1e-12)
 
     def test_rejects_bad_t(self):
-        for t in (0.0, -1.0, math.nan):
-            with pytest.raises(ValueError):
-                k_exact_l1_linf(CHI, t)
+        # f = 3 on (0,1], 1 on (1,2]: K tends to 4.0 as t grows, but at
+        # t = inf the truncation cost gives inf and Holmstedt's form NaN
+        f = StepFunction((1.0, 2.0), (3.0, 1.0))
+        for t in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="t must be in"):
+                k_exact_l1_linf(f, t)
+            with pytest.raises(ValueError, match="t must be in"):
+                k_upper_oracle(f, t, L1_LINF)
+            with pytest.raises(ValueError, match="t must be in"):
+                holmstedt_k(f, t, L1_LINF, 1.0)
 
 
 class TestTruncationOracle:
@@ -78,6 +90,107 @@ class TestTruncationOracle:
     def test_empty_level_grid_rejected(self):
         with pytest.raises(ValueError):
             k_upper_oracle(CHI, 1.0, L1_LINF, levels=[])
+        with pytest.raises(ValueError):
+            k_upper_oracle(CHI, 1.0, L1_LINF, levels=np.array([]))
+
+    def test_bad_levels_rejected(self):
+        with pytest.raises(ValueError, match=r"level must be >= 0, got -1\.0"):
+            k_upper_oracle(CHI, 1.0, L1_LINF, levels=[0.5, -1.0, math.nan])
+        with pytest.raises(ValueError, match="level must not be NaN"):
+            k_upper_oracle(CHI, 1.0, L1_LINF, levels=np.array([0.5, math.nan, -1.0]))
+
+    def test_array_levels_accepted(self):
+        for levels in (np.array([0.0, 1.0, 2.0]), [0.0, 1.0, 2.0], iter((0.0, 1.0, 2.0))):
+            assert k_upper_oracle(CHI, 0.5, L1_LINF, levels=levels) == pytest.approx(
+                0.5, rel=1e-12
+            )
+
+    @pytest.mark.parametrize("order", ["shuffled", "sorted"])
+    def test_agrees_with_exact_k_at_2000_pieces(self, order):
+        rng = np.random.default_rng(2000)
+        bps = np.cumsum(rng.uniform(2.0**-4, 2.0**4, 2000))
+        vals = np.exp(rng.uniform(-8.0, 8.0, 2000))
+        vals = np.sort(vals)[::-1] if order == "sorted" else rng.permutation(vals)
+        f = StepFunction(tuple(bps), tuple(vals))
+        assert len(f.rearrange().values) == 2000
+        for t in (bps[0] / 3.0, bps[999], 0.5 * (bps[1500] + bps[1501]), 2.0 * bps[-1]):
+            exact = k_exact_l1_linf(f, t)
+            assert k_upper_oracle(f, t, L1_LINF) == pytest.approx(exact, rel=1e-11)
+
+
+_ORACLE_COUPLES = [
+    LorentzCouple(LorentzParams(p0, q0), LorentzParams(p1, q1))
+    for p0, q0, p1, q1 in (
+        (1.0, 1.0, INF, INF),  # p1 = q1 = inf
+        (1.0, 1.0, 4.0, 4.0),  # finite q on both sides
+        (1.0, 2.0, INF, INF),
+        (2.0, INF, 4.0, 0.5),  # sup form on X0, q < 1 on X1
+        (0.5, 3.0, 3.0, INF),  # sup form on X1
+        (INF, INF, 2.0, 1.0),
+        (2.0, INF, 4.0, INF),
+    )
+]
+
+
+@st.composite
+def oracle_steps(draw, max_pieces: int = 8):
+    """Step functions with arbitrary float breakpoints and values, tails and constants included."""
+    n = draw(st.integers(0, max_pieces))
+    bps = draw(
+        st.lists(st.floats(2.0**-6, 2.0**6), min_size=n, max_size=n, unique=True)
+    )
+    vals = draw(
+        st.lists(
+            st.one_of(st.just(0.0), st.floats(2.0**-10, 2.0**6)), min_size=n, max_size=n
+        )
+    )
+    tail = draw(st.sampled_from([0.0, 0.0, 2.0**-3, 1.5, 2.0**6]))
+    return StepFunction(tuple(sorted(bps)), tuple(vals), tail)
+
+
+class TestOracleAgainstLoopReference:
+    """The array oracle against the per-level StepFunction reference loop."""
+
+    @given(
+        oracle_steps(),
+        st.floats(2.0**-8, 2.0**8),
+        st.sampled_from(_ORACLE_COUPLES),
+        st.one_of(
+            st.none(),
+            st.lists(st.floats(0.0, 2.0**7), min_size=1, max_size=12),
+        ),
+        st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference(self, f, t, couple, levels, as_array):
+        if levels is not None and as_array:
+            levels = np.array(levels)
+        got = k_upper_oracle(f, t, couple, levels)
+        want = loop_k_upper_oracle(f, t, couple, levels)
+        # relative agreement; math.isclose also demands identical infinities
+        assert math.isclose(got, want, rel_tol=1e-12), (got, want)
+
+    @given(oracle_steps(), st.sampled_from(_ORACLE_COUPLES), st.integers(1, 40))
+    @settings(max_examples=100, deadline=None)
+    def test_block_boundaries(self, f, couple, block):
+        # small blocks split the ~200 default levels into many blocks
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(interp, "_ORACLE_BLOCK", block)
+            got = k_upper_oracle(f, 0.75, couple)
+        want = loop_k_upper_oracle(f, 0.75, couple)
+        assert math.isclose(got, want, rel_tol=1e-12), (got, want)
+
+    @pytest.mark.parametrize("couple", _ORACLE_COUPLES, ids=str)
+    def test_levels_above_max_and_constants(self, couple):
+        for f in (
+            StepFunction.constant(2.5),
+            StepFunction((1.0, 2.0), (3.0, 1.0), 0.5),
+            StepFunction((0.5, 4.0), (0.0, 2.0)),
+        ):
+            for levels in (None, [0.0, 10.0, 1e6], [f.rearrange().max_value() * 2.0]):
+                got = k_upper_oracle(f, 0.75, couple, levels)
+                want = loop_k_upper_oracle(f, 0.75, couple, levels)
+                assert math.isclose(got, want, rel_tol=1e-12), (f, levels, got, want)
 
 
 class TestKShapeProperties:
@@ -136,6 +249,13 @@ class TestHolmstedt:
         f = list(small_corpus)[0]
         val = holmstedt_k(f, 1.0, couple, 4.0 / 3.0)
         assert 0.0 < val < INF
+
+    def test_theta_tolerance_same_in_both_regimes(self):
+        c14 = LorentzCouple(LorentzParams(1.0, 1.0), LorentzParams(4.0, 4.0))
+        for couple, theta in ((c14, 4.0 / 3.0), (L1_LINF, 1.0)):
+            assert holmstedt_k(CHI, 1.0, couple, theta) > 0.0
+            with pytest.raises(ValueError, match="theta"):
+                holmstedt_k(CHI, 1.0, couple, theta * (1.0 + 1e-10))
 
     def test_theta_consistency_enforced(self):
         couple = LorentzCouple(LorentzParams(1.0, 1.0), LorentzParams(4.0, 4.0))

@@ -137,6 +137,15 @@ class TestRearrange:
         f = StepFunction((1.0, 2.0, 3.0), (1.0, 3.0, 1.0))
         assert f.rearrange() == StepFunction((1.0, 3.0), (3.0, 1.0))
 
+    def test_level_set_lost_to_rounding_adds_no_piece(self):
+        # the value-1 piece is 2**-58 long and vanishes when added to the
+        # value-2 piece's length 1; keeping it would repeat the breakpoint 1.0
+        f = StepFunction((2.0**-6, 2.0**-6 + 2.0**-58, 3.0, 4.0), (0.0, 1.0, 0.0, 2.0))
+        fs = f.rearrange()
+        assert fs == StepFunction((1.0,), (2.0,))
+        for lam in (0.0, 0.5, 1.0, 1.5, 2.0):
+            assert f.distribution(lam) == fs.distribution(lam)
+
     def test_distribution_equality_is_bit_exact(self, small_corpus):
         for f in small_corpus:
             fs = f.rearrange()
