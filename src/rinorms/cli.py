@@ -12,6 +12,8 @@ import csv
 import io
 import sys
 
+import numpy as np
+
 from .counterexamples import report_rows, step_function_report
 from .harness import (
     CHECK_IDS,
@@ -104,16 +106,22 @@ def cmd_hardy(args) -> int:
         env = hardy_upper(f, args.U, args.W, _grid(args))
     else:
         env = hardy_lower(f, args.V, args.W, _grid(args))
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["t", "value", "lower", "upper"])
-    lower, upper = env.lower(env.grid), env.upper(env.grid)
-    for row in zip(env.grid, env.values, lower, upper):
-        writer.writerow([repr(float(x)) for x in row])
+    if env.diverged:
+        raise SystemExit(
+            "the lower Hardy average diverges: f has a positive tail, so the "
+            "integral over (t, inf) is infinite for every t"
+        )
+    if not np.isfinite(env.values).all():
+        raise SystemExit("the Hardy average of f overflows the float range")
+    # the lower bound at each grid point is the value there
+    values = list(map(repr, env.values.tolist()))
+    upper = map(repr, env.upper_on_grid().tolist())
+    rows = zip(map(repr, env.grid.tolist()), values, values, upper)
+    text = "t,value,lower,upper\n" + "".join(f"{t},{v},{lo},{hi}\n" for t, v, lo, hi in rows)
     if args.p is not None and args.q is not None:
         enc = envelope_norm(env, _params(args))
-        writer.writerow(["norm_enclosure", repr(enc.lo), repr(enc.hi), repr(enc.width)])
-    _emit(args, buf.getvalue())
+        text += f"norm_enclosure,{enc.lo!r},{enc.hi!r},{enc.width!r}\n"
+    _emit(args, text)
     return 0
 
 

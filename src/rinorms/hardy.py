@@ -160,12 +160,16 @@ class MonotoneEnvelope:
         is bounded (constant head descriptor); the analytic ``head_hi`` is
         authoritative there.
         """
-        g = self.grid
+        return StepFunction(tuple(self.grid), tuple(self.upper_on_grid()), float(self.values[-1]))
+
+    def upper_on_grid(self) -> np.ndarray:
+        """Values of :attr:`upper` at the grid points: each takes the value
+        at the grid point before it, the first the head bound."""
         v = self.values
         # max() guards one-ulp disagreement between the algebraic head
         # constant and the evaluated first grid value
         head = max(self.head_hi.coef, float(v[0])) if self.head_hi.decay == 0.0 else float(v[0])
-        return StepFunction(tuple(g), (head,) + tuple(v[:-1]), float(v[-1]))
+        return np.concatenate(([head], v[:-1]))
 
 
 def _constant_envelope(c: float, grid_spec: GridSpec, label: str) -> MonotoneEnvelope:

@@ -310,7 +310,7 @@ def sum_norm(f: StepFunction, couple: LorentzCouple) -> Enclosure:
     documented heuristic 4 otherwise, so for exotic couples the enclosure is
     "equivalent", not certified.
     """
-    if f.rearrange().is_zero:
+    if f.is_zero:
         return Enclosure(0.0, 0.0)
     theta = _canonical_theta(couple)
     c = (
@@ -399,7 +399,7 @@ def functor_norm(
         raise ValueError(
             f"functor_norm needs r <= p0 (monotone integrand), got r={fp.r} > p0={p0}"
         )
-    if f.rearrange().is_zero:
+    if f.is_zero:
         return Enclosure(0.0, 0.0)
     env = hardy_upper(f, couple.params0.p, couple.params0.q, grid_spec)
     if couple.params1.p < INF:

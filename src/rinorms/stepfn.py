@@ -17,8 +17,11 @@ from __future__ import annotations
 
 import json
 import math
+import operator
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import chain, compress
 
 import numpy as np
 
@@ -37,6 +40,34 @@ def _as_float(x, what: str) -> float:
     if math.isnan(v):
         raise ValueError(f"{what} must not be NaN")
     return v
+
+
+def _floats(xs, what: str) -> tuple[float, ...]:
+    """``xs`` as a tuple of floats, none of them NaN.
+
+    Converts in one pass; only on failure are the entries converted again
+    one by one, so the first bad entry raises, as an element loop would.
+    """
+    xs = tuple(xs)
+    try:
+        out = tuple(map(float, xs))
+    except (TypeError, ValueError, OverflowError):
+        out = None
+    if out is None or any(map(math.isnan, out)):
+        for x in xs:
+            _as_float(x, what)
+    return out
+
+
+def _increasing_positive(bps: tuple[float, ...]) -> bool:
+    """Whether non-NaN ``bps`` are finite, positive and strictly increasing."""
+    return not bps or (
+        bps[0] > 0.0 and bps[-1] < INF and all(map(operator.lt, bps, bps[1:]))
+    )
+
+
+def _breakpoint_error(bps: tuple[float, ...]) -> ValueError:
+    return ValueError(f"breakpoints must be finite, positive and strictly increasing, got {bps}")
 
 
 def power_integral(alpha: float, lo: float, hi: float) -> float:
@@ -95,8 +126,8 @@ class StepFunction:
     tail: float = 0.0
 
     def __post_init__(self) -> None:
-        bps = tuple(_as_float(b, "breakpoint") for b in self.breakpoints)
-        vals = tuple(_as_float(v, "value") for v in self.values)
+        bps = _floats(self.breakpoints, "breakpoint")
+        vals = _floats(self.values, "value")
         tail = _as_float(self.tail, "tail")
         if len(bps) != len(vals):
             raise ValueError(
@@ -104,30 +135,43 @@ class StepFunction:
             )
         if tail < 0.0 or not math.isfinite(tail):
             raise ValueError(f"tail must be finite and >= 0, got {tail}")
-        prev = 0.0
-        for b in bps:
-            if not math.isfinite(b) or b <= prev:
-                raise ValueError(
-                    f"breakpoints must be finite, positive and strictly increasing, got {bps}"
-                )
-            prev = b
-        for v in vals:
-            if v < 0.0 or not math.isfinite(v):
-                raise ValueError(f"values must be finite and >= 0, got {v}")
+        if not _increasing_positive(bps):
+            raise _breakpoint_error(bps)
+        if vals and (min(vals) < 0.0 or max(vals) == INF):
+            bad = next(v for v in vals if v < 0.0 or v == INF)
+            raise ValueError(f"values must be finite and >= 0, got {bad}")
         # Canonical form: merge adjacent equal values, absorb a trailing run
         # equal to the tail.  Uniqueness of the representation is what makes
-        # exact equality assertions in the tests meaningful.
-        merged: list[tuple[float, float]] = []
-        for b, v in zip(bps, vals):
-            if merged and merged[-1][1] == v:
-                merged[-1] = (b, v)
-            else:
-                merged.append((b, v))
-        while merged and merged[-1][1] == tail:
-            merged.pop()
-        object.__setattr__(self, "breakpoints", tuple(b for b, _ in merged))
-        object.__setattr__(self, "values", tuple(v for _, v in merged))
+        # exact equality assertions in the tests meaningful.  A run keeps its
+        # last breakpoint and its last value (they differ only as 0.0/-0.0);
+        # after merging, at most the last piece can equal the tail.
+        if not all(map(operator.ne, vals, vals[1:])):
+            last_of_run = tuple(chain(map(operator.ne, vals, vals[1:]), (True,)))
+            bps = tuple(compress(bps, last_of_run))
+            vals = tuple(compress(vals, last_of_run))
+        if vals and vals[-1] == tail:
+            bps, vals = bps[:-1], vals[:-1]
+        object.__setattr__(self, "breakpoints", bps)
+        object.__setattr__(self, "values", vals)
         object.__setattr__(self, "tail", tail)
+
+    @classmethod
+    def _canonical(cls, bps: tuple, vals: tuple, tail: float) -> "StepFunction":
+        """Build from fields already valid and canonical, skipping validation.
+
+        For results canonical by construction: :meth:`rearrange` (values
+        strictly decreasing above the tail, cumulative lengths strictly
+        increasing) and :meth:`dilate` once its breakpoints are checked.  The
+        one invariant that can still fail is a last breakpoint that
+        overflowed to ``inf``; it raises as validation would.
+        """
+        if bps and bps[-1] == INF:
+            raise _breakpoint_error(bps)
+        f = object.__new__(cls)
+        object.__setattr__(f, "breakpoints", bps)
+        object.__setattr__(f, "values", vals)
+        object.__setattr__(f, "tail", tail)
+        return f
 
     # -- constructors -------------------------------------------------
 
@@ -271,7 +315,7 @@ class StepFunction:
         if self._is_canonical_nonincreasing():
             return self
         values_desc, cumlens = self._sorted_above_tail()
-        return StepFunction(tuple(cumlens), tuple(values_desc), self.tail)
+        return StepFunction._canonical(tuple(cumlens), tuple(values_desc), self.tail)
 
     # -- algebra --------------------------------------------------------
 
@@ -280,7 +324,14 @@ class StepFunction:
         a = _as_float(a, "a")
         if a <= 0.0 or a == INF:
             raise ValueError(f"dilation factor must be in (0, inf), got {a}")
-        return StepFunction(tuple(b / a for b in self.breakpoints), self.values, self.tail)
+        bps = tuple(b / a for b in self.breakpoints)
+        if not _increasing_positive(bps):
+            raise ValueError(
+                f"dilation factor {a} takes breakpoints in [{self.breakpoints[0]}, "
+                f"{self.breakpoints[-1]}] out of the float range: b / a must stay "
+                f"distinct and within [{math.ulp(0.0)}, {sys.float_info.max}]"
+            )
+        return StepFunction._canonical(bps, self.values, self.tail)
 
     def scale(self, s: float) -> "StepFunction":
         s = _as_float(s, "s")
@@ -369,7 +420,11 @@ class StepFunction:
         vals = d.get("values", [])
         if not isinstance(bps, list) or not isinstance(vals, list):
             raise ValueError("breakpoints and values must be arrays")
-        return cls(tuple(bps), tuple(vals), d.get("tail", 0.0))
+        return cls(
+            _json_numbers(bps, "breakpoints"),
+            _json_numbers(vals, "values"),
+            _json_number(d.get("tail", 0.0), "tail"),
+        )
 
     @classmethod
     def from_json(cls, s: str) -> "StepFunction":
@@ -378,6 +433,26 @@ class StepFunction:
         except json.JSONDecodeError as e:
             raise ValueError(f"malformed step function JSON: {e}") from e
         return cls.from_dict(d)
+
+
+def _json_number(x, where: str) -> float:
+    """One decoded JSON number as a float; anything else raises, naming ``where``."""
+    if type(x) not in (int, float):
+        raise ValueError(f"{where} must be a number, got {json.dumps(x)}")
+    try:
+        return float(x)
+    except OverflowError:
+        raise ValueError(f"{where} is out of the float range") from None
+
+
+def _json_numbers(xs: list, field: str) -> tuple[float, ...]:
+    """Decoded JSON array of numbers as floats; the first bad entry raises."""
+    if set(map(type, xs)) <= {int, float}:
+        try:
+            return tuple(map(float, xs))
+        except OverflowError:
+            pass
+    return tuple(_json_number(x, f"{field}[{i}]") for i, x in enumerate(xs))
 
 
 def weighted_power_integral(

@@ -71,6 +71,47 @@ def loop_k_upper_oracle(f: StepFunction, t: float, couple, levels=None) -> float
     return best
 
 
+def loop_canonical(breakpoints, values, tail) -> tuple[tuple, tuple, float]:
+    """Element-loop reference for ``StepFunction`` validation and canonical form.
+
+    Returns the ``(breakpoints, values, tail)`` fields the constructor must
+    store, or raises the exception it must raise, with the same message.
+    """
+
+    def as_float(x, what):
+        v = float(x)
+        if math.isnan(v):
+            raise ValueError(f"{what} must not be NaN")
+        return v
+
+    bps = tuple(as_float(b, "breakpoint") for b in breakpoints)
+    vals = tuple(as_float(v, "value") for v in values)
+    tail = as_float(tail, "tail")
+    if len(bps) != len(vals):
+        raise ValueError(f"{len(bps)} breakpoints need {len(bps)} values, got {len(vals)}")
+    if tail < 0.0 or not math.isfinite(tail):
+        raise ValueError(f"tail must be finite and >= 0, got {tail}")
+    prev = 0.0
+    for b in bps:
+        if not math.isfinite(b) or b <= prev:
+            raise ValueError(
+                f"breakpoints must be finite, positive and strictly increasing, got {bps}"
+            )
+        prev = b
+    for v in vals:
+        if v < 0.0 or not math.isfinite(v):
+            raise ValueError(f"values must be finite and >= 0, got {v}")
+    merged: list[tuple[float, float]] = []
+    for b, v in zip(bps, vals):
+        if merged and merged[-1][1] == v:
+            merged[-1] = (b, v)
+        else:
+            merged.append((b, v))
+    while merged and merged[-1][1] == tail:
+        merged.pop()
+    return tuple(b for b, _ in merged), tuple(v for _, v in merged), tail
+
+
 @pytest.fixture(scope="session")
 def unit_indicator() -> StepFunction:
     return StepFunction.indicator(0.0, 1.0)

@@ -3,14 +3,22 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from rinorms import StepFunction
+from rinorms import GridSpec, StepFunction, hardy_lower, hardy_upper
 from rinorms.cli import main
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 @pytest.fixture()
@@ -48,6 +56,18 @@ class TestNorm:
     def test_missing_file_rejected(self):
         with pytest.raises(SystemExit, match="cannot read"):
             main(["norm", "--p", "2", "--q", "1", "--input", "/nonexistent.json"])
+
+    def test_non_number_entry_exits_1_without_traceback(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"breakpoints": [1, null], "values": [1, 2], "tail": 0}')
+        env = {**os.environ, "PYTHONPATH": SRC}
+        done = subprocess.run(
+            [sys.executable, "-m", "rinorms.cli", "norm", "--p", "2", "--q", "1", "--input", str(bad)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert done.returncode == 1
+        assert "Traceback" not in done.stderr
+        assert "breakpoints[1] must be a number, got null" in done.stderr
 
 
 class TestRearrangeAndDilate:
@@ -88,6 +108,41 @@ class TestHardy:
     def test_requires_exactly_one_operator_kind(self, chi_file):
         with pytest.raises(SystemExit):
             main(["hardy", "--U", "1", "--V", "2", "--input", chi_file])
+
+    def test_lower_family_with_positive_tail_says_why(self, tmp_path):
+        src = tmp_path / "f.json"
+        src.write_text(StepFunction((1.0, 2.0), (1.0, 3.0), 0.5).to_json())
+        with pytest.raises(SystemExit, match="diverges: f has a positive tail") as e:
+            main(["hardy", "--V", "2", "--input", str(src)])
+        assert e.value.code != 0
+
+    @pytest.mark.parametrize("family", ["--U", "--V"])
+    def test_overflow_exits_cleanly(self, tmp_path, family):
+        src = tmp_path / "f.json"
+        src.write_text(StepFunction((1.0,), (1e200,)).to_json())
+        with pytest.raises(SystemExit, match="overflows the float range"):
+            with np.errstate(over="ignore", invalid="ignore"):
+                main(["hardy", family, "2", "--W", "2", "--input", str(src)])
+
+    @pytest.mark.parametrize("w", [1.0, 3.0, math.inf])
+    @pytest.mark.parametrize("family", ["U", "V"])
+    def test_bound_columns_equal_envelope_step_functions(self, capsys, tmp_path, small_corpus, family, w):
+        grid = GridSpec(points_per_decade=16)
+        functions = list(small_corpus)[:8]
+        if family == "U":  # the lower family diverges on a positive tail
+            functions += [f + StepFunction.constant(0.3) for f in functions]
+        for f in functions:
+            src = tmp_path / "f.json"
+            src.write_text(f.to_json())
+            code, out = run_cli(
+                capsys, "hardy", f"--{family}", "2", "--W", repr(w),
+                "--grid-per-decade", "16", "--input", str(src),
+            )
+            assert code == 0
+            env = (hardy_upper if family == "U" else hardy_lower)(f, 2.0, w, grid)
+            rows = list(csv.reader(io.StringIO(out)))[1:]
+            assert [r[2] for r in rows] == [repr(float(x)) for x in env.lower(env.grid)]
+            assert [r[3] for r in rows] == [repr(float(x)) for x in env.upper(env.grid)]
 
 
 class TestKfunAndFunctor:
@@ -207,3 +262,62 @@ class TestVerify:
     def test_unknown_check_rejected(self):
         with pytest.raises(SystemExit):
             main(["verify", "everything"])
+
+
+class TestGoldenOutputs:
+    """Pinned output bytes of the one-shot queries on 2,000-piece functions.
+
+    Any change to construction, rearrangement or the CSV writer must
+    reproduce them exactly.  The digests were recorded on Python 3.11 with
+    numpy 2.4.
+    """
+
+    QUERIES = {
+        "rearrange": ["rearrange"],
+        "norm-q1": ["norm", "--p", "2", "--q", "1"],
+        "norm-qinf": ["norm", "--p", "2", "--q", "inf"],
+        "hardy": ["hardy", "--U", "1", "--W", "1", "--p", "2", "--q", "2"],
+        "functor-norm": [
+            "functor-norm", "--p0", "1", "--q0", "1", "--p1", "inf", "--q1", "inf",
+            "--p", "2", "--q", "2", "--theta", "1",
+        ],
+    }
+    DIGESTS = {
+        ("shuffled-tail", "rearrange"): "3c4f18297bc31ea7d3e3c221a9af21a70e7115562cd6130152a56eb0db39fd36",
+        ("shuffled-tail", "norm-q1"): "d574121d0bbf27357c5b4a69bc6f0a958e966fe811c213345d96407395ba9141",
+        ("shuffled-tail", "norm-qinf"): "d574121d0bbf27357c5b4a69bc6f0a958e966fe811c213345d96407395ba9141",
+        ("shuffled-tail", "hardy"): "c4b621f33c7917b877478fefae64ea9cfbae877d795120423185e15d0fd3178c",
+        ("shuffled-tail", "functor-norm"): "8dde342aada92cfdd2723dbac77dd52250dc9cd2d8103a0973cf87fa2880dfff",
+        ("shuffled", "rearrange"): "2dfb2bbb78499afc8c082da03b32d01b2de7abf225715697c5b180f4d527091b",
+        ("shuffled", "norm-q1"): "d10f80d6295d68fa9d1b8799d6e4b1e38c9d2da547423096a0883a36460945a9",
+        ("shuffled", "norm-qinf"): "25babc489bbe1b35434327eb5234d2d0439dcf85c63ab67f61b3a83fe8e6636a",
+        ("shuffled", "hardy"): "b251df45130591035d37166ac2d72e5537b3a34a2ef233c28d86759da99f9d71",
+        ("shuffled", "functor-norm"): "fe81b41ede4a232c487dd0b0f90c6ff2ed91f7e3d7fcfe02859a709e4a1343f2",
+        ("sorted", "rearrange"): "56519f2f37c203ea91ddf5c7fdf2cee1d1b6f31b24e38b6c126c1362dccd239d",
+        ("sorted", "norm-q1"): "5b5da291c2866bb6f53420fcd4005956f5d3e5ef90cbf65a17a04aa74ce2cf89",
+        ("sorted", "norm-qinf"): "909a8edbdec9e46bf7764cde17b42e7622d15214a1d098b14909f9bbaf023f27",
+        ("sorted", "hardy"): "7e6156cd481b9317b32acf71a5bf43514951e83891365fb4cab72e8b587fa8f3",
+        ("sorted", "functor-norm"): "ea4961e4326856694eeb7926ca38c05a08307043ab4efbfb909da95f5b3d2e0b",
+    }
+
+    @staticmethod
+    def write_function(path, kind: str) -> None:
+        """2,000 seeded pieces; shuffled values, with or without a positive
+        tail, or sorted non-increasing (the rearrangement fast path)."""
+        shuffled = kind != "sorted"
+        rng = np.random.default_rng(20240 + shuffled)
+        bps = np.cumsum(rng.uniform(2.0**-10, 2.0**-2, 2000))
+        vals = np.exp(rng.uniform(-6.0, 6.0, 2000))
+        tail = float(vals.min() / 2) if kind == "shuffled-tail" else 0.0
+        if not shuffled:
+            vals = -np.sort(-vals)
+        path.write_text(json.dumps({"breakpoints": bps.tolist(), "values": vals.tolist(), "tail": tail}))
+
+    @pytest.mark.parametrize("kind", ["shuffled-tail", "shuffled", "sorted"])
+    def test_digests(self, capsys, tmp_path, kind):
+        src = tmp_path / f"{kind}.json"
+        self.write_function(src, kind)
+        for name, argv in self.QUERIES.items():
+            code, out = run_cli(capsys, *argv, "--input", str(src))
+            assert code == 0
+            assert hashlib.sha256(out.encode()).hexdigest() == self.DIGESTS[kind, name], name

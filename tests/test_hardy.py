@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -22,6 +23,7 @@ from rinorms import (
     predicted_bounded,
     weighted_power_integral,
 )
+from rinorms.hardy import PowerLaw
 
 CHI = StepFunction.indicator(0.0, 1.0)
 COARSE = GridSpec(points_per_decade=16, span=2.0**12)
@@ -146,6 +148,18 @@ class TestEnvelopeInvariants:
             tail = env.tail_lo(gm), env.tail_hi(gm)
             tight_tail = min(abs(h - env.values[-1]) for h in tail)
             assert tight_tail <= 1e-12 * max(1.0, env.values[-1])
+
+    def test_upper_head_covers_a_bounded_head_constant(self):
+        # a constant head bound one ulp above the first grid value sets the
+        # upper bound there; a power-law head leaves the grid value
+        env = hardy_upper(CHI, 1.0, 1.0, COARSE)
+        assert env.head_hi.decay == 0.0
+        above = float(np.nextafter(env.values[0], INF))
+        bumped = dataclasses.replace(env, head_hi=PowerLaw(above, 0.0))
+        assert bumped.upper_on_grid()[0] == above == bumped.upper(float(env.grid[0]))
+        assert list(bumped.upper_on_grid()[1:]) == list(env.values[:-1])
+        decaying = dataclasses.replace(env, head_hi=PowerLaw(above, 0.5))
+        assert decaying.upper_on_grid()[0] == env.values[0]
 
     def test_eval_beyond_window_matches_descriptors(self, small_corpus):
         f = list(small_corpus)[0]

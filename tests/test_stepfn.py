@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 from rinorms import INF, StepFunction, power_integral, weighted_power_integral
 
-from conftest import quad_weighted_power
+from conftest import loop_canonical, quad_weighted_power
 
 
 def dyadic_steps(max_pieces: int = 5):
@@ -35,7 +36,85 @@ def dyadic_steps(max_pieces: int = 5):
     return build()
 
 
+def _outcome(build):
+    """The fields ``build()`` returns, with 0.0/-0.0 and NaN told apart, or
+    the type and message of what it raises."""
+    try:
+        return repr(build())
+    except (TypeError, ValueError, OverflowError) as e:
+        return type(e), str(e)
+
+
+def _fields(f: StepFunction) -> tuple:
+    return f.breakpoints, f.values, f.tail
+
+
+def _assert_matches_reference(args) -> None:
+    assert _outcome(lambda: _fields(StepFunction(*args))) == _outcome(
+        lambda: loop_canonical(*args)
+    )
+
+
+_GOOD = [0.0, -0.0, 0.5, 1.0, 2.0, 3]
+_BAD = [-1.0, math.nan, math.inf, -math.inf]
+
+
+@st.composite
+def raw_fields(draw):
+    """Constructor arguments: runs of equal values, trailing runs equal to the
+    tail, -0.0, and NaN/inf/negative entries at random positions."""
+    n = draw(st.integers(0, 8))
+    widths = draw(st.lists(st.sampled_from([0.25, 0.5, 1.0, 3.0]), min_size=n, max_size=n))
+    bps = [float(b) for b in np.cumsum(widths)]
+    tail = draw(st.sampled_from(_GOOD))
+    vals = draw(st.lists(st.sampled_from(_GOOD + [tail] * 3), min_size=n, max_size=n))
+    for seq, bad in ((bps, _BAD + [0.0, "dup"]), (vals, _BAD)):
+        for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2])) if seq else 0):
+            i = draw(st.integers(0, len(seq) - 1))
+            b = draw(st.sampled_from(bad))
+            seq[i] = seq[i - 1] if b == "dup" else b
+    if draw(st.integers(0, 5)) == 0:
+        tail = draw(st.sampled_from(_BAD))
+    if draw(st.integers(0, 7)) == 0:
+        vals = vals + [1.0] if draw(st.booleans()) else vals[:-1]
+    return tuple(bps), tuple(vals), tail
+
+
 class TestConstruction:
+    @given(raw_fields())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_loop_reference(self, args):
+        _assert_matches_reference(args)
+
+    @given(
+        st.lists(st.floats(), max_size=6),
+        st.lists(st.floats(), max_size=6),
+        st.floats(),
+        st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_loop_reference_on_any_floats(self, bps, vals, tail, sort):
+        args = (tuple(sorted(bps) if sort else bps), tuple(vals), tail)
+        _assert_matches_reference(args)
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ((1.0, "x"), (1.0, 2.0), 0.0),
+            ((1.0, None, math.nan), (1.0, 2.0, 3.0), 0.0),
+            ((math.nan, None), (1.0, 2.0), 0.0),
+            ((1.0,), ("1.5",), 0.0),
+            ((1.0,), (1.0,), None),
+            (3, (1.0,), 0.0),
+            ((1.0,), (10**400,), 0.0),
+            ((1.0, 2.0, 3.0), (1.0, math.inf, -1.0), 0.0),  # first bad value named
+            ((1.0, 2.0), (-0.0, 0.0), -0.0),
+        ],
+    )
+    def test_edge_cases_match_loop_reference(self, args):
+        _assert_matches_reference(args)
+
+
     def test_canonical_merges_adjacent_equal_values(self):
         f = StepFunction((1.0, 2.0, 3.0), (2.0, 2.0, 1.0))
         assert f == StepFunction((2.0, 3.0), (2.0, 1.0))
@@ -146,6 +225,34 @@ class TestRearrange:
         for lam in (0.0, 0.5, 1.0, 1.5, 2.0):
             assert f.distribution(lam) == fs.distribution(lam)
 
+    def test_overflowing_total_length_raises_as_validation(self):
+        # the lengths of the value-1 pieces sum past the largest float
+        f = StepFunction(
+            (5.0290436835405955e306, 8.236073572984123e307, sys.float_info.max), (1.0, 3.0, 1.0)
+        )
+        with pytest.raises(ValueError) as got:
+            f.rearrange()
+        with pytest.raises(ValueError) as validated:
+            StepFunction((7.733169204630063e307, math.inf), (3.0, 1.0))
+        assert str(got.value) == str(validated.value)
+
+    def test_output_equals_validated_construction(self, small_corpus, dyadic_corpus):
+        lost = StepFunction((2.0**-6, 2.0**-6 + 2.0**-58, 3.0, 4.0), (0.0, 1.0, 0.0, 2.0))
+        for f in [lost, *small_corpus, *dyadic_corpus]:
+            fs = f.rearrange()
+            assert repr(_fields(fs)) == repr(_fields(StepFunction(*_fields(fs))))
+
+    @given(raw_fields())
+    @settings(max_examples=300, deadline=None)
+    def test_output_equals_validated_construction_property(self, args):
+        try:
+            f = StepFunction(*args)
+        except ValueError:
+            return
+        for g in (f, f + f.dilate(3.0)):
+            fs = g.rearrange()
+            assert repr(_fields(fs)) == repr(_fields(StepFunction(*_fields(fs))))
+
     def test_distribution_equality_is_bit_exact(self, small_corpus):
         for f in small_corpus:
             fs = f.rearrange()
@@ -180,6 +287,20 @@ class TestDilate:
         for a in (0.0, -2.0, math.inf, math.nan):
             with pytest.raises(ValueError):
                 unit_indicator.dilate(a)
+
+    @pytest.mark.parametrize(
+        "f,a",
+        [
+            (StepFunction.indicator(1e10, 2e10), 1e-300),  # overflow to inf
+            (StepFunction.indicator(1e-30, 2e-30), 1e300),  # underflow to 0
+            (StepFunction.indicator(2e-323, 2.5e-323), 2.0),  # subnormals collapse
+        ],
+    )
+    def test_out_of_float_range_names_factor(self, f, a):
+        with pytest.raises(ValueError) as e:
+            f.dilate(a)
+        assert str(e.value).startswith(f"dilation factor {a} takes breakpoints in [")
+        assert "out of the float range" in str(e.value)
 
     def test_commutes_with_rearrangement_exactly_for_pow2(self, small_corpus):
         # powers of two scale breakpoints without rounding, so the identity
@@ -314,11 +435,35 @@ class TestJson:
             '{"breakpoints": [1], "values": [-1], "tail": 0}',
             '{"breakpoints": [1], "values": [1], "tail": 0, "bogus": 1}',
             '{"breakpoints": 3, "values": [1], "tail": 0}',
+            '{"breakpoints": [null], "values": [1], "tail": 0}',
+            '{"breakpoints": [1, [2]], "values": [1, 1], "tail": 0}',
+            '{"breakpoints": [1], "values": [{}], "tail": 0}',
+            '{"breakpoints": [1], "values": [true], "tail": 0}',
+            '{"breakpoints": [1], "values": ["1"], "tail": 0}',
+            '{"breakpoints": [1], "values": [1], "tail": null}',
+            '{"breakpoints": [1], "values": [1], "tail": [0]}',
+            '{"breakpoints": [1], "values": [1], "tail": false}',
+            '{"breakpoints": [1], "values": [1e999], "tail": 0}',
         ],
     )
     def test_invalid_payloads(self, payload):
         with pytest.raises(ValueError):
             StepFunction.from_json(payload)
+
+    @pytest.mark.parametrize(
+        "payload,message",
+        [
+            ('{"breakpoints": [1, null], "values": [1, 2]}', "breakpoints[1] must be a number, got null"),
+            ('{"breakpoints": [1], "values": [[1]]}', "values[0] must be a number, got [1]"),
+            ('{"breakpoints": [1], "values": [1], "tail": true}', "tail must be a number, got true"),
+            ('{"breakpoints": [1' + "0" * 400 + '], "values": [1]}', "breakpoints[0] is out of the float range"),
+        ],
+        ids=["null", "array", "bool", "huge-int"],
+    )
+    def test_non_numbers_named_by_field_and_index(self, payload, message):
+        with pytest.raises(ValueError) as e:
+            StepFunction.from_json(payload)
+        assert str(e.value) == message
 
 
 class TestConcurrencySafety:
