@@ -96,12 +96,25 @@ class GridSpec:
             raise ValueError("span factor must exceed 1")
 
     def build(self, anchors) -> np.ndarray:
+        """The grid around ``anchors`` (around 1 when there are none).
+
+        Raises ``ValueError`` when the window leaves the float range.
+        """
         anchors = np.asarray(sorted(anchors), dtype=float)
         if anchors.size == 0:
             anchors = np.array([1.0])
-        lo = anchors[0] / self.span
-        hi = anchors[-1] * self.span
-        n = max(2, int(math.ceil(math.log10(hi / lo) * self.points_per_decade)) + 1)
+        first, last = float(anchors[0]), float(anchors[-1])
+        lo = first / self.span
+        hi = last * self.span
+        if not (lo > 0.0 and hi < INF):
+            raise ValueError(
+                f"the grid window around anchors [{first!r}, {last!r}] "
+                f"with span {self.span!r} leaves the float range"
+            )
+        ratio = hi / lo
+        # a window wider than the float range: count its decades by logs
+        decades = math.log10(ratio) if ratio < INF else math.log10(hi) - math.log10(lo)
+        n = max(2, int(math.ceil(decades * self.points_per_decade)) + 1)
         grid = np.geomspace(lo, hi, n)
         return np.unique(np.concatenate([grid, anchors]))
 
@@ -109,10 +122,16 @@ class GridSpec:
 DEFAULT_GRID = GridSpec()
 
 
-def _monotone_values(eval_fn, grid: np.ndarray) -> np.ndarray:
+_OVERFLOW = "the Hardy average of f overflows the float range"
+
+
+def _monotone_values(values: np.ndarray) -> np.ndarray:
+    """Exact evaluations made non-increasing; ``ValueError`` unless all finite."""
+    if not np.isfinite(values).all():
+        raise ValueError(_OVERFLOW)
     # evaluation rounding can break monotonicity by an ulp on flat stretches;
     # the running minimum restores it and stays within one ulp of exact
-    return np.minimum.accumulate(eval_fn(grid))
+    return np.minimum.accumulate(values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,12 +191,11 @@ class MonotoneEnvelope:
         return np.concatenate(([head], v[:-1]))
 
 
-def _constant_envelope(c: float, grid_spec: GridSpec, label: str) -> MonotoneEnvelope:
-    g = grid_spec.build([1.0])
-    vals = np.full(g.shape, c)
+def _constant_envelope(c: float, grid: np.ndarray, label: str) -> MonotoneEnvelope:
+    vals = np.full(grid.shape, c)
     law = PowerLaw(c, 0.0)
     return MonotoneEnvelope(
-        grid=g,
+        grid=grid,
         values=vals,
         head_lo=law,
         head_hi=law,
@@ -222,54 +240,72 @@ def _power_segments(bp: np.ndarray, vals: np.ndarray, w: float, order: float):
 def hardy_upper(
     f: StepFunction, u: float, w: float, grid_spec: GridSpec = DEFAULT_GRID
 ) -> MonotoneEnvelope:
-    """Averaging operator over ``(0, t)``; ``upper(1,1)`` is the classical ``f**``."""
+    """Averaging operator over ``(0, t)``; ``upper(1,1)`` is the classical ``f**``.
+
+    Raises ``ValueError`` when the average leaves the float range.
+    """
     u = _check_exponent(u, "averaging exponent", finite=True)
     w = _check_exponent(w, "inner exponent w")
     fs = f.rearrange()
+    return _hardy_upper(fs, u, w, grid_spec.build(fs.breakpoints))
+
+
+def _hardy_upper(fs: StepFunction, u: float, w: float, grid: np.ndarray) -> MonotoneEnvelope:
+    """:func:`hardy_upper` from checked exponents, ``f*`` and the grid
+    ``grid_spec.build(fs.breakpoints)``."""
     label = f"H_upper(u={u},w={w})"
     if fs.is_zero:
-        return _constant_envelope(0.0, grid_spec, label)
+        return _constant_envelope(0.0, grid, label)
     bp = np.asarray(fs.breakpoints)
     vals = np.asarray(fs.values)
     tail = fs.tail
+    try:
+        # the average of a constant c is c * factor
+        factor = (u / w) ** (1.0 / w) if w < INF else 1.0
+    except OverflowError:
+        raise ValueError(_OVERFLOW) from None
     if bp.size == 0:
-        # constant function: the average is the same constant times a factor
-        c = tail * (u / w) ** (1.0 / w) if w < INF else tail
-        return _constant_envelope(c, grid_spec, label)
-    grid = grid_spec.build(bp)
+        c = tail * factor
+        if c == INF:
+            raise ValueError(_OVERFLOW)
+        return _constant_envelope(c, grid, label)
     allv = np.append(vals, tail)
 
-    if w < INF:
-        e, edges_pow, seg = _power_segments(bp, vals, w, u)
-        cum = np.concatenate([[0.0], np.cumsum(seg)])  # inner integral at piece starts
+    # an overflow in the tables or descriptors also overflows the values,
+    # which _monotone_values rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        if w < INF:
+            e, edges_pow, seg = _power_segments(bp, vals, w, u)
+            cum = np.concatenate([[0.0], np.cumsum(seg)])  # inner integral at piece starts
 
-        def eval_upper(t: np.ndarray) -> np.ndarray:
-            t = np.asarray(t, dtype=float)
-            k = np.searchsorted(bp, t, side="left")
-            inner = cum[k] + allv[k] ** w * (t**e - edges_pow[k]) / e
-            # pow() monotonicity can slip an ulp right at a breakpoint;
-            # the clamp keeps the fractional power real
-            return t ** (-1.0 / u) * np.maximum(inner, 0.0) ** (1.0 / w)
+            def eval_upper(t: np.ndarray) -> np.ndarray:
+                t = np.asarray(t, dtype=float)
+                k = np.searchsorted(bp, t, side="left")
+                inner = cum[k] + allv[k] ** w * (t**e - edges_pow[k]) / e
+                # pow() monotonicity can slip an ulp right at a breakpoint;
+                # the clamp keeps the fractional power real
+                return t ** (-1.0 / u) * np.maximum(inner, 0.0) ** (1.0 / w)
 
-        head_lo = head_hi = PowerLaw(float(vals[0] * (u / w) ** (1.0 / w)), 0.0)
-        # tail descriptors: power-law decay past a compact support, else the
-        # average tends to the tail's own constant
-        decay_coef = float(cum[-1] ** (1.0 / w))
-        tail_const = float(tail * (u / w) ** (1.0 / w))
-    else:
-        run = np.maximum.accumulate(vals * bp ** (1.0 / u))
-        prev = np.concatenate([[0.0], run])  # sup over pieces fully left of piece k
+            head_lo = head_hi = PowerLaw(float(vals[0] * factor), 0.0)
+            # tail descriptors: power-law decay past a compact support, else the
+            # average tends to the tail's own constant
+            decay_coef = float(cum[-1] ** (1.0 / w))
+            tail_const = float(tail * factor)
+        else:
+            run = np.maximum.accumulate(vals * bp ** (1.0 / u))
+            prev = np.concatenate([[0.0], run])  # sup over pieces fully left of piece k
 
-        def eval_upper(t: np.ndarray) -> np.ndarray:
-            t = np.asarray(t, dtype=float)
-            k = np.searchsorted(bp, t, side="left")
-            return np.maximum(prev[k] * t ** (-1.0 / u), allv[k])
+            def eval_upper(t: np.ndarray) -> np.ndarray:
+                t = np.asarray(t, dtype=float)
+                k = np.searchsorted(bp, t, side="left")
+                return np.maximum(prev[k] * t ** (-1.0 / u), allv[k])
 
-        head_lo = head_hi = PowerLaw(float(vals[0]), 0.0)
-        decay_coef = float(run[-1])
-        tail_const = float(tail)
+            head_lo = head_hi = PowerLaw(float(vals[0]), 0.0)
+            decay_coef = float(run[-1])
+            tail_const = float(tail)
+        values = eval_upper(grid)
 
-    values = _monotone_values(eval_upper, grid)
+    values = _monotone_values(values)
     if tail == 0.0:
         tail_lo = tail_hi = PowerLaw(decay_coef, 1.0 / u)
     else:
@@ -295,48 +331,62 @@ def hardy_lower(
 
     A positive tail value of ``f*`` makes the defining integral (or sup)
     diverge for every ``t``; the returned envelope is then identically
-    ``+inf`` with ``diverged`` set.
+    ``+inf`` with ``diverged`` set.  Otherwise an average that leaves the
+    float range raises ``ValueError``.
     """
     v = _check_exponent(v, "averaging exponent", finite=True)
     w = _check_exponent(w, "inner exponent w")
     fs = f.rearrange()
+    return _hardy_lower(fs, v, w, grid_spec, grid_spec.build(fs.breakpoints))
+
+
+def _hardy_lower(
+    fs: StepFunction, v: float, w: float, grid_spec: GridSpec, grid: np.ndarray
+) -> MonotoneEnvelope:
+    """:func:`hardy_lower` from checked exponents, ``f*`` and the grid
+    ``grid_spec.build(fs.breakpoints)``; a diverged envelope keeps its own
+    grid around 1."""
     label = f"H_lower(v={v},w={w})"
     if fs.is_zero:
-        return _constant_envelope(0.0, grid_spec, label)
+        return _constant_envelope(0.0, grid, label)
     if fs.tail > 0.0:
         return _diverged_envelope(grid_spec, label)
     bp = np.asarray(fs.breakpoints)
     vals = np.asarray(fs.values)
-    grid = grid_spec.build(bp)
     allv = np.append(vals, 0.0)
 
+    # an overflow in the tables also overflows the values, which
+    # _monotone_values rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        if w < INF:
+            e, edges_pow, seg = _power_segments(bp, vals, w, v)
+            # suffix sums keep the integral-from-t positive-term only (no
+            # cancellation near the right edge of the support)
+            suf = np.concatenate([np.cumsum(seg[::-1])[::-1], [0.0]])
+
+            def eval_lower(t: np.ndarray) -> np.ndarray:
+                t = np.asarray(t, dtype=float)
+                k = np.searchsorted(bp, t, side="left")
+                kk = np.minimum(k, bp.size - 1)
+                part = allv[k] ** w * (edges_pow[kk + 1] - t**e) / e
+                inner = np.where(k < bp.size, part + suf[np.minimum(k + 1, bp.size)], 0.0)
+                return t ** (-1.0 / v) * np.maximum(inner, 0.0) ** (1.0 / w)
+        else:
+            run = np.maximum.accumulate((vals * bp ** (1.0 / v))[::-1])[::-1]
+            suf_max = np.concatenate([run, [0.0]])
+
+            def eval_lower(t: np.ndarray) -> np.ndarray:
+                t = np.asarray(t, dtype=float)
+                k = np.searchsorted(bp, t, side="left")
+                return suf_max[k] * t ** (-1.0 / v)
+
+        values = eval_lower(grid)
+
+    values = _monotone_values(values)
     if w < INF:
-        e, edges_pow, seg = _power_segments(bp, vals, w, v)
-        # suffix sums keep the integral-from-t positive-term only (no
-        # cancellation near the right edge of the support)
-        suf = np.concatenate([np.cumsum(seg[::-1])[::-1], [0.0]])
-
-        def eval_lower(t: np.ndarray) -> np.ndarray:
-            t = np.asarray(t, dtype=float)
-            k = np.searchsorted(bp, t, side="left")
-            kk = np.minimum(k, bp.size - 1)
-            part = allv[k] ** w * (edges_pow[kk + 1] - t**e) / e
-            inner = np.where(k < bp.size, part + suf[np.minimum(k + 1, bp.size)], 0.0)
-            return t ** (-1.0 / v) * np.maximum(inner, 0.0) ** (1.0 / w)
-
-        values = _monotone_values(eval_lower, grid)
         head_hi = PowerLaw(float(suf[0] ** (1.0 / w)), 1.0 / v)
         head_lo = PowerLaw(float(values[0] * grid[0] ** (1.0 / v)), 1.0 / v)
     else:
-        run = np.maximum.accumulate((vals * bp ** (1.0 / v))[::-1])[::-1]
-        suf_max = np.concatenate([run, [0.0]])
-
-        def eval_lower(t: np.ndarray) -> np.ndarray:
-            t = np.asarray(t, dtype=float)
-            k = np.searchsorted(bp, t, side="left")
-            return suf_max[k] * t ** (-1.0 / v)
-
-        values = _monotone_values(eval_lower, grid)
         head_lo = head_hi = PowerLaw(float(run[0]), 1.0 / v)
 
     return MonotoneEnvelope(

@@ -8,7 +8,15 @@ range plus a pass verdict.  The drivers share one accumulator, ``_Scan``:
 it holds the corpus, filters members to those with finite nonzero norm in
 E where a check needs that, and keeps the ratio range, the widest relative
 enclosure, the violation count and the first witness; each driver supplies
-only its per-member check.  Verdict semantics are fixed per check:
+only its per-member check.
+
+The work every configuration repeats on a member lives in one private
+member record per corpus function: ``f*`` (one rearrangement), the
+envelope grid per ``GridSpec`` and ``||f||_E`` per ``LorentzParams``.  A
+``verify_*`` call makes the records of its corpus and drops them when it
+returns; :func:`default_check_reports` makes them once per call and shares
+them across all its configurations.  Envelopes are not kept across
+configurations.  Verdict semantics are fixed per check:
 
 * pointwise checks pass iff no grid point violates the inequality beyond a
   relative slack;
@@ -35,21 +43,23 @@ import numpy as np
 from .hardy import (
     DEFAULT_GRID,
     GridSpec,
+    _hardy_lower,
+    _hardy_upper,
     envelope_norm,
-    hardy_lower,
-    hardy_upper,
     predicted_bounded,
 )
 from .interp import (
     FunctorParams,
     LorentzCouple,
+    _check_functor,
+    _functor_norm,
     functor_norm,
     holmstedt_k,
     intersection_norm,
     k_exact_l1_linf,
     k_upper_oracle,
 )
-from .lorentz import LorentzParams, SpaceDescriptor, lorentz_norm
+from .lorentz import LorentzParams, SpaceDescriptor, _check_exponent, lorentz_norm
 from .stepfn import INF, StepFunction
 
 __all__ = [
@@ -181,17 +191,62 @@ class RatioReport:
         }
 
 
+class _Member:
+    """One corpus function with the work every configuration repeats on it.
+
+    ``fs`` is ``f*``; :meth:`grid` and :meth:`norm` compute the envelope grid
+    per :class:`GridSpec` and ``||f||_E`` per :class:`LorentzParams` on first
+    use and keep them.  Envelopes are not kept: each configuration builds
+    its own and drops it after use.
+    """
+
+    __slots__ = ("f", "fs", "_grids", "_norms")
+
+    def __init__(self, f: StepFunction):
+        self.f = f
+        self.fs = f.rearrange()
+        self._grids: dict[GridSpec, np.ndarray] = {}
+        self._norms: dict[LorentzParams, float] = {}
+
+    def grid(self, grid_spec: GridSpec) -> np.ndarray:
+        grid = self._grids.get(grid_spec)
+        if grid is None:
+            grid = self._grids[grid_spec] = grid_spec.build(self.fs.breakpoints)
+        return grid
+
+    def norm(self, params: LorentzParams) -> float:
+        n = self._norms.get(params)
+        if n is None:
+            n = self._norms[params] = lorentz_norm(self.fs, params)
+        return n
+
+
+class _SharedCorpus(tuple):
+    """A corpus (the tuple of its functions) carrying one :class:`_Member`
+    per function.  Every ``verify_*`` run on it reads these records instead
+    of making its own; :func:`default_check_reports` makes one per call."""
+
+    def __new__(cls, corpus: Iterable[StepFunction]):
+        self = super().__new__(cls, corpus)
+        self.records = tuple(map(_Member, self))
+        return self
+
+
 class _Scan:
     """Bookkeeping shared by the ``verify_*`` drivers over one corpus.
 
+    ``records`` holds the corpus's member records: those of a
+    :class:`_SharedCorpus`, else new ones that live as long as the scan.
     ``empty_ratio`` is reported as both ratio endpoints when no finite ratio
     was observed.
     """
 
     def __init__(self, corpus: Iterable[StepFunction], empty_ratio: float = 1.0):
-        self.corpus = list(corpus)
-        if not self.corpus:
+        if not isinstance(corpus, _SharedCorpus):
+            corpus = _SharedCorpus(corpus)
+        if not corpus:
             raise ValueError("corpus must be nonempty")
+        self.records = corpus.records
         self.empty_ratio = empty_ratio
         self.used = 0
         self.min_ratio = INF
@@ -201,12 +256,12 @@ class _Scan:
         self.witness = ""
 
     def members(self, space: SpaceDescriptor):
-        """Yield ``(f, ||f||_E)`` for members with finite nonzero norm, counting them in ``used``."""
-        for f in self.corpus:
-            n = lorentz_norm(f, space.params)
+        """Yield ``(record, ||f||_E)`` for members with finite nonzero norm, counting them in ``used``."""
+        for m in self.records:
+            n = m.norm(space.params)
             if 0.0 < n < INF:
                 self.used += 1
-                yield f, n
+                yield m, n
         if self.used == 0:
             raise ValueError("corpus has no member with finite nonzero norm in E")
 
@@ -261,6 +316,15 @@ def _averaging_kind(u: float | None, v: float | None) -> tuple[str, float]:
     return ("upper", u) if u is not None else ("lower", v)
 
 
+def _checked_exponents(order, w) -> tuple[float, float]:
+    """``(order, w)`` checked and as floats, the form the private Hardy paths
+    take; config labels keep the values as given."""
+    return (
+        _check_exponent(order, "averaging exponent", finite=True),
+        _check_exponent(w, "inner exponent w"),
+    )
+
+
 def verify_hardy_pointwise(
     corpus: Iterable[StepFunction],
     *,
@@ -278,15 +342,16 @@ def verify_hardy_pointwise(
     """
     kind, order = _averaging_kind(u, v)
     scan = _Scan(corpus)
-    for f in scan.corpus:
-        fs = f.rearrange()
+    a, b = _checked_exponents(order, w)
+    for m in scan.records:
+        f, fs = m.f, m.fs
         if kind == "upper":
-            env_w = hardy_upper(f, order, w, grid_spec)
+            env_w = _hardy_upper(fs, a, b, m.grid(grid_spec))
             grid = env_w.grid
-            lhs_inf = hardy_upper(f, order, INF, grid_spec).values
+            lhs_inf = env_w.values if b == INF else _hardy_upper(fs, a, INF, grid).values
             checks = [(env_w.values, lhs_inf), (lhs_inf, fs(grid))]
         else:
-            env = hardy_lower(f, order, w, grid_spec)
+            env = _hardy_lower(fs, a, b, grid_spec, m.grid(grid_spec))
             grid = env.grid
             checks = [(env.values, fs(2.0 * grid))]
         for lhs, low in checks:
@@ -299,7 +364,7 @@ def verify_hardy_pointwise(
                 t_bad = float(grid[np.argmax(bad)])
                 scan.violation(int(bad.sum()), function=f.to_dict(), t=t_bad)
     label = "u" if kind == "upper" else "v"
-    return scan.report("lemma10", f"{label}={order},w={w}", size=len(scan.corpus))
+    return scan.report("lemma10", f"{label}={order},w={w}", size=len(scan.records))
 
 
 def verify_hardy_equivalence(
@@ -326,13 +391,17 @@ def verify_hardy_equivalence(
     boundary = kind == "upper" and w < INF and order == space.boyd_lower
     diverged = 0
     min_ratio_lo = INF
-    for f, n in scan.members(space):
-        hardy = hardy_upper if kind == "upper" else hardy_lower
-        enc = envelope_norm(hardy(f, order, w, grid_spec), space.params)
+    a, b = _checked_exponents(order, w)
+    for m, n in scan.members(space):
+        if kind == "upper":
+            env = _hardy_upper(m.fs, a, b, m.grid(grid_spec))
+        else:
+            env = _hardy_lower(m.fs, a, b, grid_spec, m.grid(grid_spec))
+        enc = envelope_norm(env, space.params)
         if enc.hi == INF:
             diverged += 1
             if not boundary and expected:
-                scan.violation(function=f.to_dict(), norm=n)
+                scan.violation(function=m.f.to_dict(), norm=n)
             continue
         scan.observe(enc.hi / n, enc.hi / n, enc.relative_width)
         min_ratio_lo = min(min_ratio_lo, enc.lo / n)
@@ -387,10 +456,11 @@ def verify_interpolation_identity(
     """
     scan = _Scan(corpus, empty_ratio=INF)
     fp = FunctorParams(theta=theta, r=couple.params0.p, space=space)
-    for f, n in scan.members(space):
-        enc = functor_norm(f, fp, couple, grid_spec)
+    _check_functor(fp, couple)
+    for m, n in scan.members(space):
+        enc = _functor_norm(m.fs, fp, couple, grid_spec, m.grid(grid_spec))
         if enc.hi == INF or enc.lo <= 0.0:
-            scan.violation(function=f.to_dict(), enclosure=str(enc))
+            scan.violation(function=m.f.to_dict(), enclosure=str(enc))
             continue
         scan.observe(enc.lo / n, enc.hi / n, enc.relative_width)
     min_r, max_r = scan.ratio_range()
@@ -438,12 +508,12 @@ def verify_k_properties(
     if n_pairs <= 0:
         raise ValueError(f"n_pairs must be positive, got {n_pairs}")
     scan = _Scan(corpus)
-    corpus = scan.corpus
+    records = scan.records
     t_grid = np.geomspace(2.0**-8, 2.0**8, 33)
     for i in range(n_pairs):
-        f = corpus[i % len(corpus)]
+        m = records[i % len(records)]
+        f, fs = m.f, m.fs
         t = float(t_grid[i % t_grid.size])
-        fs = f.rearrange()
         k_exact = k_exact_l1_linf(fs, t)
         k_oracle = k_upper_oracle(fs, t, _L1_LINF)
         if abs(k_exact - k_oracle) > oracle_tol * max(1.0, k_exact):
@@ -471,9 +541,9 @@ def verify_k_properties(
             scan.violation(check="sandwich_lower", function=f.to_dict())
         if np.any(ks > mins * cap * (1.0 + slack)):
             scan.violation(check="sandwich_upper", function=f.to_dict())
-        g = corpus[(i + 1) % len(corpus)]
-        k_sum = k_exact_l1_linf(f + g, t)
-        if k_sum > k_exact + k_exact_l1_linf(g, t) + slack * max(1.0, k_sum):
+        g = records[(i + 1) % len(records)]
+        k_sum = k_exact_l1_linf(f + g.f, t)
+        if k_sum > k_exact + k_exact_l1_linf(g.fs, t) + slack * max(1.0, k_sum):
             scan.violation(check="subadditivity", function=f.to_dict(), t=t)
         if k_exact > 0.0:
             r = holmstedt_k(fs, t, _L1_LINF, 1.0) / k_exact
@@ -531,7 +601,7 @@ def default_check_reports(
     """Run a named check (or 'all') over its default configurations."""
     if check != "all" and check not in CHECK_IDS:
         raise ValueError(f"unknown check {check!r}; expected one of {CHECK_IDS + ('all',)}")
-    corpus = generate_corpus(seed, size)
+    corpus = _SharedCorpus(generate_corpus(seed, size))
     reports: list[RatioReport] = []
     if check in ("lemma10", "all"):
         for cfg in _POINTWISE_CONFIGS:

@@ -32,10 +32,10 @@ from .enclosure import Enclosure
 from .hardy import (
     DEFAULT_GRID,
     GridSpec,
+    _hardy_lower,
+    _hardy_upper,
     add_envelopes,
     envelope_norm,
-    hardy_lower,
-    hardy_upper,
     power_scale,
 )
 from .lorentz import (
@@ -382,6 +382,15 @@ def functor_norm(
     Requires ``r <= p0``: the extra factor ``t**(1/p0 - 1/r)`` is then
     non-increasing and the monotone-envelope machinery applies.
     """
+    _check_functor(fp, couple)
+    if f.is_zero:
+        return Enclosure(0.0, 0.0)
+    fs = f.rearrange()
+    return _functor_norm(fs, fp, couple, grid_spec, grid_spec.build(fs.breakpoints))
+
+
+def _check_functor(fp: FunctorParams, couple: LorentzCouple) -> None:
+    """The parameter checks of :func:`functor_norm`."""
     if not functor_admissible(fp):
         p_e, q_e = fp.space.boyd_lower, fp.space.boyd_upper
         raise ValueError(
@@ -399,12 +408,22 @@ def functor_norm(
         raise ValueError(
             f"functor_norm needs r <= p0 (monotone integrand), got r={fp.r} > p0={p0}"
         )
-    if f.is_zero:
-        return Enclosure(0.0, 0.0)
-    env = hardy_upper(f, couple.params0.p, couple.params0.q, grid_spec)
+
+
+def _functor_norm(
+    fs: StepFunction,
+    fp: FunctorParams,
+    couple: LorentzCouple,
+    grid_spec: GridSpec,
+    grid: np.ndarray,
+) -> Enclosure:
+    """:func:`functor_norm` of a nonzero ``f`` from checked parameters, ``f*``
+    and the grid ``grid_spec.build(fs.breakpoints)``."""
+    p0, q0 = couple.params0.p, couple.params0.q
+    env = _hardy_upper(fs, p0, q0, grid)
     if couple.params1.p < INF:
         env = add_envelopes(
-            env, hardy_lower(f, couple.params1.p, couple.params1.q, grid_spec)
+            env, _hardy_lower(fs, couple.params1.p, couple.params1.q, grid_spec, grid)
         )
     if fp.r < p0:
         env = power_scale(env, 1.0 / fp.r - 1.0 / p0)

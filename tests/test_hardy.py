@@ -4,9 +4,13 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rinorms import (
     INF,
@@ -23,7 +27,7 @@ from rinorms import (
     predicted_bounded,
     weighted_power_integral,
 )
-from rinorms.hardy import PowerLaw
+from rinorms.hardy import PowerLaw, _hardy_lower, _hardy_upper
 
 CHI = StepFunction.indicator(0.0, 1.0)
 COARSE = GridSpec(points_per_decade=16, span=2.0**12)
@@ -320,3 +324,83 @@ class TestBoundednessPrediction:
     def test_invalid_kind(self):
         with pytest.raises(ValueError):
             predicted_bounded(self.L22, "sideways", 1.0, 1.0)
+
+
+class TestGridAtFloatRangeEnds:
+    def test_window_wider_than_the_float_range_builds(self):
+        # hi / lo overflows: the decades are counted from the logs instead
+        g = GridSpec().build([1e-300, 1e300])
+        assert np.isfinite(g).all() and np.all(np.diff(g) > 0.0)
+        assert 1e-300 in g and 1e300 in g
+        decades = math.log10(g[-1]) - math.log10(g[0])
+        assert g.size >= decades * GridSpec().points_per_decade
+
+    @pytest.mark.parametrize("anchors", [(5e-324, 1.0), (1.0, 1.7e308)], ids=["lo-underflows", "hi-overflows"])
+    def test_window_outside_the_float_range_is_rejected(self, anchors):
+        with pytest.raises(ValueError, match=re.escape(f"anchors [{anchors[0]!r}, {anchors[1]!r}] with span")):
+            GridSpec().build(anchors)
+
+
+_HUGE = StepFunction((1.0,), (1e200,))
+_NEAR_MAX = StepFunction((1.0, 2.0), (1.7e308, 1.0))
+
+
+class TestOverflow:
+    @pytest.mark.parametrize(
+        "hardy, f, order, w",
+        [
+            (hardy_upper, _HUGE, 2.0, 2.0),
+            (hardy_lower, _HUGE, 2.0, 2.0),
+            (hardy_upper, _NEAR_MAX, 2.0, 1.0),
+            (hardy_lower, _NEAR_MAX, 2.0, 1.0),
+            (hardy_lower, _NEAR_MAX, 2.0, INF),
+            # the head factor (u/w)**(1/w) = 1e400, or a constant times it, overflows
+            (hardy_upper, CHI, 100.0, 0.01),
+            (hardy_upper, StepFunction.constant(1.0), 100.0, 0.01),
+            (hardy_upper, StepFunction.constant(1.7e308), 2.0, 1.0),
+        ],
+    )
+    def test_average_beyond_the_float_range_raises(self, hardy, f, order, w):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy RuntimeWarning may escape
+            with pytest.raises(ValueError, match="the Hardy average of f overflows the float range"):
+                hardy(f, order, w)
+
+    def test_diverged_lower_average_is_not_an_overflow(self):
+        f = StepFunction((1.0,), (1e200,), 1.0)
+        assert hardy_lower(f, 2.0, 2.0).diverged
+
+
+# Step functions; zero, constant and positive-tail ones are among them.
+_levels = st.floats(2.0**-8, 2.0**8) | st.just(0.0)
+step_functions = st.builds(
+    lambda bps, vals, tail: StepFunction(tuple(bps), tuple(vals[: len(bps)]), tail),
+    st.lists(st.floats(2.0**-10, 2.0**10), max_size=8, unique=True).map(sorted),
+    st.lists(_levels, min_size=8, max_size=8),
+    _levels,
+)
+
+
+class TestPrivateEntryPoints:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        f=step_functions,
+        order=st.sampled_from([0.5, 1.0, 2.0, 3.0]),
+        w=st.sampled_from([0.5, 1.0, 2.0, INF]),
+        grid_spec=st.sampled_from([COARSE, GridSpec(points_per_decade=16)]),
+    )
+    @example(f=StepFunction.zero(), order=1.0, w=1.0, grid_spec=COARSE)
+    @example(f=StepFunction.constant(3.0), order=2.0, w=0.5, grid_spec=COARSE)
+    @example(f=StepFunction((1.0, 2.0), (1.0, 3.0), 0.5), order=3.0, w=INF, grid_spec=COARSE)
+    def test_match_the_public_functions(self, f, order, w, grid_spec):
+        fs = f.rearrange()
+        grid = grid_spec.build(fs.breakpoints)
+        pairs = (
+            (hardy_upper(f, order, w, grid_spec), _hardy_upper(fs, order, w, grid)),
+            (hardy_lower(f, order, w, grid_spec), _hardy_lower(fs, order, w, grid_spec, grid)),
+        )
+        for public, private in pairs:
+            assert np.array_equal(public.grid, private.grid)
+            assert np.array_equal(public.values, private.values)
+            for name in ("head_lo", "head_hi", "tail_lo", "tail_hi", "bracket_decay", "diverged", "label"):
+                assert getattr(public, name) == getattr(private, name)

@@ -7,6 +7,7 @@ import hashlib
 import io
 import json
 import math
+from collections import Counter
 
 import pytest
 
@@ -23,7 +24,9 @@ from rinorms import (
     verify_interpolation_identity,
     verify_k_properties,
 )
+from rinorms import harness
 from rinorms.harness import (
+    DEFAULT_GRID,
     GridSpec,
     default_check_reports,
     reports_to_csv,
@@ -190,6 +193,125 @@ class TestReports:
         assert hashlib.sha256(reports_to_json(reports).encode()).hexdigest() == (
             "d15b322bb7f64aa6a82338f75972db5f5e8faf7944f6e4b352180d53eaea0c08"
         )
+
+    def test_all_checks_golden_on_a_finer_grid(self):
+        # Pinned report bytes on a non-default grid: per-grid work that the
+        # scans share must stay keyed by its GridSpec.  Recorded on Python
+        # 3.11 with numpy 2.4.
+        reports = default_check_reports("all", seed=11, size=300, grid_spec=GridSpec(points_per_decade=16))
+        assert hashlib.sha256(reports_to_csv(reports).encode()).hexdigest() == (
+            "6691ae072decfffbe2407a981d27db8af437fa9a2e3989a9101e7fe45ef64381"
+        )
+        assert hashlib.sha256(reports_to_json(reports).encode()).hexdigest() == (
+            "d8d78aba1da7fac781d88d59880859350b4e0e55eaf50b45cd0799a46ded49d4"
+        )
+
+
+def _capture_corpus(monkeypatch) -> list:
+    """Make ``default_check_reports`` hand back the corpus it draws."""
+    drawn = []
+    generate = harness.generate_corpus
+
+    def capturing(*args, **kwargs):
+        drawn.append(generate(*args, **kwargs))
+        return drawn[-1]
+
+    monkeypatch.setattr(harness, "generate_corpus", capturing)
+    return drawn
+
+
+class TestSharedMemberWork:
+    """``default_check_reports`` does each member's f*, grid and norm once."""
+
+    def test_one_rearrangement_per_member(self, monkeypatch):
+        drawn = _capture_corpus(monkeypatch)
+        receivers = Counter()
+        rearrange = StepFunction.rearrange
+
+        def counting(self):
+            receivers[id(self)] += 1
+            return rearrange(self)
+
+        monkeypatch.setattr(StepFunction, "rearrange", counting)
+        default_check_reports("all", seed=5, size=12, grid_spec=COARSE)
+        (corpus,) = drawn
+        # a member that is its own f* also receives the norms' own
+        # fs.rearrange() calls, so only the others are counted
+        moved = [f for f in corpus if rearrange(f) is not f]
+        assert moved
+        assert [receivers[id(f)] for f in moved] == [1] * len(moved)
+
+    def test_one_grid_per_member_and_grid_spec(self, monkeypatch):
+        drawn = _capture_corpus(monkeypatch)
+        builds = Counter()
+        build = GridSpec.build
+
+        def counting(self, anchors):
+            builds[(self, tuple(sorted(map(float, anchors))))] += 1
+            return build(self, anchors)
+
+        monkeypatch.setattr(GridSpec, "build", counting)
+        default_check_reports("all", seed=5, size=12, grid_spec=COARSE)
+        (corpus,) = drawn
+        expected = Counter((COARSE, f.rearrange().breakpoints) for f in corpus)
+        # the calibration instance: the unit indicator on its own fine grid
+        expected[(GridSpec(points_per_decade=256, span=COARSE.span), (1.0,))] += 1
+        assert builds == expected
+
+    @pytest.mark.parametrize("w, inner", [(INF, [INF]), (1.0, [1.0, INF])])
+    def test_pointwise_upper_builds_each_envelope_once(self, small_corpus, monkeypatch, w, inner):
+        calls = []
+        hardy_upper = harness._hardy_upper
+
+        def counting(fs, u, w, grid):
+            calls.append(w)
+            return hardy_upper(fs, u, w, grid)
+
+        monkeypatch.setattr(harness, "_hardy_upper", counting)
+        verify_hardy_pointwise(small_corpus, u=1.0, w=w, grid_spec=COARSE)
+        assert calls == inner * len(small_corpus)
+
+
+def _public_reports(corpus, grid_spec) -> list:
+    """The default configurations, each run by its public driver on a plain corpus."""
+    l22 = SpaceDescriptor.for_lorentz(LorentzParams(2.0, 2.0))
+    reports = [
+        verify_hardy_pointwise(corpus, grid_spec=grid_spec, **cfg)
+        for cfg in harness._POINTWISE_CONFIGS
+    ]
+    reports += [
+        verify_hardy_equivalence(corpus, l22, grid_spec=grid_spec, **cfg)
+        for cfg in harness._EQUIVALENCE_CONFIGS
+    ]
+    reports += [
+        verify_interpolation_identity(corpus, space, couple, theta, grid_spec=grid_spec, calibrate=cal)
+        for space, couple, theta, cal in harness._interpolation_configs()
+    ]
+    reports.append(verify_k_properties(corpus))
+    return reports
+
+
+class TestSharedPathMatchesPublicDrivers:
+    @pytest.mark.parametrize("grid_spec", [DEFAULT_GRID, GridSpec(points_per_decade=16)], ids=["default-grid", "16-per-decade"])
+    @pytest.mark.parametrize(
+        "kind", [{}, {"dyadic": True}, {"positive_tail": True}], ids=["default", "dyadic", "positive-tail"]
+    )
+    def test_reports_equal_field_by_field(self, monkeypatch, kind, grid_spec):
+        corpus = generate_corpus(7, 16, **kind)
+        monkeypatch.setattr(harness, "generate_corpus", lambda seed, size: corpus)
+        shared = default_check_reports("all", seed=7, size=16, grid_spec=grid_spec)
+        # dataclass equality: every field, the witness and extras included
+        assert _public_reports(tuple(corpus), grid_spec) == shared
+
+    def test_positive_tail_corpus_exercises_divergence_and_filtering(self):
+        corpus = generate_corpus(7, 16, positive_tail=True)
+        assert any(f.tail > 0.0 for f in corpus)
+        reports = _public_reports(tuple(corpus), COARSE)
+        # lemma10's lower configurations meet diverged envelopes; members of
+        # infinite L(2,2) norm are left out of thm11
+        thm11 = [r for r in reports if r.check == "thm11"]
+        assert all(r.size < len(corpus) for r in thm11)
+        assert any(r.max_ratio == INF for r in reports if r.check == "lemma10" and r.config.startswith("v="))
 
 
 GOLDEN_ALL_SEED7_SIZE40 = """\
