@@ -122,13 +122,14 @@ def cmd_hardy(args) -> int:
 
 
 def cmd_kfun(args) -> int:
-    f = _load_function(args.input)
+    # f* once: the three K forms take it back unchanged from their own rearrange()
+    fs = _load_function(args.input).rearrange()
     couple = _couple(args)
-    lines = [f"oracle_upper {repr(k_upper_oracle(f, args.t, couple))}"]
+    lines = [f"oracle_upper {repr(k_upper_oracle(fs, args.t, couple))}"]
     if couple.params0 == LorentzParams(1.0, 1.0) and couple.params1 == LorentzParams(INF, INF):
-        lines.insert(0, f"exact {repr(k_exact_l1_linf(f, args.t))}")
+        lines.insert(0, f"exact {repr(k_exact_l1_linf(fs, args.t))}")
     if args.theta is not None:
-        lines.append(f"holmstedt {repr(holmstedt_k(f, args.t, couple, args.theta))}")
+        lines.append(f"holmstedt {repr(holmstedt_k(fs, args.t, couple, args.theta))}")
     _emit(args, "\n".join(lines) + "\n")
     return 0
 

@@ -53,6 +53,7 @@ from .interp import (
     LorentzCouple,
     _check_functor,
     _functor_norm,
+    _k_l1_linf,
     functor_norm,
     holmstedt_k,
     intersection_norm,
@@ -502,48 +503,45 @@ def verify_k_properties(
     monotonicity of ``t -> K`` and ``t -> K/t``; midpoint concavity; the
     sandwich ``min(1,t) K(1,f) <= K(t,f) <= min(1,t) ||f||_{X0 ∩ X1}``;
     exact subadditivity ``K(t, f+g) <= K(t,f) + K(t,g)``; and the
-    Holmstedt-to-exact ratio staying inside [1, 2].  ``f*`` is computed
-    once per pair and shared by every K evaluation of ``f``.
+    Holmstedt-to-exact ratio staying inside [1, 2].  Every K value of ``f``
+    in a pair (at ``t``, at 1, on the 33-point grid and at its midpoints)
+    comes from one prefix table over ``f*``; ``g`` and ``f + g`` need one
+    value each.
     """
     if n_pairs <= 0:
         raise ValueError(f"n_pairs must be positive, got {n_pairs}")
     scan = _Scan(corpus)
     records = scan.records
     t_grid = np.geomspace(2.0**-8, 2.0**8, 33)
+    ts = t_grid.tolist()
+    mids = [float(0.5 * (t_grid[j] + t_grid[j + 1])) for j in range(t_grid.size - 1)]
+    mins = np.minimum(1.0, t_grid)
     for i in range(n_pairs):
         m = records[i % len(records)]
         f, fs = m.f, m.fs
-        t = float(t_grid[i % t_grid.size])
-        k_exact = k_exact_l1_linf(fs, t)
+        t = ts[i % len(ts)]
+        k_exact, k1, *k_grid = _k_l1_linf(fs, [t, 1.0, *ts, *mids])
+        ks, mid = np.array(k_grid[: len(ts)]), np.array(k_grid[len(ts) :])
         k_oracle = k_upper_oracle(fs, t, _L1_LINF)
         if abs(k_exact - k_oracle) > oracle_tol * max(1.0, k_exact):
             scan.violation(
                 check="oracle", function=f.to_dict(), t=t, exact=k_exact, oracle=k_oracle
             )
-        ks = np.array([k_exact_l1_linf(fs, s) for s in t_grid])
         if np.any(np.diff(ks) < -slack * ks[:-1]):
             scan.violation(check="monotone", function=f.to_dict())
         over_t = ks / t_grid
         if np.any(np.diff(over_t) > slack * over_t[:-1]):
             scan.violation(check="k_over_t", function=f.to_dict())
-        mid = np.array(
-            [
-                k_exact_l1_linf(fs, 0.5 * (t_grid[j] + t_grid[j + 1]))
-                for j in range(t_grid.size - 1)
-            ]
-        )
         if np.any(mid < 0.5 * (ks[:-1] + ks[1:]) * (1.0 - slack)):
             scan.violation(check="concavity", function=f.to_dict())
-        k1 = k_exact_l1_linf(fs, 1.0)
         cap = intersection_norm(fs, _L1_LINF)
-        mins = np.minimum(1.0, t_grid)
         if np.any(ks < mins * k1 * (1.0 - slack)):
             scan.violation(check="sandwich_lower", function=f.to_dict())
         if np.any(ks > mins * cap * (1.0 + slack)):
             scan.violation(check="sandwich_upper", function=f.to_dict())
         g = records[(i + 1) % len(records)]
         k_sum = k_exact_l1_linf(f + g.f, t)
-        if k_sum > k_exact + k_exact_l1_linf(g.fs, t) + slack * max(1.0, k_sum):
+        if k_sum > k_exact + _k_l1_linf(g.fs, [t])[0] + slack * max(1.0, k_sum):
             scan.violation(check="subadditivity", function=f.to_dict(), t=t)
         if k_exact > 0.0:
             r = holmstedt_k(fs, t, _L1_LINF, 1.0) / k_exact

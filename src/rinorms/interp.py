@@ -24,7 +24,9 @@ certified envelopes give a guaranteed enclosure.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -45,7 +47,13 @@ from .lorentz import (
     is_nontrivial,
     lorentz_norm,
 )
-from .stepfn import INF, StepFunction, _power_integral_array, weighted_power_integral
+from .stepfn import (
+    INF,
+    StepFunction,
+    _power_integral_array,
+    power_integral,
+    weighted_power_integral,
+)
 
 __all__ = [
     "LorentzCouple",
@@ -105,7 +113,38 @@ def _check_t(t) -> float:
 
 def k_exact_l1_linf(f: StepFunction, t: float) -> float:
     """Exact ``K(t, f; L_1, L_inf) = integral_0^t f*(s) ds``."""
-    return weighted_power_integral(f.rearrange(), 1.0, 1.0, 0.0, _check_t(t))
+    return _k_l1_linf(f.rearrange(), [_check_t(t)])[0]
+
+
+def _k_l1_linf(fs: StepFunction, ts: Sequence[float]) -> list[float]:
+    """``K(t, f; L_1, L_inf)`` at each checked ``t`` of ``ts``, from ``fs = f*``.
+
+    One prefix table of whole-piece integrals ``v * power_integral(1.0, lo, b)``,
+    summed in piece order, serves every ``t``: ``K(t)`` is the sum over the
+    pieces ending before ``t`` plus the part of the piece holding ``t`` (the
+    tail past the last breakpoint).  These are the float operations of
+    ``weighted_power_integral(fs, 1.0, 1.0, 0.0, t)`` in its order, so each
+    value is bit-identical to it; an infinite part makes the sum ``inf`` as
+    its early return does.  The table stops at the piece holding the
+    largest ``t``.
+    """
+    bps, vals = fs.breakpoints, fs.values
+    ks = [bisect_left(bps, t) for t in ts]
+    prefix = [0.0]
+    total = lo = 0.0
+    for b, v in zip(bps[: max(ks, default=0)], vals):
+        if v != 0.0:
+            total += v * power_integral(1.0, lo, b)
+        prefix.append(total)
+        lo = b
+    out = []
+    for t, k in zip(ts, ks):
+        v = vals[k] if k < len(vals) else fs.tail
+        part = prefix[k]
+        if v != 0.0:
+            part += v * power_integral(1.0, bps[k - 1] if k else 0.0, t)
+        out.append(part)
+    return out
 
 
 def _default_levels(fs: StepFunction, n_grid: int = 200) -> list[float]:
@@ -204,11 +243,15 @@ def k_upper_oracle(
 
     Splitting at height ``lam`` sends the part of ``f*`` above ``lam`` to X0
     and the rest to X1.  The default level grid contains every value of
-    ``f*`` plus a 200-point log grid; since the truncation cost is piecewise
-    linear in ``lam`` with kinks exactly at the values of ``f*``, the default
-    grid attains the true minimum over all truncations, and for (L_1, L_inf)
-    that minimum is the K-functional itself.  ``levels`` (any iterable of
-    levels ``>= 0``, a 1-D array included) replaces the default grid.
+    ``f*`` plus a 200-point log grid.  When each side has ``q = 1`` or
+    ``p = q = inf``, both truncation costs are piecewise linear in ``lam``
+    with kinks at values of ``f*``, so the default grid attains the minimum
+    over all truncations; for (L_1, L_inf) that minimum is the K-functional
+    itself.  Otherwise (a sup form with finite ``p``, whose cost is a
+    maximum of lines with kinks where they cross, or a finite ``q != 1``)
+    the result is a valid upper bound, the minimum over the grid's levels
+    only.  ``levels`` (any iterable of levels ``>= 0``, a 1-D array
+    included) replaces the default grid.
 
     The levels are scored in blocks by array arithmetic: each block is a
     levels x pieces matrix of the rows ``(f* - lam)_+`` and ``min(f*, lam)``,

@@ -276,7 +276,7 @@ class StepFunction:
             return True
         if vals[-1] <= self.tail:
             return False
-        return all(vals[i] > vals[i + 1] for i in range(len(vals) - 1))
+        return all(map(operator.gt, vals, vals[1:]))
 
     def distribution(self, lam: float) -> float:
         """Lebesgue measure of ``{t > 0 : f(t) > lam}`` (``inf`` iff ``tail > lam``)."""

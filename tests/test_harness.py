@@ -24,7 +24,7 @@ from rinorms import (
     verify_interpolation_identity,
     verify_k_properties,
 )
-from rinorms import harness
+from rinorms import harness, interp, lorentz, stepfn
 from rinorms.harness import (
     DEFAULT_GRID,
     GridSpec,
@@ -148,6 +148,58 @@ class TestKDriver:
     def test_empty_battery_rejected(self, small_corpus, n_pairs):
         with pytest.raises(ValueError, match="n_pairs must be positive"):
             verify_k_properties(list(small_corpus), n_pairs=n_pairs)
+
+    @pytest.mark.parametrize("dyadic", [False, True], ids=["positive-tail", "dyadic-positive-tail"])
+    def test_positive_tail_golden(self, dyadic):
+        # Pinned report bytes on corpora with positive tails, where K at t
+        # past the last breakpoint keeps the tail's term (the two corpora
+        # give the same bytes).  Recorded on Python 3.11 with numpy 2.4.
+        corpus = generate_corpus(7, 60, positive_tail=True, dyadic=dyadic)
+        text = reports_to_json([verify_k_properties(corpus, n_pairs=120)])
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "08f3167598809dc0ee22b5b3e64802b1f7a7fda1cfcb6410980301fbecd46e18"
+        )
+
+    def test_one_k_table_per_function_and_no_piecewise_k(self, small_corpus, monkeypatch):
+        # f's K values come from one prefix table per pair, g and f + g add
+        # one each; the piecewise integral runs only inside the Holmstedt
+        # and intersection norms, never for K itself
+        tables = []
+        kernel = interp._k_l1_linf
+
+        def counting_kernel(fs, ts):
+            tables.append(len(ts))
+            return kernel(fs, ts)
+
+        monkeypatch.setattr(interp, "_k_l1_linf", counting_kernel)
+        monkeypatch.setattr(harness, "_k_l1_linf", counting_kernel)
+        inside = [0]
+        callers = Counter()
+        for name in ("holmstedt_k", "intersection_norm"):
+            original = getattr(harness, name)
+
+            def entered(*args, _original=original, **kwargs):
+                inside[0] += 1
+                try:
+                    return _original(*args, **kwargs)
+                finally:
+                    inside[0] -= 1
+
+            monkeypatch.setattr(harness, name, entered)
+        integral = stepfn.weighted_power_integral
+
+        def counting_integral(*args, **kwargs):
+            callers["norms" if inside[0] else "elsewhere"] += 1
+            return integral(*args, **kwargs)
+
+        for module in (stepfn, lorentz, interp):
+            monkeypatch.setattr(module, "weighted_power_integral", counting_integral)
+        n_pairs = 40
+        rep = verify_k_properties(list(small_corpus), n_pairs=n_pairs)
+        assert rep.passed
+        assert len(tables) <= 3 * n_pairs
+        assert max(tables) == 2 + 33 + 32
+        assert callers["elsewhere"] == 0 and callers["norms"] >= n_pairs
 
 
 class TestReports:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from rinorms import (
     StepFunction,
     functor_admissible,
     functor_norm,
+    generate_corpus,
     holmstedt_k,
     intersection_norm,
     k_exact_l1_linf,
@@ -28,6 +30,7 @@ from rinorms import (
     interp,
     select_parameters,
     sum_norm,
+    weighted_power_integral,
 )
 
 from conftest import loop_k_upper_oracle
@@ -191,6 +194,66 @@ class TestOracleAgainstLoopReference:
                 got = k_upper_oracle(f, 0.75, couple, levels)
                 want = loop_k_upper_oracle(f, 0.75, couple, levels)
                 assert math.isclose(got, want, rel_tol=1e-12), (f, levels, got, want)
+
+
+# corpus keyword sets for the prefix-table differential test; "wide" spans
+# most of the float range, so whole-piece integrals can overflow to inf
+_K_CORPORA = {
+    "default": {},
+    "dyadic": {"dyadic": True},
+    "positive-tail": {"positive_tail": True},
+    "dyadic-positive-tail": {"dyadic": True, "positive_tail": True},
+    "wide": {"bp_range": (2.0**-1000, 2.0**1000), "positive_tail": True},
+}
+_TINY_AND_HUGE_T = (5e-324, 1e-310, 2.0**-1022, 1e300, sys.float_info.max)
+
+
+@st.composite
+def k_table_cases(draw):
+    """``f*`` of a corpus member (up to 2,000 pieces) and a shuffled list of
+    t values: breakpoints and their float neighbours, t below the first and
+    past the last breakpoint, subnormal and huge t, and arbitrary t."""
+    kind = draw(st.sampled_from(sorted(_K_CORPORA)))
+    max_pieces = draw(st.sampled_from([1, 12, 2000]))
+    seed = draw(st.integers(0, 2**20))
+    fs = generate_corpus(seed, 1, max_pieces=max_pieces, **_K_CORPORA[kind]).functions[0].rearrange()
+    if draw(st.booleans()) and fs.breakpoints and fs.tail == 0.0:
+        fs = StepFunction(fs.breakpoints, fs.values, fs.values[-1] / 2.0)
+    bps = fs.breakpoints
+    ts = list(_TINY_AND_HUGE_T)
+    ts += draw(st.lists(st.floats(5e-324, sys.float_info.max), max_size=6))
+    if bps:
+        ts += [bps[0] / 3.0, bps[-1] * 2.0, math.nextafter(bps[-1], INF)]
+        for i in draw(st.lists(st.integers(0, len(bps) - 1), max_size=8)) + [0, len(bps) - 1]:
+            ts += [bps[i], math.nextafter(bps[i], 0.0), math.nextafter(bps[i], INF)]
+    return fs, draw(st.permutations(ts))
+
+
+class TestPrefixTableK:
+    """``interp._k_l1_linf`` against the piecewise sum it replaces, bit for bit."""
+
+    @given(k_table_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_bit_identical_to_the_piecewise_sum(self, case):
+        fs, ts = case
+        got = list(map(repr, interp._k_l1_linf(fs, ts)))
+        want = [repr(weighted_power_integral(fs, 1.0, 1.0, 0.0, t)) for t in ts]
+        assert got == want
+        assert [repr(k_exact_l1_linf(fs, t)) for t in ts[:3]] == want[:3]
+
+    def test_tail_and_overflow_branches(self):
+        # past the last breakpoint a positive tail keeps adding; a whole
+        # piece whose integral overflows makes every later value inf
+        f = StepFunction((1.0, 2.0), (3.0, 2.0), 0.5)
+        assert interp._k_l1_linf(f, [4.0, 0.5, 2.0]) == [3.0 + 2.0 + 1.0, 1.5, 5.0]
+        wide = StepFunction((2.0**-1000, 2.0**1000), (2.0, 1.0))
+        assert interp._k_l1_linf(wide, [2.0**999, 2.0**1001]) == [INF, INF]
+        assert weighted_power_integral(wide, 1.0, 1.0, 0.0, 2.0**999) == INF
+
+    def test_empty_t_list_and_constants(self):
+        assert interp._k_l1_linf(CHI, []) == []
+        assert interp._k_l1_linf(StepFunction.constant(2.0), [0.25, 3.0]) == [0.5, 6.0]
+        assert interp._k_l1_linf(StepFunction.zero(), [1.0]) == [0.0]
 
 
 class TestKShapeProperties:
