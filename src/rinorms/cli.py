@@ -48,6 +48,17 @@ def _exponent(text: str) -> float:
         raise argparse.ArgumentTypeError(str(e)) from None
 
 
+def _max_decade(text: str) -> int:
+    """``--max-decade``: 10**d floats are summed, so d stays in 2..7."""
+    try:
+        d = int(text)
+    except ValueError:
+        d = None
+    if d is None or not 2 <= d <= 7:
+        raise argparse.ArgumentTypeError(f"must be an integer in 2..7, got {text}")
+    return d
+
+
 def _load_function(path: str) -> StepFunction:
     try:
         with open(path) as fh:
@@ -274,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("example18", help="borderline-family partial sums as CSV")
     p.add_argument("--q", type=float, required=True)
-    p.add_argument("--max-decade", type=int, default=6, help="largest N is 10**max_decade")
+    p.add_argument("--max-decade", type=_max_decade, default=6, help="largest N is 10**max_decade (2..7)")
     p.add_argument("--with-norms", action="store_true")
     p.add_argument("--output")
     p.set_defaults(fn=cmd_example18)

@@ -28,13 +28,20 @@ is then squeezed between a constant and a pure power law, both of which
 integrate in closed form against Lorentz weights, so the enclosures of
 :func:`envelope_norm` are exact wherever the output is locally a constant or
 a pure power and second-order tight elsewhere.
+
+The kernels work on a block of functions at once (the verification scans
+pass whole stretches of a corpus); the public functions are the same
+kernels on a block of one.  Every value is bit for bit the one the
+function gets on its own.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Callable, Literal
+from itertools import chain
+from typing import Callable, Literal, Sequence
 
 import numpy as np
 
@@ -125,15 +132,6 @@ DEFAULT_GRID = GridSpec()
 _OVERFLOW = "the Hardy average of f overflows the float range"
 
 
-def _monotone_values(values: np.ndarray) -> np.ndarray:
-    """Exact evaluations made non-increasing; ``ValueError`` unless all finite."""
-    if not np.isfinite(values).all():
-        raise ValueError(_OVERFLOW)
-    # evaluation rounding can break monotonicity by an ulp on flat stretches;
-    # the running minimum restores it and stays within one ulp of exact
-    return np.minimum.accumulate(values)
-
-
 @dataclass(frozen=True, eq=False)
 class MonotoneEnvelope:
     """A non-increasing function known exactly pointwise, with certified brackets.
@@ -164,26 +162,14 @@ class MonotoneEnvelope:
         out = self.eval(np.atleast_1d(np.asarray(t, dtype=float)))
         return float(out[0]) if scalar else out
 
-    @property
-    def lower(self) -> StepFunction:
-        """Global step-function lower bound: each piece carries its right-endpoint value."""
-        g = self.grid
-        v = self.values
-        return StepFunction(tuple(g), tuple(v), 0.0)
-
-    @property
-    def upper(self) -> StepFunction:
-        """Step-function upper bound on ``[grid[0], inf)``.
-
-        On ``(0, grid[0]]`` the first piece is a true bound only when the head
-        is bounded (constant head descriptor); the analytic ``head_hi`` is
-        authoritative there.
-        """
-        return StepFunction(tuple(self.grid), tuple(self.upper_on_grid()), float(self.values[-1]))
-
     def upper_on_grid(self) -> np.ndarray:
-        """Values of :attr:`upper` at the grid points: each takes the value
-        at the grid point before it, the first the head bound."""
+        """Step upper bound at the grid points: each takes the value at the
+        grid point before it, the first the head bound.
+
+        On ``(0, grid[0]]`` the first value is a true bound only when the
+        head is bounded (constant head descriptor); the analytic ``head_hi``
+        is authoritative there.
+        """
         v = self.values
         # max() guards one-ulp disagreement between the algebraic head
         # constant and the evaluated first grid value
@@ -191,28 +177,11 @@ class MonotoneEnvelope:
         return np.concatenate(([head], v[:-1]))
 
 
-def _constant_envelope(c: float, grid: np.ndarray, label: str) -> MonotoneEnvelope:
-    vals = np.full(grid.shape, c)
-    law = PowerLaw(c, 0.0)
-    return MonotoneEnvelope(
-        grid=grid,
-        values=vals,
-        head_lo=law,
-        head_hi=law,
-        tail_lo=law,
-        tail_hi=law,
-        eval=lambda t: np.full(np.shape(t), c),
-        bracket_decay=None,
-        label=label,
-    )
-
-
 def _diverged_envelope(grid_spec: GridSpec, label: str) -> MonotoneEnvelope:
     g = grid_spec.build([1.0])
-    vals = np.full(g.shape, INF)
     return MonotoneEnvelope(
         grid=g,
-        values=vals,
+        values=np.full(g.shape, INF),
         head_lo=_ZERO_LAW,
         head_hi=_ZERO_LAW,
         tail_lo=_ZERO_LAW,
@@ -224,17 +193,385 @@ def _diverged_envelope(grid_spec: GridSpec, label: str) -> MonotoneEnvelope:
     )
 
 
-def _power_segments(bp: np.ndarray, vals: np.ndarray, w: float, order: float):
+# -- blocks of members ---------------------------------------------------------
+#
+# The Hardy averages and their norms are evaluated for a block of functions
+# at once: the functions' pieces and grids are concatenated, every
+# elementwise kernel runs once over the whole block, and only reductions
+# (running sums, running extrema, interval sums) run per function, each on
+# its function's exact-length slice.  Elementwise numpy results do not depend
+# on an element's neighbours and those reductions see the same arrays as a
+# lone function would, so every value is the one that function would get on
+# its own.  The public functions are the same kernels on a block of one.
+
+
+def _offsets(sizes) -> np.ndarray:
+    off = np.zeros(len(sizes) + 1, dtype=np.intp)
+    np.cumsum(sizes, out=off[1:])
+    return off
+
+
+def _accumulate(ufunc: np.ufunc, x: np.ndarray, off, reverse: bool = False) -> np.ndarray:
+    """``ufunc.accumulate`` over each segment ``x[off[i]:off[i+1]]`` on its
+    own, from the right when ``reverse``."""
+    out = np.empty_like(x)
+    bounds = off.tolist()
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        if reverse:
+            ufunc.accumulate(x[lo:hi][::-1], out=out[lo:hi][::-1])
+        else:
+            ufunc.accumulate(x[lo:hi], out=out[lo:hi])
+    return out
+
+
+class _Block:
+    """``f*`` and envelope grid of consecutive functions, concatenated.
+
+    Function ``i`` owns pieces ``poff[i]:poff[i+1]`` of ``bp``/``vals`` and
+    grid points ``goff[i]:goff[i+1]`` of ``grid``.  Each grid must contain
+    its function's breakpoints, as :meth:`GridSpec.build` makes it.
+    Per-piece tables carry one more entry per function for its tail piece:
+    piece ``j`` of the block sits at entry ``vpos[j]``, and function ``i``'s
+    entries run from ``hpos[i]`` to its tail's, ``tpos[i]``.  ``K[j]`` is
+    the entry of the piece holding grid point ``j``.
+    """
+
+    def __init__(self, fss: Sequence[StepFunction], grids: Sequence[np.ndarray]):
+        counts = [len(fs.breakpoints) for fs in fss]
+        k = self.size = len(fss)
+        self.poff = _offsets(counts)
+        n = int(self.poff[-1])
+        self.bp = np.fromiter(chain.from_iterable(fs.breakpoints for fs in fss), float, n)
+        self.vals = np.fromiter(chain.from_iterable(fs.values for fs in fss), float, n)
+        self.tails = np.array([fs.tail for fs in fss], dtype=float)
+        self.vpos = np.arange(n) + np.repeat(np.arange(k), counts)
+        self.hpos = self.poff[:-1] + np.arange(k)
+        self.tpos = self.poff[1:] + np.arange(k)
+        self.goff = _offsets([g.size for g in grids])
+        self.grid = np.concatenate(grids)
+        self.K = self.piece_index(self.grid)
+
+    @classmethod
+    def of(cls, fs: StepFunction, grid_spec: GridSpec) -> "_Block":
+        """The block of one: ``f*`` on its grid."""
+        return cls([fs], [grid_spec.build(fs.breakpoints)])
+
+    def table(self, pieces, tails) -> np.ndarray:
+        """A per-piece table: ``pieces`` at the pieces' entries, ``tails`` at the tails'."""
+        out = np.empty(self.vpos.size + self.size, dtype=np.result_type(pieces, tails))
+        out[self.vpos] = pieces
+        out[self.tpos] = tails
+        return out
+
+    def piece_index(self, t: np.ndarray) -> np.ndarray:
+        """Table entry of the piece holding each point of ``t``.
+
+        ``t`` is laid out like ``grid`` and sorted within each function:
+        the entry is ``searchsorted(bp, t, "left")`` within the function.
+        It steps up at the first point above each breakpoint and at each
+        function's first point (past the previous tail).
+        """
+        goff, poff, bp = self.goff.tolist(), self.poff.tolist(), self.bp
+        above = np.concatenate(
+            [t[g0:g1].searchsorted(bp[p0:p1], "right") for g0, g1, p0, p1 in zip(goff, goff[1:], poff, poff[1:])]
+        )
+        above += np.repeat(self.goff[:-1], np.diff(self.poff))
+        steps = np.sort(np.concatenate([above, self.goff[1:-1]]))
+        bounds = np.empty(steps.size + 2, dtype=np.intp)
+        bounds[0], bounds[-1] = 0, t.size
+        bounds[1:-1] = steps
+        return np.repeat(np.arange(steps.size + 1), bounds[1:] - bounds[:-1])
+
+    def f_star(self, K: np.ndarray) -> np.ndarray:
+        """``f*`` at the points whose piece entries are ``K``."""
+        return self.table(self.vals, self.tails)[K]
+
+
+class _Laws:
+    """One ``PowerLaw`` descriptor per function of a block, as arrays."""
+
+    __slots__ = ("coef", "decay")
+
+    def __init__(self, coef, decay):
+        self.coef = np.asarray(coef, dtype=float)
+        self.decay = np.asarray(decay, dtype=float)
+
+    @classmethod
+    def of(cls, laws: Sequence[PowerLaw]) -> "_Laws":
+        return cls([l.coef for l in laws], [l.decay for l in laws])
+
+    def law(self, i: int) -> PowerLaw:
+        return PowerLaw(float(self.coef[i]), float(self.decay[i]))
+
+
+@dataclass(eq=False)
+class _Envelopes:
+    """Non-increasing functions of a block, each known on its own grid.
+
+    The block form of :class:`MonotoneEnvelope`: function ``i`` has values
+    ``values[goff[i]:goff[i+1]]`` on the same points of ``grid`` and entry
+    ``i`` of each descriptor.  ``beta`` is the block's bracket decay; the
+    functions in ``flat`` (constants) have none.  ``diverged`` marks
+    identically infinite functions, and ``errors[i]`` is the exception
+    function ``i`` raises when it is used (``None`` for most).  ``eval``
+    evaluates a block of one anywhere.
+    """
+
+    grid: np.ndarray
+    goff: np.ndarray
+    values: np.ndarray
+    head_lo: _Laws
+    head_hi: _Laws
+    tail_lo: _Laws
+    tail_hi: _Laws
+    beta: float | None
+    flat: np.ndarray
+    diverged: np.ndarray
+    errors: list
+    label: str
+    eval: Callable | None
+
+    @classmethod
+    def of(cls, env: MonotoneEnvelope) -> "_Envelopes":
+        """The block of one holding ``env``."""
+        return cls(
+            grid=env.grid,
+            goff=_offsets([env.grid.size]),
+            values=env.values,
+            head_lo=_Laws.of([env.head_lo]),
+            head_hi=_Laws.of([env.head_hi]),
+            tail_lo=_Laws.of([env.tail_lo]),
+            tail_hi=_Laws.of([env.tail_hi]),
+            beta=env.bracket_decay,
+            flat=np.zeros(1, dtype=bool),
+            diverged=np.array([env.diverged]),
+            errors=[None],
+            label=env.label,
+            eval=env.eval,
+        )
+
+    def single(self, diverged_grid: GridSpec = DEFAULT_GRID) -> MonotoneEnvelope:
+        """The envelope of a block of one; a diverged one gets its own grid
+        from ``diverged_grid``."""
+        if self.errors[0] is not None:
+            raise self.errors[0]
+        if self.diverged[0]:
+            return _diverged_envelope(diverged_grid, self.label)
+        return MonotoneEnvelope(
+            grid=self.grid,
+            values=self.values,
+            head_lo=self.head_lo.law(0),
+            head_hi=self.head_hi.law(0),
+            tail_lo=self.tail_lo.law(0),
+            tail_hi=self.tail_hi.law(0),
+            eval=self.eval,
+            bracket_decay=None if self.flat[0] else self.beta,
+            label=self.label,
+        )
+
+
+def _result(x):
+    """A per-function result, raising it if it is the function's exception."""
+    if isinstance(x, Exception):
+        raise x
+    return x
+
+
+def _monotone_values(blk: _Block, values: np.ndarray, regular: np.ndarray, errors: list) -> np.ndarray:
+    """Mark the regular functions with a non-finite value as overflowed in
+    ``errors`` and return every function's values made non-increasing.
+
+    Evaluation rounding can break monotonicity by an ulp on flat stretches;
+    the running minimum restores it and stays within one ulp of exact.
+    """
+    bad = ~np.isfinite(values)
+    if bad.any():
+        hit = np.logical_or.reduceat(bad, blk.goff[:-1]) & regular
+        for i in np.flatnonzero(hit).tolist():
+            errors[i] = errors[i] or ValueError(_OVERFLOW)
+    return _accumulate(np.minimum, values, blk.goff)
+
+
+def _fill(blk: _Block, values: np.ndarray, members, consts) -> None:
+    """Set the values of each function in ``members`` to its constant."""
+    goff = blk.goff.tolist()
+    for i, c in zip(members, consts):
+        values[goff[i] : goff[i + 1]] = c
+
+
+def _single_eval(blk: _Block, evaluate, const: float | None):
+    """``eval`` of a block of one: ``evaluate(t, K)``, or the constant."""
+    if blk.size != 1:
+        return None
+    if const is not None:
+        return lambda t: np.full(np.shape(t), const)
+
+    def eval_at(t):
+        t = np.asarray(t, dtype=float)
+        return evaluate(t, np.searchsorted(blk.bp, t, side="left"))
+
+    return eval_at
+
+
+def _power_tables(blk: _Block, w: float, order: float):
     """Shared finite-``w`` tables of both families, with ``e = w / order``.
 
-    Returns ``(e, edges_pow, seg)``: ``edges_pow = [0, bp**e]`` and ``seg[i]``
-    is the inner integral ``vals[i]**w * (edges_pow[i+1] - edges_pow[i]) / e``
-    over piece ``i``.
+    Returns ``(e, edges, seg)``: ``edges`` holds ``bp**e`` at the entry
+    after each piece's (0 at each function's first entry) and ``seg`` is
+    the inner integral ``vals**w * (edges[next] - edges[this]) / e`` over
+    each piece.
     """
     e = w / order
-    edges_pow = np.concatenate([[0.0], bp**e])
-    seg = vals**w * np.diff(edges_pow) / e
-    return e, edges_pow, seg
+    edges = np.zeros(blk.vpos.size + blk.size)
+    edges[blk.vpos + 1] = blk.bp**e
+    seg = blk.vals**w * (edges[blk.vpos + 1] - edges[blk.vpos]) / e
+    return e, edges, seg
+
+
+def _upper_block(blk: _Block, u: float, w: float) -> _Envelopes:
+    """:func:`hardy_upper` of every function of ``blk`` from checked exponents."""
+    k = blk.size
+    counts = np.diff(blk.poff)
+    tails = blk.tails
+    flat = counts == 0  # constants, zero included
+    zero = flat & (tails == 0.0)
+    errors: list = [None] * k
+    factor = 1.0
+    if w < INF and not zero.all():
+        try:
+            # the average of a constant c is c * factor
+            factor = (u / w) ** (1.0 / w)
+        except OverflowError:
+            factor = INF
+            errors = [None if z else ValueError(_OVERFLOW) for z in zero.tolist()]
+    allv = blk.table(blk.vals, tails)
+    firsts = blk.poff[:-1][~flat]
+    head = np.zeros(k)
+    # an overflow in the tables or descriptors also overflows the values,
+    # which _monotone_values marks
+    with np.errstate(over="ignore", invalid="ignore"):
+        if w < INF:
+            e, edges, seg = _power_tables(blk, w, u)
+            cum = np.zeros(allv.size)  # inner integral at piece starts
+            cum[blk.vpos + 1] = _accumulate(np.add, seg, blk.poff)
+
+            def evaluate(t, K):
+                inner = cum[K] + allv[K] ** w * (t**e - edges[K]) / e
+                # pow() monotonicity can slip an ulp right at a breakpoint;
+                # the clamp keeps the fractional power real
+                return t ** (-1.0 / u) * np.maximum(inner, 0.0) ** (1.0 / w)
+
+            head[~flat] = blk.vals[firsts] * factor
+            # tail descriptors: power-law decay past a compact support, else
+            # the average tends to the tail's own constant
+            decay_coef = np.array([float(c ** (1.0 / w)) for c in cum[blk.tpos]])
+            tail_const = tails * factor
+        else:
+            prev = np.zeros(allv.size)  # sup over the pieces fully left of each
+            prev[blk.vpos + 1] = _accumulate(np.maximum, blk.vals * blk.bp ** (1.0 / u), blk.poff)
+
+            def evaluate(t, K):
+                return np.maximum(prev[K] * t ** (-1.0 / u), allv[K])
+
+            head[~flat] = blk.vals[firsts]
+            decay_coef = prev[blk.tpos]
+            tail_const = tails
+        values = evaluate(blk.grid, blk.K)
+    consts = np.where(zero, 0.0, tail_const)
+    members = np.flatnonzero(flat).tolist()
+    for i in members:
+        if consts[i] == INF:
+            errors[i] = errors[i] or ValueError(_OVERFLOW)
+    _fill(blk, values, members, consts[flat])
+    values = _monotone_values(blk, values, ~flat, errors)
+
+    decayed = tails == 0.0
+    last = values[blk.goff[1:] - 1]
+    tail_decay = np.where(decayed & ~flat, 1.0 / u, 0.0)
+    tail_lo = _Laws(np.where(flat, consts, np.where(decayed, decay_coef, tail_const)), tail_decay)
+    tail_hi = _Laws(np.where(flat, consts, np.where(decayed, decay_coef, last)), tail_decay)
+    heads = _Laws(np.where(flat, consts, head), np.zeros(k))
+    return _Envelopes(
+        grid=blk.grid,
+        goff=blk.goff,
+        values=values,
+        head_lo=heads,
+        head_hi=heads,
+        tail_lo=tail_lo,
+        tail_hi=tail_hi,
+        beta=1.0 / u,
+        flat=flat,
+        diverged=np.zeros(k, dtype=bool),
+        errors=errors,
+        label=f"H_upper(u={u},w={w})",
+        eval=_single_eval(blk, evaluate, float(consts[0]) if k == 1 and flat[0] else None),
+    )
+
+
+def _lower_block(blk: _Block, v: float, w: float) -> _Envelopes:
+    """:func:`hardy_lower` of every function of ``blk`` from checked exponents.
+
+    A function with a positive tail diverges: its values read ``inf`` on its
+    own grid.
+    """
+    k = blk.size
+    counts = np.diff(blk.poff)
+    diverged = blk.tails > 0.0
+    flat = (counts == 0) & ~diverged  # the zero function
+    regular = ~(flat | diverged)
+    errors: list = [None] * k
+    allv = blk.table(blk.vals, 0.0)
+    inside = blk.table(True, False)  # entries of finite pieces, not tails
+    firsts = blk.goff[:-1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        if w < INF:
+            e, edges, seg = _power_tables(blk, w, v)
+            # suffix sums keep the integral-from-t positive-term only (no
+            # cancellation near the right edge of the support)
+            suf = np.zeros(allv.size)
+            suf[blk.vpos] = _accumulate(np.add, seg, blk.poff, reverse=True)
+
+            def evaluate(t, K):
+                within = inside[K]
+                J = K + within  # the next entry, or the tail's own
+                part = allv[K] ** w * (edges[J] - t**e) / e
+                inner = np.where(within, part + suf[J], 0.0)
+                return t ** (-1.0 / v) * np.maximum(inner, 0.0) ** (1.0 / w)
+
+        else:
+            run = _accumulate(np.maximum, blk.vals * blk.bp ** (1.0 / v), blk.poff, reverse=True)
+            suf_max = np.zeros(allv.size)
+            suf_max[blk.vpos] = run
+
+            def evaluate(t, K):
+                return suf_max[K] * t ** (-1.0 / v)
+
+        values = evaluate(blk.grid, blk.K)
+        special = flat | diverged
+        _fill(blk, values, np.flatnonzero(special).tolist(), np.where(diverged, INF, 0.0)[special])
+        values = _monotone_values(blk, values, regular, errors)
+        if w < INF:
+            head_hi = [float(s ** (1.0 / w)) for s in suf[blk.hpos]]
+            head_lo = [float(x * g ** (1.0 / v)) for x, g in zip(values[firsts], blk.grid[firsts])]
+        else:
+            head_hi = head_lo = suf_max[blk.hpos]
+    decay = np.where(regular, 1.0 / v, 0.0)
+    zero = _Laws(np.zeros(k), np.zeros(k))
+    return _Envelopes(
+        grid=blk.grid,
+        goff=blk.goff,
+        values=values,
+        head_lo=_Laws(np.where(regular, head_lo, 0.0), decay),
+        head_hi=_Laws(np.where(regular, head_hi, 0.0), decay),
+        tail_lo=zero,
+        tail_hi=zero,
+        beta=1.0 / v,
+        flat=flat,
+        diverged=diverged,
+        errors=errors,
+        label=f"H_lower(v={v},w={w})",
+        eval=_single_eval(blk, evaluate, 0.0 if k == 1 and flat[0] else None),
+    )
 
 
 def hardy_upper(
@@ -246,82 +583,7 @@ def hardy_upper(
     """
     u = _check_exponent(u, "averaging exponent", finite=True)
     w = _check_exponent(w, "inner exponent w")
-    fs = f.rearrange()
-    return _hardy_upper(fs, u, w, grid_spec.build(fs.breakpoints))
-
-
-def _hardy_upper(fs: StepFunction, u: float, w: float, grid: np.ndarray) -> MonotoneEnvelope:
-    """:func:`hardy_upper` from checked exponents, ``f*`` and the grid
-    ``grid_spec.build(fs.breakpoints)``."""
-    label = f"H_upper(u={u},w={w})"
-    if fs.is_zero:
-        return _constant_envelope(0.0, grid, label)
-    bp = np.asarray(fs.breakpoints)
-    vals = np.asarray(fs.values)
-    tail = fs.tail
-    try:
-        # the average of a constant c is c * factor
-        factor = (u / w) ** (1.0 / w) if w < INF else 1.0
-    except OverflowError:
-        raise ValueError(_OVERFLOW) from None
-    if bp.size == 0:
-        c = tail * factor
-        if c == INF:
-            raise ValueError(_OVERFLOW)
-        return _constant_envelope(c, grid, label)
-    allv = np.append(vals, tail)
-
-    # an overflow in the tables or descriptors also overflows the values,
-    # which _monotone_values rejects
-    with np.errstate(over="ignore", invalid="ignore"):
-        if w < INF:
-            e, edges_pow, seg = _power_segments(bp, vals, w, u)
-            cum = np.concatenate([[0.0], np.cumsum(seg)])  # inner integral at piece starts
-
-            def eval_upper(t: np.ndarray) -> np.ndarray:
-                t = np.asarray(t, dtype=float)
-                k = np.searchsorted(bp, t, side="left")
-                inner = cum[k] + allv[k] ** w * (t**e - edges_pow[k]) / e
-                # pow() monotonicity can slip an ulp right at a breakpoint;
-                # the clamp keeps the fractional power real
-                return t ** (-1.0 / u) * np.maximum(inner, 0.0) ** (1.0 / w)
-
-            head_lo = head_hi = PowerLaw(float(vals[0] * factor), 0.0)
-            # tail descriptors: power-law decay past a compact support, else the
-            # average tends to the tail's own constant
-            decay_coef = float(cum[-1] ** (1.0 / w))
-            tail_const = float(tail * factor)
-        else:
-            run = np.maximum.accumulate(vals * bp ** (1.0 / u))
-            prev = np.concatenate([[0.0], run])  # sup over pieces fully left of piece k
-
-            def eval_upper(t: np.ndarray) -> np.ndarray:
-                t = np.asarray(t, dtype=float)
-                k = np.searchsorted(bp, t, side="left")
-                return np.maximum(prev[k] * t ** (-1.0 / u), allv[k])
-
-            head_lo = head_hi = PowerLaw(float(vals[0]), 0.0)
-            decay_coef = float(run[-1])
-            tail_const = float(tail)
-        values = eval_upper(grid)
-
-    values = _monotone_values(values)
-    if tail == 0.0:
-        tail_lo = tail_hi = PowerLaw(decay_coef, 1.0 / u)
-    else:
-        tail_lo = PowerLaw(tail_const, 0.0)
-        tail_hi = PowerLaw(float(values[-1]), 0.0)
-    return MonotoneEnvelope(
-        grid=grid,
-        values=values,
-        head_lo=head_lo,
-        head_hi=head_hi,
-        tail_lo=tail_lo,
-        tail_hi=tail_hi,
-        eval=eval_upper,
-        bracket_decay=1.0 / u,
-        label=label,
-    )
+    return _upper_block(_Block.of(f.rearrange(), grid_spec), u, w).single()
 
 
 def hardy_lower(
@@ -336,70 +598,7 @@ def hardy_lower(
     """
     v = _check_exponent(v, "averaging exponent", finite=True)
     w = _check_exponent(w, "inner exponent w")
-    fs = f.rearrange()
-    return _hardy_lower(fs, v, w, grid_spec, grid_spec.build(fs.breakpoints))
-
-
-def _hardy_lower(
-    fs: StepFunction, v: float, w: float, grid_spec: GridSpec, grid: np.ndarray
-) -> MonotoneEnvelope:
-    """:func:`hardy_lower` from checked exponents, ``f*`` and the grid
-    ``grid_spec.build(fs.breakpoints)``; a diverged envelope keeps its own
-    grid around 1."""
-    label = f"H_lower(v={v},w={w})"
-    if fs.is_zero:
-        return _constant_envelope(0.0, grid, label)
-    if fs.tail > 0.0:
-        return _diverged_envelope(grid_spec, label)
-    bp = np.asarray(fs.breakpoints)
-    vals = np.asarray(fs.values)
-    allv = np.append(vals, 0.0)
-
-    # an overflow in the tables also overflows the values, which
-    # _monotone_values rejects
-    with np.errstate(over="ignore", invalid="ignore"):
-        if w < INF:
-            e, edges_pow, seg = _power_segments(bp, vals, w, v)
-            # suffix sums keep the integral-from-t positive-term only (no
-            # cancellation near the right edge of the support)
-            suf = np.concatenate([np.cumsum(seg[::-1])[::-1], [0.0]])
-
-            def eval_lower(t: np.ndarray) -> np.ndarray:
-                t = np.asarray(t, dtype=float)
-                k = np.searchsorted(bp, t, side="left")
-                kk = np.minimum(k, bp.size - 1)
-                part = allv[k] ** w * (edges_pow[kk + 1] - t**e) / e
-                inner = np.where(k < bp.size, part + suf[np.minimum(k + 1, bp.size)], 0.0)
-                return t ** (-1.0 / v) * np.maximum(inner, 0.0) ** (1.0 / w)
-        else:
-            run = np.maximum.accumulate((vals * bp ** (1.0 / v))[::-1])[::-1]
-            suf_max = np.concatenate([run, [0.0]])
-
-            def eval_lower(t: np.ndarray) -> np.ndarray:
-                t = np.asarray(t, dtype=float)
-                k = np.searchsorted(bp, t, side="left")
-                return suf_max[k] * t ** (-1.0 / v)
-
-        values = eval_lower(grid)
-
-    values = _monotone_values(values)
-    if w < INF:
-        head_hi = PowerLaw(float(suf[0] ** (1.0 / w)), 1.0 / v)
-        head_lo = PowerLaw(float(values[0] * grid[0] ** (1.0 / v)), 1.0 / v)
-    else:
-        head_lo = head_hi = PowerLaw(float(run[0]), 1.0 / v)
-
-    return MonotoneEnvelope(
-        grid=grid,
-        values=values,
-        head_lo=head_lo,
-        head_hi=head_hi,
-        tail_lo=_ZERO_LAW,
-        tail_hi=_ZERO_LAW,
-        eval=eval_lower,
-        bracket_decay=1.0 / v,
-        label=label,
-    )
+    return _lower_block(_Block.of(f.rearrange(), grid_spec), v, w).single(grid_spec)
 
 
 def double_star(f: StepFunction, u: float, grid_spec: GridSpec = DEFAULT_GRID) -> MonotoneEnvelope:
@@ -407,23 +606,59 @@ def double_star(f: StepFunction, u: float, grid_spec: GridSpec = DEFAULT_GRID) -
     return hardy_upper(f, u, u, grid_spec)
 
 
-def _combine_laws(
-    a: PowerLaw, b: PowerLaw, boundary: float, side: Literal["head", "tail"], hi: bool
-) -> PowerLaw:
-    """Single power law bounding ``a + b`` on the head or tail region.
+def _combine_laws(a, b, boundary: float, side: Literal["head", "tail"], hi: bool) -> tuple:
+    """Single power law ``(coef, decay)`` bounding ``a + b`` on the head or
+    tail region, from two ``(coef, decay)`` pairs.
 
     Upper bounds shift every term to the extreme decay and pay the factor at
     the boundary; lower bounds keep only the dominating term.
     """
-    laws = [l for l in (a, b) if l.coef > 0.0]
+    laws = [l for l in (a, b) if l[0] > 0.0]
     if not laws:
-        return _ZERO_LAW
-    decay = max(l.decay for l in laws) if side == "head" else min(l.decay for l in laws)
+        return 0.0, 0.0
+    decay = max(l[1] for l in laws) if side == "head" else min(l[1] for l in laws)
     if hi:
-        coef = sum(l.coef * boundary ** (decay - l.decay) for l in laws)
-        return PowerLaw(coef, decay)
-    dominating = [l for l in laws if l.decay == decay]
-    return PowerLaw(sum(l.coef for l in dominating), decay)
+        return sum(c * boundary ** (decay - d) for c, d in laws), decay
+    return sum(c for c, d in laws if d == decay), decay
+
+
+def _add_block(e1: _Envelopes, e2: _Envelopes) -> _Envelopes:
+    """Pointwise sums of two envelope blocks on the same grids (sums of
+    non-increasing functions are non-increasing)."""
+    diverged = e1.diverged | e2.diverged
+    g0 = e1.grid[e1.goff[:-1]].tolist()
+    gm = e1.grid[e1.goff[1:] - 1].tolist()
+    laws = []
+    for l1, l2, side, hi in (
+        (e1.head_lo, e2.head_lo, "head", False),
+        (e1.head_hi, e2.head_hi, "head", True),
+        (e1.tail_lo, e2.tail_lo, "tail", False),
+        (e1.tail_hi, e2.tail_hi, "tail", True),
+    ):
+        bounds = g0 if side == "head" else gm
+        a = zip(l1.coef.tolist(), l1.decay.tolist())
+        b = zip(l2.coef.tolist(), l2.decay.tolist())
+        pairs = [
+            (0.0, 0.0) if d else _combine_laws(x, y, bound, side, hi)
+            for x, y, bound, d in zip(a, b, bounds, diverged.tolist())
+        ]
+        laws.append(_Laws(*zip(*pairs)))
+    f1, f2 = e1.eval, e2.eval
+    return _Envelopes(
+        grid=e1.grid,
+        goff=e1.goff,
+        values=e1.values + e2.values,
+        head_lo=laws[0],
+        head_hi=laws[1],
+        tail_lo=laws[2],
+        tail_hi=laws[3],
+        beta=None,
+        flat=np.zeros(diverged.size, dtype=bool),
+        diverged=diverged,
+        errors=[x or y for x, y in zip(e1.errors, e2.errors)],
+        label=f"{e1.label}+{e2.label}",
+        eval=lambda t: f1(t) + f2(t),
+    )
 
 
 def add_envelopes(e1: MonotoneEnvelope, e2: MonotoneEnvelope) -> MonotoneEnvelope:
@@ -432,19 +667,27 @@ def add_envelopes(e1: MonotoneEnvelope, e2: MonotoneEnvelope) -> MonotoneEnvelop
         return _diverged_envelope(GridSpec(), f"{e1.label}+{e2.label}")
     if e1.grid.shape != e2.grid.shape or not np.array_equal(e1.grid, e2.grid):
         raise ValueError("envelopes must share a grid to be added")
-    f1, f2 = e1.eval, e2.eval
-    g0 = float(e1.grid[0])
-    gm = float(e1.grid[-1])
-    return MonotoneEnvelope(
-        grid=e1.grid,
-        values=e1.values + e2.values,
-        head_lo=_combine_laws(e1.head_lo, e2.head_lo, g0, "head", hi=False),
-        head_hi=_combine_laws(e1.head_hi, e2.head_hi, g0, "head", hi=True),
-        tail_lo=_combine_laws(e1.tail_lo, e2.tail_lo, gm, "tail", hi=False),
-        tail_hi=_combine_laws(e1.tail_hi, e2.tail_hi, gm, "tail", hi=True),
-        eval=lambda t: f1(t) + f2(t),
-        bracket_decay=None,
-        label=f"{e1.label}+{e2.label}",
+    return _add_block(_Envelopes.of(e1), _Envelopes.of(e2)).single()
+
+
+def _scale_block(env: _Envelopes, d: float) -> _Envelopes:
+    """Every function of ``env`` times ``t**(-d)``, ``d > 0``."""
+    f = env.eval
+
+    def shift(laws: _Laws) -> _Laws:
+        live = laws.coef != 0.0
+        return _Laws(np.where(live, laws.coef, 0.0), np.where(live, laws.decay + d, 0.0))
+
+    return dataclasses.replace(
+        env,
+        values=env.values * env.grid ** (-d),
+        head_lo=shift(env.head_lo),
+        head_hi=shift(env.head_hi),
+        tail_lo=shift(env.tail_lo),
+        tail_hi=shift(env.tail_hi),
+        beta=None if env.beta is None else env.beta + d,
+        label=f"t^-{d}*{env.label}",
+        eval=lambda t: f(t) * np.asarray(t, dtype=float) ** (-d),
     )
 
 
@@ -459,43 +702,149 @@ def power_scale(env: MonotoneEnvelope, extra_decay: float) -> MonotoneEnvelope:
         raise ValueError("extra_decay must be >= 0")
     if extra_decay == 0.0 or env.diverged:
         return env
-    f = env.eval
-    d = extra_decay
-
-    def shift(law: PowerLaw) -> PowerLaw:
-        return PowerLaw(law.coef, law.decay + d) if law.coef else _ZERO_LAW
-
-    return MonotoneEnvelope(
-        grid=env.grid,
-        values=env.values * env.grid ** (-d),
-        head_lo=shift(env.head_lo),
-        head_hi=shift(env.head_hi),
-        tail_lo=shift(env.tail_lo),
-        tail_hi=shift(env.tail_hi),
-        eval=lambda t: f(t) * np.asarray(t, dtype=float) ** (-d),
-        bracket_decay=None if env.bracket_decay is None else env.bracket_decay + d,
-        label=f"t^-{d}*{env.label}",
-    )
+    return _scale_block(_Envelopes.of(env), extra_decay).single()
 
 
-def _law_norm_term(law: PowerLaw, gamma: float, q: float, lo: float, hi: float) -> float:
+def _law_norm_term(coef: float, decay: float, gamma: float, q: float, lo: float, hi: float) -> float:
     """``integral_lo^hi t**(gamma-1) (coef * t**-decay)**q dt`` (extended real)."""
-    if law.coef == 0.0:
+    if coef == 0.0:
         return 0.0
-    part = power_integral(gamma - q * law.decay, lo, hi)
-    return INF if part == INF else law.coef**q * part
+    part = power_integral(gamma - q * decay, lo, hi)
+    return INF if part == INF else coef**q * part
 
 
-def _law_sup_term(law: PowerLaw, beta_p: float, lo: float, hi: float) -> float:
-    """``sup over (lo, hi] of t**beta_p * law(t)`` (extended real)."""
-    if law.coef == 0.0:
+def _law_sup_term(coef: float, decay: float, beta_p: float, lo: float, hi: float) -> float:
+    """``sup over (lo, hi] of t**beta_p * coef * t**-decay`` (extended real)."""
+    if coef == 0.0:
         return 0.0
-    ex = beta_p - law.decay
+    ex = beta_p - decay
     if ex > 0.0:
-        return INF if hi == INF else law.coef * hi**ex
+        return INF if hi == INF else coef * hi**ex
     if ex == 0.0:
-        return law.coef
-    return INF if lo == 0.0 else law.coef * lo**ex
+        return coef
+    return INF if lo == 0.0 else coef * lo**ex
+
+
+def _split_terms(const, power, a, b, beta: float, gamma: float, q: float, upper: bool) -> np.ndarray:
+    """Per-interval integrals of ``max`` (``upper``) or ``min`` of the
+    constant and the power-law bracket, split where the two cross; the
+    minimum is constant-then-power, the maximum power-then-constant."""
+    cross = (power / const) ** (1.0 / beta)
+    cross = np.clip(np.nan_to_num(cross, nan=0.0, posinf=INF), a, b)
+    alpha_pow = gamma - q * beta
+    if upper:
+        t1 = const**q * _power_integral_array(gamma, a, cross)
+        t2 = power**q * _power_integral_array(alpha_pow, cross, b)
+    else:
+        t1 = power**q * _power_integral_array(alpha_pow, a, cross)
+        t2 = const**q * _power_integral_array(gamma, cross, b)
+    return np.where(const + power > 0.0, t1 + t2, 0.0)
+
+
+def _segment_max(x: np.ndarray, goff: np.ndarray) -> list:
+    """Max of ``x`` (one entry per grid interval of the block) over each
+    function's intervals; ``-inf`` for a function with none."""
+    padded = np.empty(x.size + 1)
+    padded[:-1] = x
+    padded[goff[1:] - 1] = -INF  # the interval from one function's grid into the next
+    return np.maximum.reduceat(padded, goff[:-1]).tolist()
+
+
+def _norm_block(env: _Envelopes, params: LorentzParams) -> list:
+    """:func:`envelope_norm` of every function of ``env``: an
+    :class:`Enclosure`, or the exception that function raises.
+
+    The interval terms are computed for the whole block; each function's
+    terms are then added in the order of one function at a time.
+    """
+    p, q = params.p, params.q
+    g, vals, beta = env.grid, env.values, env.beta
+    a, b = g[:-1], g[1:]
+    goff = env.goff.tolist()
+    g0 = g[env.goff[:-1]].tolist()
+    gm = g[env.goff[1:] - 1].tolist()
+    (hh_c, hh_d), (hl_c, hl_d), (th_c, th_d), (tl_c, tl_d) = [
+        (l.coef.tolist(), l.decay.tolist())
+        for l in (env.head_hi, env.head_lo, env.tail_hi, env.tail_lo)
+    ]
+    out = [
+        err if err is not None or not d else Enclosure(INF, INF)
+        for err, d in zip(env.errors, env.diverged.tolist())
+    ]
+    live = [i for i, x in enumerate(out) if x is None]
+    plain = beta is None or env.flat.any()  # some function has no bracket
+    bracketed = [beta is not None and not f for f in env.flat.tolist()]
+    with np.errstate(all="ignore"):
+        if beta is not None:
+            phi = g**beta * vals
+            pw_hi = np.maximum(phi[:-1], phi[1:])
+            pw_lo = np.minimum(phi[:-1], phi[1:])
+        if q < INF:
+            gamma = 0.0 if p == INF else q / p
+            heads = {}
+            for i in live:
+                try:
+                    heads[i] = (
+                        _law_norm_term(hh_c[i], hh_d[i], gamma, q, 0.0, g0[i]),
+                        _law_norm_term(hl_c[i], hl_d[i], gamma, q, 0.0, g0[i]),
+                    )
+                except (ArithmeticError, ValueError) as err:
+                    out[i] = err
+            # (plain, bracketed) interval terms per side, computed only when
+            # some head term is finite, as for one function at a time
+            terms = [[None, None], [None, None]]
+            for side, const, upper in ((0, vals[:-1], True), (1, vals[1:], False)):
+                if any(h[side] < INF for h in heads.values()):
+                    if plain:
+                        terms[side][0] = const**q * _power_integral_array(gamma, a, b)
+                    if beta is not None:
+                        power = pw_hi if upper else pw_lo
+                        terms[side][1] = _split_terms(const, power, a, b, beta, gamma, q, upper)
+        else:
+            beta_p = 0.0 if p == INF else 1.0 / p
+            sup_b = b**beta_p
+            mid_hi = vals[:-1] * sup_b
+            mid_lo = vals[1:] * sup_b
+            maxima = [[None, None], [None, None]]  # (plain, bracketed) per side
+            if plain:
+                maxima[0][0] = _segment_max(mid_hi, env.goff)
+                maxima[1][0] = _segment_max(mid_lo, env.goff)
+            if beta is not None:
+                sup_pow_exp = beta_p - beta
+                pow_sup = np.where(sup_pow_exp >= 0.0, b**sup_pow_exp, a**sup_pow_exp)
+                maxima[0][1] = _segment_max(np.minimum(mid_hi, pw_hi * pow_sup), env.goff)
+                maxima[1][1] = _segment_max(np.maximum(mid_lo, pw_lo * pow_sup), env.goff)
+
+    for i in live:
+        if out[i] is not None:
+            continue
+        col = 1 if bracketed[i] else 0
+        try:
+            if q < INF:
+                s_hi, s_lo = heads[i]
+                lo, hi = goff[i], goff[i + 1] - 1  # the function's grid intervals
+                if s_hi < INF:
+                    s_hi += float(terms[0][col][lo:hi].sum())
+                if s_lo < INF:
+                    s_lo += float(terms[1][col][lo:hi].sum())
+                if s_hi < INF:
+                    s_hi += _law_norm_term(th_c[i], th_d[i], gamma, q, gm[i], INF)
+                if s_lo < INF:
+                    s_lo += _law_norm_term(tl_c[i], tl_d[i], gamma, q, gm[i], INF)
+                n_lo = s_lo ** (1.0 / q) if s_lo < INF else INF
+                n_hi = s_hi ** (1.0 / q) if s_hi < INF else INF
+            else:
+                n_hi = _law_sup_term(hh_c[i], hh_d[i], beta_p, 0.0, g0[i])
+                n_lo = _law_sup_term(hl_c[i], hl_d[i], beta_p, 0.0, g0[i])
+                if goff[i + 1] - goff[i] > 1:
+                    n_hi = max(n_hi, maxima[0][col][i])
+                    n_lo = max(n_lo, maxima[1][col][i])
+                n_hi = max(n_hi, _law_sup_term(th_c[i], th_d[i], beta_p, gm[i], INF))
+                n_lo = max(n_lo, _law_sup_term(tl_c[i], tl_d[i], beta_p, gm[i], INF))
+            out[i] = Enclosure(min(n_lo, n_hi), n_hi)
+        except (ArithmeticError, ValueError) as err:
+            out[i] = err
+    return out
 
 
 def envelope_norm(env: MonotoneEnvelope, params: LorentzParams) -> Enclosure:
@@ -508,72 +857,7 @@ def envelope_norm(env: MonotoneEnvelope, params: LorentzParams) -> Enclosure:
     from the two monotonicity facts, and each bound integrates exactly after
     splitting at the crossover point.
     """
-    if env.diverged:
-        return Enclosure(INF, INF)
-    p, q = params.p, params.q
-    g = env.grid
-    vals = env.values
-    a, b = g[:-1], g[1:]
-    c_hi, c_lo = vals[:-1], vals[1:]
-    beta = env.bracket_decay
-    if beta is not None:
-        phi = g**beta * vals
-        pw_hi = np.maximum(phi[:-1], phi[1:])
-        pw_lo = np.minimum(phi[:-1], phi[1:])
-
-    if q < INF:
-        gamma = 0.0 if p == INF else q / p
-
-        def interval_sum(const: np.ndarray, power: np.ndarray | None, upper: bool) -> float:
-            if power is None:
-                terms = const**q * _power_integral_array(gamma, a, b)
-                return float(np.sum(terms))
-            # split each interval where the constant and the power law cross;
-            # min is constant-then-power, max is power-then-constant
-            with np.errstate(divide="ignore", invalid="ignore"):
-                cross = (power / const) ** (1.0 / beta)
-            cross = np.clip(np.nan_to_num(cross, nan=0.0, posinf=INF), a, b)
-            alpha_pow = gamma - q * beta
-            if upper:
-                t1 = const**q * _power_integral_array(gamma, a, cross)
-                t2 = power**q * _power_integral_array(alpha_pow, cross, b)
-            else:
-                t1 = power**q * _power_integral_array(alpha_pow, a, cross)
-                t2 = const**q * _power_integral_array(gamma, cross, b)
-            both = np.where(const + power > 0.0, t1 + t2, 0.0)
-            return float(np.sum(both))
-
-        s_hi = _law_norm_term(env.head_hi, gamma, q, 0.0, float(g[0]))
-        s_lo = _law_norm_term(env.head_lo, gamma, q, 0.0, float(g[0]))
-        if s_hi < INF:
-            s_hi += interval_sum(c_hi, pw_hi if beta is not None else None, upper=True)
-        if s_lo < INF:
-            s_lo += interval_sum(c_lo, pw_lo if beta is not None else None, upper=False)
-        if s_hi < INF:
-            s_hi += _law_norm_term(env.tail_hi, gamma, q, float(g[-1]), INF)
-        if s_lo < INF:
-            s_lo += _law_norm_term(env.tail_lo, gamma, q, float(g[-1]), INF)
-        lo = s_lo ** (1.0 / q) if s_lo < INF else INF
-        hi = s_hi ** (1.0 / q) if s_hi < INF else INF
-    else:
-        beta_p = 0.0 if p == INF else 1.0 / p
-        sup_b = b**beta_p
-        sup_pow_exp = beta_p - beta if beta is not None else None
-        hi = _law_sup_term(env.head_hi, beta_p, 0.0, float(g[0]))
-        lo = _law_sup_term(env.head_lo, beta_p, 0.0, float(g[0]))
-        mid_hi = c_hi * sup_b
-        mid_lo = c_lo * sup_b
-        if beta is not None:
-            pow_sup = np.where(sup_pow_exp >= 0.0, b**sup_pow_exp, a**sup_pow_exp)
-            mid_hi = np.minimum(mid_hi, pw_hi * pow_sup)
-            mid_lo = np.maximum(mid_lo, pw_lo * pow_sup)
-        if mid_hi.size:
-            hi = max(hi, float(np.max(mid_hi)))
-            lo = max(lo, float(np.max(mid_lo)))
-        hi = max(hi, _law_sup_term(env.tail_hi, beta_p, float(g[-1]), INF))
-        lo = max(lo, _law_sup_term(env.tail_lo, beta_p, float(g[-1]), INF))
-
-    return Enclosure(min(lo, hi), hi)
+    return _result(_norm_block(_Envelopes.of(env), params)[0])
 
 
 def predicted_bounded(

@@ -15,8 +15,16 @@ member record per corpus function: ``f*`` (one rearrangement), the
 envelope grid per ``GridSpec`` and ``||f||_E`` per ``LorentzParams``.  A
 ``verify_*`` call makes the records of its corpus and drops them when it
 returns; :func:`default_check_reports` makes them once per call and shares
-them across all its configurations.  Envelopes are not kept across
-configurations.  Verdict semantics are fixed per check:
+them across all its configurations.
+
+The Hardy checks evaluate a configuration for a block of consecutive
+members at once (at most ``_BLOCK_POINTS`` grid points, so memory stays
+flat in the corpus size): the hardy module's block kernels make one set of
+numpy calls per block, bit-identical to one member at a time.  Each
+member's outcome is then read in corpus order, so the first witness, the
+violation counts and the exception raised by a member whose average
+overflows are those of a member-by-member scan.  Envelopes are not kept
+across configurations.  Verdict semantics are fixed per check:
 
 * pointwise checks pass iff no grid point violates the inequality beyond a
   relative slack;
@@ -32,6 +40,7 @@ Violations carry the witness function as JSON for reproduction.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
@@ -43,20 +52,21 @@ import numpy as np
 from .hardy import (
     DEFAULT_GRID,
     GridSpec,
-    _hardy_lower,
-    _hardy_upper,
-    envelope_norm,
+    _Block,
+    _lower_block,
+    _norm_block,
+    _result,
+    _upper_block,
     predicted_bounded,
 )
 from .interp import (
     FunctorParams,
     LorentzCouple,
     _check_functor,
-    _functor_norm,
+    _functor_block,
     _k_l1_linf,
     functor_norm,
     holmstedt_k,
-    intersection_norm,
     k_exact_l1_linf,
     k_upper_oracle,
 )
@@ -81,6 +91,10 @@ __all__ = [
 POINTWISE_SLACK = 1e-12
 EQUIV_FLOOR_SLACK = 1e-6
 DEFAULT_RATIO_BOUND = 64.0
+# Grid points per block of members evaluated together: large enough that
+# per-call overhead vanishes, small enough that the block's temporaries
+# stay around a megabyte.
+_BLOCK_POINTS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -197,8 +211,8 @@ class _Member:
 
     ``fs`` is ``f*``; :meth:`grid` and :meth:`norm` compute the envelope grid
     per :class:`GridSpec` and ``||f||_E`` per :class:`LorentzParams` on first
-    use and keep them.  Envelopes are not kept: each configuration builds
-    its own and drops it after use.
+    use and keep them.  Envelopes are not kept: each configuration evaluates
+    them for a block of members and drops them after use.
     """
 
     __slots__ = ("f", "fs", "_grids", "_norms")
@@ -256,15 +270,46 @@ class _Scan:
         self.violations = 0
         self.witness = ""
 
-    def members(self, space: SpaceDescriptor):
-        """Yield ``(record, ||f||_E)`` for members with finite nonzero norm, counting them in ``used``."""
-        for m in self.records:
-            n = m.norm(space.params)
-            if 0.0 < n < INF:
-                self.used += 1
-                yield m, n
-        if self.used == 0:
+    def blocks(self, grid_spec: GridSpec, space: SpaceDescriptor | None = None):
+        """Yield ``(records, norms, block)`` for consecutive members in corpus order.
+
+        A block holds at most ``_BLOCK_POINTS`` grid points (a larger member
+        forms a block of its own).  With ``space``, only members with finite
+        nonzero norm in E are taken, counted in ``used``, and ``norms`` holds
+        their norms.  An error while preparing a member is raised after the
+        block of the members before it.
+        """
+        records: list[_Member] = []
+        norms: list[float | None] = []
+        points = 0
+        try:
+            for m in self.records:
+                n = None
+                if space is not None:
+                    n = m.norm(space.params)
+                    if not 0.0 < n < INF:
+                        continue
+                    self.used += 1
+                size = m.grid(grid_spec).size
+                if records and points + size > _BLOCK_POINTS:
+                    yield records, norms, self._block(records, grid_spec)
+                    records, norms, points = [], [], 0
+                records.append(m)
+                norms.append(n)
+                points += size
+        except (ValueError, ArithmeticError):
+            # the members before it come first, as one member at a time
+            if records:
+                yield records, norms, self._block(records, grid_spec)
+            raise
+        if records:
+            yield records, norms, self._block(records, grid_spec)
+        if space is not None and self.used == 0:
             raise ValueError("corpus has no member with finite nonzero norm in E")
+
+    @staticmethod
+    def _block(records: list[_Member], grid_spec: GridSpec) -> _Block:
+        return _Block([m.fs for m in records], [m.grid(grid_spec) for m in records])
 
     def observe(self, lo: float, hi: float, width: float = 0.0) -> None:
         """Widen the ratio range to cover ``[lo, hi]`` and record an enclosure width."""
@@ -326,6 +371,21 @@ def _checked_exponents(order, w) -> tuple[float, float]:
     )
 
 
+def _violations(blk: _Block, lhs: np.ndarray, low: np.ndarray, slack: float):
+    """Per member of ``blk``: the number of grid points where ``lhs`` falls
+    below ``low`` beyond the relative slack, and the first such point."""
+    bad = np.flatnonzero(lhs < low * (1.0 - slack))
+    counts = [0] * blk.size
+    first: list = [None] * blk.size
+    if bad.size:
+        owner = np.searchsorted(blk.goff, bad, side="right") - 1
+        members, at, n = np.unique(owner, return_index=True, return_counts=True)
+        for i, j, c in zip(members.tolist(), bad[at].tolist(), n.tolist()):
+            counts[i] = c
+            first[i] = float(blk.grid[j])
+    return counts, first
+
+
 def verify_hardy_pointwise(
     corpus: Iterable[StepFunction],
     *,
@@ -344,26 +404,37 @@ def verify_hardy_pointwise(
     kind, order = _averaging_kind(u, v)
     scan = _Scan(corpus)
     a, b = _checked_exponents(order, w)
-    for m in scan.records:
-        f, fs = m.f, m.fs
+    diverged_grid = functools.cache(lambda: grid_spec.build([1.0]))
+    for records, _, blk in scan.blocks(grid_spec):
         if kind == "upper":
-            env_w = _hardy_upper(fs, a, b, m.grid(grid_spec))
-            grid = env_w.grid
-            lhs_inf = env_w.values if b == INF else _hardy_upper(fs, a, INF, grid).values
-            checks = [(env_w.values, lhs_inf), (lhs_inf, fs(grid))]
+            env_w = _upper_block(blk, a, b)
+            env_inf = env_w if b == INF else _upper_block(blk, a, INF)
+            errors = [x or y for x, y in zip(env_w.errors, env_inf.errors)]
+            checks = [(env_w.values, env_inf.values), (env_inf.values, blk.f_star(blk.K))]
+            unchecked = None
         else:
-            env = _hardy_lower(fs, a, b, grid_spec, m.grid(grid_spec))
-            grid = env.grid
-            checks = [(env.values, fs(2.0 * grid))]
+            env = _lower_block(blk, a, b)
+            errors = env.errors
+            doubled = 2.0 * blk.grid
+            checks = [(env.values, blk.f_star(blk.piece_index(doubled)))]
+            # members whose f*(2t) may be undefined: 2t overflows, or the
+            # envelope diverged and is checked on its own grid around 1
+            fits = np.logical_and.reduceat(doubled < INF, blk.goff[:-1])
+            unchecked = (env.diverged | ~fits).tolist()
+        found = [_violations(blk, lhs, low, slack) for lhs, low in checks]
+        for i, m in enumerate(records):
+            _result(errors[i])
+            if unchecked and unchecked[i]:
+                grid = diverged_grid() if env.diverged[i] else blk.grid[blk.goff[i] : blk.goff[i + 1]]
+                m.fs(2.0 * grid)  # raises where 2t leaves the float range
+            for counts, first in found:
+                if counts[i]:
+                    scan.violation(counts[i], function=m.f.to_dict(), t=first[i])
         for lhs, low in checks:
             mask = low > 0.0
             if mask.any():
                 ratios = lhs[mask] / low[mask]
                 scan.observe(float(ratios.min()), float(ratios.max()))
-            bad = lhs < low * (1.0 - slack)
-            if bad.any():
-                t_bad = float(grid[np.argmax(bad)])
-                scan.violation(int(bad.sum()), function=f.to_dict(), t=t_bad)
     label = "u" if kind == "upper" else "v"
     return scan.report("lemma10", f"{label}={order},w={w}", size=len(scan.records))
 
@@ -393,19 +464,18 @@ def verify_hardy_equivalence(
     diverged = 0
     min_ratio_lo = INF
     a, b = _checked_exponents(order, w)
-    for m, n in scan.members(space):
-        if kind == "upper":
-            env = _hardy_upper(m.fs, a, b, m.grid(grid_spec))
-        else:
-            env = _hardy_lower(m.fs, a, b, grid_spec, m.grid(grid_spec))
-        enc = envelope_norm(env, space.params)
-        if enc.hi == INF:
-            diverged += 1
-            if not boundary and expected:
-                scan.violation(function=m.f.to_dict(), norm=n)
-            continue
-        scan.observe(enc.hi / n, enc.hi / n, enc.relative_width)
-        min_ratio_lo = min(min_ratio_lo, enc.lo / n)
+    hardy = _upper_block if kind == "upper" else _lower_block
+    for records, norms, blk in scan.blocks(grid_spec, space):
+        encs = _norm_block(hardy(blk, a, b), space.params)
+        for m, n, enc in zip(records, norms, encs):
+            enc = _result(enc)
+            if enc.hi == INF:
+                diverged += 1
+                if not boundary and expected:
+                    scan.violation(function=m.f.to_dict(), norm=n)
+                continue
+            scan.observe(enc.hi / n, enc.hi / n, enc.relative_width)
+            min_ratio_lo = min(min_ratio_lo, enc.lo / n)
     min_r, max_r = scan.ratio_range()
     if boundary:
         passed = diverged == scan.used
@@ -458,12 +528,13 @@ def verify_interpolation_identity(
     scan = _Scan(corpus, empty_ratio=INF)
     fp = FunctorParams(theta=theta, r=couple.params0.p, space=space)
     _check_functor(fp, couple)
-    for m, n in scan.members(space):
-        enc = _functor_norm(m.fs, fp, couple, grid_spec, m.grid(grid_spec))
-        if enc.hi == INF or enc.lo <= 0.0:
-            scan.violation(function=m.f.to_dict(), enclosure=str(enc))
-            continue
-        scan.observe(enc.lo / n, enc.hi / n, enc.relative_width)
+    for records, norms, blk in scan.blocks(grid_spec, space):
+        for m, n, enc in zip(records, norms, _functor_block(blk, fp, couple)):
+            enc = _result(enc)
+            if enc.hi == INF or enc.lo <= 0.0:
+                scan.violation(function=m.f.to_dict(), enclosure=str(enc))
+                continue
+            scan.observe(enc.lo / n, enc.hi / n, enc.relative_width)
     min_r, max_r = scan.ratio_range()
     spread = max_r / min_r if 0.0 < min_r < INF else INF
     passed = scan.violations == 0 and spread <= ratio_bound
@@ -534,7 +605,7 @@ def verify_k_properties(
             scan.violation(check="k_over_t", function=f.to_dict())
         if np.any(mid < 0.5 * (ks[:-1] + ks[1:]) * (1.0 - slack)):
             scan.violation(check="concavity", function=f.to_dict())
-        cap = intersection_norm(fs, _L1_LINF)
+        cap = max(m.norm(_L1_LINF.params0), m.norm(_L1_LINF.params1))
         if np.any(ks < mins * k1 * (1.0 - slack)):
             scan.violation(check="sandwich_lower", function=f.to_dict())
         if np.any(ks > mins * cap * (1.0 + slack)):

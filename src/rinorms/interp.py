@@ -34,11 +34,13 @@ from .enclosure import Enclosure
 from .hardy import (
     DEFAULT_GRID,
     GridSpec,
-    _hardy_lower,
-    _hardy_upper,
-    add_envelopes,
-    envelope_norm,
-    power_scale,
+    _add_block,
+    _Block,
+    _lower_block,
+    _norm_block,
+    _result,
+    _scale_block,
+    _upper_block,
 )
 from .lorentz import (
     LorentzParams,
@@ -428,8 +430,7 @@ def functor_norm(
     _check_functor(fp, couple)
     if f.is_zero:
         return Enclosure(0.0, 0.0)
-    fs = f.rearrange()
-    return _functor_norm(fs, fp, couple, grid_spec, grid_spec.build(fs.breakpoints))
+    return _result(_functor_block(_Block.of(f.rearrange(), grid_spec), fp, couple)[0])
 
 
 def _check_functor(fp: FunctorParams, couple: LorentzCouple) -> None:
@@ -453,24 +454,16 @@ def _check_functor(fp: FunctorParams, couple: LorentzCouple) -> None:
         )
 
 
-def _functor_norm(
-    fs: StepFunction,
-    fp: FunctorParams,
-    couple: LorentzCouple,
-    grid_spec: GridSpec,
-    grid: np.ndarray,
-) -> Enclosure:
-    """:func:`functor_norm` of a nonzero ``f`` from checked parameters, ``f*``
-    and the grid ``grid_spec.build(fs.breakpoints)``."""
+def _functor_block(blk: _Block, fp: FunctorParams, couple: LorentzCouple) -> list:
+    """:func:`functor_norm` of every (nonzero) function of ``blk`` from checked
+    parameters: an :class:`Enclosure`, or the exception that function raises."""
     p0, q0 = couple.params0.p, couple.params0.q
-    env = _hardy_upper(fs, p0, q0, grid)
+    env = _upper_block(blk, p0, q0)
     if couple.params1.p < INF:
-        env = add_envelopes(
-            env, _hardy_lower(fs, couple.params1.p, couple.params1.q, grid_spec, grid)
-        )
+        env = _add_block(env, _lower_block(blk, couple.params1.p, couple.params1.q))
     if fp.r < p0:
-        env = power_scale(env, 1.0 / fp.r - 1.0 / p0)
-    return envelope_norm(env, fp.space.params)
+        env = _scale_block(env, 1.0 / fp.r - 1.0 / p0)
+    return _norm_block(env, fp.space.params)
 
 
 def select_parameters(space: SpaceDescriptor) -> tuple[float, float, float]:

@@ -18,10 +18,11 @@ oracles for the exact formulas.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .stepfn import INF, StepFunction, weighted_power_integral
+from .stepfn import INF, StepFunction, power_integral, weighted_power_integral
 
 __all__ = [
     "LorentzParams",
@@ -69,8 +70,21 @@ def is_nontrivial(params: LorentzParams) -> bool:
     return params.p < INF or params.q == INF
 
 
+_NORM_OVERFLOW = "the Lorentz norm of f overflows the float range"
+_NORM_UNRESOLVED = "the Lorentz norm of f cannot be computed in floating point"
+_TINY = sys.float_info.min  # smallest normal float
+_SUB_ERR = math.ldexp(1.0, -1073)  # error bound of a rounded result below _TINY
+
+
 def lorentz_norm(f: StepFunction, params: LorentzParams) -> float:
-    """Closed-form Lorentz quasi-norm of ``f`` (extended real, never NaN)."""
+    """Closed-form Lorentz quasi-norm of ``f`` (extended real, never NaN).
+
+    When the integral of a finite norm overflows, it is summed again for
+    ``f`` scaled by a power of two (``||c f|| = c ||f||``); that result may
+    differ from exact arithmetic in its last bits.  A norm beyond the largest
+    float raises ``ValueError``, and so does one whose smaller terms would
+    fall below the float range at that scale.
+    """
     fs = f.rearrange()
     if fs.is_zero:
         return 0.0
@@ -79,8 +93,53 @@ def lorentz_norm(f: StepFunction, params: LorentzParams) -> float:
         return fs.max_value() if p == INF else _weighted_sup(fs, 1.0 / p)
     if p == INF:
         return INF  # degenerate space: no nonzero element has finite norm
-    val = weighted_power_integral(fs, q / p, q, 0.0, INF)
-    return val ** (1.0 / q) if val < INF else INF
+    try:
+        val = weighted_power_integral(fs, q / p, q, 0.0, INF)
+    except OverflowError:
+        val = INF
+    if val == INF:
+        # with q/p > 0 only a positive tail diverges; otherwise the sum overflowed
+        return INF if fs.tail > 0.0 else _rescaled_norm(fs, q / p, q)
+    try:
+        return val ** (1.0 / q)
+    except OverflowError:
+        raise ValueError(_NORM_OVERFLOW) from None
+
+
+def _rescaled_norm(fs: StepFunction, gamma: float, q: float) -> float:
+    """``||f||`` from the integral of ``2**-k f``, with ``k`` chosen so that
+    its largest term ``(2**-k v)**q * part`` is near 1.
+
+    Factors below the normal float range carry an absolute error
+    (``_SUB_ERR`` for a power or an integral, more when the scaled value is
+    below it too).  When these errors could reach the last bit of the sum,
+    or an integral over a piece overflows, the norm is refused rather than
+    returned wrong.
+    """
+    try:
+        terms = [(v, power_integral(gamma, lo, hi)) for lo, hi, v in fs.pieces() if v > 0.0]
+        k = math.ceil(max(q * math.log2(v) + math.log2(max(part, _TINY)) for v, part in terms) / q)
+        if k > 1025:  # the largest term alone makes the norm exceed 2**(k-1)
+            raise ValueError(_NORM_OVERFLOW)
+        total = lost = 0.0
+        for v, part in terms:
+            s = math.ldexp(v, -k)
+            x = s**q
+            total += x * part
+            if s < _TINY:
+                lost += part * (_TINY**q + _SUB_ERR)  # 0 <= x, x_true <= _TINY**q
+            elif x < _TINY:
+                lost += part * _SUB_ERR
+            if part < _TINY:
+                lost += x * _SUB_ERR
+    except OverflowError:
+        raise ValueError(_NORM_UNRESOLVED) from None
+    if not lost <= total * 2.0**-53 or total < _TINY:
+        raise ValueError(_NORM_UNRESOLVED)
+    try:
+        return math.ldexp(total ** (1.0 / q), k)
+    except OverflowError:
+        raise ValueError(_NORM_OVERFLOW) from None
 
 
 def _weighted_sup(fs: StepFunction, expo: float, lo: float = 0.0, hi: float = INF) -> float:

@@ -19,7 +19,6 @@ import json
 import math
 import operator
 import sys
-from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import chain, compress
 
@@ -215,14 +214,6 @@ class StepFunction:
         out = np.asarray(self.values + (self.tail,))[i]
         return float(out) if out.ndim == 0 else out
 
-    def right_limit(self, t: float) -> float:
-        """Value just to the right of ``t >= 0``."""
-        t = _as_float(t, "t")
-        if t < 0.0 or t == INF:
-            raise ValueError(f"need t in [0, inf), got {t}")
-        i = bisect_right(self.breakpoints, t)
-        return self.values[i] if i < len(self.values) else self.tail
-
     def pieces(self):
         """Yield ``(lo, hi, value)`` for the finite pieces, then the tail piece."""
         prev = 0.0
@@ -357,9 +348,6 @@ class StepFunction:
 
     def __add__(self, other: "StepFunction") -> "StepFunction":
         return self._merge(other, lambda a, b: a + b)
-
-    def pointwise_max(self, other: "StepFunction") -> "StepFunction":
-        return self._merge(other, max)
 
     def minimum(self, level: float) -> "StepFunction":
         """Pointwise ``min(f, level)`` with ``level >= 0``."""

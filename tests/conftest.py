@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from rinorms import StepFunction, generate_corpus, lorentz_norm
+from rinorms import Enclosure, GridSpec, StepFunction, generate_corpus, lorentz_norm
+from rinorms.hardy import _OVERFLOW, _ZERO_LAW, MonotoneEnvelope, PowerLaw, _diverged_envelope
 from rinorms.interp import _default_levels
+from rinorms.stepfn import _power_integral_array, power_integral
 
 INF = math.inf
 
@@ -130,3 +132,297 @@ def dyadic_corpus():
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(42)
+
+
+# -- per-member Hardy reference ----------------------------------------------
+#
+# The one-function-at-a-time Hardy averages, envelope norms and functor norm
+# that the block kernels of rinorms.hardy replaced.  The block kernels must
+# reproduce every value of these bit for bit.
+
+
+def envelope_lower(env: MonotoneEnvelope) -> StepFunction:
+    """Global step-function lower bound: each piece carries its right-endpoint value."""
+    return StepFunction(tuple(env.grid), tuple(env.values), 0.0)
+
+
+def envelope_upper(env: MonotoneEnvelope) -> StepFunction:
+    """Step-function upper bound on ``[grid[0], inf)``: the values of
+    :meth:`MonotoneEnvelope.upper_on_grid` on the grid intervals and the
+    last grid value beyond."""
+    return StepFunction(tuple(env.grid), tuple(env.upper_on_grid()), float(env.values[-1]))
+
+
+def _ref_monotone_values(values: np.ndarray) -> np.ndarray:
+    if not np.isfinite(values).all():
+        raise ValueError(_OVERFLOW)
+    return np.minimum.accumulate(values)
+
+
+def _ref_constant_envelope(c: float, grid: np.ndarray, label: str) -> MonotoneEnvelope:
+    law = PowerLaw(c, 0.0)
+    return MonotoneEnvelope(
+        grid=grid,
+        values=np.full(grid.shape, c),
+        head_lo=law,
+        head_hi=law,
+        tail_lo=law,
+        tail_hi=law,
+        eval=lambda t: np.full(np.shape(t), c),
+        bracket_decay=None,
+        label=label,
+    )
+
+
+def _ref_power_segments(bp, vals, w, order):
+    e = w / order
+    edges_pow = np.concatenate([[0.0], bp**e])
+    seg = vals**w * np.diff(edges_pow) / e
+    return e, edges_pow, seg
+
+
+def ref_hardy_upper(fs: StepFunction, u: float, w: float, grid: np.ndarray) -> MonotoneEnvelope:
+    """Per-member reference for the upper family: ``f*``, float exponents, its grid."""
+    label = f"H_upper(u={u},w={w})"
+    if fs.is_zero:
+        return _ref_constant_envelope(0.0, grid, label)
+    bp = np.asarray(fs.breakpoints)
+    vals = np.asarray(fs.values)
+    tail = fs.tail
+    try:
+        factor = (u / w) ** (1.0 / w) if w < INF else 1.0
+    except OverflowError:
+        raise ValueError(_OVERFLOW) from None
+    if bp.size == 0:
+        c = tail * factor
+        if c == INF:
+            raise ValueError(_OVERFLOW)
+        return _ref_constant_envelope(c, grid, label)
+    allv = np.append(vals, tail)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if w < INF:
+            e, edges_pow, seg = _ref_power_segments(bp, vals, w, u)
+            cum = np.concatenate([[0.0], np.cumsum(seg)])
+
+            def eval_upper(t):
+                t = np.asarray(t, dtype=float)
+                k = np.searchsorted(bp, t, side="left")
+                inner = cum[k] + allv[k] ** w * (t**e - edges_pow[k]) / e
+                return t ** (-1.0 / u) * np.maximum(inner, 0.0) ** (1.0 / w)
+
+            head_lo = head_hi = PowerLaw(float(vals[0] * factor), 0.0)
+            decay_coef = float(cum[-1] ** (1.0 / w))
+            tail_const = float(tail * factor)
+        else:
+            run = np.maximum.accumulate(vals * bp ** (1.0 / u))
+            prev = np.concatenate([[0.0], run])
+
+            def eval_upper(t):
+                t = np.asarray(t, dtype=float)
+                k = np.searchsorted(bp, t, side="left")
+                return np.maximum(prev[k] * t ** (-1.0 / u), allv[k])
+
+            head_lo = head_hi = PowerLaw(float(vals[0]), 0.0)
+            decay_coef = float(run[-1])
+            tail_const = float(tail)
+        values = eval_upper(grid)
+    values = _ref_monotone_values(values)
+    if tail == 0.0:
+        tail_lo = tail_hi = PowerLaw(decay_coef, 1.0 / u)
+    else:
+        tail_lo = PowerLaw(tail_const, 0.0)
+        tail_hi = PowerLaw(float(values[-1]), 0.0)
+    return MonotoneEnvelope(
+        grid=grid, values=values, head_lo=head_lo, head_hi=head_hi, tail_lo=tail_lo,
+        tail_hi=tail_hi, eval=eval_upper, bracket_decay=1.0 / u, label=label,
+    )
+
+
+def ref_hardy_lower(fs: StepFunction, v: float, w: float, grid_spec, grid: np.ndarray) -> MonotoneEnvelope:
+    """Per-member reference for the lower family; a diverged envelope gets its own grid around 1."""
+    label = f"H_lower(v={v},w={w})"
+    if fs.is_zero:
+        return _ref_constant_envelope(0.0, grid, label)
+    if fs.tail > 0.0:
+        return _diverged_envelope(grid_spec, label)
+    bp = np.asarray(fs.breakpoints)
+    vals = np.asarray(fs.values)
+    allv = np.append(vals, 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if w < INF:
+            e, edges_pow, seg = _ref_power_segments(bp, vals, w, v)
+            suf = np.concatenate([np.cumsum(seg[::-1])[::-1], [0.0]])
+
+            def eval_lower(t):
+                t = np.asarray(t, dtype=float)
+                k = np.searchsorted(bp, t, side="left")
+                kk = np.minimum(k, bp.size - 1)
+                part = allv[k] ** w * (edges_pow[kk + 1] - t**e) / e
+                inner = np.where(k < bp.size, part + suf[np.minimum(k + 1, bp.size)], 0.0)
+                return t ** (-1.0 / v) * np.maximum(inner, 0.0) ** (1.0 / w)
+        else:
+            run = np.maximum.accumulate((vals * bp ** (1.0 / v))[::-1])[::-1]
+            suf_max = np.concatenate([run, [0.0]])
+
+            def eval_lower(t):
+                t = np.asarray(t, dtype=float)
+                k = np.searchsorted(bp, t, side="left")
+                return suf_max[k] * t ** (-1.0 / v)
+
+        values = eval_lower(grid)
+    values = _ref_monotone_values(values)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if w < INF:
+            head_hi = PowerLaw(float(suf[0] ** (1.0 / w)), 1.0 / v)
+            head_lo = PowerLaw(float(values[0] * grid[0] ** (1.0 / v)), 1.0 / v)
+        else:
+            head_lo = head_hi = PowerLaw(float(run[0]), 1.0 / v)
+    return MonotoneEnvelope(
+        grid=grid, values=values, head_lo=head_lo, head_hi=head_hi, tail_lo=_ZERO_LAW,
+        tail_hi=_ZERO_LAW, eval=eval_lower, bracket_decay=1.0 / v, label=label,
+    )
+
+
+def _ref_combine_laws(a, b, boundary, side, hi):
+    laws = [l for l in (a, b) if l.coef > 0.0]
+    if not laws:
+        return _ZERO_LAW
+    decay = max(l.decay for l in laws) if side == "head" else min(l.decay for l in laws)
+    if hi:
+        return PowerLaw(sum(l.coef * boundary ** (decay - l.decay) for l in laws), decay)
+    return PowerLaw(sum(l.coef for l in laws if l.decay == decay), decay)
+
+
+def ref_add_envelopes(e1: MonotoneEnvelope, e2: MonotoneEnvelope) -> MonotoneEnvelope:
+    if e1.diverged or e2.diverged:
+        return _diverged_envelope(GridSpec(), f"{e1.label}+{e2.label}")
+    assert np.array_equal(e1.grid, e2.grid)
+    f1, f2 = e1.eval, e2.eval
+    g0, gm = float(e1.grid[0]), float(e1.grid[-1])
+    return MonotoneEnvelope(
+        grid=e1.grid,
+        values=e1.values + e2.values,
+        head_lo=_ref_combine_laws(e1.head_lo, e2.head_lo, g0, "head", hi=False),
+        head_hi=_ref_combine_laws(e1.head_hi, e2.head_hi, g0, "head", hi=True),
+        tail_lo=_ref_combine_laws(e1.tail_lo, e2.tail_lo, gm, "tail", hi=False),
+        tail_hi=_ref_combine_laws(e1.tail_hi, e2.tail_hi, gm, "tail", hi=True),
+        eval=lambda t: f1(t) + f2(t),
+        bracket_decay=None,
+        label=f"{e1.label}+{e2.label}",
+    )
+
+
+def ref_power_scale(env: MonotoneEnvelope, d: float) -> MonotoneEnvelope:
+    if d == 0.0 or env.diverged:
+        return env
+    f = env.eval
+
+    def shift(law):
+        return PowerLaw(law.coef, law.decay + d) if law.coef else _ZERO_LAW
+
+    return MonotoneEnvelope(
+        grid=env.grid,
+        values=env.values * env.grid ** (-d),
+        head_lo=shift(env.head_lo),
+        head_hi=shift(env.head_hi),
+        tail_lo=shift(env.tail_lo),
+        tail_hi=shift(env.tail_hi),
+        eval=lambda t: f(t) * np.asarray(t, dtype=float) ** (-d),
+        bracket_decay=None if env.bracket_decay is None else env.bracket_decay + d,
+        label=f"t^-{d}*{env.label}",
+    )
+
+
+def _ref_law_norm_term(law, gamma, q, lo, hi):
+    if law.coef == 0.0:
+        return 0.0
+    part = power_integral(gamma - q * law.decay, lo, hi)
+    return INF if part == INF else law.coef**q * part
+
+
+def _ref_law_sup_term(law, beta_p, lo, hi):
+    if law.coef == 0.0:
+        return 0.0
+    ex = beta_p - law.decay
+    if ex > 0.0:
+        return INF if hi == INF else law.coef * hi**ex
+    if ex == 0.0:
+        return law.coef
+    return INF if lo == 0.0 else law.coef * lo**ex
+
+
+def ref_envelope_norm(env: MonotoneEnvelope, params) -> Enclosure:
+    """Per-member reference for :func:`rinorms.envelope_norm`."""
+    if env.diverged:
+        return Enclosure(INF, INF)
+    p, q = params.p, params.q
+    g = env.grid
+    vals = env.values
+    a, b = g[:-1], g[1:]
+    c_hi, c_lo = vals[:-1], vals[1:]
+    beta = env.bracket_decay
+    if beta is not None:
+        phi = g**beta * vals
+        pw_hi = np.maximum(phi[:-1], phi[1:])
+        pw_lo = np.minimum(phi[:-1], phi[1:])
+    if q < INF:
+        gamma = 0.0 if p == INF else q / p
+
+        def interval_sum(const, power, upper):
+            if power is None:
+                return float(np.sum(const**q * _power_integral_array(gamma, a, b)))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                cross = (power / const) ** (1.0 / beta)
+            cross = np.clip(np.nan_to_num(cross, nan=0.0, posinf=INF), a, b)
+            alpha_pow = gamma - q * beta
+            if upper:
+                t1 = const**q * _power_integral_array(gamma, a, cross)
+                t2 = power**q * _power_integral_array(alpha_pow, cross, b)
+            else:
+                t1 = power**q * _power_integral_array(alpha_pow, a, cross)
+                t2 = const**q * _power_integral_array(gamma, cross, b)
+            return float(np.sum(np.where(const + power > 0.0, t1 + t2, 0.0)))
+
+        s_hi = _ref_law_norm_term(env.head_hi, gamma, q, 0.0, float(g[0]))
+        s_lo = _ref_law_norm_term(env.head_lo, gamma, q, 0.0, float(g[0]))
+        if s_hi < INF:
+            s_hi += interval_sum(c_hi, pw_hi if beta is not None else None, upper=True)
+        if s_lo < INF:
+            s_lo += interval_sum(c_lo, pw_lo if beta is not None else None, upper=False)
+        if s_hi < INF:
+            s_hi += _ref_law_norm_term(env.tail_hi, gamma, q, float(g[-1]), INF)
+        if s_lo < INF:
+            s_lo += _ref_law_norm_term(env.tail_lo, gamma, q, float(g[-1]), INF)
+        lo = s_lo ** (1.0 / q) if s_lo < INF else INF
+        hi = s_hi ** (1.0 / q) if s_hi < INF else INF
+    else:
+        beta_p = 0.0 if p == INF else 1.0 / p
+        sup_b = b**beta_p
+        hi = _ref_law_sup_term(env.head_hi, beta_p, 0.0, float(g[0]))
+        lo = _ref_law_sup_term(env.head_lo, beta_p, 0.0, float(g[0]))
+        mid_hi = c_hi * sup_b
+        mid_lo = c_lo * sup_b
+        if beta is not None:
+            sup_pow_exp = beta_p - beta
+            pow_sup = np.where(sup_pow_exp >= 0.0, b**sup_pow_exp, a**sup_pow_exp)
+            mid_hi = np.minimum(mid_hi, pw_hi * pow_sup)
+            mid_lo = np.maximum(mid_lo, pw_lo * pow_sup)
+        if mid_hi.size:
+            hi = max(hi, float(np.max(mid_hi)))
+            lo = max(lo, float(np.max(mid_lo)))
+        hi = max(hi, _ref_law_sup_term(env.tail_hi, beta_p, float(g[-1]), INF))
+        lo = max(lo, _ref_law_sup_term(env.tail_lo, beta_p, float(g[-1]), INF))
+    return Enclosure(min(lo, hi), hi)
+
+
+def ref_functor_norm(fs: StepFunction, fp, couple, grid_spec, grid: np.ndarray) -> Enclosure:
+    """Per-member reference for the functor norm of a nonzero ``f`` from ``f*`` and its grid."""
+    p0, q0 = couple.params0.p, couple.params0.q
+    env = ref_hardy_upper(fs, p0, q0, grid)
+    if couple.params1.p < INF:
+        env = ref_add_envelopes(
+            env, ref_hardy_lower(fs, couple.params1.p, couple.params1.q, grid_spec, grid)
+        )
+    if fp.r < p0:
+        env = ref_power_scale(env, 1.0 / fp.r - 1.0 / p0)
+    return ref_envelope_norm(env, fp.space.params)

@@ -18,6 +18,8 @@ import pytest
 from rinorms import GridSpec, StepFunction, hardy_lower, hardy_upper
 from rinorms.cli import main
 
+from conftest import envelope_lower, envelope_upper
+
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
@@ -56,6 +58,26 @@ class TestNorm:
     def test_missing_file_rejected(self):
         with pytest.raises(SystemExit, match="cannot read"):
             main(["norm", "--p", "2", "--q", "1", "--input", "/nonexistent.json"])
+
+    def test_norm_past_the_float_range_exits_1_without_traceback(self, tmp_path):
+        # ||f||_{2,2} = 1e300 * sqrt(1e100): the direct integral overflows and
+        # so does the rescaled norm
+        big = tmp_path / "big.json"
+        big.write_text(StepFunction((1e100,), (1e300,)).to_json())
+        env = {**os.environ, "PYTHONPATH": SRC}
+        done = subprocess.run(
+            [sys.executable, "-m", "rinorms.cli", "norm", "--p", "2", "--q", "2", "--input", str(big)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert done.returncode == 1
+        assert "Traceback" not in done.stderr
+        assert "the Lorentz norm of f overflows the float range" in done.stderr
+
+    def test_norm_with_an_overflowing_integral(self, capsys, tmp_path):
+        huge = tmp_path / "huge.json"
+        huge.write_text(StepFunction((1.0,), (1e200,)).to_json())
+        code, out = run_cli(capsys, "norm", "--p", "2", "--q", "2", "--input", str(huge))
+        assert (code, out) == (0, "1e+200\n")
 
     def test_non_number_entry_exits_1_without_traceback(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -141,8 +163,8 @@ class TestHardy:
             assert code == 0
             env = (hardy_upper if family == "U" else hardy_lower)(f, 2.0, w, grid)
             rows = list(csv.reader(io.StringIO(out)))[1:]
-            assert [r[2] for r in rows] == [repr(float(x)) for x in env.lower(env.grid)]
-            assert [r[3] for r in rows] == [repr(float(x)) for x in env.upper(env.grid)]
+            assert [r[2] for r in rows] == [repr(float(x)) for x in envelope_lower(env)(env.grid)]
+            assert [r[3] for r in rows] == [repr(float(x)) for x in envelope_upper(env)(env.grid)]
 
 
 class TestKfunAndFunctor:
@@ -241,6 +263,20 @@ class TestExample18:
     def test_rejects_q_outside_unit_interval(self):
         with pytest.raises(SystemExit, match="q in \\(0, 1\\)"):
             main(["example18", "--q", "2"])
+
+    @pytest.mark.parametrize("decade", ["1", "8", "-3", "six"])
+    def test_rejects_max_decade_outside_its_range(self, capsys, decade):
+        # 1 once crashed on an empty row list, and 10**d floats are allocated
+        with pytest.raises(SystemExit) as e:
+            main(["example18", "--q", "0.5", "--max-decade", decade, "--with-norms"])
+        assert e.value.code == 2
+        assert f"argument --max-decade: must be an integer in 2..7, got {decade}" in capsys.readouterr().err
+
+    def test_smallest_max_decade_with_norms(self, capsys):
+        code, out = run_cli(capsys, "example18", "--q", "0.5", "--max-decade", "2", "--with-norms")
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))
+        assert [r[0] for r in rows] == ["N", "100", "norms"]
 
 
 class TestVerify:

@@ -27,7 +27,19 @@ from rinorms import (
     predicted_bounded,
     weighted_power_integral,
 )
-from rinorms.hardy import PowerLaw, _hardy_lower, _hardy_upper
+from rinorms import generate_corpus
+from rinorms.hardy import PowerLaw, _add_block, _Block, _lower_block, _norm_block, _upper_block
+from rinorms.interp import FunctorParams, LorentzCouple, _functor_block
+
+from conftest import (
+    envelope_lower,
+    envelope_upper,
+    ref_add_envelopes,
+    ref_envelope_norm,
+    ref_functor_norm,
+    ref_hardy_lower,
+    ref_hardy_upper,
+)
 
 CHI = StepFunction.indicator(0.0, 1.0)
 COARSE = GridSpec(points_per_decade=16, span=2.0**12)
@@ -121,7 +133,7 @@ class TestEnvelopeInvariants:
             env = build(f)
             vals = env.values
             assert np.all(np.diff(vals) <= vals[:-1] * 1e-12 + 1e-300)  # non-increasing
-            lower, upper = env.lower, env.upper
+            lower, upper = envelope_lower(env), envelope_upper(env)
             for i in (0, len(env.grid) // 2, len(env.grid) - 1):
                 t = float(env.grid[i])
                 assert lower(t) <= vals[i] * (1.0 + 1e-12)
@@ -160,7 +172,7 @@ class TestEnvelopeInvariants:
         assert env.head_hi.decay == 0.0
         above = float(np.nextafter(env.values[0], INF))
         bumped = dataclasses.replace(env, head_hi=PowerLaw(above, 0.0))
-        assert bumped.upper_on_grid()[0] == above == bumped.upper(float(env.grid[0]))
+        assert bumped.upper_on_grid()[0] == above == envelope_upper(bumped)(float(env.grid[0]))
         assert list(bumped.upper_on_grid()[1:]) == list(env.values[:-1])
         decaying = dataclasses.replace(env, head_hi=PowerLaw(above, 0.5))
         assert decaying.upper_on_grid()[0] == env.values[0]
@@ -381,26 +393,139 @@ step_functions = st.builds(
 )
 
 
-class TestPrivateEntryPoints:
-    @settings(max_examples=60, deadline=None)
+CORPUS_KINDS = {
+    "default": {},
+    "dyadic": {"dyadic": True},
+    "positive-tail": {"positive_tail": True},
+    "dyadic-positive-tail": {"dyadic": True, "positive_tail": True},
+}
+NORM_PARAMS = [LorentzParams(*pq) for pq in ((2.0, 2.0), (3.0, 1.0), (1.0, 0.5), (2.0, INF), (INF, INF))]
+L22 = SpaceDescriptor.for_lorentz(LorentzParams(2.0, 2.0))
+FUNCTORS = [
+    (FunctorParams(4.0 / 3.0, 1.0, L22), LorentzCouple(LorentzParams(1.0, 1.0), LorentzParams(4.0, 4.0))),
+    (FunctorParams(1.0, 1.0, L22), LorentzCouple(LorentzParams(1.0, 2.0), LorentzParams(INF, INF))),
+    # r < p0: the sum is rescaled by a power of t
+    (FunctorParams(1.0, 1.0, L22), LorentzCouple(LorentzParams(2.0, 1.0), LorentzParams(4.0, 4.0))),
+]
+
+
+def _outcome(build):
+    """``repr`` of a reference result, or of the exception it raises."""
+    try:
+        return repr(build())
+    except (ValueError, ArithmeticError) as err:
+        return repr(err)
+
+
+def _reference_envelope(env) -> str:
+    if env.diverged:
+        return repr(("diverged", env.label))
+    laws = [(l.coef, l.decay) for l in (env.head_lo, env.head_hi, env.tail_lo, env.tail_hi)]
+    return repr((env.grid.tolist(), env.values.tolist(), laws, env.bracket_decay, env.label))
+
+
+def _block_member(envs, i: int) -> str:
+    """Function ``i`` of an envelope block in the form of :func:`_reference_envelope`."""
+    if envs.errors[i] is not None:
+        return repr(envs.errors[i])
+    if envs.diverged[i]:
+        return repr(("diverged", envs.label))
+    lo, hi = envs.goff[i], envs.goff[i + 1]
+    laws = [
+        (float(l.coef[i]), float(l.decay[i]))
+        for l in (envs.head_lo, envs.head_hi, envs.tail_lo, envs.tail_hi)
+    ]
+    beta = None if envs.flat[i] else envs.beta
+    return repr((envs.grid[lo:hi].tolist(), envs.values[lo:hi].tolist(), laws, beta, envs.label))
+
+
+def _reference_or_error(build):
+    try:
+        return build()
+    except ValueError as err:
+        return err
+
+
+class TestBlockKernels:
+    """The block kernels against the per-member reference in conftest, bit for bit."""
+
+    def check_block(self, fss, spec, order, w):
+        grids = [spec.build(fs.breakpoints) for fs in fss]
+        blk = _Block(fss, grids)
+        upper, lower = _upper_block(blk, order, w), _lower_block(blk, order, w)
+        both = _add_block(upper, lower)
+        upper_norms = {p: _norm_block(upper, p) for p in NORM_PARAMS}
+        lower_norms = {p: _norm_block(lower, p) for p in NORM_PARAMS}
+        both_norms = {p: _norm_block(both, p) for p in NORM_PARAMS}
+        functors = [_functor_block(blk, fp, couple) for fp, couple in FUNCTORS]
+        for i, (fs, grid) in enumerate(zip(fss, grids)):
+            ref_up = _reference_or_error(lambda: ref_hardy_upper(fs, order, w, grid))
+            ref_lo = _reference_or_error(lambda: ref_hardy_lower(fs, order, w, spec, grid))
+            for block, ref, norms in ((upper, ref_up, upper_norms), (lower, ref_lo, lower_norms)):
+                if isinstance(ref, ValueError):
+                    assert _block_member(block, i) == repr(ref)
+                    continue
+                assert _block_member(block, i) == _reference_envelope(ref)
+                for p in NORM_PARAMS:
+                    assert repr(norms[p][i]) == _outcome(lambda: ref_envelope_norm(ref, p))
+            if not isinstance(ref_up, ValueError) and not isinstance(ref_lo, ValueError):
+                ref_both = ref_add_envelopes(ref_up, ref_lo)
+                if not ref_both.diverged:
+                    assert _block_member(both, i) == _reference_envelope(ref_both)
+                for p in NORM_PARAMS:
+                    assert repr(both_norms[p][i]) == _outcome(lambda: ref_envelope_norm(ref_both, p))
+            if not fs.is_zero:
+                for (fp, couple), got in zip(FUNCTORS, functors):
+                    want = _outcome(lambda: ref_functor_norm(fs, fp, couple, spec, grid))
+                    assert repr(got[i]) == want
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(sorted(CORPUS_KINDS)),
+        points_per_decade=st.sampled_from([8, 16, 64]),
+        order=st.sampled_from([1.0, 2.0, 3.0]),
+        w=st.sampled_from([1.0, 2.0, INF]),
+        extra=st.lists(step_functions, max_size=3),
+    )
+    def test_corpus_blocks_match_the_reference(self, seed, kind, points_per_decade, order, w, extra):
+        corpus = generate_corpus(seed, 5, **CORPUS_KINDS[kind])
+        fss = [f.rearrange() for f in list(corpus) + extra]
+        self.check_block(fss, GridSpec(points_per_decade=points_per_decade), order, w)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("w", [1.0, 2.0, INF])
+    def test_overflowing_and_degenerate_members_only_mark_themselves(self, w):
+        fss = [
+            f.rearrange()
+            for f in (CHI, _HUGE, StepFunction.zero(), _NEAR_MAX, StepFunction.constant(1.7e308),
+                      StepFunction.constant(3.0), StepFunction((1.0,), (1e200,), 1.0), CHI.scale(2.0))
+        ]
+        self.check_block(fss, COARSE, 2.0, w)
+
+    @settings(max_examples=40, deadline=None)
     @given(
         f=step_functions,
         order=st.sampled_from([0.5, 1.0, 2.0, 3.0]),
         w=st.sampled_from([0.5, 1.0, 2.0, INF]),
-        grid_spec=st.sampled_from([COARSE, GridSpec(points_per_decade=16)]),
+        points_per_decade=st.sampled_from([8, 16, 64]),
     )
-    @example(f=StepFunction.zero(), order=1.0, w=1.0, grid_spec=COARSE)
-    @example(f=StepFunction.constant(3.0), order=2.0, w=0.5, grid_spec=COARSE)
-    @example(f=StepFunction((1.0, 2.0), (1.0, 3.0), 0.5), order=3.0, w=INF, grid_spec=COARSE)
-    def test_match_the_public_functions(self, f, order, w, grid_spec):
+    @example(f=StepFunction.zero(), order=1.0, w=1.0, points_per_decade=16)
+    @example(f=StepFunction.constant(3.0), order=2.0, w=0.5, points_per_decade=16)
+    @example(f=StepFunction((1.0, 2.0), (1.0, 3.0), 0.5), order=3.0, w=INF, points_per_decade=16)
+    def test_public_functions_match_the_reference(self, f, order, w, points_per_decade):
+        spec = GridSpec(points_per_decade=points_per_decade)
         fs = f.rearrange()
-        grid = grid_spec.build(fs.breakpoints)
+        grid = spec.build(fs.breakpoints)
         pairs = (
-            (hardy_upper(f, order, w, grid_spec), _hardy_upper(fs, order, w, grid)),
-            (hardy_lower(f, order, w, grid_spec), _hardy_lower(fs, order, w, grid_spec, grid)),
+            (hardy_upper(f, order, w, spec), ref_hardy_upper(fs, order, w, grid)),
+            (hardy_lower(f, order, w, spec), ref_hardy_lower(fs, order, w, spec, grid)),
         )
-        for public, private in pairs:
-            assert np.array_equal(public.grid, private.grid)
-            assert np.array_equal(public.values, private.values)
-            for name in ("head_lo", "head_hi", "tail_lo", "tail_hi", "bracket_decay", "diverged", "label"):
-                assert getattr(public, name) == getattr(private, name)
+        ts = np.concatenate([grid[:: max(1, grid.size // 7)] * 1.3, [1e-300, 1e300]])
+        for public, ref in pairs:
+            assert _reference_envelope(public) == _reference_envelope(ref)
+            assert public.diverged == ref.diverged
+            with np.errstate(all="ignore"):
+                assert repr(public(ts).tolist()) == repr(ref.eval(ts).tolist())
+            for p in NORM_PARAMS:
+                assert repr(envelope_norm(public, p)) == repr(ref_envelope_norm(ref, p))

@@ -9,7 +9,10 @@ import json
 import math
 from collections import Counter
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rinorms import (
     INF,
@@ -32,6 +35,9 @@ from rinorms.harness import (
     reports_to_csv,
     reports_to_json,
 )
+from rinorms.interp import FunctorParams, _check_functor
+
+from conftest import ref_functor_norm, ref_envelope_norm, ref_hardy_lower, ref_hardy_upper
 
 COARSE = GridSpec(points_per_decade=16, span=2.0**12)
 L22 = SpaceDescriptor.for_lorentz(LorentzParams(2.0, 2.0))
@@ -163,7 +169,7 @@ class TestKDriver:
     def test_one_k_table_per_function_and_no_piecewise_k(self, small_corpus, monkeypatch):
         # f's K values come from one prefix table per pair, g and f + g add
         # one each; the piecewise integral runs only inside the Holmstedt
-        # and intersection norms, never for K itself
+        # expression and the member records' norms, never for K itself
         tables = []
         kernel = interp._k_l1_linf
 
@@ -175,8 +181,8 @@ class TestKDriver:
         monkeypatch.setattr(harness, "_k_l1_linf", counting_kernel)
         inside = [0]
         callers = Counter()
-        for name in ("holmstedt_k", "intersection_norm"):
-            original = getattr(harness, name)
+        for owner, name in ((harness, "holmstedt_k"), (harness._Member, "norm")):
+            original = getattr(owner, name)
 
             def entered(*args, _original=original, **kwargs):
                 inside[0] += 1
@@ -185,7 +191,7 @@ class TestKDriver:
                 finally:
                     inside[0] -= 1
 
-            monkeypatch.setattr(harness, name, entered)
+            monkeypatch.setattr(owner, name, entered)
         integral = stepfn.weighted_power_integral
 
         def counting_integral(*args, **kwargs):
@@ -312,16 +318,24 @@ class TestSharedMemberWork:
 
     @pytest.mark.parametrize("w, inner", [(INF, [INF]), (1.0, [1.0, INF])])
     def test_pointwise_upper_builds_each_envelope_once(self, small_corpus, monkeypatch, w, inner):
+        # one upper-family kernel call per inner exponent and block, and the
+        # blocks cover the corpus once, in order
         calls = []
-        hardy_upper = harness._hardy_upper
+        upper_block = harness._upper_block
 
-        def counting(fs, u, w, grid):
-            calls.append(w)
-            return hardy_upper(fs, u, w, grid)
+        def counting(blk, u, w):
+            calls.append((w, blk.grid.tobytes()))
+            return upper_block(blk, u, w)
 
-        monkeypatch.setattr(harness, "_hardy_upper", counting)
+        monkeypatch.setattr(harness, "_upper_block", counting)
+        monkeypatch.setattr(harness, "_BLOCK_POINTS", 2000)
         verify_hardy_pointwise(small_corpus, u=1.0, w=w, grid_spec=COARSE)
-        assert calls == inner * len(small_corpus)
+        blocks = [g for x, g in calls if x == inner[0]]
+        assert calls == [(x, g) for g in blocks for x in inner]
+        assert 1 < len(blocks) < len(small_corpus)
+        grids = [COARSE.build(f.rearrange().breakpoints) for f in small_corpus]
+        assert b"".join(blocks) == np.concatenate(grids).tobytes()
+        assert all(len(g) <= 2000 * 8 for g in blocks)
 
 
 def _public_reports(corpus, grid_spec) -> list:
@@ -364,6 +378,174 @@ class TestSharedPathMatchesPublicDrivers:
         thm11 = [r for r in reports if r.check == "thm11"]
         assert all(r.size < len(corpus) for r in thm11)
         assert any(r.max_ratio == INF for r in reports if r.check == "lemma10" and r.config.startswith("v="))
+
+
+def _reference_pointwise(corpus, grid_spec, u=None, v=None, w=None):
+    """lemma10, one member at a time on the conftest reference."""
+    kind, order = harness._averaging_kind(u, v)
+    scan = harness._Scan(corpus)
+    a, b = float(order), float(w)
+    for m in scan.records:
+        fs, grid = m.fs, grid_spec.build(m.fs.breakpoints)
+        if kind == "upper":
+            env_w = ref_hardy_upper(fs, a, b, grid)
+            lhs_inf = env_w.values if b == INF else ref_hardy_upper(fs, a, INF, grid).values
+            checks = [(env_w.values, lhs_inf), (lhs_inf, fs(grid))]
+        else:
+            env = ref_hardy_lower(fs, a, b, grid_spec, grid)
+            grid = env.grid
+            checks = [(env.values, fs(2.0 * grid))]
+        for lhs, low in checks:
+            mask = low > 0.0
+            if mask.any():
+                ratios = lhs[mask] / low[mask]
+                scan.observe(float(ratios.min()), float(ratios.max()))
+            bad = lhs < low * (1.0 - harness.POINTWISE_SLACK)
+            if bad.any():
+                t_bad = float(grid[np.argmax(bad)])
+                scan.violation(int(bad.sum()), function=m.f.to_dict(), t=t_bad)
+    label = "u" if kind == "upper" else "v"
+    return scan.report("lemma10", f"{label}={order},w={w}", size=len(scan.records))
+
+
+def _reference_members(scan, space):
+    for m in scan.records:
+        n = m.norm(space.params)
+        if 0.0 < n < INF:
+            scan.used += 1
+            yield m, n
+
+
+def _reference_equivalence(corpus, space, grid_spec, u=None, v=None, w=None):
+    """thm11, one member at a time on the conftest reference."""
+    kind, order = harness._averaging_kind(u, v)
+    scan = harness._Scan(corpus, empty_ratio=INF)
+    expected = harness.predicted_bounded(space, kind, order, w)
+    boundary = kind == "upper" and w < INF and order == space.boyd_lower
+    diverged, min_ratio_lo = 0, INF
+    for m, n in _reference_members(scan, space):
+        grid = grid_spec.build(m.fs.breakpoints)
+        if kind == "upper":
+            env = ref_hardy_upper(m.fs, float(order), float(w), grid)
+        else:
+            env = ref_hardy_lower(m.fs, float(order), float(w), grid_spec, grid)
+        enc = ref_envelope_norm(env, space.params)
+        if enc.hi == INF:
+            diverged += 1
+            if not boundary and expected:
+                scan.violation(function=m.f.to_dict(), norm=n)
+            continue
+        scan.observe(enc.hi / n, enc.hi / n, enc.relative_width)
+        min_ratio_lo = min(min_ratio_lo, enc.lo / n)
+    min_r, max_r = scan.ratio_range()
+    if boundary:
+        passed = diverged == scan.used
+    else:
+        floor_ok = min_r >= 1.0 - harness.EQUIV_FLOOR_SLACK
+        passed = expected and scan.violations == 0 and diverged == 0 and floor_ok and max_r <= 64.0
+        if not floor_ok:
+            scan.note(floor=min_r)
+    extras = {"diverged": diverged, "min_ratio_lo": min_ratio_lo, "expected_bounded": expected}
+    return scan.report("thm11", f"E={space},{kind} {order},w={w}", size=scan.used, passed=passed, extras=extras)
+
+
+def _reference_interpolation(corpus, space, couple, theta, grid_spec, calibrate):
+    """thm15, one member at a time on the conftest reference."""
+    scan = harness._Scan(corpus, empty_ratio=INF)
+    fp = FunctorParams(theta=theta, r=couple.params0.p, space=space)
+    _check_functor(fp, couple)
+    for m, n in _reference_members(scan, space):
+        enc = ref_functor_norm(m.fs, fp, couple, grid_spec, grid_spec.build(m.fs.breakpoints))
+        if enc.hi == INF or enc.lo <= 0.0:
+            scan.violation(function=m.f.to_dict(), enclosure=str(enc))
+            continue
+        scan.observe(enc.lo / n, enc.hi / n, enc.relative_width)
+    min_r, max_r = scan.ratio_range()
+    spread = max_r / min_r if 0.0 < min_r < INF else INF
+    passed = scan.violations == 0 and spread <= 64.0
+    extras = {"spread": spread}
+    if calibrate:
+        spec = GridSpec(points_per_decade=256, span=grid_spec.span)
+        chi = StepFunction.indicator(0.0, 1.0)
+        enc = ref_functor_norm(chi, fp, couple, spec, spec.build(chi.breakpoints))
+        extras["calibration"] = str(enc)
+        if not (enc.contains(math.sqrt(2.0), slack=1e-12) and enc.width <= 1e-3):
+            passed = False
+            scan.note(calibration=str(enc))
+    return scan.report("thm15", f"E={space},couple={couple},theta={theta}", size=scan.used, passed=passed, extras=extras)
+
+
+def _reference_hardy_reports(corpus, grid_spec) -> list:
+    """The default lemma10, thm11 and thm15 configurations on the per-member reference."""
+    reports = [_reference_pointwise(corpus, grid_spec, **cfg) for cfg in harness._POINTWISE_CONFIGS]
+    reports += [_reference_equivalence(corpus, L22, grid_spec, **cfg) for cfg in harness._EQUIVALENCE_CONFIGS]
+    reports += [
+        _reference_interpolation(corpus, space, couple, theta, grid_spec, cal)
+        for space, couple, theta, cal in harness._interpolation_configs()
+    ]
+    return reports
+
+
+_CORPUS_KINDS = {
+    "default": {},
+    "dyadic": {"dyadic": True},
+    "positive-tail": {"positive_tail": True},
+    "dyadic-positive-tail": {"dyadic": True, "positive_tail": True},
+}
+
+
+class TestBlockDrivers:
+    """The block drivers against the per-member reference, report by report."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(sorted(_CORPUS_KINDS)),
+        points_per_decade=st.sampled_from([8, 16, 64]),
+        block_points=st.sampled_from([300, 1000, harness._BLOCK_POINTS]),
+    )
+    def test_reports_match_the_reference(self, seed, kind, points_per_decade, block_points):
+        corpus = generate_corpus(seed, 10, **_CORPUS_KINDS[kind])
+        grid_spec = GridSpec(points_per_decade=points_per_decade)
+        want = _reference_hardy_reports(tuple(corpus), grid_spec)
+        with pytest.MonkeyPatch.context() as mp:
+            # blocks end inside and between members' grids
+            mp.setattr(harness, "_BLOCK_POINTS", block_points)
+            mp.setattr(harness, "generate_corpus", lambda seed, size: corpus)
+            got = [r for r in default_check_reports("all", seed, 10, grid_spec) if r.check != "kprops"]
+        assert repr(got) == repr(want)
+
+    def test_first_witness_in_corpus_order_across_blocks(self, monkeypatch):
+        # the known-false lemma10 row has violations in many members: the
+        # witness stays the first member's however the corpus is blocked
+        corpus = tuple(generate_corpus(7, 40))
+        want = _reference_pointwise(corpus, COARSE, v=2.0, w=1.0)
+        assert want.violations > 0
+        for block_points in (50, 700, 5000):
+            monkeypatch.setattr(harness, "_BLOCK_POINTS", block_points)
+            assert repr(verify_hardy_pointwise(corpus, v=2.0, w=1.0, grid_spec=COARSE)) == repr(want)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_errors_surface_in_corpus_order(self, monkeypatch):
+        # a member whose grid leaves the float range and members whose
+        # averages overflow: the first in corpus order raises, as one at a
+        # time, whichever block they share
+        good = StepFunction((1.0, 2.0), (3.0, 1.0))
+        far = StepFunction((1e303,), (1.0,))
+        huge = StepFunction((1.0,), (1e200,))
+        monkeypatch.setattr(harness, "_BLOCK_POINTS", 10**6)
+        with pytest.raises(ValueError, match="overflows the float range"):
+            verify_hardy_pointwise([good, huge, far], u=2.0, w=2.0)
+        with pytest.raises(ValueError, match="leaves the float range"):
+            verify_hardy_pointwise([good, far, huge], u=2.0, w=2.0)
+        edge = StepFunction((1e302,), (1.0,))  # its grid ends within a factor 2 of the largest float
+        with pytest.raises(ValueError, match="evaluation point must be in"):
+            verify_hardy_pointwise([good, edge, huge], v=2.0, w=2.0)
+        with pytest.raises(ValueError, match="overflows the float range"):
+            verify_hardy_pointwise([good, huge, edge], v=2.0, w=2.0)
+        # a diverged lower average is checked on its own grid around 1
+        with pytest.raises(ValueError, match="overflows the float range"):
+            verify_hardy_pointwise([good, edge + StepFunction.constant(0.5), huge], v=2.0, w=2.0)
 
 
 GOLDEN_ALL_SEED7_SIZE40 = """\

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -81,6 +82,53 @@ class TestNormValues:
         assert lorentz_norm(f, LorentzParams(2.0, 2.0)) == INF
         assert lorentz_norm(f, LorentzParams(2.0, INF)) == INF
         assert lorentz_norm(f, LorentzParams(INF, INF)) == 2.0
+
+    def test_overflowing_integral_is_rescaled(self):
+        # (1e200)**2 overflows; ||c f|| = c ||f|| with c a power of two
+        f = StepFunction((1.0,), (1e200,))
+        assert lorentz_norm(f, LorentzParams(2.0, 2.0)) == 1e200
+        assert lorentz_norm(f.dilate(0.25), LorentzParams(2.0, 2.0)) == 2e200
+        assert lorentz_norm(StepFunction((1.0,), (1.7e308,)), LorentzParams(2.0, 2.0)) == 1.7e308
+        # the rescaled path keeps divergence and agrees with the direct one on
+        # scaled-down input; x**(1/q) with a rounded 1/q moves by about
+        # |scale exponent| * 2**-53 between the two scales
+        assert lorentz_norm(StepFunction((1.0,), (1e200,), 1.0), LorentzParams(2.0, 2.0)) == INF
+        for f in (StepFunction((1.0, 3.0), (2.0**600, 2.0**599)), StepFunction((0.5, 4.0), (3.0 * 2.0**700, 2.0**690))):
+            small = f.scale(2.0**-700)
+            for prm in (LorentzParams(2.0, 2.0), LorentzParams(1.0, 3.0), LorentzParams(3.0, 1.5)):
+                assert lorentz_norm(f, prm) == pytest.approx(
+                    math.ldexp(lorentz_norm(small, prm), 700), rel=1e-12
+                )
+
+    def test_rescaling_keeps_the_terms_of_small_values(self):
+        # the scale follows the largest term, not the largest value: 0.99 on
+        # (1, 1e30] carries most of the norm although 2**600 dwarfs it
+        f = StepFunction((1e-154, 1.0, 1e30), (2.0**600, 1.0, 0.99))
+        b0, b1, b2 = (Fraction(x) for x in f.breakpoints)
+        exact = (Fraction(2) ** 1200 * b0**2 + (b1**2 - b0**2) + Fraction(0.99) ** 2 * (b2**2 - b1**2)) / 2
+        assert lorentz_norm(f, LorentzParams(1.0, 2.0)) == pytest.approx(math.sqrt(exact), rel=1e-12)
+        # a value whose term is far below the last bit leaves the norm alone
+        prm = LorentzParams(2.0, 2.0)
+        for small in (StepFunction((1.0, 2.0), (1e200, 1e-300)), StepFunction((1.0, 1e300), (1e200, 1e-200))):
+            assert lorentz_norm(small, prm) == lorentz_norm(StepFunction((1.0,), (1e200,)), prm) == 1e200
+        # an overflowing product v**q * part, not an OverflowError, is rescaled too
+        assert lorentz_norm(StepFunction((1e200,), (1e150,)), prm) == pytest.approx(1e250, rel=1e-12)
+
+    def test_norm_out_of_float_reach_raises(self):
+        # the only integral underflows, or overflows although its term is 0.5
+        for f in (StepFunction((1e-300,), (1e200,)), StepFunction((1e300,), (1e-300,))):
+            with pytest.raises(ValueError, match="the Lorentz norm of f cannot be computed in floating point"):
+                lorentz_norm(f, LorentzParams(1.0, 2.0))
+        # at the scale of 1e200, (4e45)**2 falls below the normal range, yet
+        # its term over (1, 1.5e308] is about 2.4e399, as large as 1e200**2
+        with pytest.raises(ValueError, match="cannot be computed in floating point"):
+            lorentz_norm(StepFunction((1.0, 1.5e308), (1e200, 4e45)), LorentzParams(2.0, 2.0))
+
+    def test_norm_beyond_the_float_range_raises(self):
+        with pytest.raises(ValueError, match="the Lorentz norm of f overflows the float range"):
+            lorentz_norm(StepFunction((1e100,), (1e300,)), LorentzParams(2.0, 2.0))
+        with pytest.raises(ValueError, match="the Lorentz norm of f overflows the float range"):
+            lorentz_norm(StepFunction((1e10,), (1e300,)), LorentzParams(1.0, 1.0))  # 1e310 as a product
 
     def test_matches_quadrature_oracle(self, small_corpus):
         for f in list(small_corpus)[:20]:

@@ -173,12 +173,6 @@ class TestEvaluate:
             with pytest.raises(ValueError):
                 unit_indicator(np.array([0.5, t, 2.0]))
 
-    def test_right_limit_at_breakpoint(self):
-        f = StepFunction((1.0, 2.0), (3.0, 1.0), 0.5)
-        assert f.right_limit(1.0) == 1.0
-        assert f.right_limit(2.0) == 0.5
-        assert f.right_limit(0.0) == 3.0
-
 
 class TestDistribution:
     def test_indicator_levels(self, unit_indicator):
@@ -329,10 +323,6 @@ class TestAlgebra:
         for f in small_corpus:
             assert f.scale(0.0).is_zero
 
-    def test_pointwise_max_with_zero(self, small_corpus):
-        for f in small_corpus:
-            assert f.pointwise_max(StepFunction.zero()) == f
-
     def test_minimum_and_excess_decompose(self, small_corpus):
         # f = min(f, lam) + (f - lam)_+ exactly, for lam at a piece value
         for f in list(small_corpus)[:20]:
@@ -353,7 +343,7 @@ class TestAlgebra:
     @given(dyadic_steps(), dyadic_steps())
     @settings(max_examples=60, deadline=None)
     def test_max_matches_pointwise_evaluation(self, f, g):
-        h = f.pointwise_max(g)
+        h = f._merge(g, max)
         for t in (1e-3, 0.5, 1.0, 3.0, 4096.0):
             assert h(t) == max(f(t), g(t))
 
