@@ -130,6 +130,7 @@ DEFAULT_GRID = GridSpec()
 
 
 _OVERFLOW = "the Hardy average of f overflows the float range"
+_NORM_OVERFLOW = "the envelope norm overflows the float range"
 
 
 @dataclass(frozen=True, eq=False)
@@ -371,7 +372,13 @@ class _Envelopes:
 
 
 def _result(x):
-    """A per-function result, raising it if it is the function's exception."""
+    """A per-function result, raising it if it is the function's exception.
+
+    An arithmetic error (a descriptor term such as ``coef**q`` overflowing in
+    :func:`_norm_block`) is raised as a ``ValueError``.
+    """
+    if isinstance(x, ArithmeticError):
+        raise ValueError(_NORM_OVERFLOW) from x
     if isinstance(x, Exception):
         raise x
     return x

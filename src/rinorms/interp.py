@@ -26,6 +26,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import mul
 from typing import Sequence
 
 import numpy as np
@@ -52,7 +54,9 @@ from .lorentz import (
 from .stepfn import (
     INF,
     StepFunction,
+    _nonzero_pieces,
     _power_integral_array,
+    _power_parts,
     power_integral,
     weighted_power_integral,
 )
@@ -128,17 +132,16 @@ def _k_l1_linf(fs: StepFunction, ts: Sequence[float]) -> list[float]:
     ``weighted_power_integral(fs, 1.0, 1.0, 0.0, t)`` in its order, so each
     value is bit-identical to it; an infinite part makes the sum ``inf`` as
     its early return does.  The table stops at the piece holding the
-    largest ``t``.
+    largest ``t``.  Every value of ``f*`` before its tail is positive, so the
+    table has one entry per piece.
     """
     bps, vals = fs.breakpoints, fs.values
     ks = [bisect_left(bps, t) for t in ts]
     prefix = [0.0]
-    total = lo = 0.0
-    for b, v in zip(bps[: max(ks, default=0)], vals):
-        if v != 0.0:
-            total += v * power_integral(1.0, lo, b)
-        prefix.append(total)
-        lo = b
+    top = max(ks, default=0)
+    if top:
+        whole, los, his = _nonzero_pieces(fs, 0.0, bps[top - 1])
+        prefix = list(accumulate(map(mul, whole, _power_parts(1.0, los, his)), initial=0.0))
     out = []
     for t, k in zip(ts, ks):
         v = vals[k] if k < len(vals) else fs.tail

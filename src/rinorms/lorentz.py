@@ -20,9 +20,11 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from itertools import chain, repeat
+from operator import mul
 from typing import Iterable, Sequence
 
-from .stepfn import INF, StepFunction, power_integral, weighted_power_integral
+from .stepfn import INF, StepFunction, _nonzero_pieces, _power_parts, weighted_power_integral
 
 __all__ = [
     "LorentzParams",
@@ -117,7 +119,8 @@ def _rescaled_norm(fs: StepFunction, gamma: float, q: float) -> float:
     returned wrong.
     """
     try:
-        terms = [(v, power_integral(gamma, lo, hi)) for lo, hi, v in fs.pieces() if v > 0.0]
+        vals, los, his = _nonzero_pieces(fs)
+        terms = list(zip(vals, _power_parts(gamma, los, his)))
         k = math.ceil(max(q * math.log2(v) + math.log2(max(part, _TINY)) for v, part in terms) / q)
         if k > 1025:  # the largest term alone makes the norm exceed 2**(k-1)
             raise ValueError(_NORM_OVERFLOW)
@@ -144,21 +147,16 @@ def _rescaled_norm(fs: StepFunction, gamma: float, q: float) -> float:
 
 def _weighted_sup(fs: StepFunction, expo: float, lo: float = 0.0, hi: float = INF) -> float:
     """``sup over (lo, hi) of s**expo * f*(s)`` for non-increasing step ``fs`` (extended real)."""
-    # Explicit comparisons instead of min()/max() calls halve the time on
-    # 10^5-piece inputs.  For expo >= 0 the sup over a piece sits at its
-    # right end; b**0 == 1 and inf**expo == inf cover expo == 0 and the tail.
-    best = 0.0
-    for a, b, v in fs.pieces():
-        if v == 0.0 or a >= hi or b <= lo:
-            continue
-        if expo >= 0.0:
-            x = v * (b if b <= hi else hi) ** expo
-        else:
-            a = a if a >= lo else lo
-            x = INF if a == 0.0 else v * a**expo
-        if x > best:
-            best = x
-    return best
+    # For expo >= 0 the sup over a piece sits at its right end; b**0 == 1 and
+    # inf**expo == inf cover expo == 0 and the tail.  For expo < 0 it sits at
+    # the left end, and a piece from 0 makes the sup infinite.
+    vals, los, his = _nonzero_pieces(fs, lo, hi)
+    if expo >= 0.0:
+        return max(chain((0.0,), map(mul, vals, map(pow, his, repeat(expo)))))
+    head = ()
+    if los and los[0] == 0.0:
+        head, vals, los = (INF,), vals[1:], los[1:]
+    return max(chain((0.0,), head, map(mul, vals, map(pow, los, repeat(expo)))))
 
 
 def dilation_operator_norm(params: LorentzParams, a: float) -> float:

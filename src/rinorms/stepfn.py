@@ -19,12 +19,19 @@ import json
 import math
 import operator
 import sys
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import chain, compress
+from itertools import chain, compress, repeat
 
 import numpy as np
 
 INF = math.inf
+
+# Piece count from which StepFunction._sorted_above_tail groups the level
+# sets with numpy instead of a dict loop.  On shuffled functions the two
+# cost the same near 200 pieces: loop 39 vs numpy 46 us at 128 pieces,
+# 80 vs 66 us at 256.
+_LEVEL_SET_ARRAY_MIN = 200
 
 __all__ = [
     "INF",
@@ -243,7 +250,24 @@ class StepFunction:
         to rounding in the running sum is left out: its level set adds no
         measure, and keeping it would give :meth:`rearrange` a repeated
         breakpoint.
+
+        From ``_LEVEL_SET_ARRAY_MIN`` pieces on, numpy does the grouping
+        (``np.unique`` and ``np.bincount``) and the running sum
+        (``np.cumsum``); below it a dict loop is faster.  Both add the same
+        lengths one at a time in the same order, so they return the same
+        floats, and the choice depends only on the piece count, so
+        :meth:`distribution` and :meth:`rearrange` of one function always
+        take the same path.
         """
+        if len(self.values) >= _LEVEL_SET_ARRAY_MIN:
+            vals = np.array(self.values)
+            lens = np.diff(np.array(self.breakpoints), prepend=0.0)
+            above = vals > self.tail
+            levels, group = np.unique(vals[above], return_inverse=True)
+            # bincount adds each group's lengths in piece order, as the loop does
+            cum = np.cumsum(np.bincount(group, weights=lens[above], minlength=levels.size)[::-1])
+            grows = cum > np.concatenate(([0.0], cum[:-1]))
+            return levels[::-1][grows].tolist(), cum[grows].tolist()
         sums: dict[float, float] = {}
         prev = 0.0
         for b, v in zip(self.breakpoints, self.values):
@@ -443,6 +467,63 @@ def _json_numbers(xs: list, field: str) -> tuple[float, ...]:
     return tuple(_json_number(x, f"{field}[{i}]") for i, x in enumerate(xs))
 
 
+def _nonzero_pieces(f: StepFunction, a: float = 0.0, b: float = INF) -> tuple[list, list, list]:
+    """``(values, los, his)`` of the pieces of ``f`` with a nonzero value
+    that meet ``(a, b)``, ``a < b``, clipped to it, in piece order.
+
+    Only the first and the last piece meeting the window can reach past
+    it, so only they are clipped, to ``max(lo, a)`` and ``min(hi, b)``.
+    """
+    bps = f.breakpoints
+    n = len(bps)
+    i = bisect_right(bps, a)  # the first piece ending past a
+    j = bisect_left(bps, b)  # the last piece starting below b (j == n: the tail)
+    if j == n and not f.tail:
+        j -= 1  # a zero tail, the common case, is left out without a filter pass
+        if j < i:
+            return [], [], []
+    if j < n:
+        his, vals = [*bps[i : j + 1]], [*f.values[i : j + 1]]
+    else:
+        his, vals = [*bps[i:], INF], [*f.values[i:], f.tail]
+    los = [*bps[i - 1 : j]] if i else [0.0, *bps[:j]]
+    if a > los[0]:
+        los[0] = a
+    if b < his[-1]:
+        his[-1] = b
+    if not all(vals):
+        los, his, vals = [*compress(los, vals)], [*compress(his, vals)], [*compress(vals, vals)]
+    return vals, los, his
+
+
+def _power_parts(alpha: float, los: list, his: list):
+    """``power_integral(alpha, lo, hi)`` of each piece, lazily and in piece order.
+
+    A piece inside ``(0, inf)`` takes the finite-interval formula of
+    :func:`power_integral` as a chain of ``map`` calls over ``math.log``,
+    ``math.expm1``, ``pow``, ``mul`` and ``truediv``: the same libm calls
+    and float operations in the same order, so every part is bit-identical
+    to it.  A piece from 0 or to ``inf`` goes through :func:`power_integral`
+    itself.  A piece is evaluated only when it is consumed (the one from 0,
+    which comes first, at once), so a caller that stops at an infinite part
+    raises no ``OverflowError`` of a later piece.
+    """
+    n = len(los)
+    i = 1 if n and los[0] == 0.0 else 0
+    j = max(i, n - 1 if n and his[-1] == INF else n)
+    lo, hi = (los, his) if i == 0 and j == n else (los[i:j], his[i:j])
+    a = repeat(alpha)
+    parts = map(math.log, map(operator.truediv, hi, lo))
+    if alpha != 0.0:
+        grown = map(math.expm1, map(operator.mul, a, parts))
+        parts = map(operator.truediv, map(operator.mul, map(pow, lo, a), grown), a)
+    if i:
+        parts = chain((power_integral(alpha, 0.0, his[0]),), parts)
+    if j < n:
+        parts = chain(parts, map(power_integral, a, los[j:], his[j:]))
+    return parts
+
+
 def weighted_power_integral(
     f: StepFunction, gamma: float, w: float, a: float = 0.0, b: float = INF
 ) -> float:
@@ -452,6 +533,14 @@ def weighted_power_integral(
     tail divergences are decided analytically, and zero-valued pieces never
     contribute (the integrand vanishes identically there), so ``0 * inf``
     cannot arise.
+
+    The parts come lazily from :func:`_power_parts`, the float operations of
+    :func:`power_integral`, and are added in piece order in a plain loop
+    (``sum()`` compensates from Python 3.12 on), so the value is the same
+    float as adding the terms of a per-piece :func:`power_integral` loop.
+    The first infinite part returns ``inf`` before any later piece is
+    evaluated, and an ``OverflowError`` is raised at the piece where that
+    loop raises it.
     """
     gamma = _as_float(gamma, "gamma")
     w = _as_float(w, "w")
@@ -461,15 +550,9 @@ def weighted_power_integral(
     b = _as_float(b, "b")
     if not 0.0 <= a < b:
         raise ValueError(f"need 0 <= a < b <= inf, got ({a}, {b})")
+    vals, los, his = _nonzero_pieces(f, a, b)
     total = 0.0
-    for lo, hi, v in f.pieces():
-        if v == 0.0:
-            continue
-        lo2 = max(lo, a)
-        hi2 = min(hi, b)
-        if lo2 >= hi2:
-            continue
-        part = power_integral(gamma, lo2, hi2)
+    for v, part in zip(vals, _power_parts(gamma, los, his)):
         if part == INF:
             return INF
         total += v**w * part

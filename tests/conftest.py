@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from rinorms import Enclosure, GridSpec, StepFunction, generate_corpus, lorentz_norm
@@ -112,6 +114,130 @@ def loop_canonical(breakpoints, values, tail) -> tuple[tuple, tuple, float]:
     while merged and merged[-1][1] == tail:
         merged.pop()
     return tuple(b for b, _ in merged), tuple(v for _, v in merged), tail
+
+
+# -- per-piece loop references -------------------------------------------------
+#
+# The Python loops that stepfn's array level sets and piece iterator
+# replaced.  The kernels must reproduce every value of these bit for bit and
+# raise where they raise.
+
+
+def loop_sorted_above_tail(f: StepFunction) -> tuple[list[float], list[float]]:
+    """Dict-loop reference for ``StepFunction._sorted_above_tail``."""
+    sums: dict[float, float] = {}
+    prev = 0.0
+    for b, v in zip(f.breakpoints, f.values):
+        if v > f.tail:
+            sums[v] = sums.get(v, 0.0) + (b - prev)
+        prev = b
+    values_desc: list[float] = []
+    cumlens: list[float] = []
+    acc = 0.0
+    for v in sorted(sums, reverse=True):
+        nxt = acc + sums[v]
+        if nxt > acc:
+            values_desc.append(v)
+            cumlens.append(nxt)
+            acc = nxt
+    return values_desc, cumlens
+
+
+def loop_weighted_power_integral(f: StepFunction, gamma: float, w: float, a: float = 0.0, b: float = INF) -> float:
+    """Piece-loop reference for :func:`rinorms.weighted_power_integral` (checked arguments)."""
+    total = 0.0
+    for lo, hi, v in f.pieces():
+        if v == 0.0:
+            continue
+        lo2 = max(lo, a)
+        hi2 = min(hi, b)
+        if lo2 >= hi2:
+            continue
+        part = power_integral(gamma, lo2, hi2)
+        if part == INF:
+            return INF
+        total += v**w * part
+    return total
+
+
+def loop_weighted_sup(fs: StepFunction, expo: float, lo: float = 0.0, hi: float = INF) -> float:
+    """Piece-loop reference for ``lorentz._weighted_sup``."""
+    best = 0.0
+    for a, b, v in fs.pieces():
+        if v == 0.0 or a >= hi or b <= lo:
+            continue
+        if expo >= 0.0:
+            x = v * (b if b <= hi else hi) ** expo
+        else:
+            a = a if a >= lo else lo
+            x = INF if a == 0.0 else v * a**expo
+        if x > best:
+            best = x
+    return best
+
+
+def loop_k_l1_linf(fs: StepFunction, ts) -> list[float]:
+    """Prefix-table loop reference for ``interp._k_l1_linf``."""
+    bps, vals = fs.breakpoints, fs.values
+    ks = [bisect_left(bps, t) for t in ts]
+    prefix = [0.0]
+    total = lo = 0.0
+    for b, v in zip(bps[: max(ks, default=0)], vals):
+        if v != 0.0:
+            total += v * power_integral(1.0, lo, b)
+        prefix.append(total)
+        lo = b
+    out = []
+    for t, k in zip(ts, ks):
+        v = vals[k] if k < len(vals) else fs.tail
+        part = prefix[k]
+        if v != 0.0:
+            part += v * power_integral(1.0, bps[k - 1] if k else 0.0, t)
+        out.append(part)
+    return out
+
+
+@st.composite
+def edge_step_functions(draw, max_pieces: int = 300):
+    """Step functions at the numerical edges: zero-valued pieces, repeated
+    values, values near 1e200, a positive tail, and breakpoints from a unit
+    scale up to the whole float range, subnormals included."""
+    n = draw(st.sampled_from([0, 1, 2, 5, 12, 60, max_pieces]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    span = draw(st.sampled_from(["unit", "wide", "float-range"]))
+    if span == "unit":
+        bps = np.cumsum(rng.uniform(2.0**-6, 2.0, n))
+    elif span == "wide":
+        bps = 2.0 ** rng.uniform(-60.0, 60.0, n)
+    else:
+        bps = 2.0 ** rng.uniform(-1074.0, 1023.99, n)
+    bps = np.unique(bps[bps > 0.0])
+    scale = draw(st.sampled_from([1.0, 1.0, 1e200, 1e-200]))
+    pool = np.concatenate([[0.0], scale * 2.0 ** rng.uniform(-8.0, 8.0, draw(st.integers(1, 6)))])
+    vals = pool[rng.integers(0, pool.size, bps.size)]
+    tail = float(pool[rng.integers(0, pool.size)]) if draw(st.booleans()) else 0.0
+    return StepFunction(tuple(bps.tolist()), tuple(vals.tolist()), tail)
+
+
+@st.composite
+def windows(draw, f: StepFunction) -> tuple[float, float]:
+    """``0 <= a < b <= inf`` at, next to, between or beyond the breakpoints of ``f``."""
+    bps = list(f.breakpoints)
+    points = {0.0, 5e-324, 1.0, 1e300, *bps}
+    for b in draw(st.lists(st.sampled_from(bps), max_size=4)) if bps else ():
+        points.update((math.nextafter(b, 0.0), math.nextafter(b, INF), b / 3.0))
+    points = sorted(points - {INF})
+    i = draw(st.integers(0, len(points) - 1))
+    j = draw(st.integers(i + 1, len(points)))
+    return points[i], points[j] if j < len(points) else INF
+
+
+def outcome(fn, *args) -> str:
+    """``repr`` of ``fn(*args)``, or the type and message of the arithmetic error it raises."""
+    try:
+        return repr(fn(*args))
+    except ArithmeticError as err:
+        return f"{type(err).__name__}: {err}"
 
 
 @pytest.fixture(scope="session")

@@ -146,6 +146,13 @@ class TestHardy:
             with np.errstate(over="ignore", invalid="ignore"):
                 main(["hardy", family, "2", "--W", "2", "--input", str(src)])
 
+    def test_overflowing_norm_exits_cleanly(self, tmp_path):
+        # the average's head coefficient is 2e200, and its square overflows
+        src = tmp_path / "f.json"
+        src.write_text(StepFunction((1.0,), (1e200,)).to_json())
+        with pytest.raises(SystemExit, match="the envelope norm overflows the float range"):
+            main(["hardy", "--U", "2", "--W", "1", "--p", "2", "--q", "2", "--input", str(src)])
+
     @pytest.mark.parametrize("w", [1.0, 3.0, math.inf])
     @pytest.mark.parametrize("family", ["U", "V"])
     def test_bound_columns_equal_envelope_step_functions(self, capsys, tmp_path, small_corpus, family, w):

@@ -378,6 +378,12 @@ class TestOverflow:
             with pytest.raises(ValueError, match="the Hardy average of f overflows the float range"):
                 hardy(f, order, w)
 
+    def test_envelope_norm_beyond_the_float_range_raises(self):
+        # the head coefficient of the average is 2e200, and its square overflows
+        env = hardy_upper(_HUGE, 2.0, 1.0)
+        with pytest.raises(ValueError, match="the envelope norm overflows the float range"):
+            envelope_norm(env, LorentzParams(2.0, 2.0))
+
     def test_diverged_lower_average_is_not_an_overflow(self):
         f = StepFunction((1.0,), (1e200,), 1.0)
         assert hardy_lower(f, 2.0, 2.0).diverged

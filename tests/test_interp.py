@@ -33,7 +33,7 @@ from rinorms import (
     weighted_power_integral,
 )
 
-from conftest import loop_k_upper_oracle
+from conftest import edge_step_functions, loop_k_l1_linf, loop_k_upper_oracle, windows
 
 CHI = StepFunction.indicator(0.0, 1.0)
 L1_LINF = LorentzCouple(LorentzParams(1.0, 1.0), LorentzParams(INF, INF))
@@ -254,6 +254,27 @@ class TestPrefixTableK:
         assert interp._k_l1_linf(CHI, []) == []
         assert interp._k_l1_linf(StepFunction.constant(2.0), [0.25, 3.0]) == [0.5, 6.0]
         assert interp._k_l1_linf(StepFunction.zero(), [1.0]) == [0.0]
+
+
+class TestKTableLoop:
+    """``interp._k_l1_linf`` against the table loop it replaces, bit for bit."""
+
+    @given(k_table_cases())
+    @settings(max_examples=25, deadline=None)
+    def test_corpus_functions(self, case):
+        fs, ts = case
+        assert repr(interp._k_l1_linf(fs, ts)) == repr(loop_k_l1_linf(fs, ts))
+
+    @given(st.data(), edge_step_functions())
+    @settings(max_examples=40, deadline=None)
+    def test_edge_functions(self, data, f):
+        try:
+            fs = f.rearrange()
+        except ValueError:  # the lengths sum past the largest float
+            return
+        ts = [t for t in data.draw(windows(fs)) if 0.0 < t < INF] + list(_TINY_AND_HUGE_T)
+        ts = data.draw(st.permutations(ts + list(fs.breakpoints[:3])))
+        assert repr(interp._k_l1_linf(fs, ts)) == repr(loop_k_l1_linf(fs, ts))
 
 
 class TestKShapeProperties:

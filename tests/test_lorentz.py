@@ -7,6 +7,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rinorms import (
     INF,
@@ -23,8 +25,9 @@ from rinorms import (
     lorentz_norm,
     weighted_power_integral,
 )
+from rinorms.lorentz import _weighted_sup
 
-from conftest import quad_lorentz_norm
+from conftest import edge_step_functions, loop_weighted_sup, outcome, quad_lorentz_norm, windows
 
 NONTRIVIAL_GRID = [
     LorentzParams(p, q)
@@ -136,6 +139,29 @@ class TestNormValues:
                 assert lorentz_norm(f, prm) == pytest.approx(
                     quad_lorentz_norm(f, prm.p, prm.q), rel=1e-8
                 )
+
+
+class TestWeightedSup:
+    """``_weighted_sup`` against the piece loop it replaces."""
+
+    @given(st.data(), edge_step_functions())
+    @settings(max_examples=60, deadline=None)
+    def test_bit_identical_to_the_piece_loop(self, data, f):
+        try:
+            fs = f.rearrange()
+        except ValueError:  # the lengths sum past the largest float
+            return
+        lo, hi = data.draw(windows(fs))
+        expo = data.draw(st.sampled_from([-2.0, -0.5, 0.0, 0.5, 1.0, 2.0]))
+        assert outcome(_weighted_sup, fs, expo, lo, hi) == outcome(loop_weighted_sup, fs, expo, lo, hi)
+
+    def test_infinite_head_still_evaluates_later_pieces(self):
+        # s**-2 is unbounded on the piece from 0, and (1e-200)**-2 overflows
+        fs = StepFunction((1e-200, 1.0), (2.0, 1.0))
+        want = outcome(loop_weighted_sup, fs, -2.0)
+        assert want.startswith("OverflowError")
+        assert outcome(_weighted_sup, fs, -2.0) == want
+        assert _weighted_sup(fs, -2.0, 0.0, 1e-200) == INF
 
 
 class TestSpaceAxioms:

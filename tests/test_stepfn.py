@@ -12,8 +12,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rinorms import INF, StepFunction, power_integral, weighted_power_integral
+from rinorms.stepfn import _LEVEL_SET_ARRAY_MIN, _power_parts
 
-from conftest import loop_canonical, quad_weighted_power
+from conftest import (
+    edge_step_functions,
+    loop_canonical,
+    loop_sorted_above_tail,
+    loop_weighted_power_integral,
+    outcome,
+    quad_weighted_power,
+    windows,
+)
 
 
 def dyadic_steps(max_pieces: int = 5):
@@ -269,6 +278,61 @@ class TestRearrange:
                 assert fs(2.0 * t) <= fs(t)
 
 
+@st.composite
+def level_set_cases(draw):
+    """Functions on both sides of the array level-set piece count: repeated
+    values, values at or below a positive tail, and breakpoints from 2**-60
+    to 2**8, so short pieces near 0 lose their length when added after
+    long ones."""
+    n = draw(st.sampled_from([1, 12, _LEVEL_SET_ARRAY_MIN - 1, _LEVEL_SET_ARRAY_MIN, 1000]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bps = np.unique(2.0 ** rng.uniform(-60.0, 8.0, n))
+    pool = 2.0 ** rng.uniform(-8.0, 8.0, draw(st.sampled_from([1, 3, 8, n])))
+    vals = pool[rng.integers(0, pool.size, bps.size)]
+    tail = float(pool[rng.integers(0, pool.size)]) if draw(st.booleans()) else 0.0
+    return StepFunction(tuple(bps.tolist()), tuple(vals.tolist()), tail)
+
+
+class TestLevelSets:
+    """``_sorted_above_tail`` against the dict loop, on both sides of the piece count."""
+
+    @given(level_set_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_bit_identical_to_the_dict_loop(self, f):
+        assert repr(f._sorted_above_tail()) == repr(loop_sorted_above_tail(f))
+
+    def test_level_set_lost_to_rounding_past_the_array_piece_count(self):
+        # the lost-length case of TestRearrange, padded with alternating
+        # pieces of value 0 and 2 past 4.0
+        pad = range(1, 2 * _LEVEL_SET_ARRAY_MIN)
+        f = StepFunction(
+            (2.0**-6, 2.0**-6 + 2.0**-58, 3.0, 4.0, *(4.0 + k for k in pad)),
+            (0.0, 1.0, 0.0, 2.0, *(2.0 * (k % 2) for k in pad)),
+        )
+        assert len(f.values) >= _LEVEL_SET_ARRAY_MIN
+        assert repr(f._sorted_above_tail()) == repr(loop_sorted_above_tail(f))
+        fs = f.rearrange()
+        assert fs == StepFunction((_LEVEL_SET_ARRAY_MIN + 1.0,), (2.0,))
+        for lam in (0.0, 0.5, 1.0, 1.5, 2.0):
+            assert f.distribution(lam) == fs.distribution(lam)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_distribution_of_a_shuffled_function_matches_its_rearrangement(self, seed):
+        # ten levels of about 100 pieces each, with lengths at every scale
+        # from 2**-30 up, so the order of the additions shows in the sums
+        rng = np.random.default_rng(seed)
+        bps = np.unique(2.0 ** rng.uniform(-30.0, 8.0, 1000))
+        vals = rng.permutation(np.repeat(2.0 ** rng.uniform(-8.0, 8.0, 10), 100))[: bps.size]
+        f = StepFunction(tuple(bps.tolist()), tuple(vals.tolist()), float(vals.min()) / 2.0)
+        fs = f.rearrange()
+        assert len(f.values) >= _LEVEL_SET_ARRAY_MIN and fs.breakpoints
+        assert repr(f._sorted_above_tail()) == repr(loop_sorted_above_tail(f))
+        levels = sorted({0.0, f.tail, *f.values})
+        levels += [0.5 * (a + b) for a, b in zip(levels, levels[1:])]
+        for lam in levels:
+            assert repr(f.distribution(lam)) == repr(fs.distribution(lam))
+
+
 class TestDilate:
     def test_indicator(self, unit_indicator):
         assert unit_indicator.dilate(2.0) == StepFunction.indicator(0.0, 0.5)
@@ -384,6 +448,49 @@ class TestWeightedPowerIntegral:
             weighted_power_integral(unit_indicator, 1.0, 1.0, 2.0, 1.0)
         with pytest.raises(ValueError):
             weighted_power_integral(unit_indicator, 1.0, 0.0)
+
+
+class TestPieceIterator:
+    """``weighted_power_integral`` against the piece loop it replaces."""
+
+    @given(st.data(), edge_step_functions())
+    @settings(max_examples=60, deadline=None)
+    def test_bit_identical_to_the_piece_loop(self, data, f):
+        a, b = data.draw(windows(f))
+        gamma = data.draw(st.sampled_from([-2.0, -0.5, 0.0, 0.5, 1.0, 2.0, 3.5]))
+        w = data.draw(st.sampled_from([0.5, 1.0, 2.0, 3.0]))
+        for g in (f, f.scale(0.5)):
+            assert outcome(weighted_power_integral, g, gamma, w, a, b) == outcome(
+                loop_weighted_power_integral, g, gamma, w, a, b
+            )
+
+    def test_parts_bit_identical_to_power_integral(self):
+        # a last-bit slip in one part would rarely show in a sum
+        rng = np.random.default_rng(3)
+        bps = np.unique(2.0 ** rng.uniform(-60.0, 60.0, 4000)).tolist()
+        los, his = [0.0, *bps], [*bps, INF]
+        for alpha in (-2.0, -0.5, 0.0, 0.5, 1.0, 2.0, 3.5):
+            want = [power_integral(alpha, lo, hi) for lo, hi in zip(los, his)]
+            assert repr(list(_power_parts(alpha, los, his))) == repr(want)
+
+    def test_first_infinite_part_hides_later_overflows(self):
+        # the head diverges for gamma <= 0; (1e-200)**-2 would overflow
+        f = StepFunction((1e-200, 1.0), (1.0, 2.0))
+        assert weighted_power_integral(f, -2.0, 1.0) == INF
+        assert loop_weighted_power_integral(f, -2.0, 1.0) == INF
+
+    @pytest.mark.parametrize(
+        "f, gamma, w",
+        [
+            (StepFunction((1.0, 1e200, 2e200), (0.0, 1.0, 3.0)), 2.0, 1.0),  # expm1 overflows
+            (StepFunction((1.0, 2.0), (3.0, 1e200)), 1.0, 2.0),  # (1e200)**2 overflows
+            (StepFunction((1e150, 2e200), (1.0, 3.0)), 2.5, 1.0),  # (1e150)**2.5 overflows
+        ],
+    )
+    def test_overflow_raises_where_the_loop_raises(self, f, gamma, w):
+        want = outcome(loop_weighted_power_integral, f, gamma, w, 0.0, INF)
+        assert want.startswith("OverflowError")
+        assert outcome(weighted_power_integral, f, gamma, w) == want
 
 
 class TestPowerIntegral:
