@@ -44,7 +44,6 @@ from .interp import (
     k_upper_oracle,
     min_power_norm_finite,
     select_parameters,
-    sum_norm,
 )
 from .lorentz import (
     LorentzParams,
@@ -91,7 +90,6 @@ __all__ = [
     "k_exact_l1_linf",
     "k_upper_oracle",
     "holmstedt_k",
-    "sum_norm",
     "intersection_norm",
     "functor_admissible",
     "min_power_norm_finite",

@@ -45,7 +45,7 @@ import io
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -561,6 +561,36 @@ def verify_interpolation_identity(
 _L1_LINF = LorentzCouple(LorentzParams(1.0, 1.0), LorentzParams(INF, INF))
 
 
+# Pairs per block of the K battery: its arrays stay well under a megabyte.
+_PAIR_BLOCK = 1024
+
+
+class _KPair(NamedTuple):
+    """The scalar values of one (f, t) pair of the K battery."""
+
+    f: StepFunction
+    t: float
+    table: list[float]  # K(t, f), K(1, f), K on the grid, K at its midpoints
+    k_oracle: float
+    cap: float  # ||f||_{X0 ∩ X1}
+    k_sum: float  # K(t, f + g)
+    k_g: float  # K(t, g)
+    ratio: float | None  # Holmstedt / exact; None where K(t, f) = 0
+
+
+def _k_pair(records: Sequence[_Member], i: int, t: float, table_ts: list[float]) -> _KPair:
+    """Pair ``i`` of the K battery (f the ``i``-th member, g the next) at ``t``."""
+    m = records[i % len(records)]
+    table = _k_l1_linf(m.fs, [t, *table_ts])
+    k_oracle = k_upper_oracle(m.fs, t, _L1_LINF)
+    cap = max(m.norm(_L1_LINF.params0), m.norm(_L1_LINF.params1))
+    g = records[(i + 1) % len(records)]
+    k_sum = k_exact_l1_linf(m.f + g.f, t)
+    k_g = _k_l1_linf(g.fs, [t])[0]
+    ratio = holmstedt_k(m.fs, t, _L1_LINF, 1.0) / table[0] if table[0] > 0.0 else None
+    return _KPair(m.f, t, table, k_oracle, cap, k_sum, k_g, ratio)
+
+
 def verify_k_properties(
     corpus: Sequence[StepFunction],
     *,
@@ -578,47 +608,56 @@ def verify_k_properties(
     in a pair (at ``t``, at 1, on the 33-point grid and at its midpoints)
     comes from one prefix table over ``f*``; ``g`` and ``f + g`` need one
     value each.
+
+    The pairs are taken in blocks of at most ``_PAIR_BLOCK``.  A block's
+    scalar values are computed pair by pair in the order above, so a member
+    that raises does so as in a pair-by-pair scan; the five grid checks then
+    run once on the block's pairs x grid arrays, and the violations are read
+    out per pair in check order, so their count and the first witness are
+    those of a pair-by-pair scan.
     """
     if n_pairs <= 0:
         raise ValueError(f"n_pairs must be positive, got {n_pairs}")
     scan = _Scan(corpus)
-    records = scan.records
     t_grid = np.geomspace(2.0**-8, 2.0**8, 33)
     ts = t_grid.tolist()
     mids = [float(0.5 * (t_grid[j] + t_grid[j + 1])) for j in range(t_grid.size - 1)]
+    table_ts = [1.0, *ts, *mids]
     mins = np.minimum(1.0, t_grid)
-    for i in range(n_pairs):
-        m = records[i % len(records)]
-        f, fs = m.f, m.fs
-        t = ts[i % len(ts)]
-        k_exact, k1, *k_grid = _k_l1_linf(fs, [t, 1.0, *ts, *mids])
-        ks, mid = np.array(k_grid[: len(ts)]), np.array(k_grid[len(ts) :])
-        k_oracle = k_upper_oracle(fs, t, _L1_LINF)
-        if abs(k_exact - k_oracle) > oracle_tol * max(1.0, k_exact):
-            scan.violation(
-                check="oracle", function=f.to_dict(), t=t, exact=k_exact, oracle=k_oracle
-            )
-        if np.any(np.diff(ks) < -slack * ks[:-1]):
-            scan.violation(check="monotone", function=f.to_dict())
+    for start in range(0, n_pairs, _PAIR_BLOCK):
+        pairs = [
+            _k_pair(scan.records, i, ts[i % len(ts)], table_ts)
+            for i in range(start, min(start + _PAIR_BLOCK, n_pairs))
+        ]
+        table = np.array([pair.table for pair in pairs])
+        k1, cap = table[:, 1:2], np.array([[pair.cap] for pair in pairs])
+        ks, mid = table[:, 2 : 2 + len(ts)], table[:, 2 + len(ts) :]
         over_t = ks / t_grid
-        if np.any(np.diff(over_t) > slack * over_t[:-1]):
-            scan.violation(check="k_over_t", function=f.to_dict())
-        if np.any(mid < 0.5 * (ks[:-1] + ks[1:]) * (1.0 - slack)):
-            scan.violation(check="concavity", function=f.to_dict())
-        cap = max(m.norm(_L1_LINF.params0), m.norm(_L1_LINF.params1))
-        if np.any(ks < mins * k1 * (1.0 - slack)):
-            scan.violation(check="sandwich_lower", function=f.to_dict())
-        if np.any(ks > mins * cap * (1.0 + slack)):
-            scan.violation(check="sandwich_upper", function=f.to_dict())
-        g = records[(i + 1) % len(records)]
-        k_sum = k_exact_l1_linf(f + g.f, t)
-        if k_sum > k_exact + _k_l1_linf(g.fs, [t])[0] + slack * max(1.0, k_sum):
-            scan.violation(check="subadditivity", function=f.to_dict(), t=t)
-        if k_exact > 0.0:
-            r = holmstedt_k(fs, t, _L1_LINF, 1.0) / k_exact
-            scan.observe(r, r)
-            if not (1.0 - slack) <= r <= 2.0 * (1.0 + slack):
-                scan.violation(check="holmstedt_ratio", function=f.to_dict(), t=t, ratio=r)
+        grid_checks = (
+            ("monotone", np.diff(ks) < -slack * ks[:, :-1]),
+            ("k_over_t", np.diff(over_t) > slack * over_t[:, :-1]),
+            ("concavity", mid < 0.5 * (ks[:, :-1] + ks[:, 1:]) * (1.0 - slack)),
+            ("sandwich_lower", ks < mins * k1 * (1.0 - slack)),
+            ("sandwich_upper", ks > mins * cap * (1.0 + slack)),
+        )
+        failed = [(check, bad.any(axis=1)) for check, bad in grid_checks]
+        for j, pair in enumerate(pairs):
+            f, t, k_exact = pair.f, pair.t, pair.table[0]
+            if abs(k_exact - pair.k_oracle) > oracle_tol * max(1.0, k_exact):
+                scan.violation(
+                    check="oracle", function=f.to_dict(), t=t, exact=k_exact, oracle=pair.k_oracle
+                )
+            for check, bad in failed:
+                if bad[j]:
+                    scan.violation(check=check, function=f.to_dict())
+            k_sum = pair.k_sum
+            if k_sum > k_exact + pair.k_g + slack * max(1.0, k_sum):
+                scan.violation(check="subadditivity", function=f.to_dict(), t=t)
+            r = pair.ratio
+            if r is not None:
+                scan.observe(r, r)
+                if not (1.0 - slack) <= r <= 2.0 * (1.0 + slack):
+                    scan.violation(check="holmstedt_ratio", function=f.to_dict(), t=t, ratio=r)
     return scan.report(
         "kprops", f"couple={_L1_LINF},pairs={n_pairs}", size=n_pairs
     )

@@ -67,7 +67,6 @@ __all__ = [
     "k_exact_l1_linf",
     "k_upper_oracle",
     "holmstedt_k",
-    "sum_norm",
     "intersection_norm",
     "functor_admissible",
     "min_power_norm_finite",
@@ -152,13 +151,26 @@ def _k_l1_linf(fs: StepFunction, ts: Sequence[float]) -> list[float]:
     return out
 
 
-def _default_levels(fs: StepFunction, n_grid: int = 200) -> list[float]:
-    vals = sorted({v for v in fs.values + (fs.tail,)})
-    levels = set(vals) | {0.0}
-    positive = [v for v in vals if v > 0.0]
-    if positive:
-        levels.update(np.geomspace(min(positive), max(positive), n_grid).tolist())
-    return sorted(levels)
+def _piecewise_linear(params: LorentzParams) -> bool:
+    """Whether a truncation cost in ``params`` is piecewise linear in the level,
+    with kinks only at values of ``f*``: ``q = 1`` (a fixed weighted sum) or
+    ``p = q = inf`` (the largest entry)."""
+    return params.q == 1.0 or params.p == params.q == INF
+
+
+def _default_levels(fs: StepFunction, couple: LorentzCouple, n_grid: int = 200) -> np.ndarray:
+    """The default levels of :func:`k_upper_oracle` for ``fs = f*``, ascending.
+
+    Every value of ``f*`` (tail included) plus 0; unless both sides of the
+    couple are piecewise linear, also ``n_grid`` log-spaced levels between
+    the smallest and largest positive values.
+    """
+    levels = set(fs.values) | {fs.tail, 0.0}
+    if not (_piecewise_linear(couple.params0) and _piecewise_linear(couple.params1)):
+        positive = [v for v in levels if v > 0.0]
+        if positive:
+            levels.update(np.geomspace(min(positive), max(positive), n_grid).tolist())
+    return np.array(sorted(levels))
 
 
 # Levels x columns entries k_upper_oracle evaluates per block: its working
@@ -247,16 +259,18 @@ def k_upper_oracle(
     """Upper bound on K from truncation decompositions of ``f*``.
 
     Splitting at height ``lam`` sends the part of ``f*`` above ``lam`` to X0
-    and the rest to X1.  The default level grid contains every value of
-    ``f*`` plus a 200-point log grid.  When each side has ``q = 1`` or
-    ``p = q = inf``, both truncation costs are piecewise linear in ``lam``
-    with kinks at values of ``f*``, so the default grid attains the minimum
-    over all truncations; for (L_1, L_inf) that minimum is the K-functional
-    itself.  Otherwise (a sup form with finite ``p``, whose cost is a
-    maximum of lines with kinks where they cross, or a finite ``q != 1``)
-    the result is a valid upper bound, the minimum over the grid's levels
-    only.  ``levels`` (any iterable of levels ``>= 0``, a 1-D array
-    included) replaces the default grid.
+    and the rest to X1.  When each side has ``q = 1`` or ``p = q = inf``,
+    both truncation costs are piecewise linear in ``lam`` with kinks only at
+    values of ``f*`` (and nondecreasing past the largest), so the minimum
+    over all truncations sits at one of them or at 0: the default grid is
+    exactly those levels, and for (L_1, L_inf) its minimum is the
+    K-functional itself.  Any other couple (a sup form with finite ``p``,
+    whose cost is a maximum of lines with kinks where they cross, or a
+    finite ``q != 1``) gets the values of ``f*``, 0 and a 200-point log grid
+    between the smallest and largest positive values, and the result is a
+    valid upper bound, the minimum over the grid's levels only.  ``levels``
+    (any iterable of levels ``>= 0``, a 1-D array included) replaces the
+    default grid.
 
     The levels are scored in blocks by array arithmetic: each block is a
     levels x pieces matrix of the rows ``(f* - lam)_+`` and ``min(f*, lam)``,
@@ -270,7 +284,7 @@ def k_upper_oracle(
     fs = f.rearrange()
     if fs.is_zero:
         return 0.0
-    lams = np.array(_default_levels(fs)) if levels is None else _check_levels(levels)
+    lams = _default_levels(fs, couple) if levels is None else _check_levels(levels)
     norm0 = _RowNorm(fs, couple.params0)
     norm1 = _RowNorm(fs, couple.params1)
     step = max(1, _ORACLE_BLOCK // (len(fs.values) + 1))
@@ -333,42 +347,6 @@ def holmstedt_k(f: StepFunction, t: float, couple: LorentzCouple, theta: float) 
         expo = 0.0 if p1 == INF else 1.0 / p1
         term1 = _weighted_sup(fs, expo, t, INF)
     return term0 + t ** (1.0 / theta) * term1
-
-
-_L1_LINF_SUM_CONSTANT = 2.0  # ratio holmstedt/K lies in [1, 2] for (L_1, L_inf)
-_GENERIC_SUM_CONSTANT = 4.0  # generous couple-independent fallback, empirical
-
-
-def _canonical_theta(couple: LorentzCouple) -> float:
-    p0, p1 = couple.params0.p, couple.params1.p
-    if p1 == INF:
-        return p0
-    target = 1.0 / p0 - 1.0 / p1
-    if target <= 0.0:
-        raise ValueError(f"couple {couple} needs p0 < p1 for a sum-norm scale")
-    return 1.0 / target
-
-
-def sum_norm(f: StepFunction, couple: LorentzCouple) -> Enclosure:
-    """Enclosure of the sum-space norm ``||f||_{X0+X1} = K(1, f)``.
-
-    The upper endpoint is the truncation oracle (a genuine decomposition);
-    the lower endpoint divides Holmstedt's expression by the recorded
-    equivalence constant, which is a proven 2 for (L_1, L_inf) and a
-    documented heuristic 4 otherwise, so for exotic couples the enclosure is
-    "equivalent", not certified.
-    """
-    if f.is_zero:
-        return Enclosure(0.0, 0.0)
-    theta = _canonical_theta(couple)
-    c = (
-        _L1_LINF_SUM_CONSTANT
-        if couple.params0 == LorentzParams(1.0, 1.0) and couple.params1.p == INF
-        else _GENERIC_SUM_CONSTANT
-    )
-    upper = k_upper_oracle(f, 1.0, couple)
-    lower = holmstedt_k(f, 1.0, couple, theta) / c
-    return Enclosure(min(lower, upper), upper)
 
 
 def intersection_norm(f: StepFunction, couple: LorentzCouple) -> float:

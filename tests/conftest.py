@@ -12,7 +12,8 @@ from scipy.integrate import quad
 
 from rinorms import Enclosure, GridSpec, StepFunction, generate_corpus, lorentz_norm
 from rinorms.hardy import _OVERFLOW, _ZERO_LAW, MonotoneEnvelope, PowerLaw, _diverged_envelope
-from rinorms.interp import _default_levels
+from rinorms.harness import _L1_LINF, POINTWISE_SLACK, _Scan
+from rinorms.interp import _k_l1_linf, holmstedt_k, k_exact_l1_linf, k_upper_oracle
 from rinorms.stepfn import _power_integral_array, power_integral
 
 INF = math.inf
@@ -55,24 +56,89 @@ def quad_lorentz_norm(f: StepFunction, p: float, q: float) -> float:
     return quad_weighted_power(fs, q / p, q, 0.0, fs.breakpoints[-1]) ** (1.0 / q)
 
 
+def reference_levels(fs: StepFunction, n_grid: int = 200) -> list[float]:
+    """The oracle's full level grid for ``fs = f*``, whatever the couple:
+    every value (tail included), 0 and ``n_grid`` log-spaced levels between
+    the smallest and largest positive values."""
+    vals = sorted({v for v in fs.values + (fs.tail,)})
+    levels = set(vals) | {0.0}
+    positive = [v for v in vals if v > 0.0]
+    if positive:
+        levels.update(np.geomspace(min(positive), max(positive), n_grid).tolist())
+    return sorted(levels)
+
+
 def loop_k_upper_oracle(f: StepFunction, t: float, couple, levels=None) -> float:
     """Per-level reference for :func:`rinorms.k_upper_oracle`.
 
     Builds ``(f* - lam)_+`` and ``min(f*, lam)`` as step functions for each
     level and takes their Lorentz norms one at a time; the array oracle must
-    agree with it.  O(levels x pieces) Python objects, so keep inputs small.
+    agree with it.  The default levels are :func:`reference_levels` for
+    every couple.  O(levels x pieces) Python objects, so keep inputs small.
     """
     fs = f.rearrange()
     if fs.is_zero:
         return 0.0
     best = INF
-    for lam in _default_levels(fs) if levels is None else levels:
+    for lam in reference_levels(fs) if levels is None else levels:
         cost0 = lorentz_norm(fs.excess(lam), couple.params0)
         if cost0 == INF:
             continue
         cost1 = lorentz_norm(fs.minimum(lam), couple.params1)
         best = min(best, cost0 + t * cost1)
     return best
+
+
+def loop_verify_k_properties(corpus, *, n_pairs: int = 200, oracle_tol: float = 1e-9, slack: float = POINTWISE_SLACK):
+    """Pair-by-pair reference for :func:`rinorms.verify_k_properties`.
+
+    Computes each pair's values and runs its eight checks before the next
+    pair; the batched driver must give the same report (violation count and
+    first witness included) and raise the same first exception.
+    """
+    if n_pairs <= 0:
+        raise ValueError(f"n_pairs must be positive, got {n_pairs}")
+    scan = _Scan(corpus)
+    records = scan.records
+    t_grid = np.geomspace(2.0**-8, 2.0**8, 33)
+    ts = t_grid.tolist()
+    mids = [float(0.5 * (t_grid[j] + t_grid[j + 1])) for j in range(t_grid.size - 1)]
+    mins = np.minimum(1.0, t_grid)
+    for i in range(n_pairs):
+        m = records[i % len(records)]
+        f, fs = m.f, m.fs
+        t = ts[i % len(ts)]
+        k_exact, k1, *k_grid = _k_l1_linf(fs, [t, 1.0, *ts, *mids])
+        ks, mid = np.array(k_grid[: len(ts)]), np.array(k_grid[len(ts) :])
+        k_oracle = k_upper_oracle(fs, t, _L1_LINF)
+        if abs(k_exact - k_oracle) > oracle_tol * max(1.0, k_exact):
+            scan.violation(
+                check="oracle", function=f.to_dict(), t=t, exact=k_exact, oracle=k_oracle
+            )
+        if np.any(np.diff(ks) < -slack * ks[:-1]):
+            scan.violation(check="monotone", function=f.to_dict())
+        over_t = ks / t_grid
+        if np.any(np.diff(over_t) > slack * over_t[:-1]):
+            scan.violation(check="k_over_t", function=f.to_dict())
+        if np.any(mid < 0.5 * (ks[:-1] + ks[1:]) * (1.0 - slack)):
+            scan.violation(check="concavity", function=f.to_dict())
+        cap = max(m.norm(_L1_LINF.params0), m.norm(_L1_LINF.params1))
+        if np.any(ks < mins * k1 * (1.0 - slack)):
+            scan.violation(check="sandwich_lower", function=f.to_dict())
+        if np.any(ks > mins * cap * (1.0 + slack)):
+            scan.violation(check="sandwich_upper", function=f.to_dict())
+        g = records[(i + 1) % len(records)]
+        k_sum = k_exact_l1_linf(f + g.f, t)
+        if k_sum > k_exact + _k_l1_linf(g.fs, [t])[0] + slack * max(1.0, k_sum):
+            scan.violation(check="subadditivity", function=f.to_dict(), t=t)
+        if k_exact > 0.0:
+            r = holmstedt_k(fs, t, _L1_LINF, 1.0) / k_exact
+            scan.observe(r, r)
+            if not (1.0 - slack) <= r <= 2.0 * (1.0 + slack):
+                scan.violation(check="holmstedt_ratio", function=f.to_dict(), t=t, ratio=r)
+    return scan.report(
+        "kprops", f"couple={_L1_LINF},pairs={n_pairs}", size=n_pairs
+    )
 
 
 def loop_canonical(breakpoints, values, tail) -> tuple[tuple, tuple, float]:

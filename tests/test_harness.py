@@ -37,7 +37,13 @@ from rinorms.harness import (
 )
 from rinorms.interp import FunctorParams, _check_functor
 
-from conftest import ref_functor_norm, ref_envelope_norm, ref_hardy_lower, ref_hardy_upper
+from conftest import (
+    loop_verify_k_properties,
+    ref_envelope_norm,
+    ref_functor_norm,
+    ref_hardy_lower,
+    ref_hardy_upper,
+)
 
 COARSE = GridSpec(points_per_decade=16, span=2.0**12)
 L22 = SpaceDescriptor.for_lorentz(LorentzParams(2.0, 2.0))
@@ -206,6 +212,69 @@ class TestKDriver:
         assert len(tables) <= 3 * n_pairs
         assert max(tables) == 2 + 33 + 32
         assert callers["elsewhere"] == 0 and callers["norms"] >= n_pairs
+
+
+# corpus keyword sets on which the batched K battery must match the pair loop
+_K_CORPORA = {"default": {}, "dyadic": {"dyadic": True}, "positive-tail": {"positive_tail": True}}
+
+
+class TestBatchedKBattery:
+    """The batched K battery against the pair-by-pair loop in conftest, byte for byte."""
+
+    @pytest.fixture(params=[None, 7], ids=["one-block", "blocks-of-7"])
+    def pair_block(self, request, monkeypatch):
+        if request.param is not None:
+            monkeypatch.setattr(harness, "_PAIR_BLOCK", request.param)
+
+    @staticmethod
+    def both(corpus, **kwargs):
+        got = reports_to_json([verify_k_properties(corpus, **kwargs)])
+        want = reports_to_json([loop_verify_k_properties(corpus, **kwargs)])
+        return got, want
+
+    @pytest.mark.parametrize("kind", sorted(_K_CORPORA))
+    @pytest.mark.parametrize("seed,size,n_pairs", [(7, 60, 200), (11, 5, 70)])
+    def test_report_matches_the_pair_loop(self, pair_block, kind, seed, size, n_pairs):
+        corpus = generate_corpus(seed, size, **_K_CORPORA[kind])
+        got, want = self.both(corpus, n_pairs=n_pairs)
+        assert got == want
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"oracle_tol": -1.0}, {"slack": -0.25}, {"slack": -1e-3}, {"oracle_tol": -1.0, "slack": -1e-3}],
+        ids=str,
+    )
+    def test_forced_violations_match_the_pair_loop(self, pair_block, kwargs):
+        corpus = generate_corpus(9, 40, positive_tail=True)
+        got, want = self.both(corpus, n_pairs=90, **kwargs)
+        assert json.loads(got)[0]["violations"] >= 90  # at least one per pair
+        assert got == want
+
+    # the pair loop checks b2's infinite K values before its norms raise
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("order", ["norm-first", "sum-first", "same-pair"])
+    def test_first_exception_matches_the_pair_loop(self, pair_block, order):
+        # huge's L_1 norm overflows (raised at the norms of its pair); b + c
+        # overflows (raised at K of f + g in b's pair); in b2's pair both
+        # would raise, and the norms come first
+        base = list(generate_corpus(3, 16))
+        huge = StepFunction((1e10,), (1e300,))
+        b, c = StepFunction((1e-10,), (1.5e308,)), StepFunction((2e-10,), (1.2e308,))
+        b2 = StepFunction((1e10,), (1.5e308,))
+        first, second = {
+            "norm-first": ([huge], [b, c]),
+            "sum-first": ([b, c], [huge]),
+            "same-pair": ([b2, c], []),
+        }[order]
+        corpus = base[:11] + first + base[11:] + second
+        messages = []
+        for driver in (verify_k_properties, loop_verify_k_properties):
+            with pytest.raises(ValueError) as info:
+                driver(corpus, n_pairs=40, slack=-1e-3)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+        assert ("Lorentz norm" in messages[0]) == (order != "sum-first")
 
 
 class TestReports:

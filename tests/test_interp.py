@@ -29,11 +29,16 @@ from rinorms import (
     min_power_norm_finite,
     interp,
     select_parameters,
-    sum_norm,
     weighted_power_integral,
 )
 
-from conftest import edge_step_functions, loop_k_l1_linf, loop_k_upper_oracle, windows
+from conftest import (
+    edge_step_functions,
+    loop_k_l1_linf,
+    loop_k_upper_oracle,
+    reference_levels,
+    windows,
+)
 
 CHI = StepFunction.indicator(0.0, 1.0)
 L1_LINF = LorentzCouple(LorentzParams(1.0, 1.0), LorentzParams(INF, INF))
@@ -131,6 +136,19 @@ _ORACLE_COUPLES = [
         (0.5, 3.0, 3.0, INF),  # sup form on X1
         (INF, INF, 2.0, 1.0),
         (2.0, INF, 4.0, INF),
+        (2.0, 1.0, INF, INF),
+        (1.0, 1.0, 3.0, 1.0),  # q = 1 on both sides, finite p
+    )
+]
+# the couples above whose truncation costs are piecewise linear in the
+# level, with kinks at values of f* (each side q = 1 or p = q = inf)
+_PIECEWISE_LINEAR = [
+    LorentzCouple(LorentzParams(p0, q0), LorentzParams(p1, q1))
+    for p0, q0, p1, q1 in (
+        (1.0, 1.0, INF, INF),
+        (INF, INF, 2.0, 1.0),
+        (2.0, 1.0, INF, INF),
+        (1.0, 1.0, 3.0, 1.0),
     )
 ]
 
@@ -176,7 +194,7 @@ class TestOracleAgainstLoopReference:
     @given(oracle_steps(), st.sampled_from(_ORACLE_COUPLES), st.integers(1, 40))
     @settings(max_examples=100, deadline=None)
     def test_block_boundaries(self, f, couple, block):
-        # small blocks split the ~200 default levels into many blocks
+        # small blocks split the default levels into many blocks
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(interp, "_ORACLE_BLOCK", block)
             got = k_upper_oracle(f, 0.75, couple)
@@ -194,6 +212,68 @@ class TestOracleAgainstLoopReference:
                 got = k_upper_oracle(f, 0.75, couple, levels)
                 want = loop_k_upper_oracle(f, 0.75, couple, levels)
                 assert math.isclose(got, want, rel_tol=1e-12), (f, levels, got, want)
+
+
+@st.composite
+def corpus_members(draw):
+    """One member of a default, dyadic and/or positive-tail corpus."""
+    kwargs = draw(
+        st.sampled_from(
+            [{}, {"dyadic": True}, {"positive_tail": True}, {"dyadic": True, "positive_tail": True}]
+        )
+    )
+    return generate_corpus(draw(st.integers(0, 2**20)), 1, **kwargs).functions[0]
+
+
+class TestOracleLevelCut:
+    """The default level grid against the full grid every couple got before."""
+
+    @given(
+        st.one_of(oracle_steps(), corpus_members()),
+        st.floats(2.0**-8, 2.0**8),
+        st.sampled_from(_ORACLE_COUPLES),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_default_grid_matches_the_full_grid(self, f, t, couple):
+        got = k_upper_oracle(f, t, couple)
+        want = k_upper_oracle(f, t, couple, levels=reference_levels(f.rearrange()))
+        if couple in _PIECEWISE_LINEAR:
+            # the minimum sits at a value of f* or 0; only the rounding of
+            # the weighted sums moves with the number of levels scored
+            assert math.isclose(got, want, rel_tol=1e-12), (got, want)
+        else:
+            assert repr(got) == repr(want)
+
+    @pytest.mark.parametrize(
+        "couple,cut",
+        [
+            (L1_LINF, True),
+            (LorentzCouple(LorentzParams(2.0, 1.0), LorentzParams(INF, INF)), True),
+            (LorentzCouple(LorentzParams(1.0, 1.0), LorentzParams(4.0, 4.0)), False),
+            (LorentzCouple(LorentzParams(2.0, INF), LorentzParams(4.0, INF)), False),
+        ],
+        ids=str,
+    )
+    def test_levels_scored(self, couple, cut, monkeypatch):
+        # the levels the oracle actually scores: every X0 cost goes through
+        # _excess, once or twice per block with the block's level column
+        columns = {}
+        excess = interp._excess
+
+        def spy(vals, lam):
+            columns[id(lam)] = lam  # keeps lam alive, so ids stay distinct
+            return excess(vals, lam)
+
+        monkeypatch.setattr(interp, "_excess", spy)
+        for f in generate_corpus(5, 12, positive_tail=True):
+            columns.clear()
+            k_upper_oracle(f, 0.75, couple)
+            levels = np.concatenate([lam.ravel() for lam in columns.values()]).tolist()
+            fs = f.rearrange()
+            if cut:
+                assert levels == sorted(set(fs.values) | {fs.tail, 0.0})
+            else:
+                assert levels == reference_levels(fs) and len(levels) >= 200
 
 
 # corpus keyword sets for the prefix-table differential test; "wide" spans
@@ -353,20 +433,10 @@ class TestSumAndIntersection:
     def test_intersection_of_indicator(self):
         assert intersection_norm(CHI, L1_LINF) == 1.0
 
-    def test_sum_norm_zero(self):
-        enc = sum_norm(StepFunction.zero(), L1_LINF)
-        assert (enc.lo, enc.hi) == (0.0, 0.0)
-
-    def test_sum_norm_brackets_exact_k(self, small_corpus):
-        for f in list(small_corpus)[:10]:
-            enc = sum_norm(f, L1_LINF)
-            k1 = k_exact_l1_linf(f, 1.0)
-            assert enc.lo <= k1 * (1 + 1e-12)
-            assert enc.hi >= k1 * (1 - 1e-12)
-
     def test_sum_below_intersection(self, small_corpus):
+        # the sum-space norm is K(1, f); for (L_1, L_inf) the oracle attains it
         for f in list(small_corpus)[:10]:
-            assert sum_norm(f, L1_LINF).hi <= intersection_norm(f, L1_LINF) * (1 + 1e-12)
+            assert k_upper_oracle(f, 1.0, L1_LINF) <= intersection_norm(f, L1_LINF) * (1 + 1e-12)
 
 
 class TestAdmissibility:
@@ -468,10 +538,11 @@ class TestEmbeddingChain:
 
     def test_intersection_inside_space_inside_sum(self, small_corpus):
         # members of X0 ∩ X1 land in E and in X0 + X1: finiteness cascades
+        # (the oracle at t = 1 bounds the sum-space norm K(1, f) from above)
         for f in list(small_corpus)[:15]:
             assert intersection_norm(f, self.COUPLE) < INF
             assert lorentz_norm(f, L22.params) < INF
-            assert sum_norm(f, self.COUPLE).hi < INF
+            assert k_upper_oracle(f, 1.0, self.COUPLE) < INF
 
     def test_positive_tail_escapes_all_three(self):
         f = StepFunction((1.0,), (3.0,), 1.0)
