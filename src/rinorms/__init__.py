@@ -25,12 +25,9 @@ from .hardy import (
     GridSpec,
     MonotoneEnvelope,
     PowerLaw,
-    add_envelopes,
-    double_star,
     envelope_norm,
     hardy_lower,
     hardy_upper,
-    power_scale,
     predicted_bounded,
 )
 from .interp import (
@@ -80,9 +77,6 @@ __all__ = [
     "MonotoneEnvelope",
     "hardy_upper",
     "hardy_lower",
-    "double_star",
-    "add_envelopes",
-    "power_scale",
     "envelope_norm",
     "predicted_bounded",
     "LorentzCouple",

@@ -20,19 +20,19 @@ non-increasing factors.  Monotonicity is what makes certified two-sided
 bracketing possible from exact evaluations on a grid, with no smoothness
 assumptions.
 
-Each output is wrapped in a :class:`MonotoneEnvelope`: exact values on a log
-grid, analytic power-law descriptors outside the grid window, and an extra
-"dual" bracket coming from the fact that ``t**(1/u) * H(t)`` (resp.
-``t**(1/v) * H(t)``) is monotone as well.  On any grid interval the function
-is then squeezed between a constant and a pure power law, both of which
-integrate in closed form against Lorentz weights, so the enclosures of
-:func:`envelope_norm` are exact wherever the output is locally a constant or
-a pure power and second-order tight elsewhere.
+The operators return a :class:`MonotoneEnvelope`: exact values on a log
+grid, analytic power-law descriptors (:class:`PowerLaw`) outside the grid
+window, and an extra "dual" bracket coming from the fact that
+``t**(1/u) * H(t)`` (resp. ``t**(1/v) * H(t)``) is monotone as well.  On any
+grid interval the function is then squeezed between a constant and a pure
+power law, both of which integrate in closed form against Lorentz weights,
+so the enclosures of :func:`envelope_norm` are exact wherever the output is
+locally a constant or a pure power and second-order tight elsewhere.
 
-The kernels work on a block of functions at once (the verification scans
-pass whole stretches of a corpus); the public functions are the same
-kernels on a block of one.  Every value is bit for bit the one the
-function gets on its own.
+An envelope holds a block of functions, each on its own grid: the
+verification scans pass whole stretches of a corpus to the kernels, and
+:func:`hardy_upper` and :func:`hardy_lower` return the block of one.  Every
+value is bit for bit the one the function gets on its own.
 """
 
 from __future__ import annotations
@@ -55,32 +55,28 @@ __all__ = [
     "MonotoneEnvelope",
     "hardy_upper",
     "hardy_lower",
-    "double_star",
-    "add_envelopes",
-    "power_scale",
     "envelope_norm",
     "predicted_bounded",
 ]
 
 
-@dataclass(frozen=True)
 class PowerLaw:
-    """``t -> coef * t**(-decay)`` with ``coef >= 0`` and ``decay >= 0``."""
+    """``t -> coef * t**(-decay)`` for each function of a block.
 
-    coef: float
-    decay: float
+    ``coef`` and ``decay`` are arrays with one entry per function, both
+    ``>= 0``; scalars give the law of a block of one.
+    """
 
-    def __post_init__(self) -> None:
-        if math.isnan(self.coef) or self.coef < 0.0:
-            raise ValueError(f"coefficient must be >= 0, got {self.coef}")
-        if math.isnan(self.decay) or self.decay < 0.0:
-            raise ValueError(f"decay must be >= 0, got {self.decay}")
+    __slots__ = ("coef", "decay")
+
+    def __init__(self, coef, decay):
+        self.coef = np.array(coef, dtype=float, ndmin=1)
+        self.decay = np.array(decay, dtype=float, ndmin=1)
 
     def __call__(self, t: float) -> float:
-        return self.coef * t ** (-self.decay) if self.coef else 0.0
-
-
-_ZERO_LAW = PowerLaw(0.0, 0.0)
+        """The law of a block of one at ``t``."""
+        (coef,), (decay,) = self.coef.tolist(), self.decay.tolist()
+        return coef * t ** (-decay) if coef else 0.0
 
 
 @dataclass(frozen=True)
@@ -133,67 +129,6 @@ _OVERFLOW = "the Hardy average of f overflows the float range"
 _NORM_OVERFLOW = "the envelope norm overflows the float range"
 
 
-@dataclass(frozen=True, eq=False)
-class MonotoneEnvelope:
-    """A non-increasing function known exactly pointwise, with certified brackets.
-
-    ``values`` are exact evaluations on ``grid``; ``head_*`` bound the
-    function on ``(0, grid[0]]`` and ``tail_*`` on ``(grid[-1], inf)``.  When
-    ``bracket_decay = beta`` is set, ``t**beta * eval(t)`` is monotone, which
-    tightens per-interval bounds from constants to power laws.  ``diverged``
-    marks the identically-infinite case (a divergent defining integral).
-
-    Instances are immutable; the evaluator is a pure closure, so envelopes
-    are safe to share across threads.
-    """
-
-    grid: np.ndarray
-    values: np.ndarray
-    head_lo: PowerLaw
-    head_hi: PowerLaw
-    tail_lo: PowerLaw
-    tail_hi: PowerLaw
-    eval: Callable[[np.ndarray], np.ndarray]
-    bracket_decay: float | None = None
-    diverged: bool = False
-    label: str = ""
-
-    def __call__(self, t):
-        scalar = np.isscalar(t)
-        out = self.eval(np.atleast_1d(np.asarray(t, dtype=float)))
-        return float(out[0]) if scalar else out
-
-    def upper_on_grid(self) -> np.ndarray:
-        """Step upper bound at the grid points: each takes the value at the
-        grid point before it, the first the head bound.
-
-        On ``(0, grid[0]]`` the first value is a true bound only when the
-        head is bounded (constant head descriptor); the analytic ``head_hi``
-        is authoritative there.
-        """
-        v = self.values
-        # max() guards one-ulp disagreement between the algebraic head
-        # constant and the evaluated first grid value
-        head = max(self.head_hi.coef, float(v[0])) if self.head_hi.decay == 0.0 else float(v[0])
-        return np.concatenate(([head], v[:-1]))
-
-
-def _diverged_envelope(grid_spec: GridSpec, label: str) -> MonotoneEnvelope:
-    g = grid_spec.build([1.0])
-    return MonotoneEnvelope(
-        grid=g,
-        values=np.full(g.shape, INF),
-        head_lo=_ZERO_LAW,
-        head_hi=_ZERO_LAW,
-        tail_lo=_ZERO_LAW,
-        tail_hi=_ZERO_LAW,
-        eval=lambda t: np.full(np.shape(t), INF),
-        bracket_decay=None,
-        diverged=True,
-        label=label,
-    )
-
-
 # -- blocks of members ---------------------------------------------------------
 #
 # The Hardy averages and their norms are evaluated for a block of functions
@@ -203,7 +138,8 @@ def _diverged_envelope(grid_spec: GridSpec, label: str) -> MonotoneEnvelope:
 # its function's exact-length slice.  Elementwise numpy results do not depend
 # on an element's neighbours and those reductions see the same arrays as a
 # lone function would, so every value is the one that function would get on
-# its own.  The public functions are the same kernels on a block of one.
+# its own.  hardy_upper and hardy_lower are the same kernels on a block of
+# one.
 
 
 def _offsets(sizes) -> np.ndarray:
@@ -288,87 +224,60 @@ class _Block:
         return self.table(self.vals, self.tails)[K]
 
 
-class _Laws:
-    """One ``PowerLaw`` descriptor per function of a block, as arrays."""
+@dataclass(frozen=True, eq=False)
+class MonotoneEnvelope:
+    """Non-increasing functions known exactly pointwise, with certified brackets.
 
-    __slots__ = ("coef", "decay")
+    A block of functions, each on its own grid: function ``i`` has the exact
+    values ``values[goff[i]:goff[i+1]]`` at the same points of ``grid`` and
+    entry ``i`` of each law; ``head_*`` bound it up to its first grid point
+    and ``tail_*`` beyond its last.  With ``bracket_decay = beta``,
+    ``t**beta`` times each function not in ``flat`` (the constants) is
+    monotone as well, which tightens per-interval bounds from constants to
+    power laws; it is ``None`` when no function has that bracket.
+    ``diverged`` marks identically infinite functions (a divergent defining
+    integral), and ``errors[i]`` is the exception function ``i`` raises when
+    it is used (``None`` for most).
 
-    def __init__(self, coef, decay):
-        self.coef = np.asarray(coef, dtype=float)
-        self.decay = np.asarray(decay, dtype=float)
-
-    @classmethod
-    def of(cls, laws: Sequence[PowerLaw]) -> "_Laws":
-        return cls([l.coef for l in laws], [l.decay for l in laws])
-
-    def law(self, i: int) -> PowerLaw:
-        return PowerLaw(float(self.coef[i]), float(self.decay[i]))
-
-
-@dataclass(eq=False)
-class _Envelopes:
-    """Non-increasing functions of a block, each known on its own grid.
-
-    The block form of :class:`MonotoneEnvelope`: function ``i`` has values
-    ``values[goff[i]:goff[i+1]]`` on the same points of ``grid`` and entry
-    ``i`` of each descriptor.  ``beta`` is the block's bracket decay; the
-    functions in ``flat`` (constants) have none.  ``diverged`` marks
-    identically infinite functions, and ``errors[i]`` is the exception
-    function ``i`` raises when it is used (``None`` for most).  ``eval``
-    evaluates a block of one anywhere.
+    :func:`hardy_upper` and :func:`hardy_lower` return a block of one, which
+    evaluates anywhere: ``env(t)`` calls its ``eval``.  Instances are
+    immutable and ``eval`` is a pure closure, so envelopes are safe to share
+    across threads.
     """
 
     grid: np.ndarray
     goff: np.ndarray
     values: np.ndarray
-    head_lo: _Laws
-    head_hi: _Laws
-    tail_lo: _Laws
-    tail_hi: _Laws
-    beta: float | None
+    head_lo: PowerLaw
+    head_hi: PowerLaw
+    tail_lo: PowerLaw
+    tail_hi: PowerLaw
+    bracket_decay: float | None
     flat: np.ndarray
     diverged: np.ndarray
     errors: list
     label: str
-    eval: Callable | None
+    eval: Callable[[np.ndarray], np.ndarray] | None = None
 
-    @classmethod
-    def of(cls, env: MonotoneEnvelope) -> "_Envelopes":
-        """The block of one holding ``env``."""
-        return cls(
-            grid=env.grid,
-            goff=_offsets([env.grid.size]),
-            values=env.values,
-            head_lo=_Laws.of([env.head_lo]),
-            head_hi=_Laws.of([env.head_hi]),
-            tail_lo=_Laws.of([env.tail_lo]),
-            tail_hi=_Laws.of([env.tail_hi]),
-            beta=env.bracket_decay,
-            flat=np.zeros(1, dtype=bool),
-            diverged=np.array([env.diverged]),
-            errors=[None],
-            label=env.label,
-            eval=env.eval,
-        )
+    def __call__(self, t):
+        scalar = np.isscalar(t)
+        out = self.eval(np.atleast_1d(np.asarray(t, dtype=float)))
+        return float(out[0]) if scalar else out
 
-    def single(self, diverged_grid: GridSpec = DEFAULT_GRID) -> MonotoneEnvelope:
-        """The envelope of a block of one; a diverged one gets its own grid
-        from ``diverged_grid``."""
-        if self.errors[0] is not None:
-            raise self.errors[0]
-        if self.diverged[0]:
-            return _diverged_envelope(diverged_grid, self.label)
-        return MonotoneEnvelope(
-            grid=self.grid,
-            values=self.values,
-            head_lo=self.head_lo.law(0),
-            head_hi=self.head_hi.law(0),
-            tail_lo=self.tail_lo.law(0),
-            tail_hi=self.tail_hi.law(0),
-            eval=self.eval,
-            bracket_decay=None if self.flat[0] else self.beta,
-            label=self.label,
-        )
+    def upper_on_grid(self) -> np.ndarray:
+        """Step upper bound at the grid points of a block of one: each takes
+        the value at the grid point before it, the first the head bound.
+
+        On ``(0, grid[0]]`` the first value is a true bound only when the
+        head is bounded (constant head descriptor); the analytic ``head_hi``
+        is authoritative there.
+        """
+        v = self.values
+        (coef,), (decay,) = self.head_hi.coef.tolist(), self.head_hi.decay.tolist()
+        # max() guards one-ulp disagreement between the algebraic head
+        # constant and the evaluated first grid value
+        head = max(coef, float(v[0])) if decay == 0.0 else float(v[0])
+        return np.concatenate(([head], v[:-1]))
 
 
 def _result(x):
@@ -435,7 +344,7 @@ def _power_tables(blk: _Block, w: float, order: float):
     return e, edges, seg
 
 
-def _upper_block(blk: _Block, u: float, w: float) -> _Envelopes:
+def _upper_block(blk: _Block, u: float, w: float) -> MonotoneEnvelope:
     """:func:`hardy_upper` of every function of ``blk`` from checked exponents."""
     k = blk.size
     counts = np.diff(blk.poff)
@@ -495,10 +404,10 @@ def _upper_block(blk: _Block, u: float, w: float) -> _Envelopes:
     decayed = tails == 0.0
     last = values[blk.goff[1:] - 1]
     tail_decay = np.where(decayed & ~flat, 1.0 / u, 0.0)
-    tail_lo = _Laws(np.where(flat, consts, np.where(decayed, decay_coef, tail_const)), tail_decay)
-    tail_hi = _Laws(np.where(flat, consts, np.where(decayed, decay_coef, last)), tail_decay)
-    heads = _Laws(np.where(flat, consts, head), np.zeros(k))
-    return _Envelopes(
+    tail_lo = PowerLaw(np.where(flat, consts, np.where(decayed, decay_coef, tail_const)), tail_decay)
+    tail_hi = PowerLaw(np.where(flat, consts, np.where(decayed, decay_coef, last)), tail_decay)
+    heads = PowerLaw(np.where(flat, consts, head), np.zeros(k))
+    return MonotoneEnvelope(
         grid=blk.grid,
         goff=blk.goff,
         values=values,
@@ -506,16 +415,16 @@ def _upper_block(blk: _Block, u: float, w: float) -> _Envelopes:
         head_hi=heads,
         tail_lo=tail_lo,
         tail_hi=tail_hi,
-        beta=1.0 / u,
+        bracket_decay=None if flat.all() else 1.0 / u,
         flat=flat,
         diverged=np.zeros(k, dtype=bool),
         errors=errors,
         label=f"H_upper(u={u},w={w})",
-        eval=_single_eval(blk, evaluate, float(consts[0]) if k == 1 and flat[0] else None),
+        eval=_single_eval(blk, evaluate, float(consts[0]) if flat[0] else None),
     )
 
 
-def _lower_block(blk: _Block, v: float, w: float) -> _Envelopes:
+def _lower_block(blk: _Block, v: float, w: float) -> MonotoneEnvelope:
     """:func:`hardy_lower` of every function of ``blk`` from checked exponents.
 
     A function with a positive tail diverges: its values read ``inf`` on its
@@ -563,22 +472,37 @@ def _lower_block(blk: _Block, v: float, w: float) -> _Envelopes:
         else:
             head_hi = head_lo = suf_max[blk.hpos]
     decay = np.where(regular, 1.0 / v, 0.0)
-    zero = _Laws(np.zeros(k), np.zeros(k))
-    return _Envelopes(
+    zero = PowerLaw(np.zeros(k), np.zeros(k))
+    return MonotoneEnvelope(
         grid=blk.grid,
         goff=blk.goff,
         values=values,
-        head_lo=_Laws(np.where(regular, head_lo, 0.0), decay),
-        head_hi=_Laws(np.where(regular, head_hi, 0.0), decay),
+        head_lo=PowerLaw(np.where(regular, head_lo, 0.0), decay),
+        head_hi=PowerLaw(np.where(regular, head_hi, 0.0), decay),
         tail_lo=zero,
         tail_hi=zero,
-        beta=1.0 / v,
+        bracket_decay=1.0 / v if regular.any() else None,
         flat=flat,
         diverged=diverged,
         errors=errors,
         label=f"H_lower(v={v},w={w})",
-        eval=_single_eval(blk, evaluate, 0.0 if k == 1 and flat[0] else None),
+        eval=_single_eval(blk, evaluate, INF if diverged[0] else 0.0 if flat[0] else None),
     )
+
+
+def _checked_exponents(order, w) -> tuple[float, float]:
+    """``(order, w)`` of a Hardy average, checked and as floats."""
+    return (
+        _check_exponent(order, "averaging exponent", finite=True),
+        _check_exponent(w, "inner exponent w"),
+    )
+
+
+def _alone(env: MonotoneEnvelope) -> MonotoneEnvelope:
+    """A block of one, raising the exception of its function if it has one."""
+    if env.errors[0] is not None:
+        raise env.errors[0]
+    return env
 
 
 def hardy_upper(
@@ -586,11 +510,11 @@ def hardy_upper(
 ) -> MonotoneEnvelope:
     """Averaging operator over ``(0, t)``; ``upper(1,1)`` is the classical ``f**``.
 
-    Raises ``ValueError`` when the average leaves the float range.
+    Returns the block of one; raises ``ValueError`` when the average leaves
+    the float range.
     """
-    u = _check_exponent(u, "averaging exponent", finite=True)
-    w = _check_exponent(w, "inner exponent w")
-    return _upper_block(_Block.of(f.rearrange(), grid_spec), u, w).single()
+    u, w = _checked_exponents(u, w)
+    return _alone(_upper_block(_Block.of(f.rearrange(), grid_spec), u, w))
 
 
 def hardy_lower(
@@ -598,19 +522,13 @@ def hardy_lower(
 ) -> MonotoneEnvelope:
     """Averaging operator over ``(t, inf)``.
 
-    A positive tail value of ``f*`` makes the defining integral (or sup)
-    diverge for every ``t``; the returned envelope is then identically
-    ``+inf`` with ``diverged`` set.  Otherwise an average that leaves the
-    float range raises ``ValueError``.
+    Returns the block of one.  A positive tail value of ``f*`` makes the
+    defining integral (or sup) diverge for every ``t``; the envelope is then
+    ``+inf`` on its grid and everywhere else, with ``diverged`` set.
+    Otherwise an average that leaves the float range raises ``ValueError``.
     """
-    v = _check_exponent(v, "averaging exponent", finite=True)
-    w = _check_exponent(w, "inner exponent w")
-    return _lower_block(_Block.of(f.rearrange(), grid_spec), v, w).single(grid_spec)
-
-
-def double_star(f: StepFunction, u: float, grid_spec: GridSpec = DEFAULT_GRID) -> MonotoneEnvelope:
-    """u-th power average ``f**_(u)(t) = (t**-1 integral_0^t f*(v)**u dv)**(1/u)``."""
-    return hardy_upper(f, u, u, grid_spec)
+    v, w = _checked_exponents(v, w)
+    return _alone(_lower_block(_Block.of(f.rearrange(), grid_spec), v, w))
 
 
 def _combine_laws(a, b, boundary: float, side: Literal["head", "tail"], hi: bool) -> tuple:
@@ -629,7 +547,7 @@ def _combine_laws(a, b, boundary: float, side: Literal["head", "tail"], hi: bool
     return sum(c for c, d in laws if d == decay), decay
 
 
-def _add_block(e1: _Envelopes, e2: _Envelopes) -> _Envelopes:
+def _add_block(e1: MonotoneEnvelope, e2: MonotoneEnvelope) -> MonotoneEnvelope:
     """Pointwise sums of two envelope blocks on the same grids (sums of
     non-increasing functions are non-increasing)."""
     diverged = e1.diverged | e2.diverged
@@ -649,9 +567,8 @@ def _add_block(e1: _Envelopes, e2: _Envelopes) -> _Envelopes:
             (0.0, 0.0) if d else _combine_laws(x, y, bound, side, hi)
             for x, y, bound, d in zip(a, b, bounds, diverged.tolist())
         ]
-        laws.append(_Laws(*zip(*pairs)))
-    f1, f2 = e1.eval, e2.eval
-    return _Envelopes(
+        laws.append(PowerLaw(*zip(*pairs)))
+    return MonotoneEnvelope(
         grid=e1.grid,
         goff=e1.goff,
         values=e1.values + e2.values,
@@ -659,31 +576,25 @@ def _add_block(e1: _Envelopes, e2: _Envelopes) -> _Envelopes:
         head_hi=laws[1],
         tail_lo=laws[2],
         tail_hi=laws[3],
-        beta=None,
+        bracket_decay=None,
         flat=np.zeros(diverged.size, dtype=bool),
         diverged=diverged,
         errors=[x or y for x, y in zip(e1.errors, e2.errors)],
         label=f"{e1.label}+{e2.label}",
-        eval=lambda t: f1(t) + f2(t),
     )
 
 
-def add_envelopes(e1: MonotoneEnvelope, e2: MonotoneEnvelope) -> MonotoneEnvelope:
-    """Pointwise sum (sums of non-increasing functions are non-increasing)."""
-    if e1.diverged or e2.diverged:
-        return _diverged_envelope(GridSpec(), f"{e1.label}+{e2.label}")
-    if e1.grid.shape != e2.grid.shape or not np.array_equal(e1.grid, e2.grid):
-        raise ValueError("envelopes must share a grid to be added")
-    return _add_block(_Envelopes.of(e1), _Envelopes.of(e2)).single()
+def _scale_block(env: MonotoneEnvelope, d: float) -> MonotoneEnvelope:
+    """Every function of ``env`` times ``t**(-d)``, ``d > 0``.
 
+    The product of two non-increasing positive factors stays non-increasing,
+    and ``t**(beta + d) * (t**-d H(t)) = t**beta H(t)``, so the dual bracket
+    survives with shifted decay.
+    """
 
-def _scale_block(env: _Envelopes, d: float) -> _Envelopes:
-    """Every function of ``env`` times ``t**(-d)``, ``d > 0``."""
-    f = env.eval
-
-    def shift(laws: _Laws) -> _Laws:
+    def shift(laws: PowerLaw) -> PowerLaw:
         live = laws.coef != 0.0
-        return _Laws(np.where(live, laws.coef, 0.0), np.where(live, laws.decay + d, 0.0))
+        return PowerLaw(np.where(live, laws.coef, 0.0), np.where(live, laws.decay + d, 0.0))
 
     return dataclasses.replace(
         env,
@@ -692,24 +603,10 @@ def _scale_block(env: _Envelopes, d: float) -> _Envelopes:
         head_hi=shift(env.head_hi),
         tail_lo=shift(env.tail_lo),
         tail_hi=shift(env.tail_hi),
-        beta=None if env.beta is None else env.beta + d,
+        bracket_decay=None if env.bracket_decay is None else env.bracket_decay + d,
         label=f"t^-{d}*{env.label}",
-        eval=lambda t: f(t) * np.asarray(t, dtype=float) ** (-d),
+        eval=None,  # the evaluator of the unscaled function does not carry over
     )
-
-
-def power_scale(env: MonotoneEnvelope, extra_decay: float) -> MonotoneEnvelope:
-    """Multiply by ``t**(-extra_decay)`` with ``extra_decay >= 0``.
-
-    The product of two non-increasing positive factors stays non-increasing,
-    and ``t**(beta + extra_decay) * (t**-extra_decay H(t)) = t**beta H(t)``,
-    so the dual bracket survives with shifted decay.
-    """
-    if extra_decay < 0.0:
-        raise ValueError("extra_decay must be >= 0")
-    if extra_decay == 0.0 or env.diverged:
-        return env
-    return _scale_block(_Envelopes.of(env), extra_decay).single()
 
 
 def _law_norm_term(coef: float, decay: float, gamma: float, q: float, lo: float, hi: float) -> float:
@@ -757,7 +654,7 @@ def _segment_max(x: np.ndarray, goff: np.ndarray) -> list:
     return np.maximum.reduceat(padded, goff[:-1]).tolist()
 
 
-def _norm_block(env: _Envelopes, params: LorentzParams) -> list:
+def _norm_block(env: MonotoneEnvelope, params: LorentzParams) -> list:
     """:func:`envelope_norm` of every function of ``env``: an
     :class:`Enclosure`, or the exception that function raises.
 
@@ -765,7 +662,7 @@ def _norm_block(env: _Envelopes, params: LorentzParams) -> list:
     terms are then added in the order of one function at a time.
     """
     p, q = params.p, params.q
-    g, vals, beta = env.grid, env.values, env.beta
+    g, vals, beta = env.grid, env.values, env.bracket_decay
     a, b = g[:-1], g[1:]
     goff = env.goff.tolist()
     g0 = g[env.goff[:-1]].tolist()
@@ -855,7 +752,8 @@ def _norm_block(env: _Envelopes, params: LorentzParams) -> list:
 
 
 def envelope_norm(env: MonotoneEnvelope, params: LorentzParams) -> Enclosure:
-    """Certified enclosure of the Lorentz quasi-norm of the enveloped function.
+    """Certified enclosure of the Lorentz quasi-norm of the enveloped function
+    (of a block of one).
 
     The function is non-increasing, hence equal to its own rearrangement, so
     the norm is a single weighted integral (or weighted sup).  Head and tail
@@ -864,7 +762,7 @@ def envelope_norm(env: MonotoneEnvelope, params: LorentzParams) -> Enclosure:
     from the two monotonicity facts, and each bound integrates exactly after
     splitting at the crossover point.
     """
-    return _result(_norm_block(_Envelopes.of(env), params)[0])
+    return _result(_norm_block(env, params)[0])
 
 
 def predicted_bounded(

@@ -53,6 +53,7 @@ from .hardy import (
     DEFAULT_GRID,
     GridSpec,
     _Block,
+    _checked_exponents,
     _lower_block,
     _norm_block,
     _result,
@@ -70,7 +71,7 @@ from .interp import (
     k_exact_l1_linf,
     k_upper_oracle,
 )
-from .lorentz import LorentzParams, SpaceDescriptor, _check_exponent, lorentz_norm
+from .lorentz import LorentzParams, SpaceDescriptor, lorentz_norm
 from .stepfn import INF, StepFunction
 
 __all__ = [
@@ -360,15 +361,6 @@ def _averaging_kind(u: float | None, v: float | None) -> tuple[str, float]:
     if (u is None) == (v is None):
         raise ValueError("exactly one of u (upper kind) or v (lower kind) is required")
     return ("upper", u) if u is not None else ("lower", v)
-
-
-def _checked_exponents(order, w) -> tuple[float, float]:
-    """``(order, w)`` checked and as floats, the form the private Hardy paths
-    take; config labels keep the values as given."""
-    return (
-        _check_exponent(order, "averaging exponent", finite=True),
-        _check_exponent(w, "inner exponent w"),
-    )
 
 
 def _violations(blk: _Block, lhs: np.ndarray, low: np.ndarray, slack: float):

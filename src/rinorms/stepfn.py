@@ -384,17 +384,6 @@ class StepFunction:
             min(self.tail, level),
         )
 
-    def excess(self, level: float) -> "StepFunction":
-        """Pointwise ``(f - level)_+`` with ``level >= 0``."""
-        level = _as_float(level, "level")
-        if level < 0.0:
-            raise ValueError(f"level must be >= 0, got {level}")
-        return StepFunction(
-            self.breakpoints,
-            tuple(max(v - level, 0.0) for v in self.values),
-            max(self.tail - level, 0.0),
-        )
-
     def restrict(self, b: float) -> "StepFunction":
         """``f * chi_(0, b]``: zero beyond ``b > 0``."""
         b = _as_float(b, "b")

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from rinorms import Enclosure, GridSpec, StepFunction, generate_corpus, lorentz_norm
-from rinorms.hardy import _OVERFLOW, _ZERO_LAW, MonotoneEnvelope, PowerLaw, _diverged_envelope
+from rinorms import Enclosure, StepFunction, generate_corpus, lorentz_norm
+from rinorms.hardy import _OVERFLOW, MonotoneEnvelope, PowerLaw
 from rinorms.harness import _L1_LINF, POINTWISE_SLACK, _Scan
 from rinorms.interp import _k_l1_linf, holmstedt_k, k_exact_l1_linf, k_upper_oracle
 from rinorms.stepfn import _power_integral_array, power_integral
@@ -68,6 +68,11 @@ def reference_levels(fs: StepFunction, n_grid: int = 200) -> list[float]:
     return sorted(levels)
 
 
+def excess(f: StepFunction, level: float) -> StepFunction:
+    """Pointwise ``(f - level)_+`` for ``level >= 0``."""
+    return StepFunction(f.breakpoints, tuple(max(v - level, 0.0) for v in f.values), max(f.tail - level, 0.0))
+
+
 def loop_k_upper_oracle(f: StepFunction, t: float, couple, levels=None) -> float:
     """Per-level reference for :func:`rinorms.k_upper_oracle`.
 
@@ -81,7 +86,7 @@ def loop_k_upper_oracle(f: StepFunction, t: float, couple, levels=None) -> float
         return 0.0
     best = INF
     for lam in reference_levels(fs) if levels is None else levels:
-        cost0 = lorentz_norm(fs.excess(lam), couple.params0)
+        cost0 = lorentz_norm(excess(fs, lam), couple.params0)
         if cost0 == INF:
             continue
         cost1 = lorentz_norm(fs.minimum(lam), couple.params1)
@@ -351,18 +356,37 @@ def _ref_monotone_values(values: np.ndarray) -> np.ndarray:
     return np.minimum.accumulate(values)
 
 
-def _ref_constant_envelope(c: float, grid: np.ndarray, label: str) -> MonotoneEnvelope:
-    law = PowerLaw(c, 0.0)
+def _ref_envelope(grid, values, laws, eval, bracket_decay, label, diverged=False) -> MonotoneEnvelope:
+    """The reference's fields as a block of one; ``laws`` holds the
+    ``(coef, decay)`` floats of head_lo, head_hi, tail_lo and tail_hi."""
+    head_lo, head_hi, tail_lo, tail_hi = (PowerLaw(c, d) for c, d in laws)
     return MonotoneEnvelope(
         grid=grid,
-        values=np.full(grid.shape, c),
-        head_lo=law,
-        head_hi=law,
-        tail_lo=law,
-        tail_hi=law,
-        eval=lambda t: np.full(np.shape(t), c),
-        bracket_decay=None,
+        goff=np.array([0, grid.size]),
+        values=values,
+        head_lo=head_lo,
+        head_hi=head_hi,
+        tail_lo=tail_lo,
+        tail_hi=tail_hi,
+        bracket_decay=bracket_decay,
+        flat=np.array([False]),
+        diverged=np.array([diverged]),
+        errors=[None],
         label=label,
+        eval=eval,
+    )
+
+
+def _ref_laws(env: MonotoneEnvelope) -> list:
+    """The ``(coef, decay)`` floats of head_lo, head_hi, tail_lo and tail_hi of a block of one."""
+    return [(float(l.coef[0]), float(l.decay[0])) for l in (env.head_lo, env.head_hi, env.tail_lo, env.tail_hi)]
+
+
+def _ref_constant_envelope(c: float, grid: np.ndarray, label: str) -> MonotoneEnvelope:
+    """The constant ``c`` on ``grid``; ``c = inf`` is a diverged average, with zero laws."""
+    law = (0.0, 0.0) if c == INF else (c, 0.0)
+    return _ref_envelope(
+        grid, np.full(grid.shape, c), [law] * 4, lambda t: np.full(np.shape(t), c), None, label, diverged=c == INF
     )
 
 
@@ -402,7 +426,7 @@ def ref_hardy_upper(fs: StepFunction, u: float, w: float, grid: np.ndarray) -> M
                 inner = cum[k] + allv[k] ** w * (t**e - edges_pow[k]) / e
                 return t ** (-1.0 / u) * np.maximum(inner, 0.0) ** (1.0 / w)
 
-            head_lo = head_hi = PowerLaw(float(vals[0] * factor), 0.0)
+            head = (float(vals[0] * factor), 0.0)
             decay_coef = float(cum[-1] ** (1.0 / w))
             tail_const = float(tail * factor)
         else:
@@ -414,29 +438,25 @@ def ref_hardy_upper(fs: StepFunction, u: float, w: float, grid: np.ndarray) -> M
                 k = np.searchsorted(bp, t, side="left")
                 return np.maximum(prev[k] * t ** (-1.0 / u), allv[k])
 
-            head_lo = head_hi = PowerLaw(float(vals[0]), 0.0)
+            head = (float(vals[0]), 0.0)
             decay_coef = float(run[-1])
             tail_const = float(tail)
         values = eval_upper(grid)
     values = _ref_monotone_values(values)
     if tail == 0.0:
-        tail_lo = tail_hi = PowerLaw(decay_coef, 1.0 / u)
+        tails = [(decay_coef, 1.0 / u)] * 2
     else:
-        tail_lo = PowerLaw(tail_const, 0.0)
-        tail_hi = PowerLaw(float(values[-1]), 0.0)
-    return MonotoneEnvelope(
-        grid=grid, values=values, head_lo=head_lo, head_hi=head_hi, tail_lo=tail_lo,
-        tail_hi=tail_hi, eval=eval_upper, bracket_decay=1.0 / u, label=label,
-    )
+        tails = [(tail_const, 0.0), (float(values[-1]), 0.0)]
+    return _ref_envelope(grid, values, [head, head, *tails], eval_upper, 1.0 / u, label)
 
 
-def ref_hardy_lower(fs: StepFunction, v: float, w: float, grid_spec, grid: np.ndarray) -> MonotoneEnvelope:
-    """Per-member reference for the lower family; a diverged envelope gets its own grid around 1."""
+def ref_hardy_lower(fs: StepFunction, v: float, w: float, grid: np.ndarray) -> MonotoneEnvelope:
+    """Per-member reference for the lower family; a positive tail diverges (``inf`` on ``grid``)."""
     label = f"H_lower(v={v},w={w})"
     if fs.is_zero:
         return _ref_constant_envelope(0.0, grid, label)
     if fs.tail > 0.0:
-        return _diverged_envelope(grid_spec, label)
+        return _ref_constant_envelope(INF, grid, label)
     bp = np.asarray(fs.breakpoints)
     vals = np.asarray(fs.values)
     allv = np.append(vals, 0.0)
@@ -465,82 +485,73 @@ def ref_hardy_lower(fs: StepFunction, v: float, w: float, grid_spec, grid: np.nd
     values = _ref_monotone_values(values)
     with np.errstate(over="ignore", invalid="ignore"):
         if w < INF:
-            head_hi = PowerLaw(float(suf[0] ** (1.0 / w)), 1.0 / v)
-            head_lo = PowerLaw(float(values[0] * grid[0] ** (1.0 / v)), 1.0 / v)
+            heads = [(float(values[0] * grid[0] ** (1.0 / v)), 1.0 / v), (float(suf[0] ** (1.0 / w)), 1.0 / v)]
         else:
-            head_lo = head_hi = PowerLaw(float(run[0]), 1.0 / v)
-    return MonotoneEnvelope(
-        grid=grid, values=values, head_lo=head_lo, head_hi=head_hi, tail_lo=_ZERO_LAW,
-        tail_hi=_ZERO_LAW, eval=eval_lower, bracket_decay=1.0 / v, label=label,
-    )
+            heads = [(float(run[0]), 1.0 / v)] * 2
+    return _ref_envelope(grid, values, [*heads, (0.0, 0.0), (0.0, 0.0)], eval_lower, 1.0 / v, label)
 
 
 def _ref_combine_laws(a, b, boundary, side, hi):
-    laws = [l for l in (a, b) if l.coef > 0.0]
+    laws = [l for l in (a, b) if l[0] > 0.0]
     if not laws:
-        return _ZERO_LAW
-    decay = max(l.decay for l in laws) if side == "head" else min(l.decay for l in laws)
+        return 0.0, 0.0
+    decay = max(d for c, d in laws) if side == "head" else min(d for c, d in laws)
     if hi:
-        return PowerLaw(sum(l.coef * boundary ** (decay - l.decay) for l in laws), decay)
-    return PowerLaw(sum(l.coef for l in laws if l.decay == decay), decay)
+        return sum(c * boundary ** (decay - d) for c, d in laws), decay
+    return sum(c for c, d in laws if d == decay), decay
 
 
 def ref_add_envelopes(e1: MonotoneEnvelope, e2: MonotoneEnvelope) -> MonotoneEnvelope:
+    label = f"{e1.label}+{e2.label}"
     if e1.diverged or e2.diverged:
-        return _diverged_envelope(GridSpec(), f"{e1.label}+{e2.label}")
+        return _ref_constant_envelope(INF, e1.grid, label)
     assert np.array_equal(e1.grid, e2.grid)
     f1, f2 = e1.eval, e2.eval
     g0, gm = float(e1.grid[0]), float(e1.grid[-1])
-    return MonotoneEnvelope(
-        grid=e1.grid,
-        values=e1.values + e2.values,
-        head_lo=_ref_combine_laws(e1.head_lo, e2.head_lo, g0, "head", hi=False),
-        head_hi=_ref_combine_laws(e1.head_hi, e2.head_hi, g0, "head", hi=True),
-        tail_lo=_ref_combine_laws(e1.tail_lo, e2.tail_lo, gm, "tail", hi=False),
-        tail_hi=_ref_combine_laws(e1.tail_hi, e2.tail_hi, gm, "tail", hi=True),
-        eval=lambda t: f1(t) + f2(t),
-        bracket_decay=None,
-        label=f"{e1.label}+{e2.label}",
-    )
+    (hl1, hh1, tl1, th1), (hl2, hh2, tl2, th2) = _ref_laws(e1), _ref_laws(e2)
+    laws = [
+        _ref_combine_laws(hl1, hl2, g0, "head", hi=False),
+        _ref_combine_laws(hh1, hh2, g0, "head", hi=True),
+        _ref_combine_laws(tl1, tl2, gm, "tail", hi=False),
+        _ref_combine_laws(th1, th2, gm, "tail", hi=True),
+    ]
+    return _ref_envelope(e1.grid, e1.values + e2.values, laws, lambda t: f1(t) + f2(t), None, label)
 
 
 def ref_power_scale(env: MonotoneEnvelope, d: float) -> MonotoneEnvelope:
     if d == 0.0 or env.diverged:
         return env
     f = env.eval
-
-    def shift(law):
-        return PowerLaw(law.coef, law.decay + d) if law.coef else _ZERO_LAW
-
-    return MonotoneEnvelope(
-        grid=env.grid,
-        values=env.values * env.grid ** (-d),
-        head_lo=shift(env.head_lo),
-        head_hi=shift(env.head_hi),
-        tail_lo=shift(env.tail_lo),
-        tail_hi=shift(env.tail_hi),
-        eval=lambda t: f(t) * np.asarray(t, dtype=float) ** (-d),
-        bracket_decay=None if env.bracket_decay is None else env.bracket_decay + d,
-        label=f"t^-{d}*{env.label}",
+    laws = [(coef, decay + d) if coef else (0.0, 0.0) for coef, decay in _ref_laws(env)]
+    beta = None if env.bracket_decay is None else env.bracket_decay + d
+    return _ref_envelope(
+        env.grid,
+        env.values * env.grid ** (-d),
+        laws,
+        lambda t: f(t) * np.asarray(t, dtype=float) ** (-d),
+        beta,
+        f"t^-{d}*{env.label}",
     )
 
 
 def _ref_law_norm_term(law, gamma, q, lo, hi):
-    if law.coef == 0.0:
+    coef, decay = law
+    if coef == 0.0:
         return 0.0
-    part = power_integral(gamma - q * law.decay, lo, hi)
-    return INF if part == INF else law.coef**q * part
+    part = power_integral(gamma - q * decay, lo, hi)
+    return INF if part == INF else coef**q * part
 
 
 def _ref_law_sup_term(law, beta_p, lo, hi):
-    if law.coef == 0.0:
+    coef, decay = law
+    if coef == 0.0:
         return 0.0
-    ex = beta_p - law.decay
+    ex = beta_p - decay
     if ex > 0.0:
-        return INF if hi == INF else law.coef * hi**ex
+        return INF if hi == INF else coef * hi**ex
     if ex == 0.0:
-        return law.coef
-    return INF if lo == 0.0 else law.coef * lo**ex
+        return coef
+    return INF if lo == 0.0 else coef * lo**ex
 
 
 def ref_envelope_norm(env: MonotoneEnvelope, params) -> Enclosure:
@@ -548,6 +559,7 @@ def ref_envelope_norm(env: MonotoneEnvelope, params) -> Enclosure:
     if env.diverged:
         return Enclosure(INF, INF)
     p, q = params.p, params.q
+    head_lo, head_hi, tail_lo, tail_hi = _ref_laws(env)
     g = env.grid
     vals = env.values
     a, b = g[:-1], g[1:]
@@ -575,23 +587,23 @@ def ref_envelope_norm(env: MonotoneEnvelope, params) -> Enclosure:
                 t2 = const**q * _power_integral_array(gamma, cross, b)
             return float(np.sum(np.where(const + power > 0.0, t1 + t2, 0.0)))
 
-        s_hi = _ref_law_norm_term(env.head_hi, gamma, q, 0.0, float(g[0]))
-        s_lo = _ref_law_norm_term(env.head_lo, gamma, q, 0.0, float(g[0]))
+        s_hi = _ref_law_norm_term(head_hi, gamma, q, 0.0, float(g[0]))
+        s_lo = _ref_law_norm_term(head_lo, gamma, q, 0.0, float(g[0]))
         if s_hi < INF:
             s_hi += interval_sum(c_hi, pw_hi if beta is not None else None, upper=True)
         if s_lo < INF:
             s_lo += interval_sum(c_lo, pw_lo if beta is not None else None, upper=False)
         if s_hi < INF:
-            s_hi += _ref_law_norm_term(env.tail_hi, gamma, q, float(g[-1]), INF)
+            s_hi += _ref_law_norm_term(tail_hi, gamma, q, float(g[-1]), INF)
         if s_lo < INF:
-            s_lo += _ref_law_norm_term(env.tail_lo, gamma, q, float(g[-1]), INF)
+            s_lo += _ref_law_norm_term(tail_lo, gamma, q, float(g[-1]), INF)
         lo = s_lo ** (1.0 / q) if s_lo < INF else INF
         hi = s_hi ** (1.0 / q) if s_hi < INF else INF
     else:
         beta_p = 0.0 if p == INF else 1.0 / p
         sup_b = b**beta_p
-        hi = _ref_law_sup_term(env.head_hi, beta_p, 0.0, float(g[0]))
-        lo = _ref_law_sup_term(env.head_lo, beta_p, 0.0, float(g[0]))
+        hi = _ref_law_sup_term(head_hi, beta_p, 0.0, float(g[0]))
+        lo = _ref_law_sup_term(head_lo, beta_p, 0.0, float(g[0]))
         mid_hi = c_hi * sup_b
         mid_lo = c_lo * sup_b
         if beta is not None:
@@ -602,18 +614,18 @@ def ref_envelope_norm(env: MonotoneEnvelope, params) -> Enclosure:
         if mid_hi.size:
             hi = max(hi, float(np.max(mid_hi)))
             lo = max(lo, float(np.max(mid_lo)))
-        hi = max(hi, _ref_law_sup_term(env.tail_hi, beta_p, float(g[-1]), INF))
-        lo = max(lo, _ref_law_sup_term(env.tail_lo, beta_p, float(g[-1]), INF))
+        hi = max(hi, _ref_law_sup_term(tail_hi, beta_p, float(g[-1]), INF))
+        lo = max(lo, _ref_law_sup_term(tail_lo, beta_p, float(g[-1]), INF))
     return Enclosure(min(lo, hi), hi)
 
 
-def ref_functor_norm(fs: StepFunction, fp, couple, grid_spec, grid: np.ndarray) -> Enclosure:
+def ref_functor_norm(fs: StepFunction, fp, couple, grid: np.ndarray) -> Enclosure:
     """Per-member reference for the functor norm of a nonzero ``f`` from ``f*`` and its grid."""
     p0, q0 = couple.params0.p, couple.params0.q
     env = ref_hardy_upper(fs, p0, q0, grid)
     if couple.params1.p < INF:
         env = ref_add_envelopes(
-            env, ref_hardy_lower(fs, couple.params1.p, couple.params1.q, grid_spec, grid)
+            env, ref_hardy_lower(fs, couple.params1.p, couple.params1.q, grid)
         )
     if fp.r < p0:
         env = ref_power_scale(env, 1.0 / fp.r - 1.0 / p0)

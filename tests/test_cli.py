@@ -1,4 +1,4 @@
-"""Command-line surface: subcommands, file I/O, determinism, exit codes."""
+"""Command-line and package surface: subcommands, file I/O, determinism, exit codes, exports."""
 
 from __future__ import annotations
 
@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import rinorms
 from rinorms import GridSpec, StepFunction, hardy_lower, hardy_upper
 from rinorms.cli import main
 
@@ -33,6 +34,26 @@ def chi_file(tmp_path):
 def run_cli(capsys, *argv) -> tuple[int, str]:
     code = main(list(argv))
     return code, capsys.readouterr().out
+
+
+PACKAGE_SURFACE = [
+    "Corpus", "Enclosure", "FunctorParams", "GridSpec", "INF", "LorentzCouple", "LorentzParams",
+    "MonotoneEnvelope", "PowerLaw", "RatioReport", "SequenceReport", "SpaceDescriptor", "StepFunction",
+    "aoki_rolewicz_kappa", "default_check_reports", "dilation_operator_norm", "envelope_norm",
+    "estimate_boyd_indices", "estimate_dilation_norm", "estimate_quasi_triangle_constant",
+    "functor_admissible", "functor_norm", "generate_corpus", "generate_pairs", "hardy_lower", "hardy_upper",
+    "holmstedt_k", "intersection_norm", "is_nontrivial", "k_exact_l1_linf", "k_upper_oracle", "lorentz_norm",
+    "min_power_norm_finite", "power_integral", "predicted_bounded", "select_parameters", "sequence_report",
+    "step_function_report", "verify_hardy_equivalence", "verify_hardy_pointwise",
+    "verify_interpolation_identity", "verify_k_properties", "weighted_power_integral",
+]
+
+
+def test_package_surface_is_pinned():
+    # a name leaves or joins the public API only together with this list
+    assert sorted(rinorms.__all__) == PACKAGE_SURFACE
+    for name in rinorms.__all__:
+        assert getattr(rinorms, name) is not None
 
 
 class TestNorm:

@@ -18,17 +18,14 @@ from rinorms import (
     LorentzParams,
     SpaceDescriptor,
     StepFunction,
-    add_envelopes,
-    double_star,
     envelope_norm,
     hardy_lower,
     hardy_upper,
-    power_scale,
     predicted_bounded,
     weighted_power_integral,
 )
 from rinorms import generate_corpus
-from rinorms.hardy import PowerLaw, _add_block, _Block, _lower_block, _norm_block, _upper_block
+from rinorms.hardy import PowerLaw, _add_block, _Block, _lower_block, _norm_block, _scale_block, _upper_block
 from rinorms.interp import FunctorParams, LorentzCouple, _functor_block
 
 from conftest import (
@@ -59,12 +56,6 @@ class TestUpperClosedForms:
         assert env(0.5) == 1.0
         assert env(4.0) == 0.25
 
-    def test_alias_u_power_average(self, small_corpus):
-        for f in list(small_corpus)[:5]:
-            e1 = double_star(f, 2.0, COARSE)
-            e2 = hardy_upper(f, 2.0, 2.0, COARSE)
-            assert np.array_equal(e1.values, e2.values)
-
     def test_classical_alias_via_integral(self, small_corpus):
         # upper(1/alpha, 1) is t**-alpha int_0^t v**(alpha-1) f*(v) dv
         alpha = 0.5
@@ -85,6 +76,7 @@ class TestUpperClosedForms:
         # inner integral is exactly c * (u/w) * t**(w/u); the average is constant
         assert env(0.5) == pytest.approx(3.0 * 2.0, rel=1e-12)
         assert env(7.0) == pytest.approx(3.0 * 2.0, rel=1e-12)
+        assert env.bracket_decay is None  # a constant has no power-law bracket
 
     def test_invalid_exponents(self):
         for u, w in ((0.0, 1.0), (-1.0, 1.0), (INF, 1.0), (1.0, 0.0)):
@@ -107,13 +99,20 @@ class TestLowerClosedForms:
         assert env(2.0) == 0.0
 
     def test_zero_function(self):
-        assert hardy_lower(StepFunction.zero(), 2.0, 1.0)(1.0) == 0.0
+        env = hardy_lower(StepFunction.zero(), 2.0, 1.0)
+        assert env(1.0) == 0.0
+        assert env.bracket_decay is None
 
     def test_positive_tail_diverges_everywhere(self):
         f = StepFunction((1.0,), (2.0,), 1.0)
         env = hardy_lower(f, 2.0, 1.0)
         assert env.diverged
+        # f's own grid, infinite on it and off it
+        assert np.array_equal(env.grid, GridSpec().build(f.rearrange().breakpoints))
+        assert np.all(env.values == INF)
+        assert env.bracket_decay is None
         assert env(0.5) == INF
+        assert np.all(env(np.array([1e-300, 1.0, 1e300])) == INF)
         assert envelope_norm(env, LorentzParams(2.0, 2.0)).lo == INF
 
 
@@ -169,7 +168,7 @@ class TestEnvelopeInvariants:
         # a constant head bound one ulp above the first grid value sets the
         # upper bound there; a power-law head leaves the grid value
         env = hardy_upper(CHI, 1.0, 1.0, COARSE)
-        assert env.head_hi.decay == 0.0
+        assert env.head_hi.decay.tolist() == [0.0]
         above = float(np.nextafter(env.values[0], INF))
         bumped = dataclasses.replace(env, head_hi=PowerLaw(above, 0.0))
         assert bumped.upper_on_grid()[0] == above == envelope_upper(bumped)(float(env.grid[0]))
@@ -264,44 +263,30 @@ class TestPointwiseLowerBounds:
 
 
 class TestEnvelopeAlgebra:
-    def test_add_envelopes_pointwise(self, small_corpus):
-        f = list(small_corpus)[2]
-        e1 = hardy_upper(f, 1.0, 1.0, COARSE)
-        e2 = hardy_lower(f, 4.0, 4.0, COARSE)
-        s = add_envelopes(e1, e2)
-        for t in (0.2, 1.0, 7.0):
-            assert s(t) == pytest.approx(e1(t) + e2(t), rel=1e-12)
-        assert np.all(s.values == e1.values + e2.values)
-
-    def test_add_requires_shared_grid(self, small_corpus):
-        fs = list(small_corpus)
-        e1 = hardy_upper(fs[0], 1.0, 1.0, COARSE)
-        e2 = hardy_upper(fs[3], 1.0, 1.0, COARSE)
-        if e1.grid.shape == e2.grid.shape and np.array_equal(e1.grid, e2.grid):
-            pytest.skip("corpus members happen to share a grid")
-        with pytest.raises(ValueError):
-            add_envelopes(e1, e2)
-
     def test_sum_envelope_norm_brackets_true_value(self, small_corpus):
         f = list(small_corpus)[2]
-        e = add_envelopes(
-            hardy_upper(f, 1.0, 1.0, COARSE), hardy_lower(f, 4.0, 4.0, COARSE)
-        )
+        blk = _Block.of(f.rearrange(), COARSE)
+        e = _add_block(_upper_block(blk, 1.0, 1.0), _lower_block(blk, 4.0, 4.0))
         enc = envelope_norm(e, LorentzParams(2.0, 2.0))
         # Riemann check on a fine grid stays inside the certified enclosure
         ts = np.geomspace(float(e.grid[0]), float(e.grid[-1]), 20000)
         mids = np.sqrt(ts[:-1] * ts[1:])
-        riemann = float(np.sum(e.eval(mids) ** 2 * np.diff(ts)))
+        true = hardy_upper(f, 1.0, 1.0, COARSE)(mids) + hardy_lower(f, 4.0, 4.0, COARSE)(mids)
+        riemann = float(np.sum(true**2 * np.diff(ts)))
         head = e.head_lo(float(ts[0])) ** 2 * ts[0]
         inside = math.sqrt(riemann + head)
         assert enc.lo * (1 - 1e-6) <= inside <= enc.hi * (1 + 1e-6)
 
-    def test_power_scale(self, small_corpus):
-        f = list(small_corpus)[2]
-        e = hardy_upper(f, 1.0, 1.0, COARSE)
-        scaled = power_scale(e, 0.5)
-        for t in (0.3, 2.0):
-            assert scaled(t) == pytest.approx(e(t) * t**-0.5, rel=1e-12)
+    def test_scaled_block_pointwise(self, small_corpus):
+        # t**-0.5 f**(t) = t**-1.5 integral_0^t f*, on the grid and by the tail law beyond it
+        fs = list(small_corpus)[2].rearrange()
+        assert fs.tail == 0.0
+        e = _upper_block(_Block.of(fs, COARSE), 1.0, 1.0)
+        scaled = _scale_block(e, 0.5)
+        for t, value in list(zip(scaled.grid.tolist(), scaled.values.tolist()))[::40]:
+            assert value == pytest.approx(t**-1.5 * weighted_power_integral(fs, 1.0, 1.0, 0.0, t), rel=1e-12)
+        far = float(scaled.grid[-1]) * 16.0
+        assert scaled.tail_hi(far) == pytest.approx(far**-1.5 * weighted_power_integral(fs, 1.0, 1.0), rel=1e-12)
         assert scaled.bracket_decay == e.bracket_decay + 0.5
 
     def test_scale_equivariance_of_norm(self, small_corpus):
@@ -423,15 +408,8 @@ def _outcome(build):
         return repr(err)
 
 
-def _reference_envelope(env) -> str:
-    if env.diverged:
-        return repr(("diverged", env.label))
-    laws = [(l.coef, l.decay) for l in (env.head_lo, env.head_hi, env.tail_lo, env.tail_hi)]
-    return repr((env.grid.tolist(), env.values.tolist(), laws, env.bracket_decay, env.label))
-
-
-def _block_member(envs, i: int) -> str:
-    """Function ``i`` of an envelope block in the form of :func:`_reference_envelope`."""
+def _block_member(envs, i: int = 0) -> str:
+    """Function ``i`` of an envelope block: its exception, or its fields."""
     if envs.errors[i] is not None:
         return repr(envs.errors[i])
     if envs.diverged[i]:
@@ -441,7 +419,7 @@ def _block_member(envs, i: int) -> str:
         (float(l.coef[i]), float(l.decay[i]))
         for l in (envs.head_lo, envs.head_hi, envs.tail_lo, envs.tail_hi)
     ]
-    beta = None if envs.flat[i] else envs.beta
+    beta = None if envs.flat[i] else envs.bracket_decay
     return repr((envs.grid[lo:hi].tolist(), envs.values[lo:hi].tolist(), laws, beta, envs.label))
 
 
@@ -466,23 +444,23 @@ class TestBlockKernels:
         functors = [_functor_block(blk, fp, couple) for fp, couple in FUNCTORS]
         for i, (fs, grid) in enumerate(zip(fss, grids)):
             ref_up = _reference_or_error(lambda: ref_hardy_upper(fs, order, w, grid))
-            ref_lo = _reference_or_error(lambda: ref_hardy_lower(fs, order, w, spec, grid))
+            ref_lo = _reference_or_error(lambda: ref_hardy_lower(fs, order, w, grid))
             for block, ref, norms in ((upper, ref_up, upper_norms), (lower, ref_lo, lower_norms)):
                 if isinstance(ref, ValueError):
                     assert _block_member(block, i) == repr(ref)
                     continue
-                assert _block_member(block, i) == _reference_envelope(ref)
+                assert _block_member(block, i) == _block_member(ref)
                 for p in NORM_PARAMS:
                     assert repr(norms[p][i]) == _outcome(lambda: ref_envelope_norm(ref, p))
             if not isinstance(ref_up, ValueError) and not isinstance(ref_lo, ValueError):
                 ref_both = ref_add_envelopes(ref_up, ref_lo)
                 if not ref_both.diverged:
-                    assert _block_member(both, i) == _reference_envelope(ref_both)
+                    assert _block_member(both, i) == _block_member(ref_both)
                 for p in NORM_PARAMS:
                     assert repr(both_norms[p][i]) == _outcome(lambda: ref_envelope_norm(ref_both, p))
             if not fs.is_zero:
                 for (fp, couple), got in zip(FUNCTORS, functors):
-                    want = _outcome(lambda: ref_functor_norm(fs, fp, couple, spec, grid))
+                    want = _outcome(lambda: ref_functor_norm(fs, fp, couple, grid))
                     assert repr(got[i]) == want
 
     @settings(max_examples=40, deadline=None)
@@ -525,11 +503,11 @@ class TestBlockKernels:
         grid = spec.build(fs.breakpoints)
         pairs = (
             (hardy_upper(f, order, w, spec), ref_hardy_upper(fs, order, w, grid)),
-            (hardy_lower(f, order, w, spec), ref_hardy_lower(fs, order, w, spec, grid)),
+            (hardy_lower(f, order, w, spec), ref_hardy_lower(fs, order, w, grid)),
         )
         ts = np.concatenate([grid[:: max(1, grid.size // 7)] * 1.3, [1e-300, 1e300]])
         for public, ref in pairs:
-            assert _reference_envelope(public) == _reference_envelope(ref)
+            assert _block_member(public) == _block_member(ref)
             assert public.diverged == ref.diverged
             with np.errstate(all="ignore"):
                 assert repr(public(ts).tolist()) == repr(ref.eval(ts).tolist())

@@ -461,9 +461,12 @@ def _reference_pointwise(corpus, grid_spec, u=None, v=None, w=None):
             lhs_inf = env_w.values if b == INF else ref_hardy_upper(fs, a, INF, grid).values
             checks = [(env_w.values, lhs_inf), (lhs_inf, fs(grid))]
         else:
-            env = ref_hardy_lower(fs, a, b, grid_spec, grid)
-            grid = env.grid
-            checks = [(env.values, fs(2.0 * grid))]
+            env = ref_hardy_lower(fs, a, b, grid)
+            lhs = env.values
+            if env.diverged:  # checked on the grid around 1, as the harness does
+                grid = grid_spec.build([1.0])
+                lhs = np.full(grid.shape, INF)
+            checks = [(lhs, fs(2.0 * grid))]
         for lhs, low in checks:
             mask = low > 0.0
             if mask.any():
@@ -497,7 +500,7 @@ def _reference_equivalence(corpus, space, grid_spec, u=None, v=None, w=None):
         if kind == "upper":
             env = ref_hardy_upper(m.fs, float(order), float(w), grid)
         else:
-            env = ref_hardy_lower(m.fs, float(order), float(w), grid_spec, grid)
+            env = ref_hardy_lower(m.fs, float(order), float(w), grid)
         enc = ref_envelope_norm(env, space.params)
         if enc.hi == INF:
             diverged += 1
@@ -524,7 +527,7 @@ def _reference_interpolation(corpus, space, couple, theta, grid_spec, calibrate)
     fp = FunctorParams(theta=theta, r=couple.params0.p, space=space)
     _check_functor(fp, couple)
     for m, n in _reference_members(scan, space):
-        enc = ref_functor_norm(m.fs, fp, couple, grid_spec, grid_spec.build(m.fs.breakpoints))
+        enc = ref_functor_norm(m.fs, fp, couple, grid_spec.build(m.fs.breakpoints))
         if enc.hi == INF or enc.lo <= 0.0:
             scan.violation(function=m.f.to_dict(), enclosure=str(enc))
             continue
@@ -536,7 +539,7 @@ def _reference_interpolation(corpus, space, couple, theta, grid_spec, calibrate)
     if calibrate:
         spec = GridSpec(points_per_decade=256, span=grid_spec.span)
         chi = StepFunction.indicator(0.0, 1.0)
-        enc = ref_functor_norm(chi, fp, couple, spec, spec.build(chi.breakpoints))
+        enc = ref_functor_norm(chi, fp, couple, spec.build(chi.breakpoints))
         extras["calibration"] = str(enc)
         if not (enc.contains(math.sqrt(2.0), slack=1e-12) and enc.width <= 1e-3):
             passed = False

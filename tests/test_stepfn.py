@@ -16,6 +16,7 @@ from rinorms.stepfn import _LEVEL_SET_ARRAY_MIN, _power_parts
 
 from conftest import (
     edge_step_functions,
+    excess,
     loop_canonical,
     loop_sorted_above_tail,
     loop_weighted_power_integral,
@@ -391,7 +392,7 @@ class TestAlgebra:
         # f = min(f, lam) + (f - lam)_+ exactly, for lam at a piece value
         for f in list(small_corpus)[:20]:
             lam = max(f.values)
-            assert f.minimum(lam) + f.excess(lam) == f
+            assert f.minimum(lam) + excess(f, lam) == f
 
     def test_restrict(self):
         f = StepFunction((1.0,), (2.0,), 1.0)
