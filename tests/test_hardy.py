@@ -56,6 +56,15 @@ class TestUpperClosedForms:
         assert env(0.5) == 1.0
         assert env(4.0) == 0.25
 
+    def test_alias_u_power_average(self, small_corpus):
+        # upper(u, u) is the u-th power average (t**-1 int_0^t f*(v)**u dv)**(1/u)
+        for f in list(small_corpus)[:5]:
+            env = hardy_upper(f, 2.0, 2.0, COARSE)
+            fs = f.rearrange()
+            for t in (0.3, 1.7, 42.0):
+                direct = (weighted_power_integral(fs, 1.0, 2.0, 0.0, t) / t) ** 0.5
+                assert env(t) == pytest.approx(direct, rel=1e-12)
+
     def test_classical_alias_via_integral(self, small_corpus):
         # upper(1/alpha, 1) is t**-alpha int_0^t v**(alpha-1) f*(v) dv
         alpha = 0.5
@@ -263,6 +272,18 @@ class TestPointwiseLowerBounds:
 
 
 class TestEnvelopeAlgebra:
+    def test_add_envelopes_pointwise(self, small_corpus):
+        f = list(small_corpus)[2]
+        e1 = hardy_upper(f, 1.0, 1.0, COARSE)
+        e2 = hardy_lower(f, 4.0, 4.0, COARSE)
+        s = _add_block(e1, e2)
+        assert np.all(s.values == e1.values + e2.values)
+        for t, value in list(zip(s.grid.tolist(), s.values.tolist()))[::40]:
+            assert value == pytest.approx(e1(t) + e2(t), rel=1e-12)
+        # beyond the grid the sum stays inside its tail bracket
+        for t in (float(s.grid[-1]) * 2.0, float(s.grid[-1]) * 64.0):
+            assert s.tail_lo(t) * (1 - 1e-12) <= e1(t) + e2(t) <= s.tail_hi(t) * (1 + 1e-12)
+
     def test_sum_envelope_norm_brackets_true_value(self, small_corpus):
         f = list(small_corpus)[2]
         blk = _Block.of(f.rearrange(), COARSE)
@@ -288,6 +309,15 @@ class TestEnvelopeAlgebra:
         far = float(scaled.grid[-1]) * 16.0
         assert scaled.tail_hi(far) == pytest.approx(far**-1.5 * weighted_power_integral(fs, 1.0, 1.0), rel=1e-12)
         assert scaled.bracket_decay == e.bracket_decay + 0.5
+
+    def test_power_scale(self, small_corpus):
+        f = list(small_corpus)[2]
+        e = hardy_upper(f, 1.0, 1.0, COARSE)
+        scaled = _scale_block(e, 0.5)
+        for t, value in list(zip(scaled.grid.tolist(), scaled.values.tolist()))[::40]:
+            assert value == pytest.approx(e(t) * t**-0.5, rel=1e-12)
+        far = float(e.grid[-1]) * 16.0
+        assert scaled.tail_hi(far) == pytest.approx(e.tail_hi(far) * far**-0.5, rel=1e-12)
 
     def test_scale_equivariance_of_norm(self, small_corpus):
         f = list(small_corpus)[2]
