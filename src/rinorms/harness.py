@@ -65,9 +65,9 @@ from .interp import (
     LorentzCouple,
     _check_functor,
     _functor_block,
+    _holmstedt_sum,
     _k_l1_linf,
     functor_norm,
-    holmstedt_k,
     k_exact_l1_linf,
     k_upper_oracle,
 )
@@ -579,7 +579,7 @@ def _k_pair(records: Sequence[_Member], i: int, t: float, table_ts: list[float])
     g = records[(i + 1) % len(records)]
     k_sum = k_exact_l1_linf(m.f + g.f, t)
     k_g = _k_l1_linf(g.fs, [t])[0]
-    ratio = holmstedt_k(m.fs, t, _L1_LINF, 1.0) / table[0] if table[0] > 0.0 else None
+    ratio = _holmstedt_sum(m.fs, t, _L1_LINF, 1.0, table[0]) / table[0] if table[0] > 0.0 else None
     return _KPair(m.f, t, table, k_oracle, cap, k_sum, k_g, ratio)
 
 

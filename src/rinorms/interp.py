@@ -8,9 +8,11 @@ are implemented for couples of Lorentz spaces:
 
 * :func:`k_exact_l1_linf` - the classical closed form
   ``K(t, f; L_1, L_inf) = integral_0^t f*`` (exact);
-* :func:`k_upper_oracle` - a brute-force upper bound minimising over
-  truncation decompositions ``f* = (f* - lam)_+ + min(f*, lam)``, which is
-  exactly optimal for (L_1, L_inf) and serves as the independent oracle;
+* :func:`k_upper_oracle` - an upper bound minimising over truncation
+  decompositions ``f* = (f* - lam)_+ + min(f*, lam)``, which is exactly
+  optimal for (L_1, L_inf) and serves as the independent oracle: O(pieces)
+  from layer-cake prefix sums when each side has ``q = 1`` or
+  ``p = q = inf``, O(levels x pieces) in bounded blocks otherwise;
 * :func:`holmstedt_k` - Holmstedt's two-term integral expression, equivalent
   to K up to couple-dependent constants and exact to evaluate on step
   functions.
@@ -24,10 +26,10 @@ certified envelopes give a guaranteed enclosure.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
-from operator import mul
+from operator import mul, sub
 from typing import Sequence
 
 import numpy as np
@@ -57,7 +59,6 @@ from .stepfn import (
     _nonzero_pieces,
     _power_integral_array,
     _power_parts,
-    power_integral,
     weighted_power_integral,
 )
 
@@ -124,30 +125,45 @@ def k_exact_l1_linf(f: StepFunction, t: float) -> float:
 def _k_l1_linf(fs: StepFunction, ts: Sequence[float]) -> list[float]:
     """``K(t, f; L_1, L_inf)`` at each checked ``t`` of ``ts``, from ``fs = f*``.
 
-    One prefix table of whole-piece integrals ``v * power_integral(1.0, lo, b)``,
-    summed in piece order, serves every ``t``: ``K(t)`` is the sum over the
-    pieces ending before ``t`` plus the part of the piece holding ``t`` (the
-    tail past the last breakpoint).  These are the float operations of
+    ``K(t)`` is the sum of ``v * power_integral(1.0, lo, b)`` over the pieces
+    ending before ``t``, in piece order, plus the part of the piece holding
+    ``t`` (the tail past the last breakpoint).  One :func:`_power_parts`
+    chain yields every integral: first the whole pieces up to the one
+    holding the largest ``t``, summed into a prefix table, then the partial
+    piece ``(b_{k-1}, t]`` of each ``t`` past the first breakpoint.  A ``t``
+    below it has the part ``power_integral(1.0, 0.0, t) = t**1.0 / 1.0``,
+    which the chain takes only as its first piece, so it is computed apart
+    with those float operations.  These are the float operations of
     ``weighted_power_integral(fs, 1.0, 1.0, 0.0, t)`` in its order, so each
     value is bit-identical to it; an infinite part makes the sum ``inf`` as
-    its early return does.  The table stops at the piece holding the
-    largest ``t``.  Every value of ``f*`` before its tail is positive, so the
-    table has one entry per piece.
+    its early return does.  Every value of ``f*`` before its tail is
+    positive, so the table has one entry per piece and only a zero tail
+    adds no part.
     """
-    bps, vals = fs.breakpoints, fs.values
+    bps, vals, tail = fs.breakpoints, fs.values, fs.tail
+    n = len(vals)
     ks = [bisect_left(bps, t) for t in ts]
-    prefix = [0.0]
+    out = [0.0] * len(ks)
     top = max(ks, default=0)
     if top:
         whole, los, his = _nonzero_pieces(fs, 0.0, bps[top - 1])
-        prefix = list(accumulate(map(mul, whole, _power_parts(1.0, los, his)), initial=0.0))
-    out = []
-    for t, k in zip(ts, ks):
-        v = vals[k] if k < len(vals) else fs.tail
-        part = prefix[k]
-        if v != 0.0:
-            part += v * power_integral(1.0, bps[k - 1] if k else 0.0, t)
-        out.append(part)
+        at = []
+        for j, k in enumerate(ks):
+            if k and (k < n or tail):
+                at.append(j)
+                los.append(bps[k - 1])
+                his.append(ts[j])
+        parts = _power_parts(1.0, los, his)
+        prefix = list(accumulate(map(mul, whole, parts), initial=0.0))
+        out = [prefix[k] for k in ks]
+        for j, part in zip(at, parts):
+            k = ks[j]
+            out[j] += (vals[k] if k < n else tail) * part
+    if 0 in ks:
+        v = vals[0] if n else tail
+        for j, k in enumerate(ks):
+            if not k:
+                out[j] += v * (ts[j] ** 1.0 / 1.0)
     return out
 
 
@@ -158,27 +174,27 @@ def _piecewise_linear(params: LorentzParams) -> bool:
     return params.q == 1.0 or params.p == params.q == INF
 
 
-def _default_levels(fs: StepFunction, couple: LorentzCouple, n_grid: int = 200) -> np.ndarray:
+def _default_levels(fs: StepFunction, linear: bool, n_grid: int = 200) -> list[float]:
     """The default levels of :func:`k_upper_oracle` for ``fs = f*``, ascending.
 
     Every value of ``f*`` (tail included) plus 0; unless both sides of the
-    couple are piecewise linear, also ``n_grid`` log-spaced levels between
-    the smallest and largest positive values.
+    couple are piecewise linear (``linear``), also ``n_grid`` log-spaced
+    levels between the smallest and largest positive values.
     """
     levels = set(fs.values) | {fs.tail, 0.0}
-    if not (_piecewise_linear(couple.params0) and _piecewise_linear(couple.params1)):
+    if not linear:
         positive = [v for v in levels if v > 0.0]
         if positive:
             levels.update(np.geomspace(min(positive), max(positive), n_grid).tolist())
-    return np.array(sorted(levels))
+    return sorted(levels)
 
 
-# Levels x columns entries k_upper_oracle evaluates per block: its working
-# arrays stay a few MB whatever the piece count.
+# Levels x columns entries the matrix path of k_upper_oracle evaluates per
+# block: its working arrays stay a few MB whatever the piece count.
 _ORACLE_BLOCK = 1 << 18
 
 
-def _check_levels(levels) -> np.ndarray:
+def _check_levels(levels) -> list[float]:
     lams = np.fromiter(levels, dtype=float)
     if lams.size == 0:
         raise ValueError("level grid must be nonempty")
@@ -188,7 +204,18 @@ def _check_levels(levels) -> np.ndarray:
         raise ValueError(
             "level must not be NaN" if math.isnan(lam) else f"level must be >= 0, got {lam}"
         )
-    return lams
+    return lams.tolist()
+
+
+def _power_weights(bps: np.ndarray, alpha: float) -> np.ndarray:
+    """``integral s**(alpha - 1) ds`` over each piece cut by ``bps``, the
+    tail's ``inf`` last; a weight past the largest float is ``inf``."""
+    w = np.full(bps.size + 1, INF)
+    if bps.size:
+        with np.errstate(over="ignore"):
+            w[0] = bps[0] ** alpha / alpha
+            w[1:-1] = _power_integral_array(alpha, bps[:-1], bps[1:])
+    return w
 
 
 class _RowNorm:
@@ -208,17 +235,13 @@ class _RowNorm:
     def __init__(self, fs: StepFunction, params: LorentzParams):
         bps = np.asarray(fs.breakpoints, dtype=float)
         self.p, self.q = params.p, params.q
-        with np.errstate(over="ignore"):
-            if self.q < INF:
-                alpha = self.q / self.p
-                w = np.full(bps.size + 1, INF)
-                if bps.size:
-                    w[0] = bps[0] ** alpha / alpha
-                    w[1:-1] = _power_integral_array(alpha, bps[:-1], bps[1:])
-            elif self.p < INF:
+        if self.q < INF:
+            w = _power_weights(bps, self.q / self.p)
+        elif self.p < INF:
+            with np.errstate(over="ignore"):
                 w = np.append(bps ** (1.0 / self.p), INF)
-            else:
-                w = np.ones(bps.size + 1)
+        else:
+            w = np.ones(bps.size + 1)
         vals = np.asarray(fs.values + (fs.tail,), dtype=float)
         finite = np.isfinite(w)
         self.vals, self.w, self.vals_inf = vals[finite], w[finite], vals[~finite]
@@ -250,6 +273,97 @@ def _excess(vals: np.ndarray, lam: np.ndarray) -> np.ndarray:
     return np.maximum(rows, 0.0, out=rows)
 
 
+def _matrix_oracle(fs: StepFunction, t: float, couple: LorentzCouple, lams: list[float]) -> float:
+    """:func:`k_upper_oracle` of a couple that is not piecewise linear: the
+    levels in blocks of levels x pieces matrices, scored by :class:`_RowNorm`."""
+    lams = np.array(lams)
+    norm0 = _RowNorm(fs, couple.params0)
+    norm1 = _RowNorm(fs, couple.params1)
+    step = max(1, _ORACLE_BLOCK // (len(fs.values) + 1))
+    best = INF
+    for i in range(0, lams.size, step):
+        lam = lams[i : i + step, None]
+        cost0 = norm0(_excess, lam)
+        kept = cost0 < INF
+        if kept.any():
+            cost = cost0[kept] + t * norm1(np.minimum, lam[kept])
+            best = min(best, float(cost.min()))
+    return best
+
+
+def _linear_weights(fs: StepFunction, params: LorentzParams) -> list[float] | None:
+    """The weights ``w_i`` of a piecewise-linear L_{p,q} on the pieces of
+    ``fs = f*``, the tail's ``inf`` last: for ``q = 1`` the norm of a
+    nonincreasing row is ``sum_i r_i w_i`` with ``w_i`` the integral of
+    ``s**(1/p - 1)`` over piece ``i``.  ``None`` for ``p = q = inf``."""
+    if params.q == INF:
+        return None
+    bps, alpha = fs.breakpoints, 1.0 / params.p
+    try:
+        return [*_power_parts(alpha, [0.0, *bps][:-1], bps), INF]
+    except OverflowError:  # as in _RowNorm, a weight past the float range is inf
+        return _power_weights(np.asarray(bps, dtype=float), alpha).tolist()
+
+
+# The two truncation costs of a piecewise-linear couple (each side q = 1 or
+# p = q = inf) at a level lam, from prefix and suffix sums over the values
+# v_0 > v_1 > ... of f* (its tail last) and their weights w_i.  A level
+# comes with k, the number of values above it, and W_j is the weight of the
+# first j + 1 pieces.  By the layer-cake sum
+#
+#     ||(f* - lam)_+|| = sum_{j<k-1} (v_j - v_{j+1}) W_j + (v_{k-1} - lam) W_{k-1},
+#     ||min(f*, lam)|| = lam W_{k-1} + sum_{i>=k} v_i w_i,
+#
+# and for p = q = inf they are v_0 - lam and lam, capped at 0 and v_0.  Every
+# term is nonnegative, so nothing cancels.  A weight of inf makes a cost inf
+# where its entry is positive, and lam = 0 has truncation cost 0 without a
+# product, so 0 * inf never arises.
+
+
+def _excess_norm(vals: list[float], w: list[float] | None):
+    """``(k, lam) -> ||(f* - lam)_+||``."""
+    if w is None:
+        top = vals[0]
+        return lambda k, lam: max(top - lam, 0.0)
+    cum = list(accumulate(w))
+    at = list(accumulate(map(mul, map(sub, vals, vals[1:]), cum), initial=0.0))  # at the levels v_m
+    return lambda k, lam: at[k - 1] + (vals[k - 1] - lam) * cum[k - 1] if k else 0.0
+
+
+def _truncation_norm(vals: list[float], w: list[float] | None):
+    """``(k, lam) -> ||min(f*, lam)||``."""
+    if w is None:
+        top = vals[0]
+        return lambda k, lam: min(top, lam)
+    cum = list(accumulate(w))
+    terms = [*map(mul, vals[:-1], w[:-1]), INF if vals[-1] else 0.0]  # a zero tail adds 0
+    rest = list(accumulate(reversed(terms), initial=0.0))[::-1]  # sum_{i>=k} v_i w_i
+
+    def norm(k: int, lam: float) -> float:
+        if not lam:
+            return 0.0
+        return lam * cum[k - 1] + rest[k] if k else rest[0]
+
+    return norm
+
+
+def _linear_oracle(fs: StepFunction, t: float, couple: LorentzCouple, lams: list[float]) -> float:
+    """:func:`k_upper_oracle` of a piecewise-linear couple: O(pieces) to set
+    up, then each level placed among the values of ``f*`` by bisection."""
+    vals = [*fs.values, fs.tail]
+    excess = _excess_norm(vals, _linear_weights(fs, couple.params0))
+    truncation = _truncation_norm(vals, _linear_weights(fs, couple.params1))
+    ascending = vals[::-1]
+    n = len(vals)
+    best = INF
+    for lam in lams:
+        k = n - bisect_right(ascending, lam)
+        cost0 = excess(k, lam)
+        if cost0 < INF:
+            best = min(best, cost0 + t * truncation(k, lam))
+    return best
+
+
 def k_upper_oracle(
     f: StepFunction,
     t: float,
@@ -272,31 +386,25 @@ def k_upper_oracle(
     (any iterable of levels ``>= 0``, a 1-D array included) replaces the
     default grid.
 
-    The levels are scored in blocks by array arithmetic: each block is a
-    levels x pieces matrix of the rows ``(f* - lam)_+`` and ``min(f*, lam)``,
-    whose norms are weighted sums or maxima with weights computed once per
-    call; levels whose X0 cost is ``inf`` are skipped.  No step function is
-    built per level and the arithmetic is O(levels x pieces).  A block
-    holds at most ``_ORACLE_BLOCK`` entries (a single level once ``f*`` has
-    more pieces than that), so memory stays bounded at any piece count.
+    No step function is built per level, and levels whose X0 cost is
+    ``inf`` are skipped.  A piecewise-linear couple scores its levels from
+    prefix and suffix sums over the pieces of ``f*`` (the layer-cake sums
+    above :func:`_excess_norm`): O(pieces) Python-float set-up, then O(1)
+    arithmetic per level after a bisection among the values of ``f*``.
+    Any other couple scores them in blocks by array arithmetic: each block
+    is a levels x pieces matrix of the rows ``(f* - lam)_+`` and
+    ``min(f*, lam)``, whose norms are weighted sums or maxima with weights
+    computed once per call.  That is O(levels x pieces), and a block holds
+    at most ``_ORACLE_BLOCK`` entries (a single level once ``f*`` has more
+    pieces than that), so memory stays bounded at any piece count.
     """
     t = _check_t(t)
     fs = f.rearrange()
     if fs.is_zero:
         return 0.0
-    lams = _default_levels(fs, couple) if levels is None else _check_levels(levels)
-    norm0 = _RowNorm(fs, couple.params0)
-    norm1 = _RowNorm(fs, couple.params1)
-    step = max(1, _ORACLE_BLOCK // (len(fs.values) + 1))
-    best = INF
-    for i in range(0, lams.size, step):
-        lam = lams[i : i + step, None]
-        cost0 = norm0(_excess, lam)
-        kept = cost0 < INF
-        if kept.any():
-            cost = cost0[kept] + t * norm1(np.minimum, lam[kept])
-            best = min(best, float(cost.min()))
-    return best
+    linear = _piecewise_linear(couple.params0) and _piecewise_linear(couple.params1)
+    lams = _default_levels(fs, linear) if levels is None else _check_levels(levels)
+    return (_linear_oracle if linear else _matrix_oracle)(fs, t, couple, lams)
 
 
 def _check_theta(couple: LorentzCouple, theta: float) -> None:
@@ -334,12 +442,22 @@ def holmstedt_k(f: StepFunction, t: float, couple: LorentzCouple, theta: float) 
     if fs.is_zero:
         return 0.0
     p0, q0 = couple.params0.p, couple.params0.q
-    p1, q1 = couple.params1.p, couple.params1.q
     if q0 < INF:
         inner0 = weighted_power_integral(fs, q0 / p0, q0, 0.0, t)
         term0 = inner0 ** (1.0 / q0) if inner0 < INF else INF
     else:
         term0 = _weighted_sup(fs, 1.0 / p0, 0.0, t)
+    return _holmstedt_sum(fs, t, couple, theta, term0)
+
+
+def _holmstedt_sum(fs: StepFunction, t: float, couple: LorentzCouple, theta: float, term0: float) -> float:
+    """:func:`holmstedt_k` of ``fs = f*`` from its first term ``term0``.
+
+    For (L_1, L_inf) at ``theta = 1`` that term is ``integral_0^t f*``, the
+    exact K, so a caller that has K passes it in instead of integrating
+    again (``x ** 1.0 == x``, so it is the same float).
+    """
+    p1, q1 = couple.params1.p, couple.params1.q
     if q1 < INF:
         inner1 = weighted_power_integral(fs, q1 / p1, q1, t, INF)
         term1 = inner1 ** (1.0 / q1) if inner1 < INF else INF

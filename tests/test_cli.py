@@ -226,6 +226,26 @@ class TestKfunAndFunctor:
         assert code == 0
         assert sorts == [2000]
 
+    def test_kfun_oracle_at_1e5_pieces(self, capsys, tmp_path):
+        # the (L1, Linf) oracle on 10^5 shuffled pieces, at t inside the
+        # support and past its end, against the exact K
+        rng = np.random.default_rng(10**5)
+        bps = np.cumsum(rng.uniform(2.0**-10, 2.0**-2, 10**5))
+        vals = np.exp(rng.uniform(-6.0, 6.0, 10**5))
+        src = tmp_path / "large.json"
+        src.write_text(json.dumps({"breakpoints": bps.tolist(), "values": vals.tolist(), "tail": 0.0}))
+        for t in ("0.7", "1e5"):
+            code, out = run_cli(
+                capsys,
+                "kfun",
+                "--p0", "1", "--q0", "1", "--p1", "inf", "--q1", "inf",
+                "--t", t,
+                "--input", str(src),
+            )
+            assert code == 0
+            got = dict(line.split() for line in out.strip().splitlines())
+            assert float(got["oracle_upper"]) == pytest.approx(float(got["exact"]), rel=1e-9)
+
     def test_kfun_rejects_infinite_t(self, chi_file):
         with pytest.raises(SystemExit, match=r"t must be in \(0, inf\), got inf"):
             main(
@@ -372,21 +392,21 @@ class TestGoldenOutputs:
         ("shuffled-tail", "hardy"): "c4b621f33c7917b877478fefae64ea9cfbae877d795120423185e15d0fd3178c",
         ("shuffled-tail", "functor-norm"): "8dde342aada92cfdd2723dbac77dd52250dc9cd2d8103a0973cf87fa2880dfff",
         ("shuffled-tail", "kfun"): "70bd2442e87220fed60e0c6b064a7a84c656fd7fe3ef7c8c5961f91f34320d99",
-        ("shuffled-tail", "kfun-past-end"): "98e438d4b2cf977993882bb9e64909b74b6934d5445bab3c33b2b8a9f690ae75",
+        ("shuffled-tail", "kfun-past-end"): "e0e0e079b68dab0b028cb75b333c08a02bd9bd7a774480ca7c9da62953dff4e4",
         ("shuffled", "rearrange"): "2dfb2bbb78499afc8c082da03b32d01b2de7abf225715697c5b180f4d527091b",
         ("shuffled", "norm-q1"): "d10f80d6295d68fa9d1b8799d6e4b1e38c9d2da547423096a0883a36460945a9",
         ("shuffled", "norm-qinf"): "25babc489bbe1b35434327eb5234d2d0439dcf85c63ab67f61b3a83fe8e6636a",
         ("shuffled", "hardy"): "b251df45130591035d37166ac2d72e5537b3a34a2ef233c28d86759da99f9d71",
         ("shuffled", "functor-norm"): "fe81b41ede4a232c487dd0b0f90c6ff2ed91f7e3d7fcfe02859a709e4a1343f2",
         ("shuffled", "kfun"): "70bd2442e87220fed60e0c6b064a7a84c656fd7fe3ef7c8c5961f91f34320d99",
-        ("shuffled", "kfun-past-end"): "852d003f33ecf23dd834534087b34096ab079add6627f475b55368b73e31b947",
+        ("shuffled", "kfun-past-end"): "d2b34808bbf6c15aa73e8c9c3b3466bcbcffc6b918dffbcab81abdba9ce1dcd2",
         ("sorted", "rearrange"): "56519f2f37c203ea91ddf5c7fdf2cee1d1b6f31b24e38b6c126c1362dccd239d",
         ("sorted", "norm-q1"): "5b5da291c2866bb6f53420fcd4005956f5d3e5ef90cbf65a17a04aa74ce2cf89",
         ("sorted", "norm-qinf"): "909a8edbdec9e46bf7764cde17b42e7622d15214a1d098b14909f9bbaf023f27",
         ("sorted", "hardy"): "7e6156cd481b9317b32acf71a5bf43514951e83891365fb4cab72e8b587fa8f3",
         ("sorted", "functor-norm"): "ea4961e4326856694eeb7926ca38c05a08307043ab4efbfb909da95f5b3d2e0b",
         ("sorted", "kfun"): "c4df9d43a2fca1651820b4203bcea58618cdf8c69e2562ffe4a960b8c09d932c",
-        ("sorted", "kfun-past-end"): "9cf3dc99bd48a02ed7ae7f54282b7f5e3c30bc3ef5ed6d6e7bf5d427196f15ee",
+        ("sorted", "kfun-past-end"): "78575748e05958a85b9a4f677da26a5a93aa85b0becad966112ed86d05573694",
     }
 
     @staticmethod

@@ -174,8 +174,9 @@ class TestKDriver:
 
     def test_one_k_table_per_function_and_no_piecewise_k(self, small_corpus, monkeypatch):
         # f's K values come from one prefix table per pair, g and f + g add
-        # one each; the piecewise integral runs only inside the Holmstedt
-        # expression and the member records' norms, never for K itself
+        # one each; the piecewise integral runs only inside the member
+        # records' norms, never for K itself nor for Holmstedt's first term,
+        # which is the K the table already holds
         tables = []
         kernel = interp._k_l1_linf
 
@@ -187,17 +188,16 @@ class TestKDriver:
         monkeypatch.setattr(harness, "_k_l1_linf", counting_kernel)
         inside = [0]
         callers = Counter()
-        for owner, name in ((harness, "holmstedt_k"), (harness._Member, "norm")):
-            original = getattr(owner, name)
+        norm = harness._Member.norm
 
-            def entered(*args, _original=original, **kwargs):
-                inside[0] += 1
-                try:
-                    return _original(*args, **kwargs)
-                finally:
-                    inside[0] -= 1
+        def entered(*args, **kwargs):
+            inside[0] += 1
+            try:
+                return norm(*args, **kwargs)
+            finally:
+                inside[0] -= 1
 
-            monkeypatch.setattr(owner, name, entered)
+        monkeypatch.setattr(harness._Member, "norm", entered)
         integral = stepfn.weighted_power_integral
 
         def counting_integral(*args, **kwargs):

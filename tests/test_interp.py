@@ -29,6 +29,7 @@ from rinorms import (
     min_power_norm_finite,
     interp,
     select_parameters,
+    stepfn,
     weighted_power_integral,
 )
 
@@ -114,16 +115,17 @@ class TestTruncationOracle:
             )
 
     @pytest.mark.parametrize("order", ["shuffled", "sorted"])
-    def test_agrees_with_exact_k_at_2000_pieces(self, order):
+    @pytest.mark.parametrize("n", [2000, 10**5])
+    def test_agrees_with_exact_k_at_many_pieces(self, n, order):
         rng = np.random.default_rng(2000)
-        bps = np.cumsum(rng.uniform(2.0**-4, 2.0**4, 2000))
-        vals = np.exp(rng.uniform(-8.0, 8.0, 2000))
+        bps = np.cumsum(rng.uniform(2.0**-4, 2.0**4, n))
+        vals = np.exp(rng.uniform(-8.0, 8.0, n))
         vals = np.sort(vals)[::-1] if order == "sorted" else rng.permutation(vals)
-        f = StepFunction(tuple(bps), tuple(vals))
-        assert len(f.rearrange().values) == 2000
-        for t in (bps[0] / 3.0, bps[999], 0.5 * (bps[1500] + bps[1501]), 2.0 * bps[-1]):
-            exact = k_exact_l1_linf(f, t)
-            assert k_upper_oracle(f, t, L1_LINF) == pytest.approx(exact, rel=1e-11)
+        fs = StepFunction(tuple(bps), tuple(vals)).rearrange()
+        assert len(fs.values) == n
+        for t in (bps[0] / 3.0, bps[n // 2], 0.5 * (bps[3 * n // 4] + bps[3 * n // 4 + 1]), 2.0 * bps[-1]):
+            exact = k_exact_l1_linf(fs, t)
+            assert k_upper_oracle(fs, t, L1_LINF) == pytest.approx(exact, rel=1e-11)
 
 
 _ORACLE_COUPLES = [
@@ -138,6 +140,7 @@ _ORACLE_COUPLES = [
         (2.0, INF, 4.0, INF),
         (2.0, 1.0, INF, INF),
         (1.0, 1.0, 3.0, 1.0),  # q = 1 on both sides, finite p
+        (0.5, 1.0, INF, INF),  # q = 1 with p < 1: the weights grow like b**2
     )
 ]
 # the couples above whose truncation costs are piecewise linear in the
@@ -149,6 +152,7 @@ _PIECEWISE_LINEAR = [
         (INF, INF, 2.0, 1.0),
         (2.0, 1.0, INF, INF),
         (1.0, 1.0, 3.0, 1.0),
+        (0.5, 1.0, INF, INF),
     )
 ]
 
@@ -169,16 +173,27 @@ def oracle_steps(draw, max_pieces: int = 8):
     return StepFunction(tuple(sorted(bps)), tuple(vals), tail)
 
 
+@st.composite
+def corpus_members(draw):
+    """One member of a default, dyadic and/or positive-tail corpus."""
+    kwargs = draw(
+        st.sampled_from(
+            [{}, {"dyadic": True}, {"positive_tail": True}, {"dyadic": True, "positive_tail": True}]
+        )
+    )
+    return generate_corpus(draw(st.integers(0, 2**20)), 1, **kwargs).functions[0]
+
+
 class TestOracleAgainstLoopReference:
-    """The array oracle against the per-level StepFunction reference loop."""
+    """The oracle, either path, against the per-level StepFunction reference loop."""
 
     @given(
-        oracle_steps(),
+        st.one_of(oracle_steps(), corpus_members()),
         st.floats(2.0**-8, 2.0**8),
         st.sampled_from(_ORACLE_COUPLES),
         st.one_of(
             st.none(),
-            st.lists(st.floats(0.0, 2.0**7), min_size=1, max_size=12),
+            st.lists(st.floats(0.0, 2.0**9), min_size=1, max_size=12),
         ),
         st.booleans(),
     )
@@ -214,17 +229,6 @@ class TestOracleAgainstLoopReference:
                 assert math.isclose(got, want, rel_tol=1e-12), (f, levels, got, want)
 
 
-@st.composite
-def corpus_members(draw):
-    """One member of a default, dyadic and/or positive-tail corpus."""
-    kwargs = draw(
-        st.sampled_from(
-            [{}, {"dyadic": True}, {"positive_tail": True}, {"dyadic": True, "positive_tail": True}]
-        )
-    )
-    return generate_corpus(draw(st.integers(0, 2**20)), 1, **kwargs).functions[0]
-
-
 class TestOracleLevelCut:
     """The default level grid against the full grid every couple got before."""
 
@@ -256,24 +260,84 @@ class TestOracleLevelCut:
     )
     def test_levels_scored(self, couple, cut, monkeypatch):
         # the levels the oracle actually scores: every X0 cost goes through
-        # _excess, once or twice per block with the block's level column
-        columns = {}
-        excess = interp._excess
+        # the closure _excess_norm returns (piecewise-linear couples, one
+        # call per level) or through _excess (any other couple, once or
+        # twice per block with the block's level column)
+        scored, columns = [], {}
+        excess_norm, excess = interp._excess_norm, interp._excess
+
+        def spy_norm(vals, w):
+            cost = excess_norm(vals, w)
+
+            def spied(k, lam):
+                scored.append(lam)
+                return cost(k, lam)
+
+            return spied
 
         def spy(vals, lam):
             columns[id(lam)] = lam  # keeps lam alive, so ids stay distinct
             return excess(vals, lam)
 
+        monkeypatch.setattr(interp, "_excess_norm", spy_norm)
         monkeypatch.setattr(interp, "_excess", spy)
         for f in generate_corpus(5, 12, positive_tail=True):
+            scored.clear()
             columns.clear()
             k_upper_oracle(f, 0.75, couple)
-            levels = np.concatenate([lam.ravel() for lam in columns.values()]).tolist()
             fs = f.rearrange()
             if cut:
-                assert levels == sorted(set(fs.values) | {fs.tail, 0.0})
+                assert not columns  # no levels x pieces matrix
+                assert scored == sorted(set(fs.values) | {fs.tail, 0.0})
             else:
+                assert not scored
+                levels = np.concatenate([lam.ravel() for lam in columns.values()]).tolist()
                 assert levels == reference_levels(fs) and len(levels) >= 200
+
+
+class TestLinearOracleAgainstMatrix:
+    """The prefix-sum path of the piecewise-linear couples against the
+    levels x pieces matrix path (the one every other couple takes) scoring
+    the same levels."""
+
+    @given(
+        st.one_of(oracle_steps(), corpus_members(), edge_step_functions(max_pieces=60)),
+        st.floats(2.0**-8, 2.0**8),
+        st.sampled_from(_PIECEWISE_LINEAR),
+        st.one_of(st.none(), st.lists(st.floats(0.0, 2.0**9), min_size=1, max_size=12)),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_matches_matrix_path(self, f, t, couple, levels):
+        try:
+            fs = f.rearrange()
+        except ValueError:  # the lengths sum past the largest float
+            return
+        if fs.is_zero:
+            return
+        lams = interp._default_levels(fs, True) if levels is None else levels
+        got = interp._linear_oracle(fs, t, couple, lams)
+        want = interp._matrix_oracle(fs, t, couple, lams)
+        assert math.isclose(got, want, rel_tol=1e-12), (got, want)
+
+    @pytest.mark.parametrize(
+        "couple,want",
+        [
+            # levels 3 and 2 cost 0 + 0.75 * 3 and 1 * 0.5 + 0.75 * 2; level 0
+            # puts the piece of infinite weight into X0
+            (LorentzCouple(LorentzParams(0.5, 1.0), LorentzParams(INF, INF)), 2.0),
+            # only level 0 keeps the piece of infinite weight out of X1
+            (LorentzCouple(LorentzParams(INF, INF), LorentzParams(0.5, 1.0)), 3.0),
+        ],
+        ids=str,
+    )
+    def test_weight_past_the_float_range(self, couple, want):
+        # p = 0.5: the weight of (1, 1e200] is about 1e400 / 2; the map
+        # chain raises OverflowError there, and the weight counts as inf
+        f = StepFunction((1.0, 1e200), (3.0, 2.0))
+        with pytest.raises(OverflowError):
+            list(stepfn._power_parts(2.0, [0.0, 1.0], [1.0, 1e200]))
+        assert k_upper_oracle(f, 0.75, couple) == want
+        assert interp._matrix_oracle(f, 0.75, couple, [0.0, 2.0, 3.0]) == want
 
 
 # corpus keyword sets for the prefix-table differential test; "wide" spans
@@ -343,7 +407,10 @@ class TestKTableLoop:
     @settings(max_examples=25, deadline=None)
     def test_corpus_functions(self, case):
         fs, ts = case
-        assert repr(interp._k_l1_linf(fs, ts)) == repr(loop_k_l1_linf(fs, ts))
+        want = loop_k_l1_linf(fs, ts)
+        assert repr(interp._k_l1_linf(fs, ts)) == repr(want)
+        # one t at a time: a chain of one partial piece, or none
+        assert repr([interp._k_l1_linf(fs, [t])[0] for t in ts]) == repr(want)
 
     @given(st.data(), edge_step_functions())
     @settings(max_examples=40, deadline=None)
