@@ -498,13 +498,6 @@ def _checked_exponents(order, w) -> tuple[float, float]:
     )
 
 
-def _alone(env: MonotoneEnvelope) -> MonotoneEnvelope:
-    """A block of one, raising the exception of its function if it has one."""
-    if env.errors[0] is not None:
-        raise env.errors[0]
-    return env
-
-
 def hardy_upper(
     f: StepFunction, u: float, w: float, grid_spec: GridSpec = DEFAULT_GRID
 ) -> MonotoneEnvelope:
@@ -514,7 +507,9 @@ def hardy_upper(
     the float range.
     """
     u, w = _checked_exponents(u, w)
-    return _alone(_upper_block(_Block.of(f.rearrange(), grid_spec), u, w))
+    env = _upper_block(_Block.of(f.rearrange(), grid_spec), u, w)
+    _result(env.errors[0])
+    return env
 
 
 def hardy_lower(
@@ -528,7 +523,9 @@ def hardy_lower(
     Otherwise an average that leaves the float range raises ``ValueError``.
     """
     v, w = _checked_exponents(v, w)
-    return _alone(_lower_block(_Block.of(f.rearrange(), grid_spec), v, w))
+    env = _lower_block(_Block.of(f.rearrange(), grid_spec), v, w)
+    _result(env.errors[0])
+    return env
 
 
 def _combine_laws(a, b, boundary: float, side: Literal["head", "tail"], hi: bool) -> tuple:

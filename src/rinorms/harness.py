@@ -40,7 +40,6 @@ Violations carry the witness function as JSON for reproduction.
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import json
 import math
@@ -396,7 +395,6 @@ def verify_hardy_pointwise(
     kind, order = _averaging_kind(u, v)
     scan = _Scan(corpus)
     a, b = _checked_exponents(order, w)
-    diverged_grid = functools.cache(lambda: grid_spec.build([1.0]))
     for records, _, blk in scan.blocks(grid_spec):
         if kind == "upper":
             env_w = _upper_block(blk, a, b)
@@ -409,16 +407,13 @@ def verify_hardy_pointwise(
             errors = env.errors
             doubled = 2.0 * blk.grid
             checks = [(env.values, blk.f_star(blk.piece_index(doubled)))]
-            # members whose f*(2t) may be undefined: 2t overflows, or the
-            # envelope diverged and is checked on its own grid around 1
-            fits = np.logical_and.reduceat(doubled < INF, blk.goff[:-1])
-            unchecked = (env.diverged | ~fits).tolist()
+            # members whose f*(2t) is undefined somewhere: 2t overflows
+            unchecked = (~np.logical_and.reduceat(doubled < INF, blk.goff[:-1])).tolist()
         found = [_violations(blk, lhs, low, slack) for lhs, low in checks]
         for i, m in enumerate(records):
             _result(errors[i])
             if unchecked and unchecked[i]:
-                grid = diverged_grid() if env.diverged[i] else blk.grid[blk.goff[i] : blk.goff[i + 1]]
-                m.fs(2.0 * grid)  # raises where 2t leaves the float range
+                m.fs(doubled[blk.goff[i] : blk.goff[i + 1]])  # raises where 2t leaves the float range
             for counts, first in found:
                 if counts[i]:
                     scan.violation(counts[i], function=m.f.to_dict(), t=first[i])

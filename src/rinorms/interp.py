@@ -10,9 +10,10 @@ are implemented for couples of Lorentz spaces:
   ``K(t, f; L_1, L_inf) = integral_0^t f*`` (exact);
 * :func:`k_upper_oracle` - an upper bound minimising over truncation
   decompositions ``f* = (f* - lam)_+ + min(f*, lam)``, which is exactly
-  optimal for (L_1, L_inf) and serves as the independent oracle: O(pieces)
-  from layer-cake prefix sums when each side has ``q = 1`` or
-  ``p = q = inf``, O(levels x pieces) in bounded blocks otherwise;
+  optimal for (L_1, L_inf) and serves as the independent oracle: prefix
+  and suffix sums over ``f*`` score each level in O(1), except the X0 cost
+  of a side with ``q != 1`` that is not ``p = q = inf``, a sum over the
+  values of ``f*`` above the level;
 * :func:`holmstedt_k` - Holmstedt's two-term integral expression, equivalent
   to K up to couple-dependent constants and exact to evaluate on step
   functions.
@@ -29,7 +30,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
-from operator import mul, sub
+from operator import add, mul, sub
 from typing import Sequence
 
 import numpy as np
@@ -174,24 +175,22 @@ def _piecewise_linear(params: LorentzParams) -> bool:
     return params.q == 1.0 or params.p == params.q == INF
 
 
-def _default_levels(fs: StepFunction, linear: bool, n_grid: int = 200) -> list[float]:
+_N_GRID = 200
+
+
+def _default_levels(fs: StepFunction, linear: bool) -> list[float]:
     """The default levels of :func:`k_upper_oracle` for ``fs = f*``, ascending.
 
     Every value of ``f*`` (tail included) plus 0; unless both sides of the
-    couple are piecewise linear (``linear``), also ``n_grid`` log-spaced
+    couple are piecewise linear (``linear``), also ``_N_GRID`` log-spaced
     levels between the smallest and largest positive values.
     """
     levels = set(fs.values) | {fs.tail, 0.0}
     if not linear:
         positive = [v for v in levels if v > 0.0]
         if positive:
-            levels.update(np.geomspace(min(positive), max(positive), n_grid).tolist())
+            levels.update(np.geomspace(min(positive), max(positive), _N_GRID).tolist())
     return sorted(levels)
-
-
-# Levels x columns entries the matrix path of k_upper_oracle evaluates per
-# block: its working arrays stay a few MB whatever the piece count.
-_ORACLE_BLOCK = 1 << 18
 
 
 def _check_levels(levels) -> list[float]:
@@ -207,161 +206,105 @@ def _check_levels(levels) -> list[float]:
     return lams.tolist()
 
 
-def _power_weights(bps: np.ndarray, alpha: float) -> np.ndarray:
-    """``integral s**(alpha - 1) ds`` over each piece cut by ``bps``, the
-    tail's ``inf`` last; a weight past the largest float is ``inf``."""
-    w = np.full(bps.size + 1, INF)
-    if bps.size:
-        with np.errstate(over="ignore"):
-            w[0] = bps[0] ** alpha / alpha
-            w[1:-1] = _power_integral_array(alpha, bps[:-1], bps[1:])
-    return w
+def _weights(fs: StepFunction, params: LorentzParams) -> list[float] | None:
+    """The weights ``w_i`` of L_{p,q} on the pieces of ``fs = f*``, the
+    tail's ``inf`` last; a weight past the largest float is ``inf``.
 
-
-class _RowNorm:
-    """L_{p,q} norms of step functions given as rows over the pieces of ``f*``.
-
-    A row holds one value per piece of ``f*`` and its tail value last; the
-    per-column weights are computed once.  Finite ``q``: the norm is
+    Finite ``q``: the norm of a row ``r`` over the pieces is
     ``(sum_i r_i**q w_i)**(1/q)`` with ``w_i`` the integral of
     ``s**(q/p - 1)`` over piece ``i``.  ``q = inf``, finite ``p``: it is
     ``max_i r_i w_i`` with ``w_i = b_i**(1/p)`` at the piece's right end
-    ``b_i`` (the rule of ``lorentz._weighted_sup``).  ``p = q = inf``: the
-    largest entry.  A column of weight ``inf`` (the tail for finite ``p``, or
-    a piece whose weight overflows) makes the norm ``inf`` wherever its entry
-    is positive; it is kept apart so that ``0 * inf`` never arises.
+    ``b_i`` (the rule of ``lorentz._weighted_sup``).  ``None`` for
+    ``p = q = inf``, whose norm is the largest entry.
     """
-
-    def __init__(self, fs: StepFunction, params: LorentzParams):
-        bps = np.asarray(fs.breakpoints, dtype=float)
-        self.p, self.q = params.p, params.q
-        if self.q < INF:
-            w = _power_weights(bps, self.q / self.p)
-        elif self.p < INF:
-            with np.errstate(over="ignore"):
-                w = np.append(bps ** (1.0 / self.p), INF)
-        else:
-            w = np.ones(bps.size + 1)
-        vals = np.asarray(fs.values + (fs.tail,), dtype=float)
-        finite = np.isfinite(w)
-        self.vals, self.w, self.vals_inf = vals[finite], w[finite], vals[~finite]
-
-    def __call__(self, row_of, lam: np.ndarray) -> np.ndarray:
-        """Norms of the rows ``row_of(values, lam)``, one per entry of the column ``lam``.
-
-        ``row_of`` returns a new array, which is then updated in place.
-        """
-        rows = row_of(self.vals, lam)
+    p, q = params.p, params.q
+    bps = fs.breakpoints
+    if q == INF:
+        if p == INF:
+            return None
         with np.errstate(over="ignore"):
-            if self.q < INF:
-                if self.q != 1.0:
-                    rows **= self.q
-                cost = rows @ self.w
-                if self.q != 1.0:
-                    cost **= 1.0 / self.q
-            else:
-                if self.p < INF:
-                    rows *= self.w
-                cost = rows.max(axis=1, initial=0.0)
-        if self.vals_inf.size:
-            cost[(row_of(self.vals_inf, lam) > 0.0).any(axis=1)] = INF
-        return cost
-
-
-def _excess(vals: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    rows = vals - lam
-    return np.maximum(rows, 0.0, out=rows)
-
-
-def _matrix_oracle(fs: StepFunction, t: float, couple: LorentzCouple, lams: list[float]) -> float:
-    """:func:`k_upper_oracle` of a couple that is not piecewise linear: the
-    levels in blocks of levels x pieces matrices, scored by :class:`_RowNorm`."""
-    lams = np.array(lams)
-    norm0 = _RowNorm(fs, couple.params0)
-    norm1 = _RowNorm(fs, couple.params1)
-    step = max(1, _ORACLE_BLOCK // (len(fs.values) + 1))
-    best = INF
-    for i in range(0, lams.size, step):
-        lam = lams[i : i + step, None]
-        cost0 = norm0(_excess, lam)
-        kept = cost0 < INF
-        if kept.any():
-            cost = cost0[kept] + t * norm1(np.minimum, lam[kept])
-            best = min(best, float(cost.min()))
-    return best
-
-
-def _linear_weights(fs: StepFunction, params: LorentzParams) -> list[float] | None:
-    """The weights ``w_i`` of a piecewise-linear L_{p,q} on the pieces of
-    ``fs = f*``, the tail's ``inf`` last: for ``q = 1`` the norm of a
-    nonincreasing row is ``sum_i r_i w_i`` with ``w_i`` the integral of
-    ``s**(1/p - 1)`` over piece ``i``.  ``None`` for ``p = q = inf``."""
-    if params.q == INF:
-        return None
-    bps, alpha = fs.breakpoints, 1.0 / params.p
+            return [*(np.asarray(bps, dtype=float) ** (1.0 / p)).tolist(), INF]
+    alpha = q / p
     try:
         return [*_power_parts(alpha, [0.0, *bps][:-1], bps), INF]
-    except OverflowError:  # as in _RowNorm, a weight past the float range is inf
-        return _power_weights(np.asarray(bps, dtype=float), alpha).tolist()
+    except OverflowError:
+        b = np.asarray(bps, dtype=float)
+        w = np.full(b.size + 1, INF)
+        with np.errstate(over="ignore"):
+            w[0] = b[0] ** alpha / alpha
+            w[1:-1] = _power_integral_array(alpha, b[:-1], b[1:])
+        return w.tolist()
 
 
-# The two truncation costs of a piecewise-linear couple (each side q = 1 or
-# p = q = inf) at a level lam, from prefix and suffix sums over the values
-# v_0 > v_1 > ... of f* (its tail last) and their weights w_i.  A level
-# comes with k, the number of values above it, and W_j is the weight of the
-# first j + 1 pieces.  By the layer-cake sum
+# The two truncation costs at a level lam, from the values v_0 > v_1 > ...
+# of f* (its tail last) and one side's weights w_i.  A level comes with k,
+# the number of values above it, and W_j is the weight of the first j + 1
+# pieces.  For finite q
 #
-#     ||(f* - lam)_+|| = sum_{j<k-1} (v_j - v_{j+1}) W_j + (v_{k-1} - lam) W_{k-1},
-#     ||min(f*, lam)|| = lam W_{k-1} + sum_{i>=k} v_i w_i,
+#     ||min(f*, lam)|| = (lam**q W_{k-1} + sum_{i>=k} v_i**q w_i)**(1/q)
 #
-# and for p = q = inf they are v_0 - lam and lam, capped at 0 and v_0.  Every
-# term is nonnegative, so nothing cancels.  A weight of inf makes a cost inf
-# where its entry is positive, and lam = 0 has truncation cost 0 without a
-# product, so 0 * inf never arises.
+# from a suffix sum (for q = inf the maximum of lam max_{i<k} w_i and a
+# suffix maximum of v_i w_i), and for q = 1 the layer-cake sum gives
+#
+#     ||(f* - lam)_+|| = sum_{j<k-1} (v_j - v_{j+1}) W_j + (v_{k-1} - lam) W_{k-1};
+#
+# any other q sums (v_i - lam)**q w_i over the k values above lam, a maximum
+# for q = inf.  For p = q = inf the costs are v_0 - lam and lam, capped at 0
+# and v_0.  Every term is nonnegative, so nothing cancels.  A weight of inf
+# makes a cost inf where its entry is positive: lam = 0 has truncation cost
+# 0 without a product, and an excess that meets such a weight is inf before
+# any power, so 0 * inf never arises.  A power or a sum past the largest
+# float is inf, and so is that level's cost: the bound only loosens.  Such a
+# power meeting a weight that fell below the float range to 0 makes an
+# excess NaN, which skips the level as inf does.
 
 
-def _excess_norm(vals: list[float], w: list[float] | None):
+def _excess_norm(vals: list[float], w: list[float] | None, q: float):
     """``(k, lam) -> ||(f* - lam)_+||``."""
     if w is None:
         top = vals[0]
         return lambda k, lam: max(top - lam, 0.0)
-    cum = list(accumulate(w))
-    at = list(accumulate(map(mul, map(sub, vals, vals[1:]), cum), initial=0.0))  # at the levels v_m
-    return lambda k, lam: at[k - 1] + (vals[k - 1] - lam) * cum[k - 1] if k else 0.0
-
-
-def _truncation_norm(vals: list[float], w: list[float] | None):
-    """``(k, lam) -> ||min(f*, lam)||``."""
-    if w is None:
-        top = vals[0]
-        return lambda k, lam: min(top, lam)
-    cum = list(accumulate(w))
-    terms = [*map(mul, vals[:-1], w[:-1]), INF if vals[-1] else 0.0]  # a zero tail adds 0
-    rest = list(accumulate(reversed(terms), initial=0.0))[::-1]  # sum_{i>=k} v_i w_i
+    if q == 1.0:
+        cum = list(accumulate(w))
+        at = list(accumulate(map(mul, map(sub, vals, vals[1:]), cum), initial=0.0))  # at the levels v_m
+        return lambda k, lam: at[k - 1] + (vals[k - 1] - lam) * cum[k - 1] if k else 0.0
+    stop = w.index(INF)  # the first piece of infinite weight
+    v, wf = np.array(vals[:stop]), np.array(w[:stop])
 
     def norm(k: int, lam: float) -> float:
-        if not lam:
-            return 0.0
-        return lam * cum[k - 1] + rest[k] if k else rest[0]
+        if k > stop:
+            return INF
+        with np.errstate(over="ignore", invalid="ignore"):
+            rows = v[:k] - lam
+            return float((rows**q @ wf[:k]) ** (1.0 / q) if q < INF else (rows * wf[:k]).max(initial=0.0))
 
     return norm
 
 
-def _linear_oracle(fs: StepFunction, t: float, couple: LorentzCouple, lams: list[float]) -> float:
-    """:func:`k_upper_oracle` of a piecewise-linear couple: O(pieces) to set
-    up, then each level placed among the values of ``f*`` by bisection."""
-    vals = [*fs.values, fs.tail]
-    excess = _excess_norm(vals, _linear_weights(fs, couple.params0))
-    truncation = _truncation_norm(vals, _linear_weights(fs, couple.params1))
-    ascending = vals[::-1]
-    n = len(vals)
-    best = INF
-    for lam in lams:
-        k = n - bisect_right(ascending, lam)
-        cost0 = excess(k, lam)
-        if cost0 < INF:
-            best = min(best, cost0 + t * truncation(k, lam))
-    return best
+def _truncation_norm(vals: list[float], w: list[float] | None, q: float):
+    """``(k, lam) -> ||min(f*, lam)||``."""
+    if w is None:
+        top = vals[0]
+        return lambda k, lam: min(top, lam)
+    op, e = (add, q) if q < INF else (max, 1.0)
+    cum = list(accumulate(w, op))
+    with np.errstate(over="ignore"):
+        powered = (np.asarray(vals) ** e).tolist()
+    # a term with an infinite factor is inf, or 0 for a zero value
+    terms = [x * wi if max(x, wi) < INF else INF if v else 0.0 for v, x, wi in zip(vals, powered, w)]
+    rest = list(accumulate(reversed(terms), op, initial=0.0))[::-1]  # over i >= k
+
+    def norm(k: int, lam: float) -> float:
+        if not lam:
+            return 0.0
+        if k and cum[k - 1] == INF:  # an entry lam of infinite weight
+            return INF
+        try:
+            return (op(lam**e * cum[k - 1], rest[k]) if k else rest[0]) ** (1.0 / e)
+        except OverflowError:
+            return INF
+
+    return norm
 
 
 def k_upper_oracle(
@@ -387,24 +330,34 @@ def k_upper_oracle(
     default grid.
 
     No step function is built per level, and levels whose X0 cost is
-    ``inf`` are skipped.  A piecewise-linear couple scores its levels from
-    prefix and suffix sums over the pieces of ``f*`` (the layer-cake sums
-    above :func:`_excess_norm`): O(pieces) Python-float set-up, then O(1)
-    arithmetic per level after a bisection among the values of ``f*``.
-    Any other couple scores them in blocks by array arithmetic: each block
-    is a levels x pieces matrix of the rows ``(f* - lam)_+`` and
-    ``min(f*, lam)``, whose norms are weighted sums or maxima with weights
-    computed once per call.  That is O(levels x pieces), and a block holds
-    at most ``_ORACLE_BLOCK`` entries (a single level once ``f*`` has more
-    pieces than that), so memory stays bounded at any piece count.
+    ``inf`` are skipped.  Every couple scores its levels from one weight
+    list per side and prefix and suffix sums over the pieces of ``f*`` (the
+    sums above :func:`_excess_norm`): O(pieces) set-up, then a bisection
+    among the values of ``f*`` and O(1) arithmetic per level, except the
+    X0 cost of a side with ``q != 1`` that is not ``p = q = inf``, which
+    sums over the ``k`` values above the level.  A level whose powers or
+    sums overflow the float range costs ``inf``, which only loosens the
+    bound.
     """
     t = _check_t(t)
     fs = f.rearrange()
     if fs.is_zero:
         return 0.0
-    linear = _piecewise_linear(couple.params0) and _piecewise_linear(couple.params1)
+    x0, x1 = couple.params0, couple.params1
+    linear = _piecewise_linear(x0) and _piecewise_linear(x1)
     lams = _default_levels(fs, linear) if levels is None else _check_levels(levels)
-    return (_linear_oracle if linear else _matrix_oracle)(fs, t, couple, lams)
+    vals = [*fs.values, fs.tail]
+    excess = _excess_norm(vals, _weights(fs, x0), x0.q)
+    truncation = _truncation_norm(vals, _weights(fs, x1), x1.q)
+    ascending = vals[::-1]
+    n = len(vals)
+    best = INF
+    for lam in lams:
+        k = n - bisect_right(ascending, lam)
+        cost0 = excess(k, lam)
+        if cost0 < INF:
+            best = min(best, cost0 + t * truncation(k, lam))
+    return best
 
 
 def _check_theta(couple: LorentzCouple, theta: float) -> None:

@@ -230,7 +230,7 @@ class StepFunction:
         yield prev, INF, self.tail
 
     def max_value(self) -> float:
-        return max(self.values, default=self.tail) if self.values else self.tail
+        return max(self.values + (self.tail,))
 
     def is_nonincreasing(self) -> bool:
         seq = self.values + (self.tail,)

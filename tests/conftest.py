@@ -14,7 +14,8 @@ from rinorms import Enclosure, StepFunction, generate_corpus, lorentz_norm
 from rinorms.hardy import _OVERFLOW, MonotoneEnvelope, PowerLaw
 from rinorms.harness import _L1_LINF, POINTWISE_SLACK, _Scan
 from rinorms.interp import _k_l1_linf, holmstedt_k, k_exact_l1_linf, k_upper_oracle
-from rinorms.stepfn import _power_integral_array, power_integral
+from rinorms.lorentz import _NORM_OVERFLOW
+from rinorms.stepfn import _power_integral_array, power_integral, weighted_power_integral
 
 INF = math.inf
 
@@ -73,12 +74,38 @@ def excess(f: StepFunction, level: float) -> StepFunction:
     return StepFunction(f.breakpoints, tuple(max(v - level, 0.0) for v in f.values), max(f.tail - level, 0.0))
 
 
-def loop_k_upper_oracle(f: StepFunction, t: float, couple, levels=None) -> float:
+def _norm_or_inf(f: StepFunction, params, rescaled: bool) -> float:
+    """:func:`lorentz_norm`, with a norm past the largest float read as ``inf``.
+
+    Unless ``rescaled``, a norm whose power integral overflows is ``inf``
+    too, as in the oracle (:func:`lorentz_norm` sums such an integral again
+    for ``f`` scaled by a power of two).
+    """
+    p, q = params.p, params.q
+    if not rescaled and p < INF and q < INF:
+        try:
+            if weighted_power_integral(f.rearrange(), q / p, q) == INF:
+                return INF
+        except OverflowError:
+            return INF
+    try:
+        return lorentz_norm(f, params)
+    except ValueError as err:
+        if str(err) != _NORM_OVERFLOW:
+            raise
+        return INF
+
+
+def loop_k_upper_oracle(f: StepFunction, t: float, couple, levels=None, *, rescaled: bool = False) -> float:
     """Per-level reference for :func:`rinorms.k_upper_oracle`.
 
     Builds ``(f* - lam)_+`` and ``min(f*, lam)`` as step functions for each
-    level and takes their Lorentz norms one at a time; the array oracle must
-    agree with it.  The default levels are :func:`reference_levels` for
+    level and takes their Lorentz norms one at a time; the oracle must agree
+    with it.  A norm past the largest float costs ``inf``, as in the oracle,
+    and so does one whose power integral overflows unless ``rescaled``: the
+    oracle is then only an upper bound on the ``rescaled`` reference.  A norm
+    that :func:`lorentz_norm` cannot compute in floating point raises its
+    ``ValueError``.  The default levels are :func:`reference_levels` for
     every couple.  O(levels x pieces) Python objects, so keep inputs small.
     """
     fs = f.rearrange()
@@ -86,10 +113,10 @@ def loop_k_upper_oracle(f: StepFunction, t: float, couple, levels=None) -> float
         return 0.0
     best = INF
     for lam in reference_levels(fs) if levels is None else levels:
-        cost0 = lorentz_norm(excess(fs, lam), couple.params0)
+        cost0 = _norm_or_inf(excess(fs, lam), couple.params0, rescaled)
         if cost0 == INF:
             continue
-        cost1 = lorentz_norm(fs.minimum(lam), couple.params1)
+        cost1 = _norm_or_inf(fs.minimum(lam), couple.params1, rescaled)
         best = min(best, cost0 + t * cost1)
     return best
 

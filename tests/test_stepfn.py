@@ -271,6 +271,15 @@ class TestRearrange:
             assert fs.rearrange() == fs
             assert fs.is_nonincreasing()
 
+    @given(st.one_of(dyadic_steps(), edge_step_functions(max_pieces=60)))
+    @settings(max_examples=200, deadline=None)
+    def test_max_value_is_that_of_the_rearrangement(self, f):
+        try:
+            fs = f.rearrange()
+        except ValueError:  # the lengths sum past the largest float
+            return
+        assert f.max_value() == fs.max_value()
+
     def test_dilation_anticommutes_at_grid(self, small_corpus):
         # f*(a t) <= f*(t) for a >= 1 at sample points
         for f in list(small_corpus)[:20]:
