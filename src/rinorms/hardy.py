@@ -93,10 +93,11 @@ class GridSpec:
     span: float = 2.0**20
 
     def __post_init__(self) -> None:
-        if self.points_per_decade < 2:
-            raise ValueError("need at least 2 points per decade")
-        if self.span <= 1.0:
-            raise ValueError("span factor must exceed 1")
+        # NaN fails both comparisons
+        if not 2 <= self.points_per_decade < INF:
+            raise ValueError(f"points per decade must be in [2, inf), got {self.points_per_decade!r}")
+        if not 1.0 < self.span < INF:
+            raise ValueError(f"span factor must be in (1, inf), got {self.span!r}")
 
     def build(self, anchors) -> np.ndarray:
         """The grid around ``anchors`` (around 1 when there are none).
@@ -236,8 +237,9 @@ class MonotoneEnvelope:
     monotone as well, which tightens per-interval bounds from constants to
     power laws; it is ``None`` when no function has that bracket.
     ``diverged`` marks identically infinite functions (a divergent defining
-    integral), and ``errors[i]`` is the exception function ``i`` raises when
-    it is used (``None`` for most).
+    integral).  The kernels that build a block raise ``ValueError`` when the
+    average of one of its functions leaves the float range, so every
+    function of a block is usable.
 
     :func:`hardy_upper` and :func:`hardy_lower` return a block of one, which
     evaluates anywhere: ``env(t)`` calls its ``eval``.  Instances are
@@ -255,7 +257,6 @@ class MonotoneEnvelope:
     bracket_decay: float | None
     flat: np.ndarray
     diverged: np.ndarray
-    errors: list
     label: str
     eval: Callable[[np.ndarray], np.ndarray] | None = None
 
@@ -280,31 +281,16 @@ class MonotoneEnvelope:
         return np.concatenate(([head], v[:-1]))
 
 
-def _result(x):
-    """A per-function result, raising it if it is the function's exception.
-
-    An arithmetic error (a descriptor term such as ``coef**q`` overflowing in
-    :func:`_norm_block`) is raised as a ``ValueError``.
-    """
-    if isinstance(x, ArithmeticError):
-        raise ValueError(_NORM_OVERFLOW) from x
-    if isinstance(x, Exception):
-        raise x
-    return x
-
-
-def _monotone_values(blk: _Block, values: np.ndarray, regular: np.ndarray, errors: list) -> np.ndarray:
-    """Mark the regular functions with a non-finite value as overflowed in
-    ``errors`` and return every function's values made non-increasing.
+def _monotone_values(blk: _Block, values: np.ndarray, regular: np.ndarray) -> np.ndarray:
+    """Every function's values made non-increasing; a regular function with
+    a non-finite value has overflowed, and raises ``ValueError``.
 
     Evaluation rounding can break monotonicity by an ulp on flat stretches;
     the running minimum restores it and stays within one ulp of exact.
     """
     bad = ~np.isfinite(values)
-    if bad.any():
-        hit = np.logical_or.reduceat(bad, blk.goff[:-1]) & regular
-        for i in np.flatnonzero(hit).tolist():
-            errors[i] = errors[i] or ValueError(_OVERFLOW)
+    if bad.any() and (np.logical_or.reduceat(bad, blk.goff[:-1]) & regular).any():
+        raise ValueError(_OVERFLOW)
     return _accumulate(np.minimum, values, blk.goff)
 
 
@@ -345,21 +331,23 @@ def _power_tables(blk: _Block, w: float, order: float):
 
 
 def _upper_block(blk: _Block, u: float, w: float) -> MonotoneEnvelope:
-    """:func:`hardy_upper` of every function of ``blk`` from checked exponents."""
+    """:func:`hardy_upper` of every function of ``blk`` from checked exponents.
+
+    Raises ``ValueError`` when the average of one of them leaves the float
+    range.
+    """
     k = blk.size
     counts = np.diff(blk.poff)
     tails = blk.tails
     flat = counts == 0  # constants, zero included
     zero = flat & (tails == 0.0)
-    errors: list = [None] * k
     factor = 1.0
     if w < INF and not zero.all():
         try:
             # the average of a constant c is c * factor
             factor = (u / w) ** (1.0 / w)
         except OverflowError:
-            factor = INF
-            errors = [None if z else ValueError(_OVERFLOW) for z in zero.tolist()]
+            raise ValueError(_OVERFLOW) from None
     allv = blk.table(blk.vals, tails)
     firsts = blk.poff[:-1][~flat]
     head = np.zeros(k)
@@ -394,12 +382,10 @@ def _upper_block(blk: _Block, u: float, w: float) -> MonotoneEnvelope:
             tail_const = tails
         values = evaluate(blk.grid, blk.K)
     consts = np.where(zero, 0.0, tail_const)
-    members = np.flatnonzero(flat).tolist()
-    for i in members:
-        if consts[i] == INF:
-            errors[i] = errors[i] or ValueError(_OVERFLOW)
-    _fill(blk, values, members, consts[flat])
-    values = _monotone_values(blk, values, ~flat, errors)
+    if (consts[flat] == INF).any():
+        raise ValueError(_OVERFLOW)
+    _fill(blk, values, np.flatnonzero(flat).tolist(), consts[flat])
+    values = _monotone_values(blk, values, ~flat)
 
     decayed = tails == 0.0
     last = values[blk.goff[1:] - 1]
@@ -418,7 +404,6 @@ def _upper_block(blk: _Block, u: float, w: float) -> MonotoneEnvelope:
         bracket_decay=None if flat.all() else 1.0 / u,
         flat=flat,
         diverged=np.zeros(k, dtype=bool),
-        errors=errors,
         label=f"H_upper(u={u},w={w})",
         eval=_single_eval(blk, evaluate, float(consts[0]) if flat[0] else None),
     )
@@ -428,14 +413,14 @@ def _lower_block(blk: _Block, v: float, w: float) -> MonotoneEnvelope:
     """:func:`hardy_lower` of every function of ``blk`` from checked exponents.
 
     A function with a positive tail diverges: its values read ``inf`` on its
-    own grid.
+    own grid.  Raises ``ValueError`` when the average of a function without
+    a positive tail leaves the float range.
     """
     k = blk.size
     counts = np.diff(blk.poff)
     diverged = blk.tails > 0.0
     flat = (counts == 0) & ~diverged  # the zero function
     regular = ~(flat | diverged)
-    errors: list = [None] * k
     allv = blk.table(blk.vals, 0.0)
     inside = blk.table(True, False)  # entries of finite pieces, not tails
     firsts = blk.goff[:-1]
@@ -465,7 +450,7 @@ def _lower_block(blk: _Block, v: float, w: float) -> MonotoneEnvelope:
         values = evaluate(blk.grid, blk.K)
         special = flat | diverged
         _fill(blk, values, np.flatnonzero(special).tolist(), np.where(diverged, INF, 0.0)[special])
-        values = _monotone_values(blk, values, regular, errors)
+        values = _monotone_values(blk, values, regular)
         if w < INF:
             head_hi = [float(s ** (1.0 / w)) for s in suf[blk.hpos]]
             head_lo = [float(x * g ** (1.0 / v)) for x, g in zip(values[firsts], blk.grid[firsts])]
@@ -484,7 +469,6 @@ def _lower_block(blk: _Block, v: float, w: float) -> MonotoneEnvelope:
         bracket_decay=1.0 / v if regular.any() else None,
         flat=flat,
         diverged=diverged,
-        errors=errors,
         label=f"H_lower(v={v},w={w})",
         eval=_single_eval(blk, evaluate, INF if diverged[0] else 0.0 if flat[0] else None),
     )
@@ -507,9 +491,7 @@ def hardy_upper(
     the float range.
     """
     u, w = _checked_exponents(u, w)
-    env = _upper_block(_Block.of(f.rearrange(), grid_spec), u, w)
-    _result(env.errors[0])
-    return env
+    return _upper_block(_Block.of(f.rearrange(), grid_spec), u, w)
 
 
 def hardy_lower(
@@ -523,9 +505,7 @@ def hardy_lower(
     Otherwise an average that leaves the float range raises ``ValueError``.
     """
     v, w = _checked_exponents(v, w)
-    env = _lower_block(_Block.of(f.rearrange(), grid_spec), v, w)
-    _result(env.errors[0])
-    return env
+    return _lower_block(_Block.of(f.rearrange(), grid_spec), v, w)
 
 
 def _combine_laws(a, b, boundary: float, side: Literal["head", "tail"], hi: bool) -> tuple:
@@ -576,7 +556,6 @@ def _add_block(e1: MonotoneEnvelope, e2: MonotoneEnvelope) -> MonotoneEnvelope:
         bracket_decay=None,
         flat=np.zeros(diverged.size, dtype=bool),
         diverged=diverged,
-        errors=[x or y for x, y in zip(e1.errors, e2.errors)],
         label=f"{e1.label}+{e2.label}",
     )
 
@@ -651,12 +630,12 @@ def _segment_max(x: np.ndarray, goff: np.ndarray) -> list:
     return np.maximum.reduceat(padded, goff[:-1]).tolist()
 
 
-def _norm_block(env: MonotoneEnvelope, params: LorentzParams) -> list:
-    """:func:`envelope_norm` of every function of ``env``: an
-    :class:`Enclosure`, or the exception that function raises.
+def _norm_block(env: MonotoneEnvelope, params: LorentzParams) -> list[Enclosure]:
+    """:func:`envelope_norm` of every function of ``env``, in order.
 
     The interval terms are computed for the whole block; each function's
-    terms are then added in the order of one function at a time.
+    terms are then added in the order of one function at a time.  A norm
+    that leaves the float range raises ``ValueError``.
     """
     p, q = params.p, params.q
     g, vals, beta = env.grid, env.values, env.bracket_decay
@@ -668,13 +647,7 @@ def _norm_block(env: MonotoneEnvelope, params: LorentzParams) -> list:
         (l.coef.tolist(), l.decay.tolist())
         for l in (env.head_hi, env.head_lo, env.tail_hi, env.tail_lo)
     ]
-    out = [
-        err if err is not None or not d else Enclosure(INF, INF)
-        for err, d in zip(env.errors, env.diverged.tolist())
-    ]
-    live = [i for i, x in enumerate(out) if x is None]
     plain = beta is None or env.flat.any()  # some function has no bracket
-    bracketed = [beta is not None and not f for f in env.flat.tolist()]
     with np.errstate(all="ignore"):
         if beta is not None:
             phi = g**beta * vals
@@ -682,25 +655,13 @@ def _norm_block(env: MonotoneEnvelope, params: LorentzParams) -> list:
             pw_lo = np.minimum(phi[:-1], phi[1:])
         if q < INF:
             gamma = 0.0 if p == INF else q / p
-            heads = {}
-            for i in live:
-                try:
-                    heads[i] = (
-                        _law_norm_term(hh_c[i], hh_d[i], gamma, q, 0.0, g0[i]),
-                        _law_norm_term(hl_c[i], hl_d[i], gamma, q, 0.0, g0[i]),
-                    )
-                except (ArithmeticError, ValueError) as err:
-                    out[i] = err
-            # (plain, bracketed) interval terms per side, computed only when
-            # some head term is finite, as for one function at a time
-            terms = [[None, None], [None, None]]
+            terms = [[None, None], [None, None]]  # (plain, bracketed) interval terms per side
             for side, const, upper in ((0, vals[:-1], True), (1, vals[1:], False)):
-                if any(h[side] < INF for h in heads.values()):
-                    if plain:
-                        terms[side][0] = const**q * _power_integral_array(gamma, a, b)
-                    if beta is not None:
-                        power = pw_hi if upper else pw_lo
-                        terms[side][1] = _split_terms(const, power, a, b, beta, gamma, q, upper)
+                if plain:
+                    terms[side][0] = const**q * _power_integral_array(gamma, a, b)
+                if beta is not None:
+                    power = pw_hi if upper else pw_lo
+                    terms[side][1] = _split_terms(const, power, a, b, beta, gamma, q, upper)
         else:
             beta_p = 0.0 if p == INF else 1.0 / p
             sup_b = b**beta_p
@@ -716,13 +677,16 @@ def _norm_block(env: MonotoneEnvelope, params: LorentzParams) -> list:
                 maxima[0][1] = _segment_max(np.minimum(mid_hi, pw_hi * pow_sup), env.goff)
                 maxima[1][1] = _segment_max(np.maximum(mid_lo, pw_lo * pow_sup), env.goff)
 
-    for i in live:
-        if out[i] is not None:
-            continue
-        col = 1 if bracketed[i] else 0
-        try:
+    out = []
+    try:
+        for i, (diverged, flat) in enumerate(zip(env.diverged.tolist(), env.flat.tolist())):
+            if diverged:
+                out.append(Enclosure(INF, INF))
+                continue
+            col = 0 if beta is None or flat else 1
             if q < INF:
-                s_hi, s_lo = heads[i]
+                s_hi = _law_norm_term(hh_c[i], hh_d[i], gamma, q, 0.0, g0[i])
+                s_lo = _law_norm_term(hl_c[i], hl_d[i], gamma, q, 0.0, g0[i])
                 lo, hi = goff[i], goff[i + 1] - 1  # the function's grid intervals
                 if s_hi < INF:
                     s_hi += float(terms[0][col][lo:hi].sum())
@@ -742,9 +706,9 @@ def _norm_block(env: MonotoneEnvelope, params: LorentzParams) -> list:
                     n_lo = max(n_lo, maxima[1][col][i])
                 n_hi = max(n_hi, _law_sup_term(th_c[i], th_d[i], beta_p, gm[i], INF))
                 n_lo = max(n_lo, _law_sup_term(tl_c[i], tl_d[i], beta_p, gm[i], INF))
-            out[i] = Enclosure(min(n_lo, n_hi), n_hi)
-        except (ArithmeticError, ValueError) as err:
-            out[i] = err
+            out.append(Enclosure(min(n_lo, n_hi), n_hi))
+    except ArithmeticError as err:  # a descriptor term such as coef**q
+        raise ValueError(_NORM_OVERFLOW) from err
     return out
 
 
@@ -759,7 +723,7 @@ def envelope_norm(env: MonotoneEnvelope, params: LorentzParams) -> Enclosure:
     from the two monotonicity facts, and each bound integrates exactly after
     splitting at the crossover point.
     """
-    return _result(_norm_block(env, params)[0])
+    return _norm_block(env, params)[0]
 
 
 def predicted_bounded(

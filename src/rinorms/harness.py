@@ -18,13 +18,16 @@ returns; :func:`default_check_reports` makes them once per call and shares
 them across all its configurations.
 
 The Hardy checks evaluate a configuration for a block of consecutive
-members at once (at most ``_BLOCK_POINTS`` grid points, so memory stays
-flat in the corpus size): the hardy module's block kernels make one set of
-numpy calls per block, bit-identical to one member at a time.  Each
-member's outcome is then read in corpus order, so the first witness, the
-violation counts and the exception raised by a member whose average
-overflows are those of a member-by-member scan.  Envelopes are not kept
-across configurations.  Verdict semantics are fixed per check:
+members at once (a block closes once it holds ``_BLOCK_POINTS`` grid
+points, so memory stays flat in the corpus size): the hardy module's block
+kernels make one set of numpy calls per block, bit-identical to one member
+at a time.  Each member's outcome is then read in corpus order, so the
+first witness and the violation counts are those of a member-by-member
+scan.  A kernel raises for its whole block when one member's average or
+norm leaves the float range; a scan that raises runs again with one member
+per block, so the error it raises is that of the first failing member in
+corpus order.  Envelopes are not kept across configurations.  Verdict
+semantics are fixed per check:
 
 * pointwise checks pass iff no grid point violates the inequality beyond a
   relative slack;
@@ -44,7 +47,7 @@ import io
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -55,7 +58,6 @@ from .hardy import (
     _checked_exponents,
     _lower_block,
     _norm_block,
-    _result,
     _upper_block,
     predicted_bounded,
 )
@@ -253,16 +255,19 @@ class _Scan:
     ``records`` holds the corpus's member records: those of a
     :class:`_SharedCorpus`, else new ones that live as long as the scan.
     ``empty_ratio`` is reported as both ratio endpoints when no finite ratio
-    was observed.
+    was observed.  :meth:`blocks` closes a block once it holds
+    ``_BLOCK_POINTS`` grid points or more, or after each member with
+    ``one_member``.
     """
 
-    def __init__(self, corpus: Iterable[StepFunction], empty_ratio: float = 1.0):
+    def __init__(self, corpus: Iterable[StepFunction], empty_ratio: float = 1.0, *, one_member: bool = False):
         if not isinstance(corpus, _SharedCorpus):
             corpus = _SharedCorpus(corpus)
         if not corpus:
             raise ValueError("corpus must be nonempty")
         self.records = corpus.records
         self.empty_ratio = empty_ratio
+        self.block_points = 1 if one_member else _BLOCK_POINTS
         self.used = 0
         self.min_ratio = INF
         self.max_ratio = -INF
@@ -273,35 +278,27 @@ class _Scan:
     def blocks(self, grid_spec: GridSpec, space: SpaceDescriptor | None = None):
         """Yield ``(records, norms, block)`` for consecutive members in corpus order.
 
-        A block holds at most ``_BLOCK_POINTS`` grid points (a larger member
-        forms a block of its own).  With ``space``, only members with finite
-        nonzero norm in E are taken, counted in ``used``, and ``norms`` holds
-        their norms.  An error while preparing a member is raised after the
-        block of the members before it.
+        A block is yielded as soon as it holds ``block_points`` grid points
+        or more, before the next member is prepared.  With ``space``, only
+        members with finite nonzero norm in E are taken, counted in ``used``,
+        and ``norms`` holds their norms.
         """
         records: list[_Member] = []
         norms: list[float | None] = []
         points = 0
-        try:
-            for m in self.records:
-                n = None
-                if space is not None:
-                    n = m.norm(space.params)
-                    if not 0.0 < n < INF:
-                        continue
-                    self.used += 1
-                size = m.grid(grid_spec).size
-                if records and points + size > _BLOCK_POINTS:
-                    yield records, norms, self._block(records, grid_spec)
-                    records, norms, points = [], [], 0
-                records.append(m)
-                norms.append(n)
-                points += size
-        except (ValueError, ArithmeticError):
-            # the members before it come first, as one member at a time
-            if records:
+        for m in self.records:
+            n = None
+            if space is not None:
+                n = m.norm(space.params)
+                if not 0.0 < n < INF:
+                    continue
+                self.used += 1
+            records.append(m)
+            norms.append(n)
+            points += m.grid(grid_spec).size
+            if points >= self.block_points:
                 yield records, norms, self._block(records, grid_spec)
-            raise
+                records, norms, points = [], [], 0
         if records:
             yield records, norms, self._block(records, grid_spec)
         if space is not None and self.used == 0:
@@ -355,6 +352,28 @@ class _Scan:
         )
 
 
+def _in_corpus_order(
+    corpus: Iterable[StepFunction], run: Callable[[_Scan], RatioReport], empty_ratio: float = 1.0
+) -> RatioReport:
+    """``run`` over a :class:`_Scan` of ``corpus``; where it raises, the
+    error of a member-by-member scan.
+
+    ``run`` first goes over blocks of ``_BLOCK_POINTS`` grid points, where a
+    member that raises makes its whole block raise.  Only if it raises does
+    ``run`` go again, on a new scan with one member per block, so the error
+    that surfaces is that of the first member in corpus order that raises.
+    The corpus is materialised once (a one-shot iterator works), and both
+    runs share its member records.
+    """
+    if not isinstance(corpus, _SharedCorpus):
+        corpus = _SharedCorpus(corpus)
+    try:
+        return run(_Scan(corpus, empty_ratio))
+    except (ValueError, ArithmeticError):
+        pass
+    return run(_Scan(corpus, empty_ratio, one_member=True))
+
+
 def _averaging_kind(u: float | None, v: float | None) -> tuple[str, float]:
     """``("upper", u)`` or ``("lower", v)``; exactly one of the two may be given."""
     if (u is None) == (v is None):
@@ -393,37 +412,36 @@ def verify_hardy_pointwise(
     Violations beyond the relative slack fail the check and record a witness.
     """
     kind, order = _averaging_kind(u, v)
-    scan = _Scan(corpus)
     a, b = _checked_exponents(order, w)
-    for records, _, blk in scan.blocks(grid_spec):
-        if kind == "upper":
-            env_w = _upper_block(blk, a, b)
-            env_inf = env_w if b == INF else _upper_block(blk, a, INF)
-            errors = [x or y for x, y in zip(env_w.errors, env_inf.errors)]
-            checks = [(env_w.values, env_inf.values), (env_inf.values, blk.f_star(blk.K))]
-            unchecked = None
-        else:
-            env = _lower_block(blk, a, b)
-            errors = env.errors
-            doubled = 2.0 * blk.grid
-            checks = [(env.values, blk.f_star(blk.piece_index(doubled)))]
-            # members whose f*(2t) is undefined somewhere: 2t overflows
-            unchecked = (~np.logical_and.reduceat(doubled < INF, blk.goff[:-1])).tolist()
-        found = [_violations(blk, lhs, low, slack) for lhs, low in checks]
-        for i, m in enumerate(records):
-            _result(errors[i])
-            if unchecked and unchecked[i]:
-                m.fs(doubled[blk.goff[i] : blk.goff[i + 1]])  # raises where 2t leaves the float range
-            for counts, first in found:
-                if counts[i]:
-                    scan.violation(counts[i], function=m.f.to_dict(), t=first[i])
-        for lhs, low in checks:
-            mask = low > 0.0
-            if mask.any():
-                ratios = lhs[mask] / low[mask]
-                scan.observe(float(ratios.min()), float(ratios.max()))
-    label = "u" if kind == "upper" else "v"
-    return scan.report("lemma10", f"{label}={order},w={w}", size=len(scan.records))
+
+    def run(scan: _Scan) -> RatioReport:
+        for records, _, blk in scan.blocks(grid_spec):
+            if kind == "upper":
+                env_w = _upper_block(blk, a, b)
+                env_inf = env_w if b == INF else _upper_block(blk, a, INF)
+                checks = [(env_w.values, env_inf.values), (env_inf.values, blk.f_star(blk.K))]
+                unchecked = None
+            else:
+                doubled = 2.0 * blk.grid
+                checks = [(_lower_block(blk, a, b).values, blk.f_star(blk.piece_index(doubled)))]
+                # members whose f*(2t) is undefined somewhere: 2t overflows
+                unchecked = (~np.logical_and.reduceat(doubled < INF, blk.goff[:-1])).tolist()
+            found = [_violations(blk, lhs, low, slack) for lhs, low in checks]
+            for i, m in enumerate(records):
+                if unchecked and unchecked[i]:
+                    m.fs(doubled[blk.goff[i] : blk.goff[i + 1]])  # raises where 2t leaves the float range
+                for counts, first in found:
+                    if counts[i]:
+                        scan.violation(counts[i], function=m.f.to_dict(), t=first[i])
+            for lhs, low in checks:
+                mask = low > 0.0
+                if mask.any():
+                    ratios = lhs[mask] / low[mask]
+                    scan.observe(float(ratios.min()), float(ratios.max()))
+        label = "u" if kind == "upper" else "v"
+        return scan.report("lemma10", f"{label}={order},w={w}", size=len(scan.records))
+
+    return _in_corpus_order(corpus, run)
 
 
 def verify_hardy_equivalence(
@@ -445,49 +463,50 @@ def verify_hardy_equivalence(
     compactly supported member must produce an infinite upper endpoint.
     """
     kind, order = _averaging_kind(u, v)
-    scan = _Scan(corpus, empty_ratio=INF)
     expected = predicted_bounded(space, kind, order, w)
     boundary = kind == "upper" and w < INF and order == space.boyd_lower
-    diverged = 0
-    min_ratio_lo = INF
     a, b = _checked_exponents(order, w)
     hardy = _upper_block if kind == "upper" else _lower_block
-    for records, norms, blk in scan.blocks(grid_spec, space):
-        encs = _norm_block(hardy(blk, a, b), space.params)
-        for m, n, enc in zip(records, norms, encs):
-            enc = _result(enc)
-            if enc.hi == INF:
-                diverged += 1
-                if not boundary and expected:
-                    scan.violation(function=m.f.to_dict(), norm=n)
-                continue
-            scan.observe(enc.hi / n, enc.hi / n, enc.relative_width)
-            min_ratio_lo = min(min_ratio_lo, enc.lo / n)
-    min_r, max_r = scan.ratio_range()
-    if boundary:
-        passed = diverged == scan.used
-    else:
-        floor_ok = min_r >= 1.0 - EQUIV_FLOOR_SLACK
-        passed = (
-            expected
-            and scan.violations == 0
-            and diverged == 0
-            and floor_ok
-            and max_r <= ratio_bound
+
+    def run(scan: _Scan) -> RatioReport:
+        diverged = 0
+        min_ratio_lo = INF
+        for records, norms, blk in scan.blocks(grid_spec, space):
+            for m, n, enc in zip(records, norms, _norm_block(hardy(blk, a, b), space.params)):
+                if enc.hi == INF:
+                    diverged += 1
+                    if not boundary and expected:
+                        scan.violation(function=m.f.to_dict(), norm=n)
+                    continue
+                scan.observe(enc.hi / n, enc.hi / n, enc.relative_width)
+                min_ratio_lo = min(min_ratio_lo, enc.lo / n)
+        min_r, max_r = scan.ratio_range()
+        if boundary:
+            passed = diverged == scan.used
+        else:
+            floor_ok = min_r >= 1.0 - EQUIV_FLOOR_SLACK
+            passed = (
+                expected
+                and scan.violations == 0
+                and diverged == 0
+                and floor_ok
+                and max_r <= ratio_bound
+            )
+            if not floor_ok:
+                scan.note(floor=min_r)
+        return scan.report(
+            "thm11",
+            f"E={space},{kind} {order},w={w}",
+            size=scan.used,
+            passed=passed,
+            extras={
+                "diverged": diverged,
+                "min_ratio_lo": min_ratio_lo,
+                "expected_bounded": expected,
+            },
         )
-        if not floor_ok:
-            scan.note(floor=min_r)
-    return scan.report(
-        "thm11",
-        f"E={space},{kind} {order},w={w}",
-        size=scan.used,
-        passed=passed,
-        extras={
-            "diverged": diverged,
-            "min_ratio_lo": min_ratio_lo,
-            "expected_bounded": expected,
-        },
-    )
+
+    return _in_corpus_order(corpus, run, empty_ratio=INF)
 
 
 _CALIBRATION_TARGET = math.sqrt(2.0)
@@ -512,37 +531,39 @@ def verify_interpolation_identity(
     per decade and its enclosure must trap sqrt(2) within width 1e-3 (the
     exact value of ``|| f** ||_{L_2}`` for that function).
     """
-    scan = _Scan(corpus, empty_ratio=INF)
     fp = FunctorParams(theta=theta, r=couple.params0.p, space=space)
     _check_functor(fp, couple)
-    for records, norms, blk in scan.blocks(grid_spec, space):
-        for m, n, enc in zip(records, norms, _functor_block(blk, fp, couple)):
-            enc = _result(enc)
-            if enc.hi == INF or enc.lo <= 0.0:
-                scan.violation(function=m.f.to_dict(), enclosure=str(enc))
-                continue
-            scan.observe(enc.lo / n, enc.hi / n, enc.relative_width)
-    min_r, max_r = scan.ratio_range()
-    spread = max_r / min_r if 0.0 < min_r < INF else INF
-    passed = scan.violations == 0 and spread <= ratio_bound
-    extras = {"spread": spread}
-    if calibrate:
-        chi = StepFunction.indicator(0.0, 1.0)
-        enc = functor_norm(
-            chi, fp, couple, GridSpec(points_per_decade=256, span=grid_spec.span)
+
+    def run(scan: _Scan) -> RatioReport:
+        for records, norms, blk in scan.blocks(grid_spec, space):
+            for m, n, enc in zip(records, norms, _functor_block(blk, fp, couple)):
+                if enc.hi == INF or enc.lo <= 0.0:
+                    scan.violation(function=m.f.to_dict(), enclosure=str(enc))
+                    continue
+                scan.observe(enc.lo / n, enc.hi / n, enc.relative_width)
+        min_r, max_r = scan.ratio_range()
+        spread = max_r / min_r if 0.0 < min_r < INF else INF
+        passed = scan.violations == 0 and spread <= ratio_bound
+        extras = {"spread": spread}
+        if calibrate:
+            chi = StepFunction.indicator(0.0, 1.0)
+            enc = functor_norm(
+                chi, fp, couple, GridSpec(points_per_decade=256, span=grid_spec.span)
+            )
+            extras["calibration"] = str(enc)
+            # endpoint sums are plain float accumulations; 1e-12 absorbs their roundoff
+            if not (enc.contains(_CALIBRATION_TARGET, slack=1e-12) and enc.width <= _CALIBRATION_WIDTH):
+                passed = False
+                scan.note(calibration=str(enc))
+        return scan.report(
+            "thm15",
+            f"E={space},couple={couple},theta={theta}",
+            size=scan.used,
+            passed=passed,
+            extras=extras,
         )
-        extras["calibration"] = str(enc)
-        # endpoint sums are plain float accumulations; 1e-12 absorbs their roundoff
-        if not (enc.contains(_CALIBRATION_TARGET, slack=1e-12) and enc.width <= _CALIBRATION_WIDTH):
-            passed = False
-            scan.note(calibration=str(enc))
-    return scan.report(
-        "thm15",
-        f"E={space},couple={couple},theta={theta}",
-        size=scan.used,
-        passed=passed,
-        extras=extras,
-    )
+
+    return _in_corpus_order(corpus, run, empty_ratio=INF)
 
 
 _L1_LINF = LorentzCouple(LorentzParams(1.0, 1.0), LorentzParams(INF, INF))

@@ -43,13 +43,13 @@ from .hardy import (
     _Block,
     _lower_block,
     _norm_block,
-    _result,
     _scale_block,
     _upper_block,
 )
 from .lorentz import (
     LorentzParams,
     SpaceDescriptor,
+    _check_exponent,
     _weighted_sup,
     is_nontrivial,
     lorentz_norm,
@@ -104,23 +104,13 @@ class FunctorParams:
     space: SpaceDescriptor
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.theta < INF:
-            raise ValueError(f"theta must be in (0, inf), got {self.theta}")
-        if not 0.0 < self.r < INF:
-            raise ValueError(f"r must be in (0, inf), got {self.r}")
-
-
-def _check_t(t) -> float:
-    """``float(t)`` if it lies in ``(0, inf)``; NaN and ``inf`` raise ``ValueError``."""
-    t = float(t)
-    if not 0.0 < t < INF:
-        raise ValueError(f"t must be in (0, inf), got {t}")
-    return t
+        object.__setattr__(self, "theta", _check_exponent(self.theta, "theta", finite=True))
+        object.__setattr__(self, "r", _check_exponent(self.r, "r", finite=True))
 
 
 def k_exact_l1_linf(f: StepFunction, t: float) -> float:
     """Exact ``K(t, f; L_1, L_inf) = integral_0^t f*(s) ds``."""
-    return _k_l1_linf(f.rearrange(), [_check_t(t)])[0]
+    return _k_l1_linf(f.rearrange(), [_check_exponent(t, "t", finite=True)])[0]
 
 
 def _k_l1_linf(fs: StepFunction, ts: Sequence[float]) -> list[float]:
@@ -339,7 +329,7 @@ def k_upper_oracle(
     sums overflow the float range costs ``inf``, which only loosens the
     bound.
     """
-    t = _check_t(t)
+    t = _check_exponent(t, "t", finite=True)
     fs = f.rearrange()
     if fs.is_zero:
         return 0.0
@@ -389,7 +379,7 @@ def holmstedt_k(f: StepFunction, t: float, couple: LorentzCouple, theta: float) 
     K-functional up to couple-dependent constants (for (L_1, L_inf) the
     ratio lies in [1, 2]).
     """
-    t = _check_t(t)
+    t = _check_exponent(t, "t", finite=True)
     _check_theta(couple, theta)
     fs = f.rearrange()
     if fs.is_zero:
@@ -482,7 +472,7 @@ def functor_norm(
     _check_functor(fp, couple)
     if f.is_zero:
         return Enclosure(0.0, 0.0)
-    return _result(_functor_block(_Block.of(f.rearrange(), grid_spec), fp, couple)[0])
+    return _functor_block(_Block.of(f.rearrange(), grid_spec), fp, couple)[0]
 
 
 def _check_functor(fp: FunctorParams, couple: LorentzCouple) -> None:
@@ -506,9 +496,10 @@ def _check_functor(fp: FunctorParams, couple: LorentzCouple) -> None:
         )
 
 
-def _functor_block(blk: _Block, fp: FunctorParams, couple: LorentzCouple) -> list:
+def _functor_block(blk: _Block, fp: FunctorParams, couple: LorentzCouple) -> list[Enclosure]:
     """:func:`functor_norm` of every (nonzero) function of ``blk`` from checked
-    parameters: an :class:`Enclosure`, or the exception that function raises."""
+    parameters, in order; raises ``ValueError`` when the average or the norm
+    of one of them leaves the float range."""
     p0, q0 = couple.params0.p, couple.params0.q
     env = _upper_block(blk, p0, q0)
     if couple.params1.p < INF:

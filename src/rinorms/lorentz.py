@@ -43,8 +43,9 @@ def _check_exponent(x, what: str, *, finite: bool = False) -> float:
     """``float(x)`` if it lies in ``(0, inf]``, or in ``(0, inf)`` when ``finite``.
 
     The one validator for Lorentz exponents, inner Hardy exponents (both may
-    be ``inf``) and averaging orders (``finite``); anything else, NaN
-    included, raises ``ValueError``.
+    be ``inf``), averaging orders and the other positive finite parameters
+    (``finite``: K-functional ``t``, functor ``theta`` and ``r``, dilation
+    factors); anything else, NaN included, raises ``ValueError``.
     """
     v = float(x)
     if math.isnan(v) or v <= 0.0 or (finite and v == INF):
@@ -169,9 +170,7 @@ def dilation_operator_norm(params: LorentzParams, a: float) -> float:
         raise ValueError(
             f"{params} is the trivial space {{0}}; dilation operator norm undefined"
         )
-    a = float(a)
-    if math.isnan(a) or a <= 0.0 or a == INF:
-        raise ValueError(f"dilation factor must be in (0, inf), got {a}")
+    a = _check_exponent(a, "dilation factor", finite=True)
     if params.p == INF:
         return 1.0
     return a ** (-1.0 / params.p)
@@ -197,8 +196,8 @@ class SpaceDescriptor:
                 f"Boyd indices must satisfy 0 < p_E <= q_E <= inf, got "
                 f"({self.boyd_lower}, {self.boyd_upper})"
             )
-        if self.quasi_triangle_bound < 1.0:
-            raise ValueError("quasi-triangle bound must be >= 1")
+        if not self.quasi_triangle_bound >= 1.0:  # NaN fails it too
+            raise ValueError(f"quasi-triangle bound must be >= 1, got {self.quasi_triangle_bound!r}")
 
     @classmethod
     def for_lorentz(cls, params: LorentzParams) -> "SpaceDescriptor":

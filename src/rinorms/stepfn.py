@@ -233,8 +233,10 @@ class StepFunction:
         return max(self.values + (self.tail,))
 
     def is_nonincreasing(self) -> bool:
-        seq = self.values + (self.tail,)
-        return all(seq[i] >= seq[i + 1] for i in range(len(seq) - 1))
+        # canonical values differ from their neighbours and the last from the
+        # tail, so non-increasing is strictly decreasing down to the tail
+        vals = self.values
+        return not vals or (vals[-1] > self.tail and all(map(operator.gt, vals, vals[1:])))
 
     # -- level-set machinery -------------------------------------------
 
@@ -285,14 +287,6 @@ class StepFunction:
                 acc = nxt
         return values_desc, cumlens
 
-    def _is_canonical_nonincreasing(self) -> bool:
-        vals = self.values
-        if not vals:
-            return True
-        if vals[-1] <= self.tail:
-            return False
-        return all(map(operator.gt, vals, vals[1:]))
-
     def distribution(self, lam: float) -> float:
         """Lebesgue measure of ``{t > 0 : f(t) > lam}`` (``inf`` iff ``tail > lam``)."""
         lam = _as_float(lam, "lam")
@@ -300,18 +294,13 @@ class StepFunction:
             raise ValueError(f"level must be >= 0, got {lam}")
         if self.tail > lam:
             return INF
-        if self._is_canonical_nonincreasing():
-            # Strictly decreasing values: the measure is a stored breakpoint,
-            # returned without re-summation so it matches the rearranged
-            # function's breakpoints exactly.
-            k = 0
-            for v in self.values:
-                if v > lam:
-                    k += 1
-                else:
-                    break
-            return self.breakpoints[k - 1] if k else 0.0
-        values_desc, cumlens = self._sorted_above_tail()
+        # A non-increasing f is its own f*: the measure is a stored
+        # breakpoint, returned without re-summation so it matches the
+        # rearranged function's breakpoints exactly.
+        if self.is_nonincreasing():
+            values_desc, cumlens = self.values, self.breakpoints
+        else:
+            values_desc, cumlens = self._sorted_above_tail()
         k = 0
         for v in values_desc:
             if v > lam:
@@ -327,7 +316,7 @@ class StepFunction:
         not exceed the tail are absorbed by it, because the corresponding
         level sets already have infinite measure.
         """
-        if self._is_canonical_nonincreasing():
+        if self.is_nonincreasing():
             return self
         values_desc, cumlens = self._sorted_above_tail()
         return StepFunction._canonical(tuple(cumlens), tuple(values_desc), self.tail)

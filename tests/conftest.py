@@ -398,7 +398,6 @@ def _ref_envelope(grid, values, laws, eval, bracket_decay, label, diverged=False
         bracket_decay=bracket_decay,
         flat=np.array([False]),
         diverged=np.array([diverged]),
-        errors=[None],
         label=label,
         eval=eval,
     )

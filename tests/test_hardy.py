@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import re
 import warnings
@@ -25,7 +26,16 @@ from rinorms import (
     weighted_power_integral,
 )
 from rinorms import generate_corpus
-from rinorms.hardy import PowerLaw, _add_block, _Block, _lower_block, _norm_block, _scale_block, _upper_block
+from rinorms.hardy import (
+    _NORM_OVERFLOW,
+    PowerLaw,
+    _add_block,
+    _Block,
+    _lower_block,
+    _norm_block,
+    _scale_block,
+    _upper_block,
+)
 from rinorms.interp import FunctorParams, LorentzCouple, _functor_block
 
 from conftest import (
@@ -353,6 +363,18 @@ class TestBoundednessPrediction:
             predicted_bounded(self.L22, "sideways", 1.0, 1.0)
 
 
+class TestGridSpecValidation:
+    @pytest.mark.parametrize("points", [1, 0, math.nan, INF])
+    def test_invalid_points_per_decade_rejected(self, points):
+        with pytest.raises(ValueError, match=r"points per decade must be in \[2, inf\)"):
+            GridSpec(points_per_decade=points)
+
+    @pytest.mark.parametrize("span", [1.0, 0.5, math.nan, INF])
+    def test_invalid_span_rejected(self, span):
+        with pytest.raises(ValueError, match=r"span factor must be in \(1, inf\)"):
+            GridSpec(span=span)
+
+
 class TestGridAtFloatRangeEnds:
     def test_window_wider_than_the_float_range_builds(self):
         # hi / lo overflows: the decades are counted from the logs instead
@@ -431,17 +453,18 @@ FUNCTORS = [
 
 
 def _outcome(build):
-    """``repr`` of a reference result, or of the exception it raises."""
+    """``repr`` of a reference result, or of the exception it raises; an
+    arithmetic error is the public ``ValueError`` of an overflowing norm."""
     try:
         return repr(build())
-    except (ValueError, ArithmeticError) as err:
+    except ValueError as err:
         return repr(err)
+    except ArithmeticError:
+        return repr(ValueError(_NORM_OVERFLOW))
 
 
 def _block_member(envs, i: int = 0) -> str:
-    """Function ``i`` of an envelope block: its exception, or its fields."""
-    if envs.errors[i] is not None:
-        return repr(envs.errors[i])
+    """The fields of function ``i`` of an envelope block."""
     if envs.diverged[i]:
         return repr(("diverged", envs.label))
     lo, hi = envs.goff[i], envs.goff[i + 1]
@@ -460,38 +483,72 @@ def _reference_or_error(build):
         return err
 
 
+def _block_outcomes(fss, grids, order, w) -> dict:
+    """Every block kernel on the block of ``fss``: per kernel, one string
+    per member (its fields or its norm), or the ``repr`` of the
+    ``ValueError`` the kernel raises."""
+    blk = _Block(fss, grids)
+
+    @functools.cache
+    def env(name):
+        if name == "both":
+            return _add_block(env("upper"), env("lower"))
+        return (_upper_block if name == "upper" else _lower_block)(blk, order, w)
+
+    runs = {}
+    for name in ("upper", "lower", "both"):
+        runs[name] = lambda name=name: [_block_member(env(name), i) for i in range(blk.size)]
+        for p in NORM_PARAMS:
+            runs[name, p] = lambda name=name, p=p: [repr(x) for x in _norm_block(env(name), p)]
+    for j, (fp, couple) in enumerate(FUNCTORS):
+        runs["functor", j] = lambda fp=fp, couple=couple: [repr(x) for x in _functor_block(blk, fp, couple)]
+    out = {}
+    for key, run in runs.items():
+        try:
+            out[key] = run()
+        except ValueError as err:
+            out[key] = repr(err)
+    return out
+
+
 class TestBlockKernels:
     """The block kernels against the per-member reference in conftest, bit for bit."""
 
     def check_block(self, fss, spec, order, w):
+        """Each member in a block of its own against the reference; in one
+        shared block the members that do not raise keep their bits, and
+        with one member that raises the block raises that member's error."""
         grids = [spec.build(fs.breakpoints) for fs in fss]
-        blk = _Block(fss, grids)
-        upper, lower = _upper_block(blk, order, w), _lower_block(blk, order, w)
-        both = _add_block(upper, lower)
-        upper_norms = {p: _norm_block(upper, p) for p in NORM_PARAMS}
-        lower_norms = {p: _norm_block(lower, p) for p in NORM_PARAMS}
-        both_norms = {p: _norm_block(both, p) for p in NORM_PARAMS}
-        functors = [_functor_block(blk, fp, couple) for fp, couple in FUNCTORS]
-        for i, (fs, grid) in enumerate(zip(fss, grids)):
+        singles = [_block_outcomes([fs], [grid], order, w) for fs, grid in zip(fss, grids)]
+        for fs, grid, single in zip(fss, grids, singles):
+            own = {key: x if isinstance(x, str) else x[0] for key, x in single.items()}
             ref_up = _reference_or_error(lambda: ref_hardy_upper(fs, order, w, grid))
             ref_lo = _reference_or_error(lambda: ref_hardy_lower(fs, order, w, grid))
-            for block, ref, norms in ((upper, ref_up, upper_norms), (lower, ref_lo, lower_norms)):
+            for name, ref in (("upper", ref_up), ("lower", ref_lo)):
                 if isinstance(ref, ValueError):
-                    assert _block_member(block, i) == repr(ref)
+                    assert own[name] == repr(ref)
                     continue
-                assert _block_member(block, i) == _block_member(ref)
+                assert own[name] == _block_member(ref)
                 for p in NORM_PARAMS:
-                    assert repr(norms[p][i]) == _outcome(lambda: ref_envelope_norm(ref, p))
+                    assert own[name, p] == _outcome(lambda: ref_envelope_norm(ref, p))
             if not isinstance(ref_up, ValueError) and not isinstance(ref_lo, ValueError):
                 ref_both = ref_add_envelopes(ref_up, ref_lo)
                 if not ref_both.diverged:
-                    assert _block_member(both, i) == _block_member(ref_both)
+                    assert own["both"] == _block_member(ref_both)
                 for p in NORM_PARAMS:
-                    assert repr(both_norms[p][i]) == _outcome(lambda: ref_envelope_norm(ref_both, p))
+                    assert own["both", p] == _outcome(lambda: ref_envelope_norm(ref_both, p))
             if not fs.is_zero:
-                for (fp, couple), got in zip(FUNCTORS, functors):
-                    want = _outcome(lambda: ref_functor_norm(fs, fp, couple, grid))
-                    assert repr(got[i]) == want
+                for j, (fp, couple) in enumerate(FUNCTORS):
+                    assert own["functor", j] == _outcome(lambda: ref_functor_norm(fs, fp, couple, grid))
+        block_of = functools.cache(  # the outcomes of the block of the members at these indices
+            lambda members: _block_outcomes([fss[i] for i in members], [grids[i] for i in members], order, w)
+        )
+        for key in singles[0]:
+            fine = tuple(i for i, single in enumerate(singles) if not isinstance(single[key], str))
+            if fine:
+                assert block_of(fine)[key] == [singles[i][key][0] for i in fine]
+            for i in set(range(len(fss))) - set(fine):
+                assert block_of(tuple(sorted((*fine, i))))[key] == singles[i][key]
 
     @settings(max_examples=40, deadline=None)
     @given(

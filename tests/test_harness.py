@@ -404,7 +404,35 @@ class TestSharedMemberWork:
         assert 1 < len(blocks) < len(small_corpus)
         grids = [COARSE.build(f.rearrange().breakpoints) for f in small_corpus]
         assert b"".join(blocks) == np.concatenate(grids).tobytes()
-        assert all(len(g) <= 2000 * 8 for g in blocks)
+        # a block closes at the member that brings it to 2000 points or more
+        sizes = iter(g.size for g in grids)
+        for j, block in enumerate(blocks):
+            members = []
+            while 8 * sum(members) < len(block):
+                members.append(next(sizes))
+            assert sum(members[:-1]) < 2000
+            assert sum(members) >= 2000 or j == len(blocks) - 1
+
+    def test_passing_scans_build_one_scan(self, small_corpus, monkeypatch):
+        scans = []
+        scan = harness._Scan
+
+        def spy(*args, **kwargs):
+            scans.append(scan(*args, **kwargs))
+            return scans[-1]
+
+        monkeypatch.setattr(harness, "_Scan", spy)
+        c11_inf = LorentzCouple(LorentzParams(1.0, 1.0), LorentzParams(INF, INF))
+        runs = [
+            lambda: verify_hardy_pointwise(small_corpus, u=1.0, w=1.0, grid_spec=COARSE),
+            lambda: verify_hardy_pointwise(small_corpus, v=2.0, w=1.0, grid_spec=COARSE),
+            lambda: verify_hardy_equivalence(small_corpus, L22, v=3.0, w=2.0, grid_spec=COARSE),
+            lambda: verify_interpolation_identity(small_corpus, L22, c11_inf, 1.0, grid_spec=COARSE),
+        ]
+        for run in runs:
+            scans.clear()
+            run()
+            assert len(scans) == 1
 
 
 def _public_reports(corpus, grid_spec) -> list:
@@ -614,6 +642,36 @@ class TestBlockDrivers:
         # a diverged lower average is checked on its own grid, like any other
         with pytest.raises(ValueError, match="evaluation point must be in"):
             verify_hardy_pointwise([good, edge + StepFunction.constant(0.5), huge], v=2.0, w=2.0)
+        # the norm path: huge's envelope norm overflows (its head coefficient
+        # 2e200 is squared) and near_max's average does
+        near_max = StepFunction((1.0,), (1.7e308,))
+        with pytest.raises(ValueError, match="the envelope norm overflows"):
+            verify_hardy_equivalence([good, huge, near_max], L22, u=2.0, w=1.0)
+        with pytest.raises(ValueError, match="the Hardy average of f overflows"):
+            verify_hardy_equivalence([good, near_max, huge], L22, u=2.0, w=1.0)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_one_shot_corpus_raises_as_a_tuple_does(self, monkeypatch):
+        # the member-by-member run after a failing block run reads the
+        # corpus again: an iterator must give the error a tuple gives
+        good, huge = StepFunction((1.0, 2.0), (3.0, 1.0)), StepFunction((1.0,), (1e200,))
+        far, edge = StepFunction((1e303,), (1.0,)), StepFunction((1e302,), (1.0,))
+        near_max = StepFunction((1.0,), (1.7e308,))
+        monkeypatch.setattr(harness, "_BLOCK_POINTS", 10**6)
+        scans = [
+            (lambda c: verify_hardy_pointwise(c, u=2.0, w=2.0), [good, huge, far]),
+            (lambda c: verify_hardy_pointwise(c, u=2.0, w=2.0), [good, far, huge]),
+            (lambda c: verify_hardy_pointwise(c, v=2.0, w=2.0), [good, edge, huge]),
+            (lambda c: verify_hardy_equivalence(c, L22, u=2.0, w=1.0), [good, huge, near_max]),
+            (lambda c: verify_hardy_equivalence(c, L22, u=2.0, w=1.0), [good, near_max, huge]),
+        ]
+        for scan, members in scans:
+            errors = []
+            for corpus in (tuple(members), iter(members)):
+                with pytest.raises(ValueError) as err:
+                    scan(corpus)
+                errors.append(repr(err.value))
+            assert errors[0] == errors[1]
 
 
 GOLDEN_ALL_SEED7_SIZE40 = """\

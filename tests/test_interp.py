@@ -566,6 +566,17 @@ class TestAdmissibility:
                     if functor_admissible(fp):
                         assert min_power_norm_finite(prm, theta, r), (prm, theta, r)
 
+    @pytest.mark.parametrize("field", ["theta", "r"])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, INF, "x"])
+    def test_invalid_theta_or_r_rejected(self, field, bad):
+        kwargs = {"theta": 1.0, "r": 1.0, field: bad}
+        with pytest.raises(ValueError):
+            FunctorParams(space=L22, **kwargs)
+
+    def test_theta_and_r_stored_as_floats(self):
+        fp = FunctorParams(2, 1, L22)
+        assert (type(fp.theta), type(fp.r)) == (float, float)
+
     def test_min_power_norm_degenerate(self):
         assert not min_power_norm_finite(LorentzParams(INF, 2.0), 1.0, 1.0)
 

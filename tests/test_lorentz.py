@@ -252,6 +252,11 @@ class TestDilation:
         with pytest.raises(ValueError):
             dilation_operator_norm(LorentzParams(INF, 2.0), 2.0)
 
+    @pytest.mark.parametrize("a", [0.0, -1.0, math.nan, INF])
+    def test_invalid_factor_rejected(self, a):
+        with pytest.raises(ValueError, match=r"dilation factor must be in \(0, inf\)"):
+            dilation_operator_norm(LorentzParams(2.0, 2.0), a)
+
     def test_estimate_matches_exact(self, small_corpus):
         for p, q in ((2.0, 2.0), (3.0, 1.0), (0.5, 1.0), (INF, INF)):
             space = SpaceDescriptor.for_lorentz(LorentzParams(p, q))
@@ -359,3 +364,8 @@ class TestSpaceDescriptor:
     def test_invalid_indices_rejected(self):
         with pytest.raises(ValueError):
             SpaceDescriptor(LorentzParams(2.0, 2.0), 3.0, 2.0, 1.0)
+
+    @pytest.mark.parametrize("bound", [0.5, math.nan])
+    def test_invalid_quasi_triangle_bound_rejected(self, bound):
+        with pytest.raises(ValueError, match="quasi-triangle bound must be >= 1"):
+            SpaceDescriptor(LorentzParams(2.0, 2.0), 2.0, 2.0, bound)

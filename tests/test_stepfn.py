@@ -273,6 +273,12 @@ class TestRearrange:
 
     @given(st.one_of(dyadic_steps(), edge_step_functions(max_pieces=60)))
     @settings(max_examples=200, deadline=None)
+    def test_is_nonincreasing_is_the_elementwise_test(self, f):
+        seq = f.values + (f.tail,)
+        assert f.is_nonincreasing() == all(a >= b for a, b in zip(seq, seq[1:]))
+
+    @given(st.one_of(dyadic_steps(), edge_step_functions(max_pieces=60)))
+    @settings(max_examples=200, deadline=None)
     def test_max_value_is_that_of_the_rearrangement(self, f):
         try:
             fs = f.rearrange()
