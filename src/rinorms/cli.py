@@ -120,11 +120,12 @@ def cmd_hardy(args) -> int:
             "the lower Hardy average diverges: f has a positive tail, so the "
             "integral over (t, inf) is infinite for every t"
         )
-    # the lower bound at each grid point is the value there
+    # the lower bound at each grid point is the value there; the upper bound
+    # is the value at the point before (upper_on_grid), the head bound first
     values = list(map(repr, env.values.tolist()))
-    upper = map(repr, env.upper_on_grid().tolist())
+    upper = [repr(float(env.upper_on_grid()[0])), *values[:-1]]
     rows = zip(map(repr, env.grid.tolist()), values, values, upper)
-    text = "t,value,lower,upper\n" + "".join(f"{t},{v},{lo},{hi}\n" for t, v, lo, hi in rows)
+    text = "t,value,lower,upper\n" + "\n".join(map(",".join, rows)) + "\n"
     if args.p is not None and args.q is not None:
         enc = envelope_norm(env, _params(args))
         text += f"norm_enclosure,{enc.lo!r},{enc.hi!r},{enc.width!r}\n"

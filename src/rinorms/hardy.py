@@ -105,22 +105,59 @@ class GridSpec:
         Raises ``ValueError`` when the window leaves the float range.
         """
         anchors = np.asarray(sorted(anchors), dtype=float)
-        if anchors.size == 0:
-            anchors = np.array([1.0])
-        first, last = float(anchors[0]), float(anchors[-1])
-        lo = first / self.span
-        hi = last * self.span
-        if not (lo > 0.0 and hi < INF):
+        (grid,) = self.build_many([anchors])
+        if grid is None:  # never for no anchors: the window around 1 fits
+            first, last = float(anchors[0]), float(anchors[-1])
             raise ValueError(
                 f"the grid window around anchors [{first!r}, {last!r}] "
                 f"with span {self.span!r} leaves the float range"
             )
-        ratio = hi / lo
-        # a window wider than the float range: count its decades by logs
-        decades = math.log10(ratio) if ratio < INF else math.log10(hi) - math.log10(lo)
-        n = max(2, int(math.ceil(decades * self.points_per_decade)) + 1)
-        grid = np.geomspace(lo, hi, n)
-        return np.unique(np.concatenate([grid, anchors]))
+        return grid
+
+    def build_many(self, anchor_sets: Sequence) -> list[np.ndarray | None]:
+        """The grid around each of ``anchor_sets`` (each sorted), as
+        :meth:`build` makes it, or ``None`` where the window leaves the
+        float range.
+
+        The log-spaced points of all windows come from one set of numpy
+        calls that perform the float operations of ``np.geomspace(lo, hi,
+        n)`` on each window: ``j * step + log10(lo)`` with the last exponent
+        ``log10(hi)``, then ``10**y`` with both ends set to ``lo`` and
+        ``hi``.  Each grid is then merged with its anchors.
+        """
+        anchor_sets = [a if len(a) else (1.0,) for a in anchor_sets]
+        windows = []  # (lo, hi, n) per anchor set, None outside the float range
+        for anchors in anchor_sets:
+            lo = float(anchors[0]) / self.span
+            hi = float(anchors[-1]) * self.span
+            if not (lo > 0.0 and hi < INF):
+                windows.append(None)
+                continue
+            ratio = hi / lo
+            # a window wider than the float range: count its decades by logs
+            decades = math.log10(ratio) if ratio < INF else math.log10(hi) - math.log10(lo)
+            windows.append((lo, hi, max(2, int(math.ceil(decades * self.points_per_decade)) + 1)))
+        valid = [w for w in windows if w is not None]
+        lo = np.array([w[0] for w in valid], dtype=float)
+        hi = np.array([w[1] for w in valid], dtype=float)
+        n = np.array([w[2] for w in valid], dtype=np.intp)
+        off = _offsets(n)
+        start, stop = np.log10(lo), np.log10(hi)
+        # step is 0 only where start == stop, and geomspace's special case
+        # for it then gives start at every point, as j * 0 + start does
+        step = (stop - start) / (n - 1)
+        y = np.arange(off[-1], dtype=float) - np.repeat(off[:-1], n)
+        y *= np.repeat(step, n)
+        y += np.repeat(start, n)
+        y[off[1:] - 1] = stop
+        points = np.power(10.0, y)
+        points[off[:-1]] = lo
+        points[off[1:] - 1] = hi
+        spaced = iter(np.split(points, off[1:-1]))
+        return [
+            None if window is None else np.unique(np.concatenate([next(spaced), anchors]))
+            for anchors, window in zip(anchor_sets, windows)
+        ]
 
 
 DEFAULT_GRID = GridSpec()
@@ -172,6 +209,9 @@ class _Block:
     piece ``j`` of the block sits at entry ``vpos[j]``, and function ``i``'s
     entries run from ``hpos[i]`` to its tail's, ``tpos[i]``.  ``K[j]`` is
     the entry of the piece holding grid point ``j``.
+
+    :meth:`envelope` keeps each Hardy average it computes, so the averages
+    of a block live as long as the block.
     """
 
     def __init__(self, fss: Sequence[StepFunction], grids: Sequence[np.ndarray]):
@@ -188,11 +228,22 @@ class _Block:
         self.goff = _offsets([g.size for g in grids])
         self.grid = np.concatenate(grids)
         self.K = self.piece_index(self.grid)
+        self._envelopes: dict[tuple, MonotoneEnvelope] = {}
 
     @classmethod
     def of(cls, fs: StepFunction, grid_spec: GridSpec) -> "_Block":
         """The block of one: ``f*`` on its grid."""
         return cls([fs], [grid_spec.build(fs.breakpoints)])
+
+    def envelope(self, kind: Literal["upper", "lower"], order: float, w: float) -> "MonotoneEnvelope":
+        """:func:`_upper_block` or :func:`_lower_block` of the block from
+        checked exponents, computed on first use and then kept."""
+        key = (kind, order, w)
+        env = self._envelopes.get(key)
+        if env is None:
+            kernel = _upper_block if kind == "upper" else _lower_block
+            env = self._envelopes[key] = kernel(self, order, w)
+        return env
 
     def table(self, pieces, tails) -> np.ndarray:
         """A per-piece table: ``pieces`` at the pieces' entries, ``tails`` at the tails'."""
@@ -610,7 +661,7 @@ def _split_terms(const, power, a, b, beta: float, gamma: float, q: float, upper:
     constant and the power-law bracket, split where the two cross; the
     minimum is constant-then-power, the maximum power-then-constant."""
     cross = (power / const) ** (1.0 / beta)
-    cross = np.clip(np.nan_to_num(cross, nan=0.0, posinf=INF), a, b)
+    cross = np.minimum(np.fmax(cross, a), b)  # NaN (0/0) gives a
     alpha_pow = gamma - q * beta
     if upper:
         t1 = const**q * _power_integral_array(gamma, a, cross)
@@ -656,9 +707,11 @@ def _norm_block(env: MonotoneEnvelope, params: LorentzParams) -> list[Enclosure]
         if q < INF:
             gamma = 0.0 if p == INF else q / p
             terms = [[None, None], [None, None]]  # (plain, bracketed) interval terms per side
+            if plain:
+                weights = _power_integral_array(gamma, a, b)
             for side, const, upper in ((0, vals[:-1], True), (1, vals[1:], False)):
                 if plain:
-                    terms[side][0] = const**q * _power_integral_array(gamma, a, b)
+                    terms[side][0] = const**q * weights
                 if beta is not None:
                     power = pw_hi if upper else pw_lo
                     terms[side][1] = _split_terms(const, power, a, b, beta, gamma, q, upper)

@@ -12,22 +12,27 @@ only its per-member check.
 
 The work every configuration repeats on a member lives in one private
 member record per corpus function: ``f*`` (one rearrangement), the
-envelope grid per ``GridSpec`` and ``||f||_E`` per ``LorentzParams``.  A
-``verify_*`` call makes the records of its corpus and drops them when it
-returns; :func:`default_check_reports` makes them once per call and shares
-them across all its configurations.
+envelope grid per ``GridSpec`` (built for many members in one call) and
+``||f||_E`` per ``LorentzParams``.  A ``verify_*`` call makes the records
+of its corpus and drops them when it returns; :func:`default_check_reports`
+makes them once per call and shares them across all its configurations.
 
-The Hardy checks evaluate a configuration for a block of consecutive
+The Hardy checks evaluate their configurations for a block of consecutive
 members at once (a block closes once it holds ``_BLOCK_POINTS`` grid
 points, so memory stays flat in the corpus size): the hardy module's block
 kernels make one set of numpy calls per block, bit-identical to one member
-at a time.  Each member's outcome is then read in corpus order, so the
-first witness and the violation counts are those of a member-by-member
-scan.  A kernel raises for its whole block when one member's average or
-norm leaves the float range; a scan that raises runs again with one member
-per block, so the error it raises is that of the first failing member in
-corpus order.  Envelopes are not kept across configurations.  Verdict
-semantics are fixed per check:
+at a time.  Configurations that take the same members form a group that
+walks its blocks once: each configuration keeps its own ``_Scan`` and
+scores every block, and a Hardy average several of them read is computed
+once per block and dropped with it.  Each member's outcome is read in
+corpus order, so the first witness and the violation counts are those of
+a member-by-member scan.  A kernel raises for its whole block when one
+member's average or norm leaves the float range.  A group walk that
+raises runs again one configuration at a time, and a configuration that
+raises on its own runs once more with one member per block, so the error
+that surfaces is that of the first failing configuration at its first
+failing member in corpus order.  A public ``verify_*`` driver is a group
+of one.  Verdict semantics are fixed per check:
 
 * pointwise checks pass iff no grid point violates the inequality beyond a
   relative slack;
@@ -56,9 +61,7 @@ from .hardy import (
     GridSpec,
     _Block,
     _checked_exponents,
-    _lower_block,
     _norm_block,
-    _upper_block,
     predicted_bounded,
 )
 from .interp import (
@@ -213,8 +216,8 @@ class _Member:
 
     ``fs`` is ``f*``; :meth:`grid` and :meth:`norm` compute the envelope grid
     per :class:`GridSpec` and ``||f||_E`` per :class:`LorentzParams` on first
-    use and keep them.  Envelopes are not kept: each configuration evaluates
-    them for a block of members and drops them after use.
+    use and keep them.  Envelopes are not kept here: they live on the block
+    of members they were computed for and are dropped with it.
     """
 
     __slots__ = ("f", "fs", "_grids", "_norms")
@@ -237,6 +240,21 @@ class _Member:
             n = self._norms[params] = lorentz_norm(self.fs, params)
         return n
 
+    @staticmethod
+    def build_grids(members: Sequence["_Member"], grid_spec: GridSpec) -> None:
+        """Build the missing grids of ``members`` in one call.  A member
+        whose window leaves the float range gets none, so its :meth:`grid`
+        raises."""
+        todo = [m for m in members if grid_spec not in m._grids]
+        for m, grid in zip(todo, grid_spec.build_many([m.fs.breakpoints for m in todo])):
+            if grid is not None:
+                m._grids[grid_spec] = grid
+
+    def takes_part(self, space: SpaceDescriptor | None) -> bool:
+        """Whether a check on ``space`` takes this member: any member when
+        ``space`` is None, else one with finite nonzero norm in E."""
+        return space is None or 0.0 < self.norm(space.params) < INF
+
 
 class _SharedCorpus(tuple):
     """A corpus (the tuple of its functions) carrying one :class:`_Member`
@@ -250,63 +268,31 @@ class _SharedCorpus(tuple):
 
 
 class _Scan:
-    """Bookkeeping shared by the ``verify_*`` drivers over one corpus.
+    """Bookkeeping of one configuration's scan over one corpus.
 
     ``records`` holds the corpus's member records: those of a
     :class:`_SharedCorpus`, else new ones that live as long as the scan.
     ``empty_ratio`` is reported as both ratio endpoints when no finite ratio
-    was observed.  :meth:`blocks` closes a block once it holds
-    ``_BLOCK_POINTS`` grid points or more, or after each member with
-    ``one_member``.
+    was observed.  ``used`` counts the members the configuration took;
+    ``diverged`` and ``min_ratio_lo`` are thm11's count of infinite
+    enclosures and least lower ratio end.
     """
 
-    def __init__(self, corpus: Iterable[StepFunction], empty_ratio: float = 1.0, *, one_member: bool = False):
+    def __init__(self, corpus: Iterable[StepFunction], empty_ratio: float = 1.0):
         if not isinstance(corpus, _SharedCorpus):
             corpus = _SharedCorpus(corpus)
         if not corpus:
             raise ValueError("corpus must be nonempty")
         self.records = corpus.records
         self.empty_ratio = empty_ratio
-        self.block_points = 1 if one_member else _BLOCK_POINTS
         self.used = 0
         self.min_ratio = INF
         self.max_ratio = -INF
         self.max_width = 0.0
         self.violations = 0
         self.witness = ""
-
-    def blocks(self, grid_spec: GridSpec, space: SpaceDescriptor | None = None):
-        """Yield ``(records, norms, block)`` for consecutive members in corpus order.
-
-        A block is yielded as soon as it holds ``block_points`` grid points
-        or more, before the next member is prepared.  With ``space``, only
-        members with finite nonzero norm in E are taken, counted in ``used``,
-        and ``norms`` holds their norms.
-        """
-        records: list[_Member] = []
-        norms: list[float | None] = []
-        points = 0
-        for m in self.records:
-            n = None
-            if space is not None:
-                n = m.norm(space.params)
-                if not 0.0 < n < INF:
-                    continue
-                self.used += 1
-            records.append(m)
-            norms.append(n)
-            points += m.grid(grid_spec).size
-            if points >= self.block_points:
-                yield records, norms, self._block(records, grid_spec)
-                records, norms, points = [], [], 0
-        if records:
-            yield records, norms, self._block(records, grid_spec)
-        if space is not None and self.used == 0:
-            raise ValueError("corpus has no member with finite nonzero norm in E")
-
-    @staticmethod
-    def _block(records: list[_Member], grid_spec: GridSpec) -> _Block:
-        return _Block([m.fs for m in records], [m.grid(grid_spec) for m in records])
+        self.diverged = 0
+        self.min_ratio_lo = INF
 
     def observe(self, lo: float, hi: float, width: float = 0.0) -> None:
         """Widen the ratio range to cover ``[lo, hi]`` and record an enclosure width."""
@@ -352,26 +338,120 @@ class _Scan:
         )
 
 
-def _in_corpus_order(
-    corpus: Iterable[StepFunction], run: Callable[[_Scan], RatioReport], empty_ratio: float = 1.0
-) -> RatioReport:
-    """``run`` over a :class:`_Scan` of ``corpus``; where it raises, the
-    error of a member-by-member scan.
+class _Check(NamedTuple):
+    """One configuration of lemma10, thm11 or thm15.
 
-    ``run`` first goes over blocks of ``_BLOCK_POINTS`` grid points, where a
-    member that raises makes its whole block raise.  Only if it raises does
-    ``run`` go again, on a new scan with one member per block, so the error
-    that surfaces is that of the first member in corpus order that raises.
-    The corpus is materialised once (a one-shot iterator works), and both
-    runs share its member records.
+    It takes the members for which ``_Member.takes_part(space)`` holds, on
+    grids of ``grid_spec``.  ``score(scan, records, blk)`` adds a block of
+    them (``records``, laid out in ``blk``) to ``scan``, a new
+    :class:`_Scan` with ``empty_ratio``; ``report(scan)`` then gives the
+    configuration's report.
+    """
+
+    grid_spec: GridSpec
+    space: SpaceDescriptor | None
+    empty_ratio: float
+    score: Callable[[_Scan, list[_Member], _Block], None]
+    report: Callable[[_Scan], RatioReport]
+
+
+# Members whose grids are built by one GridSpec.build_many call.
+_GRID_BATCH = 64
+
+
+def _blocks(records: Sequence[_Member], grid_spec: GridSpec, space: SpaceDescriptor | None, block_points: int):
+    """Yield ``(members, block)`` for the members of ``records`` that take
+    part on ``space``, consecutive in corpus order.
+
+    A block is yielded as soon as it holds ``block_points`` grid points or
+    more, before the next member is prepared.  The missing grids of each run
+    of ``_GRID_BATCH`` records are built in one call before the run is
+    read (:meth:`_Member.build_grids`), so a member whose window leaves the
+    float range still raises at its turn.
+    """
+    taken: list[_Member] = []
+    points = 0
+    for start in range(0, len(records), _GRID_BATCH):
+        batch = records[start : start + _GRID_BATCH]
+        _Member.build_grids(batch, grid_spec)
+        for m in batch:
+            if not m.takes_part(space):
+                continue
+            taken.append(m)
+            points += m.grid(grid_spec).size
+            if points >= block_points:
+                yield taken, _block(taken, grid_spec)
+                taken, points = [], 0
+    if taken:
+        yield taken, _block(taken, grid_spec)
+
+
+def _block(members: list[_Member], grid_spec: GridSpec) -> _Block:
+    return _Block([m.fs for m in members], [m.grid(grid_spec) for m in members])
+
+
+def _walk(corpus: _SharedCorpus, checks: Sequence[_Check], block_points: int) -> list[RatioReport]:
+    """The reports of ``checks``, which take the same members on the same
+    grids, from one walk over blocks of those members.
+
+    Every check scores a block before the next is made, so the block, with
+    the envelopes its checks computed on it, is the only one alive.
+    """
+    grid_spec, space = checks[0].grid_spec, checks[0].space
+    scans = [_Scan(corpus, check.empty_ratio) for check in checks]
+    used = 0
+    for records, blk in _blocks(corpus.records, grid_spec, space, block_points):
+        used += len(records)
+        for check, scan in zip(checks, scans):
+            check.score(scan, records, blk)
+    if space is not None and used == 0:
+        raise ValueError("corpus has no member with finite nonzero norm in E")
+    for scan in scans:
+        scan.used = used
+    return [check.report(scan) for check, scan in zip(checks, scans)]
+
+
+def _in_corpus_order(corpus: Iterable[StepFunction], check: _Check) -> RatioReport:
+    """The report of ``check`` on ``corpus``; where it raises, the error of
+    a member-by-member scan.
+
+    The check first goes over blocks of ``_BLOCK_POINTS`` grid points, where
+    a member that raises makes its whole block raise.  Only if it raises
+    does the check go again, with one member per block, so the error that
+    surfaces is that of the first member in corpus order that raises.  The
+    corpus is materialised once (a one-shot iterator works), and both runs
+    share its member records.
     """
     if not isinstance(corpus, _SharedCorpus):
         corpus = _SharedCorpus(corpus)
     try:
-        return run(_Scan(corpus, empty_ratio))
+        return _walk(corpus, [check], _BLOCK_POINTS)[0]
     except (ValueError, ArithmeticError):
         pass
-    return run(_Scan(corpus, empty_ratio, one_member=True))
+    return _walk(corpus, [check], 1)[0]
+
+
+def _reports(corpus: _SharedCorpus, checks: Sequence[_Check]) -> list[RatioReport]:
+    """The reports of ``checks`` on ``corpus``, in order.
+
+    Checks that take the same members on the same grids form a group, and
+    each group walks its blocks once (:func:`_walk`).  If that raises, the
+    checks run again one after another, each as its public driver runs it
+    (:func:`_in_corpus_order`), so the error that surfaces is that of the
+    first check that raises, at its first failing member in corpus order.
+    """
+    try:
+        groups: dict[tuple, list[int]] = {}
+        for i, check in enumerate(checks):
+            taken = tuple(m.takes_part(check.space) for m in corpus.records)
+            groups.setdefault((check.grid_spec, taken), []).append(i)
+        reports: list[RatioReport] = [None] * len(checks)
+        for members in groups.values():
+            for i, report in zip(members, _walk(corpus, [checks[i] for i in members], _BLOCK_POINTS)):
+                reports[i] = report
+        return reports
+    except (ValueError, ArithmeticError):
+        return [_in_corpus_order(corpus, check) for check in checks]
 
 
 def _averaging_kind(u: float | None, v: float | None) -> tuple[str, float]:
@@ -396,6 +476,49 @@ def _violations(blk: _Block, lhs: np.ndarray, low: np.ndarray, slack: float):
     return counts, first
 
 
+def _pointwise_check(
+    *,
+    u: float | None = None,
+    v: float | None = None,
+    w: float,
+    grid_spec: GridSpec = DEFAULT_GRID,
+    slack: float = POINTWISE_SLACK,
+) -> _Check:
+    """The configuration of :func:`verify_hardy_pointwise`."""
+    kind, order = _averaging_kind(u, v)
+    a, b = _checked_exponents(order, w)
+
+    def score(scan: _Scan, records: list[_Member], blk: _Block) -> None:
+        if kind == "upper":
+            env_w = blk.envelope("upper", a, b)
+            env_inf = blk.envelope("upper", a, INF)
+            checks = [(env_w.values, env_inf.values), (env_inf.values, blk.f_star(blk.K))]
+            unchecked = None
+        else:
+            doubled = 2.0 * blk.grid
+            checks = [(blk.envelope("lower", a, b).values, blk.f_star(blk.piece_index(doubled)))]
+            # members whose f*(2t) is undefined somewhere: 2t overflows
+            unchecked = (~np.logical_and.reduceat(doubled < INF, blk.goff[:-1])).tolist()
+        found = [_violations(blk, lhs, low, slack) for lhs, low in checks]
+        for i, m in enumerate(records):
+            if unchecked and unchecked[i]:
+                m.fs(doubled[blk.goff[i] : blk.goff[i + 1]])  # raises where 2t leaves the float range
+            for counts, first in found:
+                if counts[i]:
+                    scan.violation(counts[i], function=m.f.to_dict(), t=first[i])
+        for lhs, low in checks:
+            mask = low > 0.0
+            if mask.any():
+                ratios = lhs[mask] / low[mask]
+                scan.observe(float(ratios.min()), float(ratios.max()))
+
+    def report(scan: _Scan) -> RatioReport:
+        label = "u" if kind == "upper" else "v"
+        return scan.report("lemma10", f"{label}={order},w={w}", size=len(scan.records))
+
+    return _Check(grid_spec, None, 1.0, score, report)
+
+
 def verify_hardy_pointwise(
     corpus: Iterable[StepFunction],
     *,
@@ -411,37 +534,63 @@ def verify_hardy_pointwise(
     grid point.  Lower kind (``v`` given): ``H_(v,w) f(t) >= f*(2t)``.
     Violations beyond the relative slack fail the check and record a witness.
     """
+    return _in_corpus_order(corpus, _pointwise_check(u=u, v=v, w=w, grid_spec=grid_spec, slack=slack))
+
+
+def _equivalence_check(
+    space: SpaceDescriptor,
+    *,
+    u: float | None = None,
+    v: float | None = None,
+    w: float,
+    ratio_bound: float = DEFAULT_RATIO_BOUND,
+    grid_spec: GridSpec = DEFAULT_GRID,
+) -> _Check:
+    """The configuration of :func:`verify_hardy_equivalence`."""
     kind, order = _averaging_kind(u, v)
+    expected = predicted_bounded(space, kind, order, w)
+    boundary = kind == "upper" and w < INF and order == space.boyd_lower
     a, b = _checked_exponents(order, w)
 
-    def run(scan: _Scan) -> RatioReport:
-        for records, _, blk in scan.blocks(grid_spec):
-            if kind == "upper":
-                env_w = _upper_block(blk, a, b)
-                env_inf = env_w if b == INF else _upper_block(blk, a, INF)
-                checks = [(env_w.values, env_inf.values), (env_inf.values, blk.f_star(blk.K))]
-                unchecked = None
-            else:
-                doubled = 2.0 * blk.grid
-                checks = [(_lower_block(blk, a, b).values, blk.f_star(blk.piece_index(doubled)))]
-                # members whose f*(2t) is undefined somewhere: 2t overflows
-                unchecked = (~np.logical_and.reduceat(doubled < INF, blk.goff[:-1])).tolist()
-            found = [_violations(blk, lhs, low, slack) for lhs, low in checks]
-            for i, m in enumerate(records):
-                if unchecked and unchecked[i]:
-                    m.fs(doubled[blk.goff[i] : blk.goff[i + 1]])  # raises where 2t leaves the float range
-                for counts, first in found:
-                    if counts[i]:
-                        scan.violation(counts[i], function=m.f.to_dict(), t=first[i])
-            for lhs, low in checks:
-                mask = low > 0.0
-                if mask.any():
-                    ratios = lhs[mask] / low[mask]
-                    scan.observe(float(ratios.min()), float(ratios.max()))
-        label = "u" if kind == "upper" else "v"
-        return scan.report("lemma10", f"{label}={order},w={w}", size=len(scan.records))
+    def score(scan: _Scan, records: list[_Member], blk: _Block) -> None:
+        for m, enc in zip(records, _norm_block(blk.envelope(kind, a, b), space.params)):
+            n = m.norm(space.params)
+            if enc.hi == INF:
+                scan.diverged += 1
+                if not boundary and expected:
+                    scan.violation(function=m.f.to_dict(), norm=n)
+                continue
+            scan.observe(enc.hi / n, enc.hi / n, enc.relative_width)
+            scan.min_ratio_lo = min(scan.min_ratio_lo, enc.lo / n)
 
-    return _in_corpus_order(corpus, run)
+    def report(scan: _Scan) -> RatioReport:
+        min_r, max_r = scan.ratio_range()
+        if boundary:
+            passed = scan.diverged == scan.used
+        else:
+            floor_ok = min_r >= 1.0 - EQUIV_FLOOR_SLACK
+            passed = (
+                expected
+                and scan.violations == 0
+                and scan.diverged == 0
+                and floor_ok
+                and max_r <= ratio_bound
+            )
+            if not floor_ok:
+                scan.note(floor=min_r)
+        return scan.report(
+            "thm11",
+            f"E={space},{kind} {order},w={w}",
+            size=scan.used,
+            passed=passed,
+            extras={
+                "diverged": scan.diverged,
+                "min_ratio_lo": scan.min_ratio_lo,
+                "expected_bounded": expected,
+            },
+        )
+
+    return _Check(grid_spec, space, INF, score, report)
 
 
 def verify_hardy_equivalence(
@@ -462,59 +611,15 @@ def verify_hardy_equivalence(
     At the boundary ``u = p_E`` with ``w < inf`` the check inverts: every
     compactly supported member must produce an infinite upper endpoint.
     """
-    kind, order = _averaging_kind(u, v)
-    expected = predicted_bounded(space, kind, order, w)
-    boundary = kind == "upper" and w < INF and order == space.boyd_lower
-    a, b = _checked_exponents(order, w)
-    hardy = _upper_block if kind == "upper" else _lower_block
-
-    def run(scan: _Scan) -> RatioReport:
-        diverged = 0
-        min_ratio_lo = INF
-        for records, norms, blk in scan.blocks(grid_spec, space):
-            for m, n, enc in zip(records, norms, _norm_block(hardy(blk, a, b), space.params)):
-                if enc.hi == INF:
-                    diverged += 1
-                    if not boundary and expected:
-                        scan.violation(function=m.f.to_dict(), norm=n)
-                    continue
-                scan.observe(enc.hi / n, enc.hi / n, enc.relative_width)
-                min_ratio_lo = min(min_ratio_lo, enc.lo / n)
-        min_r, max_r = scan.ratio_range()
-        if boundary:
-            passed = diverged == scan.used
-        else:
-            floor_ok = min_r >= 1.0 - EQUIV_FLOOR_SLACK
-            passed = (
-                expected
-                and scan.violations == 0
-                and diverged == 0
-                and floor_ok
-                and max_r <= ratio_bound
-            )
-            if not floor_ok:
-                scan.note(floor=min_r)
-        return scan.report(
-            "thm11",
-            f"E={space},{kind} {order},w={w}",
-            size=scan.used,
-            passed=passed,
-            extras={
-                "diverged": diverged,
-                "min_ratio_lo": min_ratio_lo,
-                "expected_bounded": expected,
-            },
-        )
-
-    return _in_corpus_order(corpus, run, empty_ratio=INF)
+    check = _equivalence_check(space, u=u, v=v, w=w, ratio_bound=ratio_bound, grid_spec=grid_spec)
+    return _in_corpus_order(corpus, check)
 
 
 _CALIBRATION_TARGET = math.sqrt(2.0)
 _CALIBRATION_WIDTH = 1e-3
 
 
-def verify_interpolation_identity(
-    corpus: Iterable[StepFunction],
+def _interpolation_check(
     space: SpaceDescriptor,
     couple: LorentzCouple,
     theta: float,
@@ -522,25 +627,20 @@ def verify_interpolation_identity(
     ratio_bound: float = DEFAULT_RATIO_BOUND,
     grid_spec: GridSpec = DEFAULT_GRID,
     calibrate: bool = False,
-) -> RatioReport:
-    """Functor norm against ``||.||_E``: bounded equivalence spread on the corpus.
-
-    Ratio spread is certified outward: ``max(hi_i / n_i) / min(lo_i / n_i)``
-    must not exceed ``ratio_bound`` and every enclosure must be finite.
-    With ``calibrate=True`` the unit indicator is evaluated at 256 points
-    per decade and its enclosure must trap sqrt(2) within width 1e-3 (the
-    exact value of ``|| f** ||_{L_2}`` for that function).
-    """
+) -> _Check:
+    """The configuration of :func:`verify_interpolation_identity`."""
     fp = FunctorParams(theta=theta, r=couple.params0.p, space=space)
     _check_functor(fp, couple)
 
-    def run(scan: _Scan) -> RatioReport:
-        for records, norms, blk in scan.blocks(grid_spec, space):
-            for m, n, enc in zip(records, norms, _functor_block(blk, fp, couple)):
-                if enc.hi == INF or enc.lo <= 0.0:
-                    scan.violation(function=m.f.to_dict(), enclosure=str(enc))
-                    continue
-                scan.observe(enc.lo / n, enc.hi / n, enc.relative_width)
+    def score(scan: _Scan, records: list[_Member], blk: _Block) -> None:
+        for m, enc in zip(records, _functor_block(blk, fp, couple)):
+            if enc.hi == INF or enc.lo <= 0.0:
+                scan.violation(function=m.f.to_dict(), enclosure=str(enc))
+                continue
+            n = m.norm(space.params)
+            scan.observe(enc.lo / n, enc.hi / n, enc.relative_width)
+
+    def report(scan: _Scan) -> RatioReport:
         min_r, max_r = scan.ratio_range()
         spread = max_r / min_r if 0.0 < min_r < INF else INF
         passed = scan.violations == 0 and spread <= ratio_bound
@@ -563,7 +663,31 @@ def verify_interpolation_identity(
             extras=extras,
         )
 
-    return _in_corpus_order(corpus, run, empty_ratio=INF)
+    return _Check(grid_spec, space, INF, score, report)
+
+
+def verify_interpolation_identity(
+    corpus: Iterable[StepFunction],
+    space: SpaceDescriptor,
+    couple: LorentzCouple,
+    theta: float,
+    *,
+    ratio_bound: float = DEFAULT_RATIO_BOUND,
+    grid_spec: GridSpec = DEFAULT_GRID,
+    calibrate: bool = False,
+) -> RatioReport:
+    """Functor norm against ``||.||_E``: bounded equivalence spread on the corpus.
+
+    Ratio spread is certified outward: ``max(hi_i / n_i) / min(lo_i / n_i)``
+    must not exceed ``ratio_bound`` and every enclosure must be finite.
+    With ``calibrate=True`` the unit indicator is evaluated at 256 points
+    per decade and its enclosure must trap sqrt(2) within width 1e-3 (the
+    exact value of ``|| f** ||_{L_2}`` for that function).
+    """
+    check = _interpolation_check(
+        space, couple, theta, ratio_bound=ratio_bound, grid_spec=grid_spec, calibrate=calibrate
+    )
+    return _in_corpus_order(corpus, check)
 
 
 _L1_LINF = LorentzCouple(LorentzParams(1.0, 1.0), LorentzParams(INF, INF))
@@ -718,23 +842,18 @@ def default_check_reports(
     if check != "all" and check not in CHECK_IDS:
         raise ValueError(f"unknown check {check!r}; expected one of {CHECK_IDS + ('all',)}")
     corpus = _SharedCorpus(generate_corpus(seed, size))
-    reports: list[RatioReport] = []
+    checks: list[_Check] = []
     if check in ("lemma10", "all"):
-        for cfg in _POINTWISE_CONFIGS:
-            reports.append(verify_hardy_pointwise(corpus, grid_spec=grid_spec, **cfg))
+        checks += [_pointwise_check(grid_spec=grid_spec, **cfg) for cfg in _POINTWISE_CONFIGS]
     if check in ("thm11", "all"):
         space = _L22()
-        for cfg in _EQUIVALENCE_CONFIGS:
-            reports.append(
-                verify_hardy_equivalence(corpus, space, grid_spec=grid_spec, **cfg)
-            )
+        checks += [_equivalence_check(space, grid_spec=grid_spec, **cfg) for cfg in _EQUIVALENCE_CONFIGS]
     if check in ("thm15", "all"):
-        for space, couple, theta, calibrate in _interpolation_configs():
-            reports.append(
-                verify_interpolation_identity(
-                    corpus, space, couple, theta, grid_spec=grid_spec, calibrate=calibrate
-                )
-            )
+        checks += [
+            _interpolation_check(space, couple, theta, grid_spec=grid_spec, calibrate=calibrate)
+            for space, couple, theta, calibrate in _interpolation_configs()
+        ]
+    reports = _reports(corpus, checks)
     if check in ("kprops", "all"):
         reports.append(verify_k_properties(corpus))
     return reports

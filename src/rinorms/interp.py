@@ -41,12 +41,11 @@ from .hardy import (
     GridSpec,
     _add_block,
     _Block,
-    _lower_block,
     _norm_block,
     _scale_block,
-    _upper_block,
 )
 from .lorentz import (
+    _TINY,
     LorentzParams,
     SpaceDescriptor,
     _check_exponent,
@@ -327,7 +326,9 @@ def k_upper_oracle(
     X0 cost of a side with ``q != 1`` that is not ``p = q = inf``, which
     sums over the ``k`` values above the level.  A level whose powers or
     sums overflow the float range costs ``inf``, which only loosens the
-    bound.
+    bound.  Where the q-th powers of small values of ``f*`` would fall below
+    the float range, the levels are scored for ``f*`` scaled up by a power
+    of two and the minimum is scaled back (``K(t, c f) = c K(t, f)``).
     """
     t = _check_exponent(t, "t", finite=True)
     fs = f.rearrange()
@@ -337,6 +338,10 @@ def k_upper_oracle(
     linear = _piecewise_linear(x0) and _piecewise_linear(x1)
     lams = _default_levels(fs, linear) if levels is None else _check_levels(levels)
     vals = [*fs.values, fs.tail]
+    scale = _underflow_exponent(vals, x0, x1)
+    if scale:
+        vals = [math.ldexp(v, -scale) for v in vals]
+        lams = [math.ldexp(lam, -scale) for lam in lams]
     excess = _excess_norm(vals, _weights(fs, x0), x0.q)
     truncation = _truncation_norm(vals, _weights(fs, x1), x1.q)
     ascending = vals[::-1]
@@ -347,7 +352,22 @@ def k_upper_oracle(
         cost0 = excess(k, lam)
         if cost0 < INF:
             best = min(best, cost0 + t * truncation(k, lam))
-    return best
+    return math.ldexp(best, scale)
+
+
+def _underflow_exponent(vals: list[float], x0: LorentzParams, x1: LorentzParams) -> int:
+    """The exponent ``k <= 0`` that puts the largest of ``vals`` (the values
+    of a nonzero ``f*``, tail last) in [1/2, 1) as ``2**-k v``, when the
+    q-th power of the smallest positive value falls below the normal float
+    range for the largest finite ``q`` of ``x0`` and ``x1`` (1 when none is
+    larger); else 0."""
+    small = vals[-1] or vals[-2]  # the values of f* are positive, its tail may be 0
+    if small >= 1.0:
+        return 0
+    q = max(1.0, x0.q if x0.q < INF else 1.0, x1.q if x1.q < INF else 1.0)
+    if small**q >= _TINY:
+        return 0
+    return min(math.frexp(vals[0])[1], 0)
 
 
 def _check_theta(couple: LorentzCouple, theta: float) -> None:
@@ -501,9 +521,9 @@ def _functor_block(blk: _Block, fp: FunctorParams, couple: LorentzCouple) -> lis
     parameters, in order; raises ``ValueError`` when the average or the norm
     of one of them leaves the float range."""
     p0, q0 = couple.params0.p, couple.params0.q
-    env = _upper_block(blk, p0, q0)
+    env = blk.envelope("upper", p0, q0)
     if couple.params1.p < INF:
-        env = _add_block(env, _lower_block(blk, couple.params1.p, couple.params1.q))
+        env = _add_block(env, blk.envelope("lower", couple.params1.p, couple.params1.q))
     if fp.r < p0:
         env = _scale_block(env, 1.0 / fp.r - 1.0 / p0)
     return _norm_block(env, fp.space.params)

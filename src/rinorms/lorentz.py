@@ -82,11 +82,12 @@ _SUB_ERR = math.ldexp(1.0, -1073)  # error bound of a rounded result below _TINY
 def lorentz_norm(f: StepFunction, params: LorentzParams) -> float:
     """Closed-form Lorentz quasi-norm of ``f`` (extended real, never NaN).
 
-    When the integral of a finite norm overflows, it is summed again for
-    ``f`` scaled by a power of two (``||c f|| = c ||f||``); that result may
-    differ from exact arithmetic in its last bits.  A norm beyond the largest
-    float raises ``ValueError``, and so does one whose smaller terms would
-    fall below the float range at that scale.
+    When the integral of a finite norm overflows, or falls below the normal
+    float range (the q-th powers of small values underflow), it is summed
+    again for ``f`` scaled by a power of two (``||c f|| = c ||f||``); that
+    result may differ from exact arithmetic in its last bits.  A norm beyond
+    the largest float raises ``ValueError``, and so does one whose smaller
+    terms would fall below the float range at that scale.
     """
     fs = f.rearrange()
     if fs.is_zero:
@@ -103,6 +104,8 @@ def lorentz_norm(f: StepFunction, params: LorentzParams) -> float:
     if val == INF:
         # with q/p > 0 only a positive tail diverges; otherwise the sum overflowed
         return INF if fs.tail > 0.0 else _rescaled_norm(fs, q / p, q)
+    if val < _TINY:
+        return _rescaled_norm(fs, q / p, q)
     try:
         return val ** (1.0 / q)
     except OverflowError:

@@ -365,6 +365,23 @@ def rng():
 # reproduce every value of these bit for bit.
 
 
+def ref_grid(spec, anchors) -> np.ndarray | None:
+    """One grid from ``np.geomspace``, as :meth:`GridSpec.build` made it
+    before it wrote out geomspace's float operations for many windows at
+    once; ``None`` where the window leaves the float range."""
+    anchors = np.asarray(sorted(anchors), dtype=float)
+    if anchors.size == 0:
+        anchors = np.array([1.0])
+    lo = float(anchors[0]) / spec.span
+    hi = float(anchors[-1]) * spec.span
+    if not (lo > 0.0 and hi < INF):
+        return None
+    ratio = hi / lo
+    decades = math.log10(ratio) if ratio < INF else math.log10(hi) - math.log10(lo)
+    n = max(2, int(math.ceil(decades * spec.points_per_decade)) + 1)
+    return np.unique(np.concatenate([np.geomspace(lo, hi, n), anchors]))
+
+
 def envelope_lower(env: MonotoneEnvelope) -> StepFunction:
     """Global step-function lower bound: each piece carries its right-endpoint value."""
     return StepFunction(tuple(env.grid), tuple(env.values), 0.0)

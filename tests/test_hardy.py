@@ -28,6 +28,7 @@ from rinorms import (
 from rinorms import generate_corpus
 from rinorms.hardy import (
     _NORM_OVERFLOW,
+    DEFAULT_GRID,
     PowerLaw,
     _add_block,
     _Block,
@@ -44,6 +45,7 @@ from conftest import (
     ref_add_envelopes,
     ref_envelope_norm,
     ref_functor_norm,
+    ref_grid,
     ref_hardy_lower,
     ref_hardy_upper,
 )
@@ -373,6 +375,46 @@ class TestGridSpecValidation:
     def test_invalid_span_rejected(self, span):
         with pytest.raises(ValueError, match=r"span factor must be in \(1, inf\)"):
             GridSpec(span=span)
+
+
+_GRID_ANCHORS = {
+    "none": (),
+    "one": (1.0,),
+    "one-far": (3.7e-200,),
+    "whole-float-range": (1e-300, 1e300),
+    "corpus-member": generate_corpus(7, 1).functions[0].rearrange().breakpoints,
+}
+
+
+class TestGridBuilder:
+    """``GridSpec.build_many`` against one ``np.geomspace`` per grid."""
+
+    @pytest.mark.parametrize("spec", [COARSE, GridSpec(points_per_decade=256)], ids=["coarse", "256-per-decade"])
+    @pytest.mark.parametrize("anchors", list(_GRID_ANCHORS.values()), ids=list(_GRID_ANCHORS))
+    def test_one_grid_equals_geomspace(self, spec, anchors):
+        want = ref_grid(spec, anchors)
+        assert np.array_equal(spec.build(anchors), want)
+        (grid,) = spec.build_many([anchors])
+        assert grid.dtype == want.dtype and np.array_equal(grid, want)
+
+    @pytest.mark.parametrize("spec", [COARSE, DEFAULT_GRID, GridSpec(points_per_decade=256)], ids=str)
+    def test_many_grids_equal_geomspace_each(self, spec):
+        # windows of every width in one call, with windows outside the float
+        # range among them: those give None and leave the others alone
+        sets = [tuple(sorted(a)) for a in _GRID_ANCHORS.values()]
+        sets += [(5e-324, 1.0), (1.0, 1.7e308)]
+        sets += [f.rearrange().breakpoints for f in generate_corpus(11, 30, positive_tail=True)]
+        got = spec.build_many(sets)
+        assert len(got) == len(sets)
+        for anchors, grid in zip(sets, got):
+            want = ref_grid(spec, anchors)
+            if want is None:
+                assert grid is None
+            else:
+                assert np.array_equal(grid, want), anchors
+
+    def test_no_anchor_sets(self):
+        assert DEFAULT_GRID.build_many([]) == []
 
 
 class TestGridAtFloatRangeEnds:

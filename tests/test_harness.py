@@ -27,7 +27,7 @@ from rinorms import (
     verify_interpolation_identity,
     verify_k_properties,
 )
-from rinorms import harness, interp, lorentz, stepfn
+from rinorms import hardy, harness, interp, lorentz, stepfn
 from rinorms.harness import (
     DEFAULT_GRID,
     GridSpec,
@@ -371,13 +371,14 @@ class TestSharedMemberWork:
     def test_one_grid_per_member_and_grid_spec(self, monkeypatch):
         drawn = _capture_corpus(monkeypatch)
         builds = Counter()
-        build = GridSpec.build
+        build_many = GridSpec.build_many  # GridSpec.build is its one-set case
 
-        def counting(self, anchors):
-            builds[(self, tuple(sorted(map(float, anchors))))] += 1
-            return build(self, anchors)
+        def counting(self, anchor_sets):
+            for anchors in anchor_sets:
+                builds[(self, tuple(sorted(map(float, anchors))))] += 1
+            return build_many(self, anchor_sets)
 
-        monkeypatch.setattr(GridSpec, "build", counting)
+        monkeypatch.setattr(GridSpec, "build_many", counting)
         default_check_reports("all", seed=5, size=12, grid_spec=COARSE)
         (corpus,) = drawn
         expected = Counter((COARSE, f.rearrange().breakpoints) for f in corpus)
@@ -390,13 +391,13 @@ class TestSharedMemberWork:
         # one upper-family kernel call per inner exponent and block, and the
         # blocks cover the corpus once, in order
         calls = []
-        upper_block = harness._upper_block
+        upper_block = hardy._upper_block
 
         def counting(blk, u, w):
             calls.append((w, blk.grid.tobytes()))
             return upper_block(blk, u, w)
 
-        monkeypatch.setattr(harness, "_upper_block", counting)
+        monkeypatch.setattr(hardy, "_upper_block", counting)
         monkeypatch.setattr(harness, "_BLOCK_POINTS", 2000)
         verify_hardy_pointwise(small_corpus, u=1.0, w=w, grid_spec=COARSE)
         blocks = [g for x, g in calls if x == inner[0]]
@@ -412,6 +413,44 @@ class TestSharedMemberWork:
                 members.append(next(sizes))
             assert sum(members[:-1]) < 2000
             assert sum(members) >= 2000 or j == len(blocks) - 1
+
+    @pytest.mark.parametrize("check", ["lemma10", "thm11", "thm15"])
+    def test_one_block_and_one_envelope_per_block_for_all_configurations(self, monkeypatch, check):
+        # every default configuration takes every member of this corpus, so
+        # they form one group: its blocks cover the corpus once, in order,
+        # and each Hardy average is computed once per block however many
+        # configurations read it (thm15's H^(1,1) serves four of its five)
+        drawn = _capture_corpus(monkeypatch)
+        monkeypatch.setattr(harness, "_BLOCK_POINTS", 2000)
+        blocks = []
+        block = harness._Block
+
+        def counting_block(fss, grids):
+            blocks.append(np.concatenate(grids).tobytes())
+            return block(fss, grids)
+
+        averages = Counter()
+        kernels = {"upper": hardy._upper_block, "lower": hardy._lower_block}
+
+        def counting(kind):
+            def kernel(blk, order, w):
+                averages[(kind, order, w, blk.grid.tobytes())] += 1
+                return kernels[kind](blk, order, w)
+
+            return kernel
+
+        monkeypatch.setattr(harness, "_Block", counting_block)
+        for kind in kernels:
+            monkeypatch.setattr(hardy, f"_{kind}_block", counting(kind))
+        default_check_reports(check, seed=5, size=40, grid_spec=COARSE)
+        (corpus,) = drawn
+        assert 1 < len(blocks) < len(corpus)
+        assert b"".join(blocks) == np.concatenate([COARSE.build(f.rearrange().breakpoints) for f in corpus]).tobytes()
+        assert set(averages.values()) == {1}
+        per_block = Counter(key[:3] for key in averages if key[3] in blocks)
+        assert set(per_block.values()) == {len(blocks)}
+        if check == "thm15":
+            assert ("upper", 1.0, 1.0) in per_block
 
     def test_passing_scans_build_one_scan(self, small_corpus, monkeypatch):
         scans = []
@@ -435,22 +474,28 @@ class TestSharedMemberWork:
             assert len(scans) == 1
 
 
-def _public_reports(corpus, grid_spec) -> list:
-    """The default configurations, each run by its public driver on a plain corpus."""
+def _public_reports(corpus, grid_spec, check: str = "all") -> list:
+    """The default configurations of ``check``, each run by its public
+    driver on a plain corpus, one after another."""
     l22 = SpaceDescriptor.for_lorentz(LorentzParams(2.0, 2.0))
-    reports = [
-        verify_hardy_pointwise(corpus, grid_spec=grid_spec, **cfg)
-        for cfg in harness._POINTWISE_CONFIGS
-    ]
-    reports += [
-        verify_hardy_equivalence(corpus, l22, grid_spec=grid_spec, **cfg)
-        for cfg in harness._EQUIVALENCE_CONFIGS
-    ]
-    reports += [
-        verify_interpolation_identity(corpus, space, couple, theta, grid_spec=grid_spec, calibrate=cal)
-        for space, couple, theta, cal in harness._interpolation_configs()
-    ]
-    reports.append(verify_k_properties(corpus))
+    reports = []
+    if check in ("lemma10", "all"):
+        reports += [
+            verify_hardy_pointwise(corpus, grid_spec=grid_spec, **cfg)
+            for cfg in harness._POINTWISE_CONFIGS
+        ]
+    if check in ("thm11", "all"):
+        reports += [
+            verify_hardy_equivalence(corpus, l22, grid_spec=grid_spec, **cfg)
+            for cfg in harness._EQUIVALENCE_CONFIGS
+        ]
+    if check in ("thm15", "all"):
+        reports += [
+            verify_interpolation_identity(corpus, space, couple, theta, grid_spec=grid_spec, calibrate=cal)
+            for space, couple, theta, cal in harness._interpolation_configs()
+        ]
+    if check in ("kprops", "all"):
+        reports.append(verify_k_properties(corpus))
     return reports
 
 
@@ -649,6 +694,33 @@ class TestBlockDrivers:
             verify_hardy_equivalence([good, huge, near_max], L22, u=2.0, w=1.0)
         with pytest.raises(ValueError, match="the Hardy average of f overflows"):
             verify_hardy_equivalence([good, near_max, huge], L22, u=2.0, w=1.0)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("check", ["lemma10", "thm11", "thm15", "all"])
+    def test_grouped_checks_raise_as_the_public_drivers_in_turn(self, monkeypatch, check):
+        # the corpora of test_errors_surface_in_corpus_order: the grouped
+        # walk raises, and the error is that of the first configuration that
+        # raises when each runs on its own, at its first failing member
+        good = StepFunction((1.0, 2.0), (3.0, 1.0))
+        far, huge = StepFunction((1e303,), (1.0,)), StepFunction((1.0,), (1e200,))
+        edge, near_max = StepFunction((1e302,), (1.0,)), StepFunction((1.0,), (1.7e308,))
+        corpora = [
+            (good, huge, far),
+            (good, far, huge),
+            (good, edge, huge),
+            (good, huge, edge),
+            (good, edge + StepFunction.constant(0.5), huge),
+            (good, huge, near_max),
+            (good, near_max, huge),
+        ]
+        monkeypatch.setattr(harness, "_BLOCK_POINTS", 10**6)
+        for corpus in corpora:
+            monkeypatch.setattr(harness, "generate_corpus", lambda seed, size: corpus)
+            with pytest.raises(ValueError) as want:
+                _public_reports(corpus, DEFAULT_GRID, check)
+            with pytest.raises(ValueError) as got:
+                default_check_reports(check, seed=0, size=len(corpus))
+            assert repr(got.value) == repr(want.value), corpus
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_one_shot_corpus_raises_as_a_tuple_does(self, monkeypatch):

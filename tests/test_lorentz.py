@@ -117,6 +117,22 @@ class TestNormValues:
         # an overflowing product v**q * part, not an OverflowError, is rescaled too
         assert lorentz_norm(StepFunction((1e200,), (1e150,)), prm) == pytest.approx(1e250, rel=1e-12)
 
+    def test_underflowing_integral_is_rescaled(self):
+        # v**2 underflows to 0, so the unscaled integral reads 0 for a
+        # nonzero function; 1e-200 on (0, 1e300] has norm 1e-200 * 1e150
+        # (abs=0: approx's default absolute slack would accept 0)
+        prm = LorentzParams(2.0, 2.0)
+        assert lorentz_norm(StepFunction((1.0,), (1e-170,)), prm) == pytest.approx(1e-170, rel=1e-12, abs=0.0)
+        assert lorentz_norm(StepFunction((1e300,), (1e-200,)), prm) == pytest.approx(1e-50, rel=1e-12, abs=0.0)
+        # a sub-normal integral keeps only a few bits: (1e-160)**2 = 1e-320
+        assert lorentz_norm(StepFunction((1.0,), (1e-160,)), prm) == pytest.approx(1e-160, rel=1e-12, abs=0.0)
+        # the rescaled path agrees with the direct one on scaled-up input
+        f = StepFunction((0.5, 4.0), (3.0 * 2.0**-700, 2.0**-690))
+        for prm in (LorentzParams(2.0, 2.0), LorentzParams(1.0, 3.0), LorentzParams(3.0, 1.5)):
+            assert lorentz_norm(f, prm) == pytest.approx(
+                math.ldexp(lorentz_norm(f.scale(2.0**700), prm), -700), rel=1e-12, abs=0.0
+            )
+
     def test_norm_out_of_float_reach_raises(self):
         # the only integral underflows, or overflows although its term is 0.5
         for f in (StepFunction((1e-300,), (1e200,)), StepFunction((1e300,), (1e-300,))):
