@@ -79,6 +79,17 @@ class PowerLaw:
         return coef * t ** (-decay) if coef else 0.0
 
 
+def _sorted_distinct(x: np.ndarray) -> np.ndarray:
+    """``np.unique(x)`` of a float array without NaN that the caller owns:
+    ``x`` is sorted in place and equal neighbours are dropped.  (numpy's
+    ``unique`` imports ``numpy.ma`` on its first call.)"""
+    x.sort()
+    keep = np.empty(x.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(x[1:], x[:-1], out=keep[1:])
+    return x[keep]
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Log-spaced evaluation grid: resolution and window half-width.
@@ -155,7 +166,7 @@ class GridSpec:
         points[off[1:] - 1] = hi
         spaced = iter(np.split(points, off[1:-1]))
         return [
-            None if window is None else np.unique(np.concatenate([next(spaced), anchors]))
+            None if window is None else _sorted_distinct(np.concatenate([next(spaced), anchors]))
             for anchors, window in zip(anchor_sets, windows)
         ]
 

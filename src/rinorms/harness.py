@@ -11,20 +11,24 @@ enclosure, the violation count and the first witness; each driver supplies
 only its per-member check.
 
 The work every configuration repeats on a member lives in one private
-member record per corpus function: ``f*`` (one rearrangement), the
-envelope grid per ``GridSpec`` (built for many members in one call) and
+member record per corpus function: ``f*`` (one rearrangement) and
 ``||f||_E`` per ``LorentzParams``.  A ``verify_*`` call makes the records
 of its corpus and drops them when it returns; :func:`default_check_reports`
 makes them once per call and shares them across all its configurations.
 
 The Hardy checks evaluate their configurations for a block of consecutive
 members at once (a block closes once it holds ``_BLOCK_POINTS`` grid
-points, so memory stays flat in the corpus size): the hardy module's block
-kernels make one set of numpy calls per block, bit-identical to one member
-at a time.  Configurations that take the same members form a group that
-walks its blocks once: each configuration keeps its own ``_Scan`` and
-scores every block, and a Hardy average several of them read is computed
-once per block and dropped with it.  Each member's outcome is read in
+points): the hardy module's block kernels make one set of numpy calls per
+block, bit-identical to one member at a time.  The members' envelope grids
+are built 64 at a time in one call and dropped with their block, so beyond
+the member records memory stays flat in the corpus size.  On glibc a Hardy
+scan raises malloc's trim and mmap thresholds for the whole process, so
+the heap the block kernels free stays mapped for the next block instead
+of being faulted in again (see ``_HEAP_TRIM_THRESHOLD``).  Configurations
+that take the same members form a group that walks its blocks once: each
+configuration keeps its own ``_Scan`` and scores every block, and a
+Hardy average several of them read is computed once per block and dropped
+with it.  Each member's outcome is read in
 corpus order, so the first witness and the violation counts are those of
 a member-by-member scan.  A kernel raises for its whole block when one
 member's average or norm leaves the float range.  A group walk that
@@ -51,6 +55,7 @@ import csv
 import io
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -62,6 +67,7 @@ from .hardy import (
     _Block,
     _checked_exponents,
     _norm_block,
+    _sorted_distinct,
     predicted_bounded,
 )
 from .interp import (
@@ -100,6 +106,15 @@ DEFAULT_RATIO_BOUND = 64.0
 # per-call overhead vanishes, small enough that the block's temporaries
 # stay around a megabyte.
 _BLOCK_POINTS = 1 << 14
+# glibc malloc hands a freed heap top above M_TRIM_THRESHOLD (128 KiB by
+# default) back to the kernel, and each block's numpy temporaries, tens of
+# kilobytes apiece, are then faulted in again for the next block.  A Hardy
+# scan raises the trim threshold, and with it the mmap threshold: setting
+# either freezes glibc's adaptive thresholds, and an mmap threshold frozen
+# at 128 KiB would map and unmap a large block's temporaries on every
+# allocation.  Up to _HEAP_TRIM_THRESHOLD of freed heap stays mapped.
+_HEAP_TRIM_THRESHOLD = 64 << 20
+_HEAP_MMAP_THRESHOLD = 32 << 20
 
 
 @dataclass(frozen=True)
@@ -149,7 +164,7 @@ def generate_corpus(
         if dyadic:
             bps = np.maximum(np.round(bps * 1024.0), 1.0) / 1024.0
             vals = np.maximum(np.round(vals * 256.0), 1.0) / 256.0
-        bps = np.unique(bps)
+        bps = _sorted_distinct(bps)
         vals = vals[: bps.size]
         tail = 0.0
         if positive_tail and rng.random() < 0.5:
@@ -214,41 +229,24 @@ class RatioReport:
 class _Member:
     """One corpus function with the work every configuration repeats on it.
 
-    ``fs`` is ``f*``; :meth:`grid` and :meth:`norm` compute the envelope grid
-    per :class:`GridSpec` and ``||f||_E`` per :class:`LorentzParams` on first
-    use and keep them.  Envelopes are not kept here: they live on the block
-    of members they were computed for and are dropped with it.
+    ``fs`` is ``f*``; :meth:`norm` computes ``||f||_E`` per
+    :class:`LorentzParams` on first use and keeps it.  Grids and envelopes
+    are not kept here: they live on the block of members they were made for
+    and are dropped with it.
     """
 
-    __slots__ = ("f", "fs", "_grids", "_norms")
+    __slots__ = ("f", "fs", "_norms")
 
     def __init__(self, f: StepFunction):
         self.f = f
         self.fs = f.rearrange()
-        self._grids: dict[GridSpec, np.ndarray] = {}
         self._norms: dict[LorentzParams, float] = {}
-
-    def grid(self, grid_spec: GridSpec) -> np.ndarray:
-        grid = self._grids.get(grid_spec)
-        if grid is None:
-            grid = self._grids[grid_spec] = grid_spec.build(self.fs.breakpoints)
-        return grid
 
     def norm(self, params: LorentzParams) -> float:
         n = self._norms.get(params)
         if n is None:
             n = self._norms[params] = lorentz_norm(self.fs, params)
         return n
-
-    @staticmethod
-    def build_grids(members: Sequence["_Member"], grid_spec: GridSpec) -> None:
-        """Build the missing grids of ``members`` in one call.  A member
-        whose window leaves the float range gets none, so its :meth:`grid`
-        raises."""
-        todo = [m for m in members if grid_spec not in m._grids]
-        for m, grid in zip(todo, grid_spec.build_many([m.fs.breakpoints for m in todo])):
-            if grid is not None:
-                m._grids[grid_spec] = grid
 
     def takes_part(self, space: SpaceDescriptor | None) -> bool:
         """Whether a check on ``space`` takes this member: any member when
@@ -364,30 +362,53 @@ def _blocks(records: Sequence[_Member], grid_spec: GridSpec, space: SpaceDescrip
     part on ``space``, consecutive in corpus order.
 
     A block is yielded as soon as it holds ``block_points`` grid points or
-    more, before the next member is prepared.  The missing grids of each run
-    of ``_GRID_BATCH`` records are built in one call before the run is
-    read (:meth:`_Member.build_grids`), so a member whose window leaves the
-    float range still raises at its turn.
+    more, before the next member is prepared.  The grids of each run of
+    ``_GRID_BATCH`` records are built in one call before the run is read,
+    and a member whose window leaves the float range raises at its turn.
+    A grid lives as long as its run and its block.
     """
     taken: list[_Member] = []
+    grids: list[np.ndarray] = []
     points = 0
     for start in range(0, len(records), _GRID_BATCH):
         batch = records[start : start + _GRID_BATCH]
-        _Member.build_grids(batch, grid_spec)
-        for m in batch:
+        for m, grid in zip(batch, grid_spec.build_many([m.fs.breakpoints for m in batch])):
             if not m.takes_part(space):
                 continue
+            if grid is None:
+                grid_spec.build(m.fs.breakpoints)  # raises: the window leaves the float range
             taken.append(m)
-            points += m.grid(grid_spec).size
+            grids.append(grid)
+            points += grid.size
             if points >= block_points:
-                yield taken, _block(taken, grid_spec)
-                taken, points = [], 0
+                yield taken, _Block([m.fs for m in taken], grids)
+                taken, grids, points = [], [], 0
     if taken:
-        yield taken, _block(taken, grid_spec)
+        yield taken, _Block([m.fs for m in taken], grids)
 
 
-def _block(members: list[_Member], grid_spec: GridSpec) -> _Block:
-    return _Block([m.fs for m in members], [m.grid(grid_spec) for m in members])
+def _glibc_mallopt():
+    """glibc's ``mallopt`` through ``ctypes``, or None on another C library."""
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION"):
+            return None
+    except (ValueError, OSError):  # no such name, or not known to this C library
+        return None
+    import ctypes
+
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    return mallopt
+
+
+def _keep_freed_heap() -> None:
+    """Set glibc's trim and mmap thresholds for the whole process (see
+    ``_HEAP_TRIM_THRESHOLD``); do nothing on another C library."""
+    mallopt = _glibc_mallopt()
+    if mallopt is not None:
+        mallopt(-1, _HEAP_TRIM_THRESHOLD)  # M_TRIM_THRESHOLD
+        mallopt(-3, _HEAP_MMAP_THRESHOLD)  # M_MMAP_THRESHOLD
 
 
 def _walk(corpus: _SharedCorpus, checks: Sequence[_Check], block_points: int) -> list[RatioReport]:
@@ -395,8 +416,9 @@ def _walk(corpus: _SharedCorpus, checks: Sequence[_Check], block_points: int) ->
     grids, from one walk over blocks of those members.
 
     Every check scores a block before the next is made, so the block, with
-    the envelopes its checks computed on it, is the only one alive.
+    the grids and envelopes of its members, is the only one alive.
     """
+    _keep_freed_heap()
     grid_spec, space = checks[0].grid_spec, checks[0].space
     scans = [_Scan(corpus, check.empty_ratio) for check in checks]
     used = 0
@@ -468,8 +490,10 @@ def _violations(blk: _Block, lhs: np.ndarray, low: np.ndarray, slack: float):
     counts = [0] * blk.size
     first: list = [None] * blk.size
     if bad.size:
-        owner = np.searchsorted(blk.goff, bad, side="right") - 1
-        members, at, n = np.unique(owner, return_index=True, return_counts=True)
+        owner = np.searchsorted(blk.goff, bad, side="right") - 1  # non-decreasing
+        at = np.flatnonzero(np.diff(owner, prepend=-1))  # each member's first bad point
+        n = np.diff(at, append=owner.size)
+        members = owner[at]
         for i, j, c in zip(members.tolist(), bad[at].tolist(), n.tolist()):
             counts[i] = c
             first[i] = float(blk.grid[j])

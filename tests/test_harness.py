@@ -7,7 +7,12 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -46,6 +51,7 @@ from conftest import (
 )
 
 COARSE = GridSpec(points_per_decade=16, span=2.0**12)
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 L22 = SpaceDescriptor.for_lorentz(LorentzParams(2.0, 2.0))
 
 
@@ -472,6 +478,83 @@ class TestSharedMemberWork:
             scans.clear()
             run()
             assert len(scans) == 1
+
+
+def _in_fresh_process(code: str) -> str:
+    """What ``code`` prints, run in a new interpreter that imports rinorms from ``SRC``."""
+    env = {**os.environ, "PYTHONPATH": SRC}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def _traced_peak(run) -> int:
+    """The tracemalloc peak, in bytes, of ``run()``."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestScanFootprint:
+    """What a Hardy scan costs besides its arithmetic: memory, page faults, imports."""
+
+    def test_memory_grows_by_the_member_records_only(self):
+        # grids live with their block: what grows with the corpus is f, f*
+        # and the norms of each member (a grid of the default spec is ~7 KB)
+        small, large = 250, 1000
+        peaks = [_traced_peak(lambda n=n: default_check_reports("thm11", 7, n)) for n in (small, large)]
+        assert (peaks[1] - peaks[0]) / (large - small) < 3000
+
+    @pytest.mark.skipif(harness._glibc_mallopt() is None, reason="glibc malloc only")
+    def test_repeated_scans_reuse_the_freed_heap(self):
+        # a fresh process, as `rinorms verify` runs: here the test runner's
+        # own live allocations would pin the heap top, trimmed or not
+        code = (
+            "import resource\n"
+            "from rinorms.harness import default_check_reports\n"
+            "default_check_reports('thm15', 7, 12)\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "default_check_reports('thm15', 7, 12)\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+        )
+        assert int(_in_fresh_process(code)) < 100
+
+    def test_heap_thresholds_are_set_through_mallopt(self, monkeypatch):
+        calls = []
+        want = default_check_reports("thm11", 7, 12)
+        monkeypatch.setattr(harness, "_glibc_mallopt", lambda: lambda param, value: calls.append((param, value)))
+        assert default_check_reports("thm11", 7, 12) == want
+        # M_TRIM_THRESHOLD, then M_MMAP_THRESHOLD, once for the one group walk
+        assert calls == [(-1, 64 << 20), (-3, 32 << 20)]
+        # another C library: nothing is set and the reports stay
+        monkeypatch.setattr(harness, "_glibc_mallopt", lambda: None)
+        assert default_check_reports("thm11", 7, 12) == want
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("answer", [None, ValueError, OSError], ids=["unset", "unknown-name", "unsupported"])
+    def test_no_mallopt_off_glibc(self, monkeypatch, answer):
+        def confstr(name):
+            if answer is None:
+                return None
+            raise answer(name)
+
+        monkeypatch.setattr(os, "confstr", confstr)
+        assert harness._glibc_mallopt() is None
+
+    @pytest.mark.parametrize("check", ["lemma10", "thm11", "thm15"])
+    def test_scans_leave_numpy_ma_unimported(self, check):
+        # np.unique imports numpy.ma on its first call, which costs a fresh
+        # process more than 10 ms
+        code = (
+            "import sys\n"
+            "from rinorms.harness import default_check_reports\n"
+            f"default_check_reports({check!r}, 7, 12)\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        assert _in_fresh_process(code) == "False\n"
 
 
 def _public_reports(corpus, grid_spec, check: str = "all") -> list:
