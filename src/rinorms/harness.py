@@ -76,9 +76,8 @@ from .interp import (
     _check_functor,
     _functor_block,
     _holmstedt_sum,
-    _k_l1_linf,
+    _k_l1_linf_block,
     functor_norm,
-    k_exact_l1_linf,
     k_upper_oracle,
 )
 from .lorentz import LorentzParams, SpaceDescriptor, lorentz_norm
@@ -362,16 +361,17 @@ def _blocks(records: Sequence[_Member], grid_spec: GridSpec, space: SpaceDescrip
     part on ``space``, consecutive in corpus order.
 
     A block is yielded as soon as it holds ``block_points`` grid points or
-    more, before the next member is prepared.  The grids of each run of
-    ``_GRID_BATCH`` records are built in one call before the run is read,
-    and a member whose window leaves the float range raises at its turn.
-    A grid lives as long as its run and its block.
+    more, before the next member is prepared.  The grids of the members of
+    each run of ``_GRID_BATCH`` records that take part are built in one call
+    before the run is read, and a member whose window leaves the float range
+    raises at its turn, as does one whose norm in E cannot be computed.  A
+    grid lives as long as its run and its block.
     """
     taken: list[_Member] = []
     grids: list[np.ndarray] = []
     points = 0
     for start in range(0, len(records), _GRID_BATCH):
-        batch = records[start : start + _GRID_BATCH]
+        batch = [m for m in records[start : start + _GRID_BATCH] if _may_take_part(m, space)]
         for m, grid in zip(batch, grid_spec.build_many([m.fs.breakpoints for m in batch])):
             if not m.takes_part(space):
                 continue
@@ -385,6 +385,15 @@ def _blocks(records: Sequence[_Member], grid_spec: GridSpec, space: SpaceDescrip
                 taken, grids, points = [], [], 0
     if taken:
         yield taken, _Block([m.fs for m in taken], grids)
+
+
+def _may_take_part(m: _Member, space: SpaceDescriptor | None) -> bool:
+    """``m.takes_part(space)``, or True where that raises, so that the member
+    raises at its turn in corpus order."""
+    try:
+        return m.takes_part(space)
+    except (ValueError, ArithmeticError):
+        return True
 
 
 def _glibc_mallopt():
@@ -722,11 +731,12 @@ _PAIR_BLOCK = 1024
 
 
 class _KPair(NamedTuple):
-    """The scalar values of one (f, t) pair of the K battery."""
+    """The scalar values of one (f, t) pair of the K battery, g the member
+    after f; K values of f and g are read from the K rows of their block."""
 
     f: StepFunction
     t: float
-    table: list[float]  # K(t, f), K(1, f), K on the grid, K at its midpoints
+    k: float  # K(t, f)
     k_oracle: float
     cap: float  # ||f||_{X0 ∩ X1}
     k_sum: float  # K(t, f + g)
@@ -734,17 +744,44 @@ class _KPair(NamedTuple):
     ratio: float | None  # Holmstedt / exact; None where K(t, f) = 0
 
 
-def _k_pair(records: Sequence[_Member], i: int, t: float, table_ts: list[float]) -> _KPair:
-    """Pair ``i`` of the K battery (f the ``i``-th member, g the next) at ``t``."""
-    m = records[i % len(records)]
-    table = _k_l1_linf(m.fs, [t, *table_ts])
-    k_oracle = k_upper_oracle(m.fs, t, _L1_LINF)
-    cap = max(m.norm(_L1_LINF.params0), m.norm(_L1_LINF.params1))
-    g = records[(i + 1) % len(records)]
-    k_sum = k_exact_l1_linf(m.f + g.f, t)
-    k_g = _k_l1_linf(g.fs, [t])[0]
-    ratio = _holmstedt_sum(m.fs, t, _L1_LINF, 1.0, table[0]) / table[0] if table[0] > 0.0 else None
-    return _KPair(m.f, t, table, k_oracle, cap, k_sum, k_g, ratio)
+def _k_block(
+    records: Sequence[_Member], block: range, ts: list[float], table_ts: list[float]
+) -> tuple[list[_KPair], np.ndarray]:
+    """The pairs ``block`` of the K battery and the K rows of their f.
+
+    Pair ``i`` takes f the ``i``-th member and g the next at ``ts[i %
+    len(ts)]``.  Its oracle, f's norms and ``(f + g)*`` come pair by pair,
+    in the order of a pair loop; then one kernel call gives the rows
+    ``K(table_ts)`` of every member that is an f or a g of the block, and
+    one gives ``K(t, f + g)`` of every pair.  ``K(t, f)`` and ``K(t, g)``
+    are read from the rows, since each ``t`` is a column of ``table_ts``;
+    Holmstedt's sum, which takes ``K(t, f)``, comes last, pair by pair.
+    """
+    n, width = len(records), len(ts)
+    rows: dict[int, int] = {}  # a member's row in the K table
+    firsts = []  # (f's record, t, oracle, cap) of each pair
+    sum_stars = []  # (f + g)* of each pair
+    for i in block:
+        m = records[i % n]
+        t = ts[i % width]
+        k_oracle = k_upper_oracle(m.fs, t, _L1_LINF)
+        cap = max(m.norm(_L1_LINF.params0), m.norm(_L1_LINF.params1))
+        sum_stars.append((m.f + records[(i + 1) % n].f).rearrange())
+        firsts.append((m, t, k_oracle, cap))
+        rows.setdefault(i % n, len(rows))
+        rows.setdefault((i + 1) % n, len(rows))
+    table = _k_l1_linf_block([records[j].fs for j in rows], [table_ts] * len(rows))
+    table = table.reshape(len(rows), len(table_ts))
+    k_sums = _k_l1_linf_block(sum_stars, [[t] for _, t, *_ in firsts]).tolist()
+    f_rows = [rows[i % n] for i in block]
+    cols = [1 + i % width for i in block]  # t's column: table_ts is [1.0, *ts, *mids]
+    k_fs = table[f_rows, cols].tolist()
+    k_gs = table[[rows[(i + 1) % n] for i in block], cols].tolist()
+    pairs = []
+    for (m, t, k_oracle, cap), k, k_sum, k_g in zip(firsts, k_fs, k_sums, k_gs):
+        ratio = _holmstedt_sum(m.fs, t, _L1_LINF, 1.0, k) / k if k > 0.0 else None
+        pairs.append(_KPair(m.f, t, k, k_oracle, cap, k_sum, k_g, ratio))
+    return pairs, table[f_rows]
 
 
 def verify_k_properties(
@@ -760,14 +797,15 @@ def verify_k_properties(
     monotonicity of ``t -> K`` and ``t -> K/t``; midpoint concavity; the
     sandwich ``min(1,t) K(1,f) <= K(t,f) <= min(1,t) ||f||_{X0 ∩ X1}``;
     exact subadditivity ``K(t, f+g) <= K(t,f) + K(t,g)``; and the
-    Holmstedt-to-exact ratio staying inside [1, 2].  Every K value of ``f``
-    in a pair (at ``t``, at 1, on the 33-point grid and at its midpoints)
-    comes from one prefix table over ``f*``; ``g`` and ``f + g`` need one
-    value each.
+    Holmstedt-to-exact ratio staying inside [1, 2].
 
-    The pairs are taken in blocks of at most ``_PAIR_BLOCK``.  A block's
-    scalar values are computed pair by pair in the order above, so a member
-    that raises does so as in a pair-by-pair scan; the five grid checks then
+    The pairs are taken in blocks of at most ``_PAIR_BLOCK`` (:func:`_k_block`).
+    Every K value of a block comes from two kernel calls: the K rows of its
+    members (at 1, on the 33-point grid, which holds each pair's ``t``, and
+    at its midpoints) and ``K(t, f + g)`` of its pairs.  The values that can
+    raise are computed pair by pair in pair order; should a block raise, it
+    runs again one pair at a time, so the error that surfaces is that of the
+    first failing pair, as in a pair-by-pair scan.  The five grid checks then
     run once on the block's pairs x grid arrays, and the violations are read
     out per pair in check order, so their count and the first witness are
     those of a pair-by-pair scan.
@@ -781,13 +819,15 @@ def verify_k_properties(
     table_ts = [1.0, *ts, *mids]
     mins = np.minimum(1.0, t_grid)
     for start in range(0, n_pairs, _PAIR_BLOCK):
-        pairs = [
-            _k_pair(scan.records, i, ts[i % len(ts)], table_ts)
-            for i in range(start, min(start + _PAIR_BLOCK, n_pairs))
-        ]
-        table = np.array([pair.table for pair in pairs])
-        k1, cap = table[:, 1:2], np.array([[pair.cap] for pair in pairs])
-        ks, mid = table[:, 2 : 2 + len(ts)], table[:, 2 + len(ts) :]
+        block = range(start, min(start + _PAIR_BLOCK, n_pairs))
+        try:
+            pairs, table = _k_block(scan.records, block, ts, table_ts)
+        except (ValueError, ArithmeticError):
+            for i in block:  # raises at the first failing pair
+                _k_block(scan.records, range(i, i + 1), ts, table_ts)
+            raise
+        k1, cap = table[:, :1], np.array([[pair.cap] for pair in pairs])
+        ks, mid = table[:, 1 : 1 + len(ts)], table[:, 1 + len(ts) :]
         over_t = ks / t_grid
         grid_checks = (
             ("monotone", np.diff(ks) < -slack * ks[:, :-1]),
@@ -798,7 +838,7 @@ def verify_k_properties(
         )
         failed = [(check, bad.any(axis=1)) for check, bad in grid_checks]
         for j, pair in enumerate(pairs):
-            f, t, k_exact = pair.f, pair.t, pair.table[0]
+            f, t, k_exact = pair.f, pair.t, pair.k
             if abs(k_exact - pair.k_oracle) > oracle_tol * max(1.0, k_exact):
                 scan.violation(
                     check="oracle", function=f.to_dict(), t=t, exact=k_exact, oracle=pair.k_oracle

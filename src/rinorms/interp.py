@@ -29,8 +29,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
-from operator import add, mul, sub
+from itertools import accumulate, chain, repeat
+from operator import add, mul, sub, truediv
 from typing import Sequence
 
 import numpy as np
@@ -56,7 +56,6 @@ from .lorentz import (
 from .stepfn import (
     INF,
     StepFunction,
-    _nonzero_pieces,
     _power_integral_array,
     _power_parts,
     weighted_power_integral,
@@ -113,48 +112,83 @@ def k_exact_l1_linf(f: StepFunction, t: float) -> float:
 
 
 def _k_l1_linf(fs: StepFunction, ts: Sequence[float]) -> list[float]:
-    """``K(t, f; L_1, L_inf)`` at each checked ``t`` of ``ts``, from ``fs = f*``.
+    """``K(t, f; L_1, L_inf)`` at each ``t`` of ``ts``, from ``fs = f*``: the
+    block of one of :func:`_k_l1_linf_block`."""
+    return _k_l1_linf_block([fs], [ts]).tolist()
+
+
+def _unit_parts(los: list, his: list):
+    """``power_integral(1.0, lo, hi)`` of each piece inside ``(0, inf)``, lazily.
+
+    The chain of ``map`` calls computes ``lo * expm1(log(hi / lo))``: the
+    libm calls and float operations of :func:`stepfn._power_parts` at
+    ``alpha = 1.0`` without the three that give their argument back exactly
+    (``lo ** 1.0``, ``1.0 * x`` and ``x / 1.0``), so every part is
+    bit-identical to it.
+    """
+    return map(mul, los, map(math.expm1, map(math.log, map(truediv, his, los))))
+
+
+def _k_l1_linf_block(fss: Sequence[StepFunction], ts_rows: Sequence[Sequence[float]]) -> np.ndarray:
+    """``K(t, f; L_1, L_inf)`` at each ``t`` of ``ts_rows[i]`` (finite and
+    positive), from ``fss[i] = f*``, the rows concatenated in order.
 
     ``K(t)`` is the sum of ``v * power_integral(1.0, lo, b)`` over the pieces
-    ending before ``t``, in piece order, plus the part of the piece holding
-    ``t`` (the tail past the last breakpoint).  One :func:`_power_parts`
-    chain yields every integral: first the whole pieces up to the one
-    holding the largest ``t``, summed into a prefix table, then the partial
-    piece ``(b_{k-1}, t]`` of each ``t`` past the first breakpoint.  A ``t``
-    below it has the part ``power_integral(1.0, 0.0, t) = t**1.0 / 1.0``,
-    which the chain takes only as its first piece, so it is computed apart
-    with those float operations.  These are the float operations of
-    ``weighted_power_integral(fs, 1.0, 1.0, 0.0, t)`` in its order, so each
-    value is bit-identical to it; an infinite part makes the sum ``inf`` as
+    ending before ``t``, in piece order, plus ``v`` times the part of the
+    piece holding ``t`` (the tail past the last breakpoint); only the pieces
+    up to the one holding a member's largest ``t`` are read.  A piece from 0
+    has the integral ``b ** 1.0 / 1.0``, which is ``b``, so a member's first
+    whole piece gives its breakpoint and a ``t`` below it gives ``t``.  Every
+    other piece goes through :func:`_unit_parts`: one chain for the whole
+    pieces of the block, summed from 0.0 into a prefix table per member in
+    piece order, and one for the partial pieces ``(b_{k-1}, t]``.  ``K(t)``
+    is then its prefix entry plus the partial term, one elementwise product
+    and sum.  These are the float operations of ``weighted_power_integral(fs,
+    1.0, 1.0, 0.0, t)`` in its order, so each value is bit-identical to it
+    whatever else the block holds; an infinite part makes the sum ``inf`` as
     its early return does.  Every value of ``f*`` before its tail is
-    positive, so the table has one entry per piece and only a zero tail
-    adds no part.
+    positive, so only a zero tail adds no partial term.
     """
-    bps, vals, tail = fs.breakpoints, fs.values, fs.tail
-    n = len(vals)
-    ks = [bisect_left(bps, t) for t in ts]
-    out = [0.0] * len(ks)
-    top = max(ks, default=0)
-    if top:
-        whole, los, his = _nonzero_pieces(fs, 0.0, bps[top - 1])
-        at = []
-        for j, k in enumerate(ks):
-            if k and (k < n or tail):
-                at.append(j)
-                los.append(bps[k - 1])
-                his.append(ts[j])
-        parts = _power_parts(1.0, los, his)
-        prefix = list(accumulate(map(mul, whole, parts), initial=0.0))
-        out = [prefix[k] for k in ks]
-        for j, part in zip(at, parts):
-            k = ks[j]
-            out[j] += (vals[k] if k < n else tail) * part
-    if 0 in ks:
-        v = vals[0] if n else tail
-        for j, k in enumerate(ks):
-            if not k:
-                out[j] += v * (ts[j] ** 1.0 / 1.0)
-    return out
+    tops = [bisect_left(fs.breakpoints, max(ts, default=0.0)) for fs, ts in zip(fss, ts_rows)]
+    off = [*accumulate(map(add, tops, repeat(1)), initial=0)]
+    rows = [*accumulate(map(len, ts_rows), initial=0)]
+    # Piece j of a member, up to its top one, is entry j of the member's run:
+    # the breakpoint that starts the piece (0.0 for the first) and its value
+    # (the tail past the last breakpoint).
+    starts = np.fromiter(
+        chain.from_iterable(chain((0.0,), fs.breakpoints[:top]) for fs, top in zip(fss, tops)), float, off[-1]
+    )
+    values = np.fromiter(
+        chain.from_iterable(
+            fs.values[: top + 1] if top < len(fs.values) else (*fs.values, fs.tail)
+            for fs, top in zip(fss, tops)
+        ),
+        float,
+        off[-1],
+    )
+    # The integral of piece j goes to entry j + 1: b_0 for the first piece,
+    # the chain for a piece whose start is positive too.
+    parts = starts.copy()
+    parts[1:][np.logical_and(starts[:-1], starts[1:])] = np.fromiter(
+        _unit_parts(
+            [*chain.from_iterable(fs.breakpoints[: max(top - 1, 0)] for fs, top in zip(fss, tops))],
+            [*chain.from_iterable(fs.breakpoints[1:top] for fs, top in zip(fss, tops))],
+        ),
+        float,
+    )
+    t = np.fromiter(chain.from_iterable(ts_rows), float, rows[-1])
+    at = np.empty(t.size, dtype=np.intp)  # the entry of the piece holding each t
+    with np.errstate(over="ignore"):
+        sums = np.zeros(off[-1])  # entry j: the sum over the pieces before piece j
+        sums[1:] = values[:-1] * parts[1:]  # 0.0 at the start of a run
+        for a, b, c, d in zip(off, off[1:], rows, rows[1:]):
+            np.add.accumulate(sums[a:b], out=sums[a:b])
+            at[c:d] = np.searchsorted(starts[a + 1 : b], t[c:d]) + a
+        lo, v = starts[at], values[at]
+        partial = np.logical_and(lo, v)  # past the first piece, and not a zero tail
+        part = t * (lo == 0.0)  # t below the first breakpoint, else 0.0
+        part[partial] = np.fromiter(_unit_parts(lo[partial].tolist(), t[partial].tolist()), float)
+        return sums[at] + v * part
 
 
 def _piecewise_linear(params: LorentzParams) -> bool:

@@ -179,19 +179,22 @@ class TestKDriver:
         )
 
     def test_one_k_table_per_function_and_no_piecewise_k(self, small_corpus, monkeypatch):
-        # f's K values come from one prefix table per pair, g and f + g add
-        # one each; the piecewise integral runs only inside the member
-        # records' norms, never for K itself nor for Holmstedt's first term,
-        # which is the K the table already holds
-        tables = []
-        kernel = interp._k_l1_linf
+        # each block of pairs makes two K kernel calls: the rows of its
+        # members (at 1, on the grid and at its midpoints; K at each pair's
+        # t is a grid column) and K of f + g at each pair's t; the piecewise
+        # integral runs only inside the member records' norms, never for K
+        # itself nor for Holmstedt's first term, which is the K the rows
+        # already hold
+        calls = []
+        kernel = interp._k_l1_linf_block
 
-        def counting_kernel(fs, ts):
-            tables.append(len(ts))
-            return kernel(fs, ts)
+        def counting_kernel(fss, ts_rows):
+            calls.append([len(ts) for ts in ts_rows])
+            return kernel(fss, ts_rows)
 
-        monkeypatch.setattr(interp, "_k_l1_linf", counting_kernel)
-        monkeypatch.setattr(harness, "_k_l1_linf", counting_kernel)
+        monkeypatch.setattr(interp, "_k_l1_linf_block", counting_kernel)
+        monkeypatch.setattr(harness, "_k_l1_linf_block", counting_kernel)
+        monkeypatch.setattr(harness, "_PAIR_BLOCK", 16)
         inside = [0]
         callers = Counter()
         norm = harness._Member.norm
@@ -215,8 +218,11 @@ class TestKDriver:
         n_pairs = 40
         rep = verify_k_properties(list(small_corpus), n_pairs=n_pairs)
         assert rep.passed
-        assert len(tables) <= 3 * n_pairs
-        assert max(tables) == 2 + 33 + 32
+        blocks = -(-n_pairs // 16)
+        assert len(calls) <= 2 * blocks
+        assert max(map(max, calls)) == 1 + 33 + 32
+        # a block's rows: one per member that is an f or a g of its pairs
+        assert sum(len(rows) for rows in calls if max(rows) > 1) <= n_pairs + blocks
         assert callers["elsewhere"] == 0 and callers["norms"] >= n_pairs
 
 
@@ -340,13 +346,14 @@ class TestReports:
         )
 
 
-def _capture_corpus(monkeypatch) -> list:
-    """Make ``default_check_reports`` hand back the corpus it draws."""
+def _capture_corpus(monkeypatch, **kwargs) -> list:
+    """Make ``default_check_reports`` hand back the corpus it draws, drawn
+    with ``kwargs`` added."""
     drawn = []
     generate = harness.generate_corpus
 
-    def capturing(*args, **kwargs):
-        drawn.append(generate(*args, **kwargs))
+    def capturing(*args, **more):
+        drawn.append(generate(*args, **more, **kwargs))
         return drawn[-1]
 
     monkeypatch.setattr(harness, "generate_corpus", capturing)
@@ -374,8 +381,9 @@ class TestSharedMemberWork:
         assert moved
         assert [receivers[id(f)] for f in moved] == [1] * len(moved)
 
-    def test_one_grid_per_member_and_grid_spec(self, monkeypatch):
-        drawn = _capture_corpus(monkeypatch)
+    @pytest.mark.parametrize("tails", [False, True], ids=["default", "positive-tail"])
+    def test_one_grid_per_member_and_grid_spec(self, monkeypatch, tails):
+        drawn = _capture_corpus(monkeypatch, positive_tail=tails)
         builds = Counter()
         build_many = GridSpec.build_many  # GridSpec.build is its one-set case
 
@@ -387,7 +395,16 @@ class TestSharedMemberWork:
         monkeypatch.setattr(GridSpec, "build_many", counting)
         default_check_reports("all", seed=5, size=12, grid_spec=COARSE)
         (corpus,) = drawn
-        expected = Counter((COARSE, f.rearrange().breakpoints) for f in corpus)
+        # each set of members the checks take walks its own blocks, so a
+        # member's grid is built once per set that holds it; a member of a
+        # positive-tail corpus with infinite norm in E sits out the checks on E
+        records = [harness._Member(f) for f in corpus]
+        spaces = [None, harness._L22()] + [space for space, *_ in harness._interpolation_configs()]
+        taken = {tuple(m.takes_part(space) for m in records) for space in spaces}
+        expected = Counter(
+            (COARSE, m.fs.breakpoints) for members in taken for m, take in zip(records, members) if take
+        )
+        assert len(taken) == (2 if tails else 1)
         # the calibration instance: the unit indicator on its own fine grid
         expected[(GridSpec(points_per_decade=256, span=COARSE.span), (1.0,))] += 1
         assert builds == expected

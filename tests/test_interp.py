@@ -381,17 +381,10 @@ _K_CORPORA = {
 _TINY_AND_HUGE_T = (5e-324, 1e-310, 2.0**-1022, 1e300, sys.float_info.max)
 
 
-@st.composite
-def k_table_cases(draw):
-    """``f*`` of a corpus member (up to 2,000 pieces) and a shuffled list of
-    t values: breakpoints and their float neighbours, t below the first and
-    past the last breakpoint, subnormal and huge t, and arbitrary t."""
-    kind = draw(st.sampled_from(sorted(_K_CORPORA)))
-    max_pieces = draw(st.sampled_from([1, 12, 2000]))
-    seed = draw(st.integers(0, 2**20))
-    fs = generate_corpus(seed, 1, max_pieces=max_pieces, **_K_CORPORA[kind]).functions[0].rearrange()
-    if draw(st.booleans()) and fs.breakpoints and fs.tail == 0.0:
-        fs = StepFunction(fs.breakpoints, fs.values, fs.values[-1] / 2.0)
+def _draw_ts(draw, fs: StepFunction) -> list[float]:
+    """A shuffled list of t values for ``fs``: breakpoints and their float
+    neighbours, t below the first and past the last breakpoint, subnormal
+    and huge t, and arbitrary t."""
     bps = fs.breakpoints
     ts = list(_TINY_AND_HUGE_T)
     ts += draw(st.lists(st.floats(5e-324, sys.float_info.max), max_size=6))
@@ -399,7 +392,82 @@ def k_table_cases(draw):
         ts += [bps[0] / 3.0, bps[-1] * 2.0, math.nextafter(bps[-1], INF)]
         for i in draw(st.lists(st.integers(0, len(bps) - 1), max_size=8)) + [0, len(bps) - 1]:
             ts += [bps[i], math.nextafter(bps[i], 0.0), math.nextafter(bps[i], INF)]
-    return fs, draw(st.permutations(ts))
+    return draw(st.permutations(ts))
+
+
+@st.composite
+def k_table_cases(draw):
+    """``f*`` of a corpus member (up to 2,000 pieces) and a t list (:func:`_draw_ts`)."""
+    kind = draw(st.sampled_from(sorted(_K_CORPORA)))
+    max_pieces = draw(st.sampled_from([1, 12, 2000]))
+    seed = draw(st.integers(0, 2**20))
+    fs = generate_corpus(seed, 1, max_pieces=max_pieces, **_K_CORPORA[kind]).functions[0].rearrange()
+    if draw(st.booleans()) and fs.breakpoints and fs.tail == 0.0:
+        fs = StepFunction(fs.breakpoints, fs.values, fs.values[-1] / 2.0)
+    return fs, _draw_ts(draw, fs)
+
+
+# a whole piece whose integral overflows: every K past it is inf
+WIDE = StepFunction((2.0**-1000, 2.0**1000), (2.0, 1.0))
+
+
+def _thousand_pieces(seed: int) -> StepFunction:
+    """An ``f*`` of 10^3 pieces, with a positive tail for odd seeds."""
+    rng = np.random.default_rng(seed)
+    values = np.sort(rng.uniform(2.0**-8, 2.0**8, 1000))[::-1]
+    bps = np.cumsum(rng.uniform(2.0**-10, 2.0**-2, 1000))
+    return StepFunction(tuple(bps.tolist()), tuple(values.tolist()), values[-1] / 2.0 if seed % 2 else 0.0)
+
+
+@st.composite
+def k_block_members(draw):
+    """One member of a K block and its t list (:func:`_draw_ts`): a constant
+    with no breakpoints, a 1- or 12-piece corpus ``f*`` with or without a
+    positive tail, ``WIDE`` or a 10^3-piece ``f*``."""
+    kind = draw(st.sampled_from(["constant", "member", "tail", "wide", "thousand"]))
+    seed = draw(st.integers(0, 2**20))
+    if kind == "constant":
+        fs = StepFunction.constant(draw(st.sampled_from([0.0, 0.5, 3.0])))
+    elif kind == "wide":
+        fs = WIDE
+    elif kind == "thousand":
+        fs = _thousand_pieces(seed)
+    else:
+        max_pieces = draw(st.sampled_from([1, 12]))
+        fs = generate_corpus(seed, 1, max_pieces=max_pieces).functions[0].rearrange()
+        if kind == "tail" and fs.breakpoints:
+            fs = StepFunction(fs.breakpoints, fs.values, fs.values[-1] / 2.0)
+    return fs, _draw_ts(draw, fs)
+
+
+class TestKBlockKernel:
+    """``interp._k_l1_linf_block`` on a block of members, each with its own t
+    row, against each member alone and the piecewise sum, bit for bit."""
+
+    @staticmethod
+    def check(members):
+        got = interp._k_l1_linf_block([fs for fs, _ in members], [ts for _, ts in members]).tolist()
+        at = 0
+        for fs, ts in members:
+            row = list(map(repr, got[at : at + len(ts)]))
+            at += len(ts)
+            assert row == list(map(repr, interp._k_l1_linf_block([fs], [ts]).tolist()))
+            assert row == [repr(weighted_power_integral(fs, 1.0, 1.0, 0.0, t)) for t in ts]
+        assert at == len(got)
+
+    @given(st.lists(k_block_members(), min_size=1, max_size=5))
+    @settings(max_examples=60, deadline=None)
+    def test_block_matches_each_member_alone(self, members):
+        self.check(members)
+
+    def test_thousand_pieces_next_to_one_piece(self):
+        one = generate_corpus(3, 4, max_pieces=1).functions
+        ts = [0.5, 1.0, 2.0, 1e300]
+        big = _thousand_pieces(7)
+        members = [(one[0].rearrange(), ts), (big, [*big.breakpoints[::97], *ts]), (one[1].rearrange(), [])]
+        members += [(f.rearrange(), ts[::-1]) for f in one[2:]] + [(WIDE, [2.0**999, 2.0**1001])]
+        self.check(members)
+        assert interp._k_l1_linf_block([WIDE], [[2.0**999, 2.0**1001]]).tolist() == [INF, INF]
 
 
 class TestPrefixTableK:
