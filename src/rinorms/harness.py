@@ -5,38 +5,38 @@ evaluates each corpus member independently (pure functions throughout, so
 the scans could run in parallel; reduction is a stable min/max over the
 corpus order) and returns a :class:`RatioReport` with the observed ratio
 range plus a pass verdict.  The drivers share one accumulator, ``_Scan``:
-it holds the corpus, filters members to those with finite nonzero norm in
-E where a check needs that, and keeps the ratio range, the widest relative
-enclosure, the violation count and the first witness; each driver supplies
-only its per-member check.
+it keeps the ratio range, the widest relative enclosure, the violation
+count and the first witness; each driver supplies only its per-member
+check.
 
 The work every configuration repeats on a member lives in one private
 member record per corpus function: ``f*`` (one rearrangement) and
-``||f||_E`` per ``LorentzParams``.  A ``verify_*`` call makes the records
-of its corpus and drops them when it returns; :func:`default_check_reports`
-makes them once per call and shares them across all its configurations.
+``||f||_E`` per ``LorentzParams``.  A scan reads its corpus once into a
+plain tuple of these records (:func:`_records`) and drops it when it
+returns; :func:`default_check_reports` makes one tuple per call and shares
+it across all its configurations, the K battery's included.
 
-The Hardy checks evaluate their configurations for a block of consecutive
-members at once (a block closes once it holds ``_BLOCK_POINTS`` grid
-points): the hardy module's block kernels make one set of numpy calls per
-block, bit-identical to one member at a time.  The members' envelope grids
-are built 64 at a time in one call and dropped with their block, so beyond
-the member records memory stays flat in the corpus size.  On glibc a Hardy
-scan raises malloc's trim and mmap thresholds for the whole process, so
-the heap the block kernels free stays mapped for the next block instead
-of being faulted in again (see ``_HEAP_TRIM_THRESHOLD``).  Configurations
-that take the same members form a group that walks its blocks once: each
-configuration keeps its own ``_Scan`` and scores every block, and a
-Hardy average several of them read is computed once per block and dropped
-with it.  Each member's outcome is read in
-corpus order, so the first witness and the violation counts are those of
-a member-by-member scan.  A kernel raises for its whole block when one
-member's average or norm leaves the float range.  A group walk that
-raises runs again one configuration at a time, and a configuration that
-raises on its own runs once more with one member per block, so the error
+The Hardy checks have one driver, :func:`_reports`; a public ``verify_*``
+driver runs it on a single configuration.  It evaluates the
+configurations for a block of consecutive members at once (a block closes
+once it holds ``_BLOCK_POINTS`` grid points): the hardy module's block
+kernels make one set of numpy calls per block, bit-identical to one
+member at a time.  The members' envelope grids are built 64 at a time in
+one call and dropped with their block, so beyond the member records
+memory stays flat in the corpus size.  On glibc a Hardy scan raises
+malloc's trim and mmap thresholds for the whole process, so the heap the
+block kernels free stays mapped for the next block instead of being
+faulted in again (see ``_HEAP_TRIM_THRESHOLD``).  Configurations that take
+the same members form a group that walks its blocks once: each
+configuration keeps its own ``_Scan`` and scores every block, and a Hardy
+average several of them read is computed once per block and dropped with
+it.  Each member's outcome is read in corpus order, so the first witness
+and the violation counts are those of a member-by-member scan.  A kernel
+raises for its whole block when one member's average or norm leaves the
+float range.  One rule re-runs a scan that raises: every configuration
+runs again, one after another, with one member per block, so the error
 that surfaces is that of the first failing configuration at its first
-failing member in corpus order.  A public ``verify_*`` driver is a group
-of one.  Verdict semantics are fixed per check:
+failing member in corpus order.  Verdict semantics are fixed per check:
 
 * pointwise checks pass iff no grid point violates the inequality beyond a
   relative slack;
@@ -253,34 +253,25 @@ class _Member:
         return space is None or 0.0 < self.norm(space.params) < INF
 
 
-class _SharedCorpus(tuple):
-    """A corpus (the tuple of its functions) carrying one :class:`_Member`
-    per function.  Every ``verify_*`` run on it reads these records instead
-    of making its own; :func:`default_check_reports` makes one per call."""
-
-    def __new__(cls, corpus: Iterable[StepFunction]):
-        self = super().__new__(cls, corpus)
-        self.records = tuple(map(_Member, self))
-        return self
+def _records(corpus: Iterable[StepFunction]) -> tuple[_Member, ...]:
+    """One :class:`_Member` per function of ``corpus``, in order; the corpus
+    is read once, so a one-shot iterator works."""
+    records = tuple(map(_Member, corpus))
+    if not records:
+        raise ValueError("corpus must be nonempty")
+    return records
 
 
 class _Scan:
     """Bookkeeping of one configuration's scan over one corpus.
 
-    ``records`` holds the corpus's member records: those of a
-    :class:`_SharedCorpus`, else new ones that live as long as the scan.
     ``empty_ratio`` is reported as both ratio endpoints when no finite ratio
     was observed.  ``used`` counts the members the configuration took;
     ``diverged`` and ``min_ratio_lo`` are thm11's count of infinite
     enclosures and least lower ratio end.
     """
 
-    def __init__(self, corpus: Iterable[StepFunction], empty_ratio: float = 1.0):
-        if not isinstance(corpus, _SharedCorpus):
-            corpus = _SharedCorpus(corpus)
-        if not corpus:
-            raise ValueError("corpus must be nonempty")
-        self.records = corpus.records
+    def __init__(self, empty_ratio: float = 1.0):
         self.empty_ratio = empty_ratio
         self.used = 0
         self.min_ratio = INF
@@ -361,20 +352,21 @@ def _blocks(records: Sequence[_Member], grid_spec: GridSpec, space: SpaceDescrip
     part on ``space``, consecutive in corpus order.
 
     A block is yielded as soon as it holds ``block_points`` grid points or
-    more, before the next member is prepared.  The grids of the members of
-    each run of ``_GRID_BATCH`` records that take part are built in one call
-    before the run is read, and a member whose window leaves the float range
-    raises at its turn, as does one whose norm in E cannot be computed.  A
-    grid lives as long as its run and its block.
+    more, before the next member is prepared.  Records are read in batches
+    of ``min(_GRID_BATCH, block_points)``: the members of a batch that take
+    part are found, then their grids are built in one call, and a member
+    whose window leaves the float range raises at its turn.  With
+    ``block_points`` 1 a batch is one record, so a member whose norm in E
+    cannot be computed raises at its turn too.  A grid lives as long as its
+    batch and its block.
     """
     taken: list[_Member] = []
     grids: list[np.ndarray] = []
     points = 0
-    for start in range(0, len(records), _GRID_BATCH):
-        batch = [m for m in records[start : start + _GRID_BATCH] if _may_take_part(m, space)]
+    step = min(_GRID_BATCH, block_points)
+    for start in range(0, len(records), step):
+        batch = [m for m in records[start : start + step] if m.takes_part(space)]
         for m, grid in zip(batch, grid_spec.build_many([m.fs.breakpoints for m in batch])):
-            if not m.takes_part(space):
-                continue
             if grid is None:
                 grid_spec.build(m.fs.breakpoints)  # raises: the window leaves the float range
             taken.append(m)
@@ -385,15 +377,6 @@ def _blocks(records: Sequence[_Member], grid_spec: GridSpec, space: SpaceDescrip
                 taken, grids, points = [], [], 0
     if taken:
         yield taken, _Block([m.fs for m in taken], grids)
-
-
-def _may_take_part(m: _Member, space: SpaceDescriptor | None) -> bool:
-    """``m.takes_part(space)``, or True where that raises, so that the member
-    raises at its turn in corpus order."""
-    try:
-        return m.takes_part(space)
-    except (ValueError, ArithmeticError):
-        return True
 
 
 def _glibc_mallopt():
@@ -420,7 +403,7 @@ def _keep_freed_heap() -> None:
         mallopt(-3, _HEAP_MMAP_THRESHOLD)  # M_MMAP_THRESHOLD
 
 
-def _walk(corpus: _SharedCorpus, checks: Sequence[_Check], block_points: int) -> list[RatioReport]:
+def _walk(records: tuple[_Member, ...], checks: Sequence[_Check], block_points: int) -> list[RatioReport]:
     """The reports of ``checks``, which take the same members on the same
     grids, from one walk over blocks of those members.
 
@@ -429,12 +412,12 @@ def _walk(corpus: _SharedCorpus, checks: Sequence[_Check], block_points: int) ->
     """
     _keep_freed_heap()
     grid_spec, space = checks[0].grid_spec, checks[0].space
-    scans = [_Scan(corpus, check.empty_ratio) for check in checks]
+    scans = [_Scan(check.empty_ratio) for check in checks]
     used = 0
-    for records, blk in _blocks(corpus.records, grid_spec, space, block_points):
-        used += len(records)
+    for members, blk in _blocks(records, grid_spec, space, block_points):
+        used += len(members)
         for check, scan in zip(checks, scans):
-            check.score(scan, records, blk)
+            check.score(scan, members, blk)
     if space is not None and used == 0:
         raise ValueError("corpus has no member with finite nonzero norm in E")
     for scan in scans:
@@ -442,47 +425,30 @@ def _walk(corpus: _SharedCorpus, checks: Sequence[_Check], block_points: int) ->
     return [check.report(scan) for check, scan in zip(checks, scans)]
 
 
-def _in_corpus_order(corpus: Iterable[StepFunction], check: _Check) -> RatioReport:
-    """The report of ``check`` on ``corpus``; where it raises, the error of
-    a member-by-member scan.
-
-    The check first goes over blocks of ``_BLOCK_POINTS`` grid points, where
-    a member that raises makes its whole block raise.  Only if it raises
-    does the check go again, with one member per block, so the error that
-    surfaces is that of the first member in corpus order that raises.  The
-    corpus is materialised once (a one-shot iterator works), and both runs
-    share its member records.
-    """
-    if not isinstance(corpus, _SharedCorpus):
-        corpus = _SharedCorpus(corpus)
-    try:
-        return _walk(corpus, [check], _BLOCK_POINTS)[0]
-    except (ValueError, ArithmeticError):
-        pass
-    return _walk(corpus, [check], 1)[0]
-
-
-def _reports(corpus: _SharedCorpus, checks: Sequence[_Check]) -> list[RatioReport]:
-    """The reports of ``checks`` on ``corpus``, in order.
+def _reports(records: tuple[_Member, ...], checks: Sequence[_Check]) -> list[RatioReport]:
+    """The reports of ``checks`` on the corpus of ``records``, in order.
 
     Checks that take the same members on the same grids form a group, and
-    each group walks its blocks once (:func:`_walk`).  If that raises, the
-    checks run again one after another, each as its public driver runs it
-    (:func:`_in_corpus_order`), so the error that surfaces is that of the
-    first check that raises, at its first failing member in corpus order.
+    each group walks its blocks of ``_BLOCK_POINTS`` grid points once
+    (:func:`_walk`).  A member that raises makes its whole block raise, and
+    may raise before an earlier member's block is scored.  So if a walk
+    raises, every check runs again, one after another, with one member per
+    block: reports at one member per block are those of the block walk, and
+    the error that surfaces is that of the first check that raises, at its
+    first failing member in corpus order.
     """
     try:
         groups: dict[tuple, list[int]] = {}
         for i, check in enumerate(checks):
-            taken = tuple(m.takes_part(check.space) for m in corpus.records)
+            taken = tuple(m.takes_part(check.space) for m in records)
             groups.setdefault((check.grid_spec, taken), []).append(i)
         reports: list[RatioReport] = [None] * len(checks)
         for members in groups.values():
-            for i, report in zip(members, _walk(corpus, [checks[i] for i in members], _BLOCK_POINTS)):
+            for i, report in zip(members, _walk(records, [checks[i] for i in members], _BLOCK_POINTS)):
                 reports[i] = report
         return reports
     except (ValueError, ArithmeticError):
-        return [_in_corpus_order(corpus, check) for check in checks]
+        return [_walk(records, [check], 1)[0] for check in checks]
 
 
 def _averaging_kind(u: float | None, v: float | None) -> tuple[str, float]:
@@ -547,7 +513,7 @@ def _pointwise_check(
 
     def report(scan: _Scan) -> RatioReport:
         label = "u" if kind == "upper" else "v"
-        return scan.report("lemma10", f"{label}={order},w={w}", size=len(scan.records))
+        return scan.report("lemma10", f"{label}={order},w={w}", size=scan.used)
 
     return _Check(grid_spec, None, 1.0, score, report)
 
@@ -567,7 +533,8 @@ def verify_hardy_pointwise(
     grid point.  Lower kind (``v`` given): ``H_(v,w) f(t) >= f*(2t)``.
     Violations beyond the relative slack fail the check and record a witness.
     """
-    return _in_corpus_order(corpus, _pointwise_check(u=u, v=v, w=w, grid_spec=grid_spec, slack=slack))
+    check = _pointwise_check(u=u, v=v, w=w, grid_spec=grid_spec, slack=slack)
+    return _reports(_records(corpus), [check])[0]
 
 
 def _equivalence_check(
@@ -645,7 +612,7 @@ def verify_hardy_equivalence(
     compactly supported member must produce an infinite upper endpoint.
     """
     check = _equivalence_check(space, u=u, v=v, w=w, ratio_bound=ratio_bound, grid_spec=grid_spec)
-    return _in_corpus_order(corpus, check)
+    return _reports(_records(corpus), [check])[0]
 
 
 _CALIBRATION_TARGET = math.sqrt(2.0)
@@ -720,7 +687,7 @@ def verify_interpolation_identity(
     check = _interpolation_check(
         space, couple, theta, ratio_bound=ratio_bound, grid_spec=grid_spec, calibrate=calibrate
     )
-    return _in_corpus_order(corpus, check)
+    return _reports(_records(corpus), [check])[0]
 
 
 _L1_LINF = LorentzCouple(LorentzParams(1.0, 1.0), LorentzParams(INF, INF))
@@ -812,7 +779,18 @@ def verify_k_properties(
     """
     if n_pairs <= 0:
         raise ValueError(f"n_pairs must be positive, got {n_pairs}")
-    scan = _Scan(corpus)
+    return _k_properties(_records(corpus), n_pairs=n_pairs, oracle_tol=oracle_tol, slack=slack)
+
+
+def _k_properties(
+    records: tuple[_Member, ...],
+    *,
+    n_pairs: int = 200,
+    oracle_tol: float = 1e-9,
+    slack: float = POINTWISE_SLACK,
+) -> RatioReport:
+    """The K battery of :func:`verify_k_properties` on the corpus of ``records``."""
+    scan = _Scan()
     t_grid = np.geomspace(2.0**-8, 2.0**8, 33)
     ts = t_grid.tolist()
     mids = [float(0.5 * (t_grid[j] + t_grid[j + 1])) for j in range(t_grid.size - 1)]
@@ -821,10 +799,10 @@ def verify_k_properties(
     for start in range(0, n_pairs, _PAIR_BLOCK):
         block = range(start, min(start + _PAIR_BLOCK, n_pairs))
         try:
-            pairs, table = _k_block(scan.records, block, ts, table_ts)
+            pairs, table = _k_block(records, block, ts, table_ts)
         except (ValueError, ArithmeticError):
             for i in block:  # raises at the first failing pair
-                _k_block(scan.records, range(i, i + 1), ts, table_ts)
+                _k_block(records, range(i, i + 1), ts, table_ts)
             raise
         k1, cap = table[:, :1], np.array([[pair.cap] for pair in pairs])
         ks, mid = table[:, 1 : 1 + len(ts)], table[:, 1 + len(ts) :]
@@ -905,7 +883,7 @@ def default_check_reports(
     """Run a named check (or 'all') over its default configurations."""
     if check != "all" and check not in CHECK_IDS:
         raise ValueError(f"unknown check {check!r}; expected one of {CHECK_IDS + ('all',)}")
-    corpus = _SharedCorpus(generate_corpus(seed, size))
+    records = _records(generate_corpus(seed, size))
     checks: list[_Check] = []
     if check in ("lemma10", "all"):
         checks += [_pointwise_check(grid_spec=grid_spec, **cfg) for cfg in _POINTWISE_CONFIGS]
@@ -917,9 +895,9 @@ def default_check_reports(
             _interpolation_check(space, couple, theta, grid_spec=grid_spec, calibrate=calibrate)
             for space, couple, theta, calibrate in _interpolation_configs()
         ]
-    reports = _reports(corpus, checks)
+    reports = _reports(records, checks)
     if check in ("kprops", "all"):
-        reports.append(verify_k_properties(corpus))
+        reports.append(_k_properties(records))
     return reports
 
 

@@ -30,7 +30,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, chain, repeat
-from operator import add, mul, sub, truediv
+from operator import add, mul, sub
 from typing import Sequence
 
 import numpy as np
@@ -117,18 +117,6 @@ def _k_l1_linf(fs: StepFunction, ts: Sequence[float]) -> list[float]:
     return _k_l1_linf_block([fs], [ts]).tolist()
 
 
-def _unit_parts(los: list, his: list):
-    """``power_integral(1.0, lo, hi)`` of each piece inside ``(0, inf)``, lazily.
-
-    The chain of ``map`` calls computes ``lo * expm1(log(hi / lo))``: the
-    libm calls and float operations of :func:`stepfn._power_parts` at
-    ``alpha = 1.0`` without the three that give their argument back exactly
-    (``lo ** 1.0``, ``1.0 * x`` and ``x / 1.0``), so every part is
-    bit-identical to it.
-    """
-    return map(mul, los, map(math.expm1, map(math.log, map(truediv, his, los))))
-
-
 def _k_l1_linf_block(fss: Sequence[StepFunction], ts_rows: Sequence[Sequence[float]]) -> np.ndarray:
     """``K(t, f; L_1, L_inf)`` at each ``t`` of ``ts_rows[i]`` (finite and
     positive), from ``fss[i] = f*``, the rows concatenated in order.
@@ -139,15 +127,16 @@ def _k_l1_linf_block(fss: Sequence[StepFunction], ts_rows: Sequence[Sequence[flo
     up to the one holding a member's largest ``t`` are read.  A piece from 0
     has the integral ``b ** 1.0 / 1.0``, which is ``b``, so a member's first
     whole piece gives its breakpoint and a ``t`` below it gives ``t``.  Every
-    other piece goes through :func:`_unit_parts`: one chain for the whole
-    pieces of the block, summed from 0.0 into a prefix table per member in
-    piece order, and one for the partial pieces ``(b_{k-1}, t]``.  ``K(t)``
-    is then its prefix entry plus the partial term, one elementwise product
-    and sum.  These are the float operations of ``weighted_power_integral(fs,
-    1.0, 1.0, 0.0, t)`` in its order, so each value is bit-identical to it
-    whatever else the block holds; an infinite part makes the sum ``inf`` as
-    its early return does.  Every value of ``f*`` before its tail is
-    positive, so only a zero tail adds no partial term.
+    other piece goes through :func:`stepfn._power_parts` at ``alpha = 1.0``:
+    one chain for the whole pieces of the block, summed from 0.0 into a
+    prefix table per member in piece order, and one for the partial pieces
+    ``(b_{k-1}, t]``.  ``K(t)`` is then its prefix entry plus the partial
+    term, one elementwise product and sum.  These are the float operations
+    of ``weighted_power_integral(fs, 1.0, 1.0, 0.0, t)`` in its order, so
+    each value is bit-identical to it whatever else the block holds; an
+    infinite part makes the sum ``inf`` as its early return does.  Every
+    value of ``f*`` before its tail is positive, so only a zero tail adds no
+    partial term.
     """
     tops = [bisect_left(fs.breakpoints, max(ts, default=0.0)) for fs, ts in zip(fss, ts_rows)]
     off = [*accumulate(map(add, tops, repeat(1)), initial=0)]
@@ -170,7 +159,8 @@ def _k_l1_linf_block(fss: Sequence[StepFunction], ts_rows: Sequence[Sequence[flo
     # the chain for a piece whose start is positive too.
     parts = starts.copy()
     parts[1:][np.logical_and(starts[:-1], starts[1:])] = np.fromiter(
-        _unit_parts(
+        _power_parts(
+            1.0,
             [*chain.from_iterable(fs.breakpoints[: max(top - 1, 0)] for fs, top in zip(fss, tops))],
             [*chain.from_iterable(fs.breakpoints[1:top] for fs, top in zip(fss, tops))],
         ),
@@ -187,7 +177,7 @@ def _k_l1_linf_block(fss: Sequence[StepFunction], ts_rows: Sequence[Sequence[flo
         lo, v = starts[at], values[at]
         partial = np.logical_and(lo, v)  # past the first piece, and not a zero tail
         part = t * (lo == 0.0)  # t below the first breakpoint, else 0.0
-        part[partial] = np.fromiter(_unit_parts(lo[partial].tolist(), t[partial].tolist()), float)
+        part[partial] = np.fromiter(_power_parts(1.0, lo[partial].tolist(), t[partial].tolist()), float)
         return sums[at] + v * part
 
 

@@ -481,10 +481,13 @@ def _power_parts(alpha: float, los: list, his: list):
     :func:`power_integral` as a chain of ``map`` calls over ``math.log``,
     ``math.expm1``, ``pow``, ``mul`` and ``truediv``: the same libm calls
     and float operations in the same order, so every part is bit-identical
-    to it.  A piece from 0 or to ``inf`` goes through :func:`power_integral`
-    itself.  A piece is evaluated only when it is consumed (the one from 0,
-    which comes first, at once), so a caller that stops at an infinite part
-    raises no ``OverflowError`` of a later piece.
+    to it.  At ``alpha = 1.0`` the chain is ``lo * expm1(log(hi / lo))``,
+    without the three operations that give their argument back exactly
+    (``lo ** 1.0``, ``1.0 * x`` and ``x / 1.0``).  A piece from 0 or to
+    ``inf`` goes through :func:`power_integral` itself.  A piece is
+    evaluated only when it is consumed (the one from 0, which comes first,
+    at once), so a caller that stops at an infinite part raises no
+    ``OverflowError`` of a later piece.
     """
     n = len(los)
     i = 1 if n and los[0] == 0.0 else 0
@@ -492,7 +495,9 @@ def _power_parts(alpha: float, los: list, his: list):
     lo, hi = (los, his) if i == 0 and j == n else (los[i:j], his[i:j])
     a = repeat(alpha)
     parts = map(math.log, map(operator.truediv, hi, lo))
-    if alpha != 0.0:
+    if alpha == 1.0:
+        parts = map(operator.mul, lo, map(math.expm1, parts))
+    elif alpha != 0.0:
         grown = map(math.expm1, map(operator.mul, a, parts))
         parts = map(operator.truediv, map(operator.mul, map(pow, lo, a), grown), a)
     if i:

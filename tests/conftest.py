@@ -12,7 +12,7 @@ from scipy.integrate import quad
 
 from rinorms import Enclosure, StepFunction, generate_corpus, lorentz_norm
 from rinorms.hardy import _OVERFLOW, MonotoneEnvelope, PowerLaw
-from rinorms.harness import _L1_LINF, POINTWISE_SLACK, _Scan
+from rinorms.harness import _L1_LINF, POINTWISE_SLACK, _records, _Scan
 from rinorms.interp import _k_l1_linf, holmstedt_k, k_exact_l1_linf, k_upper_oracle
 from rinorms.lorentz import _NORM_OVERFLOW
 from rinorms.stepfn import _power_integral_array, power_integral, weighted_power_integral
@@ -130,8 +130,8 @@ def loop_verify_k_properties(corpus, *, n_pairs: int = 200, oracle_tol: float = 
     """
     if n_pairs <= 0:
         raise ValueError(f"n_pairs must be positive, got {n_pairs}")
-    scan = _Scan(corpus)
-    records = scan.records
+    scan = _Scan()
+    records = _records(corpus)
     t_grid = np.geomspace(2.0**-8, 2.0**8, 33)
     ts = t_grid.tolist()
     mids = [float(0.5 * (t_grid[j] + t_grid[j + 1])) for j in range(t_grid.size - 1)]

@@ -359,6 +359,21 @@ class TestVerify:
         rows = list(csv.DictReader(io.StringIO(out)))
         assert len(rows) == 3 and all(r["pass"] == "True" for r in rows)
 
+    @pytest.mark.parametrize(
+        "fmt, digest",
+        [
+            ("csv", "7a979139d40a8c4dffe733b5731a6c35e367222b73d7a35695d52c15ad51f905"),
+            ("json", "e302579663d83a33995112f29fbfc41d7f07fc948cf2ac5360c0da731c0e2801"),
+        ],
+    )
+    def test_all_checks_golden_at_1000_members(self, capsys, fmt, digest):
+        # many grid batches and blocks per walk; exit 1 from the two known-false targets
+        code, out = run_cli(
+            capsys, "verify", "all", "--seed", "7", "--corpus-size", "1000", "--format", fmt
+        )
+        assert code == 1
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_unknown_check_rejected(self):
         with pytest.raises(SystemExit):
             main(["verify", "everything"])

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rinorms import (
@@ -625,9 +625,9 @@ class TestSharedPathMatchesPublicDrivers:
 def _reference_pointwise(corpus, grid_spec, u=None, v=None, w=None):
     """lemma10, one member at a time on the conftest reference."""
     kind, order = harness._averaging_kind(u, v)
-    scan = harness._Scan(corpus)
+    scan, records = harness._Scan(), harness._records(corpus)
     a, b = float(order), float(w)
-    for m in scan.records:
+    for m in records:
         fs, grid = m.fs, grid_spec.build(m.fs.breakpoints)
         if kind == "upper":
             env_w = ref_hardy_upper(fs, a, b, grid)
@@ -646,25 +646,27 @@ def _reference_pointwise(corpus, grid_spec, u=None, v=None, w=None):
                 t_bad = float(grid[np.argmax(bad)])
                 scan.violation(int(bad.sum()), function=m.f.to_dict(), t=t_bad)
     label = "u" if kind == "upper" else "v"
-    return scan.report("lemma10", f"{label}={order},w={w}", size=len(scan.records))
+    return scan.report("lemma10", f"{label}={order},w={w}", size=len(records))
 
 
-def _reference_members(scan, space):
-    for m in scan.records:
+def _reference_members(scan, records, space):
+    for m in records:
         n = m.norm(space.params)
         if 0.0 < n < INF:
             scan.used += 1
             yield m, n
+    if not scan.used:
+        raise ValueError("corpus has no member with finite nonzero norm in E")
 
 
 def _reference_equivalence(corpus, space, grid_spec, u=None, v=None, w=None):
     """thm11, one member at a time on the conftest reference."""
     kind, order = harness._averaging_kind(u, v)
-    scan = harness._Scan(corpus, empty_ratio=INF)
+    scan, records = harness._Scan(empty_ratio=INF), harness._records(corpus)
     expected = harness.predicted_bounded(space, kind, order, w)
     boundary = kind == "upper" and w < INF and order == space.boyd_lower
     diverged, min_ratio_lo = 0, INF
-    for m, n in _reference_members(scan, space):
+    for m, n in _reference_members(scan, records, space):
         grid = grid_spec.build(m.fs.breakpoints)
         if kind == "upper":
             env = ref_hardy_upper(m.fs, float(order), float(w), grid)
@@ -692,10 +694,10 @@ def _reference_equivalence(corpus, space, grid_spec, u=None, v=None, w=None):
 
 def _reference_interpolation(corpus, space, couple, theta, grid_spec, calibrate):
     """thm15, one member at a time on the conftest reference."""
-    scan = harness._Scan(corpus, empty_ratio=INF)
+    scan, records = harness._Scan(empty_ratio=INF), harness._records(corpus)
     fp = FunctorParams(theta=theta, r=couple.params0.p, space=space)
     _check_functor(fp, couple)
-    for m, n in _reference_members(scan, space):
+    for m, n in _reference_members(scan, records, space):
         enc = ref_functor_norm(m.fs, fp, couple, grid_spec.build(m.fs.breakpoints))
         if enc.hi == INF or enc.lo <= 0.0:
             scan.violation(function=m.f.to_dict(), enclosure=str(enc))
@@ -727,6 +729,14 @@ def _reference_hardy_reports(corpus, grid_spec) -> list:
     return reports
 
 
+def _scan_outcome(run) -> str:
+    """``repr`` of ``run()``, or the type and message of the ``ValueError`` it raises."""
+    try:
+        return repr(run())
+    except ValueError as err:
+        return f"{type(err).__name__}: {err}"
+
+
 _CORPUS_KINDS = {
     "default": {},
     "dyadic": {"dyadic": True},
@@ -745,16 +755,21 @@ class TestBlockDrivers:
         points_per_decade=st.sampled_from([8, 16, 64]),
         block_points=st.sampled_from([300, 1000, harness._BLOCK_POINTS]),
     )
+    # every member has a positive tail, so infinite L(2,2) norm: thm11 takes
+    # no member and both sides raise
+    @example(seed=298, kind="dyadic-positive-tail", points_per_decade=8, block_points=300)
     def test_reports_match_the_reference(self, seed, kind, points_per_decade, block_points):
         corpus = generate_corpus(seed, 10, **_CORPUS_KINDS[kind])
         grid_spec = GridSpec(points_per_decade=points_per_decade)
-        want = _reference_hardy_reports(tuple(corpus), grid_spec)
+        want = _scan_outcome(lambda: _reference_hardy_reports(tuple(corpus), grid_spec))
         with pytest.MonkeyPatch.context() as mp:
             # blocks end inside and between members' grids
             mp.setattr(harness, "_BLOCK_POINTS", block_points)
             mp.setattr(harness, "generate_corpus", lambda seed, size: corpus)
-            got = [r for r in default_check_reports("all", seed, 10, grid_spec) if r.check != "kprops"]
-        assert repr(got) == repr(want)
+            got = _scan_outcome(
+                lambda: [r for r in default_check_reports("all", seed, 10, grid_spec) if r.check != "kprops"]
+            )
+        assert got == want
 
     def test_first_witness_in_corpus_order_across_blocks(self, monkeypatch):
         # the known-false lemma10 row has violations in many members: the
@@ -821,6 +836,30 @@ class TestBlockDrivers:
             with pytest.raises(ValueError) as got:
                 default_check_reports(check, seed=0, size=len(corpus))
             assert repr(got.value) == repr(want.value), corpus
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("gap", [0, harness._GRID_BATCH + 6], ids=["same-grid-batch", "later-grid-batch"])
+    def test_a_member_whose_norm_raises_waits_its_turn(self, monkeypatch, gap):
+        # bad's norm in L(2,2) raises, after huge, whose envelope norm
+        # overflows: huge's error surfaces, whether or not bad's norm is
+        # computed before huge's block is scored
+        good, huge = StepFunction((1.0, 2.0), (3.0, 1.0)), StepFunction((1.0,), (1e200,))
+        bad = StepFunction((4.0,), (1.7e308,))
+        with pytest.raises(ValueError, match="the Lorentz norm of f overflows"):
+            lorentz_norm(bad, L22.params)
+        corpus = (good, huge, *[good] * gap, bad)
+        monkeypatch.setattr(harness, "_BLOCK_POINTS", 10**6)
+        monkeypatch.setattr(harness, "generate_corpus", lambda seed, size: corpus)
+        with pytest.raises(ValueError, match="the envelope norm overflows"):
+            verify_hardy_equivalence(corpus, L22, u=2.0, w=1.0)
+        with pytest.raises(ValueError, match="the envelope norm overflows"):
+            default_check_reports("thm11", seed=0, size=len(corpus))
+        # under "all", lemma10 runs first, and bad's average overflows there
+        with pytest.raises(ValueError) as want:
+            _public_reports(corpus, DEFAULT_GRID)
+        with pytest.raises(ValueError) as got:
+            default_check_reports("all", seed=0, size=len(corpus))
+        assert repr(got.value) == repr(want.value)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_one_shot_corpus_raises_as_a_tuple_does(self, monkeypatch):

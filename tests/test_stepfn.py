@@ -488,6 +488,13 @@ class TestPieceIterator:
         for alpha in (-2.0, -0.5, 0.0, 0.5, 1.0, 2.0, 3.5):
             want = [power_integral(alpha, lo, hi) for lo, hi in zip(los, his)]
             assert repr(list(_power_parts(alpha, los, his))) == repr(want)
+        # alpha = 1.0 leaves out lo ** 1.0, 1.0 * x and x / 1.0: they give
+        # their argument back at the ends of the float range too
+        for lo_exp, hi_exp in ((-1074.0, -1000.0), (1000.0, 1023.99)):
+            bps = np.unique(2.0 ** rng.uniform(lo_exp, hi_exp, 2000)).tolist()
+            los, his = [0.0, *bps], [*bps, INF]
+            want = [power_integral(1.0, lo, hi) for lo, hi in zip(los, his)]
+            assert repr(list(_power_parts(1.0, los, his))) == repr(want)
 
     def test_first_infinite_part_hides_later_overflows(self):
         # the head diverges for gamma <= 0; (1e-200)**-2 would overflow
