@@ -697,7 +697,9 @@ def _norm_block(env: MonotoneEnvelope, params: LorentzParams) -> list[Enclosure]
 
     The interval terms are computed for the whole block; each function's
     terms are then added in the order of one function at a time.  A norm
-    that leaves the float range raises ``ValueError``.
+    that leaves the float range raises ``ValueError``, and so do interval
+    terms past it next to a finite head and tail: only a head or a tail
+    that diverges gives ``[inf, inf]``.
     """
     p, q = params.p, params.q
     g, vals, beta = env.grid, env.values, env.bracket_decay
@@ -705,7 +707,7 @@ def _norm_block(env: MonotoneEnvelope, params: LorentzParams) -> list[Enclosure]
     goff = env.goff.tolist()
     g0 = g[env.goff[:-1]].tolist()
     gm = g[env.goff[1:] - 1].tolist()
-    (hh_c, hh_d), (hl_c, hl_d), (th_c, th_d), (tl_c, tl_d) = [
+    head_hi, head_lo, tail_hi, tail_lo = [
         (l.coef.tolist(), l.decay.tolist())
         for l in (env.head_hi, env.head_lo, env.tail_hi, env.tail_lo)
     ]
@@ -748,29 +750,29 @@ def _norm_block(env: MonotoneEnvelope, params: LorentzParams) -> list[Enclosure]
                 out.append(Enclosure(INF, INF))
                 continue
             col = 0 if beta is None or flat else 1
-            if q < INF:
-                s_hi = _law_norm_term(hh_c[i], hh_d[i], gamma, q, 0.0, g0[i])
-                s_lo = _law_norm_term(hl_c[i], hl_d[i], gamma, q, 0.0, g0[i])
-                lo, hi = goff[i], goff[i + 1] - 1  # the function's grid intervals
-                if s_hi < INF:
-                    s_hi += float(terms[0][col][lo:hi].sum())
-                if s_lo < INF:
-                    s_lo += float(terms[1][col][lo:hi].sum())
-                if s_hi < INF:
-                    s_hi += _law_norm_term(th_c[i], th_d[i], gamma, q, gm[i], INF)
-                if s_lo < INF:
-                    s_lo += _law_norm_term(tl_c[i], tl_d[i], gamma, q, gm[i], INF)
-                n_lo = s_lo ** (1.0 / q) if s_lo < INF else INF
-                n_hi = s_hi ** (1.0 / q) if s_hi < INF else INF
-            else:
-                n_hi = _law_sup_term(hh_c[i], hh_d[i], beta_p, 0.0, g0[i])
-                n_lo = _law_sup_term(hl_c[i], hl_d[i], beta_p, 0.0, g0[i])
-                if goff[i + 1] - goff[i] > 1:
-                    n_hi = max(n_hi, maxima[0][col][i])
-                    n_lo = max(n_lo, maxima[1][col][i])
-                n_hi = max(n_hi, _law_sup_term(th_c[i], th_d[i], beta_p, gm[i], INF))
-                n_lo = max(n_lo, _law_sup_term(tl_c[i], tl_d[i], beta_p, gm[i], INF))
-            out.append(Enclosure(min(n_lo, n_hi), n_hi))
+            norms = []
+            for side, (h_c, h_d), (t_c, t_d) in ((0, head_hi, tail_hi), (1, head_lo, tail_lo)):
+                # an interval term bounds a finite function on a finite
+                # interval: it is inf only where numpy overflowed it
+                if q < INF:
+                    s = _law_norm_term(h_c[i], h_d[i], gamma, q, 0.0, g0[i])
+                    if s < INF:
+                        s += float(terms[side][col][goff[i] : goff[i + 1] - 1].sum())
+                        end = _law_norm_term(t_c[i], t_d[i], gamma, q, gm[i], INF)
+                        if not s < INF and end < INF:
+                            raise ValueError(_NORM_OVERFLOW)
+                        s += end
+                    norms.append(s ** (1.0 / q) if s < INF else INF)
+                else:
+                    n = _law_sup_term(h_c[i], h_d[i], beta_p, 0.0, g0[i])
+                    end = _law_sup_term(t_c[i], t_d[i], beta_p, gm[i], INF)
+                    if goff[i + 1] - goff[i] > 1:
+                        top = maxima[side][col][i]
+                        if top == INF and max(n, end) < INF:
+                            raise ValueError(_NORM_OVERFLOW)
+                        n = max(n, top)
+                    norms.append(max(n, end))
+            out.append(Enclosure(min(norms), norms[0]))
     except ArithmeticError as err:  # a descriptor term such as coef**q
         raise ValueError(_NORM_OVERFLOW) from err
     return out

@@ -719,13 +719,13 @@ def _k_block(
     Pair ``i`` takes f the ``i``-th member and g the next at ``ts[i %
     len(ts)]``.  Its oracle, f's norms and ``(f + g)*`` come pair by pair,
     in the order of a pair loop; then one kernel call gives the rows
-    ``K(table_ts)`` of every member that is an f or a g of the block, and
-    one gives ``K(t, f + g)`` of every pair.  ``K(t, f)`` and ``K(t, g)``
-    are read from the rows, since each ``t`` is a column of ``table_ts``;
-    Holmstedt's sum, which takes ``K(t, f)``, comes last, pair by pair.
+    ``K(table_ts)`` of the members ``block.start`` to ``block.stop``, pair
+    ``j``'s f as row ``j`` and its g as row ``j + 1``, and ``K(t, f + g)``
+    of every pair.  ``K(t, f)`` and ``K(t, g)`` are read from the rows,
+    since each ``t`` is a column of ``table_ts``; Holmstedt's sum, which
+    takes ``K(t, f)``, comes last, pair by pair.
     """
     n, width = len(records), len(ts)
-    rows: dict[int, int] = {}  # a member's row in the K table
     firsts = []  # (f's record, t, oracle, cap) of each pair
     sum_stars = []  # (f + g)* of each pair
     for i in block:
@@ -735,20 +735,18 @@ def _k_block(
         cap = max(m.norm(_L1_LINF.params0), m.norm(_L1_LINF.params1))
         sum_stars.append((m.f + records[(i + 1) % n].f).rearrange())
         firsts.append((m, t, k_oracle, cap))
-        rows.setdefault(i % n, len(rows))
-        rows.setdefault((i + 1) % n, len(rows))
-    table = _k_l1_linf_block([records[j].fs for j in rows], [table_ts] * len(rows))
-    table = table.reshape(len(rows), len(table_ts))
-    k_sums = _k_l1_linf_block(sum_stars, [[t] for _, t, *_ in firsts]).tolist()
-    f_rows = [rows[i % n] for i in block]
+    members = [records[i % n].fs for i in range(block.start, block.stop + 1)]
+    ks = _k_l1_linf_block(members + sum_stars, [table_ts] * len(members) + [[t] for _, t, *_ in firsts])
+    table = ks[: len(members) * len(table_ts)].reshape(len(members), len(table_ts))
+    k_sums = ks[table.size :].tolist()
+    j = np.arange(len(block))
     cols = [1 + i % width for i in block]  # t's column: table_ts is [1.0, *ts, *mids]
-    k_fs = table[f_rows, cols].tolist()
-    k_gs = table[[rows[(i + 1) % n] for i in block], cols].tolist()
+    k_fs, k_gs = table[j, cols].tolist(), table[j + 1, cols].tolist()
     pairs = []
     for (m, t, k_oracle, cap), k, k_sum, k_g in zip(firsts, k_fs, k_sums, k_gs):
         ratio = _holmstedt_sum(m.fs, t, _L1_LINF, 1.0, k) / k if k > 0.0 else None
         pairs.append(_KPair(m.f, t, k, k_oracle, cap, k_sum, k_g, ratio))
-    return pairs, table[f_rows]
+    return pairs, table[:-1]
 
 
 def verify_k_properties(
@@ -767,12 +765,13 @@ def verify_k_properties(
     Holmstedt-to-exact ratio staying inside [1, 2].
 
     The pairs are taken in blocks of at most ``_PAIR_BLOCK`` (:func:`_k_block`).
-    Every K value of a block comes from two kernel calls: the K rows of its
-    members (at 1, on the 33-point grid, which holds each pair's ``t``, and
-    at its midpoints) and ``K(t, f + g)`` of its pairs.  The values that can
-    raise are computed pair by pair in pair order; should a block raise, it
-    runs again one pair at a time, so the error that surfaces is that of the
-    first failing pair, as in a pair-by-pair scan.  The five grid checks then
+    Every K value of a block comes from one kernel call (piece widths times
+    values, exact on dyadic inputs): the K rows of its members (at 1, on the
+    33-point grid, which holds each pair's ``t``, and at its midpoints) and
+    ``K(t, f + g)`` of its pairs.  The values that can raise are computed
+    pair by pair in pair order; should a block raise, it runs again one pair
+    at a time, so the error that surfaces is that of the first failing pair,
+    as in a pair-by-pair scan.  The five grid checks then
     run once on the block's pairs x grid arrays, and the violations are read
     out per pair in check order, so their count and the first witness are
     those of a pair-by-pair scan.

@@ -7,7 +7,8 @@ Three representations of the Peetre K-functional
 are implemented for couples of Lorentz spaces:
 
 * :func:`k_exact_l1_linf` - the classical closed form
-  ``K(t, f; L_1, L_inf) = integral_0^t f*`` (exact);
+  ``K(t, f; L_1, L_inf) = integral_0^t f*``, a prefix sum of piece widths
+  times values (exact on dyadic inputs; one kernel call serves a block);
 * :func:`k_upper_oracle` - an upper bound minimising over truncation
   decompositions ``f* = (f* - lam)_+ + min(f*, lam)``, which is exactly
   optimal for (L_1, L_inf) and serves as the independent oracle: prefix
@@ -75,6 +76,7 @@ __all__ = [
 ]
 
 _REL_TOL = 1e-12
+_HOLMSTEDT_OVERFLOW = "a term of Holmstedt's expression of f overflows the float range"
 
 
 @dataclass(frozen=True)
@@ -121,22 +123,15 @@ def _k_l1_linf_block(fss: Sequence[StepFunction], ts_rows: Sequence[Sequence[flo
     """``K(t, f; L_1, L_inf)`` at each ``t`` of ``ts_rows[i]`` (finite and
     positive), from ``fss[i] = f*``, the rows concatenated in order.
 
-    ``K(t)`` is the sum of ``v * power_integral(1.0, lo, b)`` over the pieces
-    ending before ``t``, in piece order, plus ``v`` times the part of the
-    piece holding ``t`` (the tail past the last breakpoint); only the pieces
-    up to the one holding a member's largest ``t`` are read.  A piece from 0
-    has the integral ``b ** 1.0 / 1.0``, which is ``b``, so a member's first
-    whole piece gives its breakpoint and a ``t`` below it gives ``t``.  Every
-    other piece goes through :func:`stepfn._power_parts` at ``alpha = 1.0``:
-    one chain for the whole pieces of the block, summed from 0.0 into a
-    prefix table per member in piece order, and one for the partial pieces
-    ``(b_{k-1}, t]``.  ``K(t)`` is then its prefix entry plus the partial
-    term, one elementwise product and sum.  These are the float operations
-    of ``weighted_power_integral(fs, 1.0, 1.0, 0.0, t)`` in its order, so
-    each value is bit-identical to it whatever else the block holds; an
-    infinite part makes the sum ``inf`` as its early return does.  Every
-    value of ``f*`` before its tail is positive, so only a zero tail adds no
-    partial term.
+    ``K(t)`` is the sum of ``v * (b - lo)`` over the pieces ``(lo, b]``
+    before the one holding ``t``, in piece order, plus ``v * (t - lo)`` for
+    that piece (the tail past the last breakpoint).  Each member's pieces,
+    up to the one holding its largest ``t``, form a run with prefix sums
+    from 0.0, so a value does not depend on the rest of the block.  A term
+    is one rounded difference and one rounded product: ``K`` is exact on
+    dyadic inputs of few bits, within relative ``(k + 2) * 2**-53`` over
+    ``k`` terms otherwise (while the terms stay normal floats), and ``inf``
+    past the largest float.
     """
     tops = [bisect_left(fs.breakpoints, max(ts, default=0.0)) for fs, ts in zip(fss, ts_rows)]
     off = [*accumulate(map(add, tops, repeat(1)), initial=0)]
@@ -155,30 +150,16 @@ def _k_l1_linf_block(fss: Sequence[StepFunction], ts_rows: Sequence[Sequence[flo
         float,
         off[-1],
     )
-    # The integral of piece j goes to entry j + 1: b_0 for the first piece,
-    # the chain for a piece whose start is positive too.
-    parts = starts.copy()
-    parts[1:][np.logical_and(starts[:-1], starts[1:])] = np.fromiter(
-        _power_parts(
-            1.0,
-            [*chain.from_iterable(fs.breakpoints[: max(top - 1, 0)] for fs, top in zip(fss, tops))],
-            [*chain.from_iterable(fs.breakpoints[1:top] for fs, top in zip(fss, tops))],
-        ),
-        float,
-    )
     t = np.fromiter(chain.from_iterable(ts_rows), float, rows[-1])
     at = np.empty(t.size, dtype=np.intp)  # the entry of the piece holding each t
     with np.errstate(over="ignore"):
-        sums = np.zeros(off[-1])  # entry j: the sum over the pieces before piece j
-        sums[1:] = values[:-1] * parts[1:]  # 0.0 at the start of a run
+        sums = np.empty(off[-1])  # entry j: the sum over the pieces before piece j
+        sums[1:] = values[:-1] * (starts[1:] - starts[:-1])
+        sums[off[:-1]] = 0.0  # the start of a run
         for a, b, c, d in zip(off, off[1:], rows, rows[1:]):
             np.add.accumulate(sums[a:b], out=sums[a:b])
             at[c:d] = np.searchsorted(starts[a + 1 : b], t[c:d]) + a
-        lo, v = starts[at], values[at]
-        partial = np.logical_and(lo, v)  # past the first piece, and not a zero tail
-        part = t * (lo == 0.0)  # t below the first breakpoint, else 0.0
-        part[partial] = np.fromiter(_power_parts(1.0, lo[partial].tolist(), t[partial].tolist()), float)
-        return sums[at] + v * part
+        return sums[at] + values[at] * (t - starts[at])
 
 
 def _piecewise_linear(params: LorentzParams) -> bool:
@@ -421,7 +402,10 @@ def holmstedt_k(f: StepFunction, t: float, couple: LorentzCouple, theta: float) 
 
     with sup forms for infinite inner exponents.  Equivalent to the true
     K-functional up to couple-dependent constants (for (L_1, L_inf) the
-    ratio lies in [1, 2]).
+    ratio lies in [1, 2]).  For ``X0 = L_1`` the first term is
+    ``integral_0^t f*``, ``K(t, f; L_1, L_inf)`` itself, and comes from its
+    kernel.  A second term of 0 leaves the first, whatever ``t**(1/theta)``
+    is; a power past the largest float raises ``ValueError``.
     """
     t = _check_exponent(t, "t", finite=True)
     _check_theta(couple, theta)
@@ -429,20 +413,24 @@ def holmstedt_k(f: StepFunction, t: float, couple: LorentzCouple, theta: float) 
     if fs.is_zero:
         return 0.0
     p0, q0 = couple.params0.p, couple.params0.q
-    if q0 < INF:
-        inner0 = weighted_power_integral(fs, q0 / p0, q0, 0.0, t)
-        term0 = inner0 ** (1.0 / q0) if inner0 < INF else INF
-    else:
-        term0 = _weighted_sup(fs, 1.0 / p0, 0.0, t)
-    return _holmstedt_sum(fs, t, couple, theta, term0)
+    try:
+        if p0 == q0 == 1.0:
+            term0 = _k_l1_linf(fs, [t])[0]
+        elif q0 < INF:
+            inner0 = weighted_power_integral(fs, q0 / p0, q0, 0.0, t)
+            term0 = inner0 ** (1.0 / q0) if inner0 < INF else INF
+        else:
+            term0 = _weighted_sup(fs, 1.0 / p0, 0.0, t)
+        return _holmstedt_sum(fs, t, couple, theta, term0)
+    except OverflowError:
+        raise ValueError(_HOLMSTEDT_OVERFLOW) from None
 
 
 def _holmstedt_sum(fs: StepFunction, t: float, couple: LorentzCouple, theta: float, term0: float) -> float:
     """:func:`holmstedt_k` of ``fs = f*`` from its first term ``term0``.
 
-    For (L_1, L_inf) at ``theta = 1`` that term is ``integral_0^t f*``, the
-    exact K, so a caller that has K passes it in instead of integrating
-    again (``x ** 1.0 == x``, so it is the same float).
+    For (L_1, L_inf) at ``theta = 1`` that term is ``K(t, f)``, so a caller
+    that has K passes it in instead of computing it again.
     """
     p1, q1 = couple.params1.p, couple.params1.q
     if q1 < INF:
@@ -451,6 +439,8 @@ def _holmstedt_sum(fs: StepFunction, t: float, couple: LorentzCouple, theta: flo
     else:
         expo = 0.0 if p1 == INF else 1.0 / p1
         term1 = _weighted_sup(fs, expo, t, INF)
+    if not term1:  # t**(1/theta) may pass the largest float
+        return term0
     return term0 + t ** (1.0 / theta) * term1
 
 

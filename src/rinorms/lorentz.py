@@ -87,14 +87,24 @@ def lorentz_norm(f: StepFunction, params: LorentzParams) -> float:
     again for ``f`` scaled by a power of two (``||c f|| = c ||f||``); that
     result may differ from exact arithmetic in its last bits.  A norm beyond
     the largest float raises ``ValueError``, and so does one whose smaller
-    terms would fall below the float range at that scale.
+    terms would fall below the float range at that scale, or a sup form
+    whose weight ``b**(1/p)`` passes the largest float.
     """
     fs = f.rearrange()
     if fs.is_zero:
         return 0.0
     p, q = params.p, params.q
     if q == INF:
-        return fs.max_value() if p == INF else _weighted_sup(fs, 1.0 / p)
+        if p == INF:
+            return fs.max_value()
+        if fs.tail > 0.0:
+            return INF  # t**(1/p) f*(t) grows without bound
+        try:
+            return _weighted_sup(fs, 1.0 / p)
+        except OverflowError:  # b**(1/p) at some breakpoint b
+            vals, _, his = _nonzero_pieces(fs)
+            top = max(math.log2(v) + math.log2(b) / p for v, b in zip(vals, his))
+            raise ValueError(_NORM_OVERFLOW if top >= 1024.0 else _NORM_UNRESOLVED) from None
     if p == INF:
         return INF  # degenerate space: no nonzero element has finite norm
     try:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -293,6 +294,22 @@ def loop_k_l1_linf(fs: StepFunction, ts) -> list[float]:
             part += v * power_integral(1.0, bps[k - 1] if k else 0.0, t)
         out.append(part)
     return out
+
+
+def fraction_k_l1_linf(fs: StepFunction, ts) -> list[Fraction]:
+    """``K(t, f; L_1, L_inf) = integral_0^t f*`` of ``fs = f*`` at each t,
+    in exact rational arithmetic: a prefix table over the whole pieces and
+    the part of the piece holding t."""
+    bps, vals = fs.breakpoints, (*fs.values, fs.tail)
+    ks = [bisect_left(bps, t) for t in ts]
+    prefix = [Fraction(0)]
+    for k in range(max(ks, default=0)):
+        width = Fraction(bps[k]) - Fraction(bps[k - 1] if k else 0.0)
+        prefix.append(prefix[-1] + Fraction(vals[k]) * width)
+    return [
+        prefix[k] + Fraction(vals[k]) * (Fraction(t) - Fraction(bps[k - 1] if k else 0.0))
+        for t, k in zip(ts, ks)
+    ]
 
 
 @st.composite

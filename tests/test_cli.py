@@ -379,6 +379,61 @@ class TestVerify:
             main(["verify", "everything"])
 
 
+class TestExtremeInputs:
+    """One-shot queries on functions at the ends of the float range: each
+    prints a value or exits with a message, never a traceback."""
+
+    FUNCTIONS = {
+        # K(1e10) is 1e10; the old piece integral's hi / lo overflowed
+        "float-range-k": StepFunction((1e-300, 1e20), (2.0, 1.0)),
+        "wide": StepFunction((2.0**-1000, 2.0**1000), (2.0, 1.0)),
+        # the L(1/2, inf) norm is 1e400; the L(2, 2) norm of H^(1,1) f is finite
+        "sup-overflow": StepFunction((1e200,), (1.0,)),
+        # the L(1/2, inf) norm is inf, but b**2 at 1e250 overflows first
+        "sup-overflow-tail": StepFunction((1.0, 1e250), (3.0, 2.0), 1.0),
+        "huge-value": StepFunction((1.0,), (1e300,)),
+        "largest-breakpoint": StepFunction((1.7e308,), (1.0,)),
+    }
+    QUERIES = {
+        "norm-sup": ["norm", "--p", "0.5", "--q", "inf"],
+        "norm-q1": ["norm", "--p", "0.5", "--q", "1"],
+        "hardy": ["hardy", "--U", "1", "--W", "1", "--p", "2", "--q", "2"],
+        "kfun-sup": [
+            "kfun", "--p0", "0.5", "--q0", "inf", "--p1", "inf", "--q1", "inf", "--t", "1e200", "--theta", "0.5",
+        ],
+        "kfun-l1-linf": ["kfun", "--p0", "1", "--q0", "1", "--p1", "inf", "--q1", "inf", "--t", "1e10", "--theta", "1"],
+        "functor-norm": [
+            "functor-norm", "--p0", "1", "--q0", "1", "--p1", "inf", "--q1", "inf",
+            "--p", "2", "--q", "2", "--theta", "1",
+        ],
+        "dilate": ["dilate", "--a", "1e-10"],
+        "rearrange": ["rearrange"],
+    }
+
+    @pytest.mark.parametrize("query", sorted(QUERIES))
+    @pytest.mark.parametrize("name", sorted(FUNCTIONS))
+    def test_value_or_message(self, capsys, tmp_path, name, query):
+        src = tmp_path / f"{name}.json"
+        src.write_text(self.FUNCTIONS[name].to_json())
+        try:
+            code, _ = run_cli(capsys, *self.QUERIES[query], "--input", str(src))
+        except SystemExit as e:
+            assert isinstance(e.code, str) and e.code
+        else:
+            assert code == 0
+
+    def test_values_at_the_float_range_ends(self, capsys, tmp_path):
+        src = tmp_path / "f.json"
+        src.write_text(self.FUNCTIONS["float-range-k"].to_json())
+        _, out = run_cli(capsys, *self.QUERIES["kfun-l1-linf"], "--input", str(src))
+        assert out == "exact 10000000000.0\noracle_upper 10000000000.0\nholmstedt 20000000000.0\n"
+        src.write_text(self.FUNCTIONS["sup-overflow-tail"].to_json())
+        assert run_cli(capsys, *self.QUERIES["norm-sup"], "--input", str(src)) == (0, "inf\n")
+        src.write_text(self.FUNCTIONS["huge-value"].to_json())
+        _, out = run_cli(capsys, *self.QUERIES["kfun-sup"], "--input", str(src))
+        assert out.splitlines()[-1] == "holmstedt 1e+300"
+
+
 class TestGoldenOutputs:
     """Pinned output bytes of the one-shot queries on 2,000-piece functions.
 
@@ -406,22 +461,22 @@ class TestGoldenOutputs:
         ("shuffled-tail", "norm-qinf"): "d574121d0bbf27357c5b4a69bc6f0a958e966fe811c213345d96407395ba9141",
         ("shuffled-tail", "hardy"): "c4b621f33c7917b877478fefae64ea9cfbae877d795120423185e15d0fd3178c",
         ("shuffled-tail", "functor-norm"): "8dde342aada92cfdd2723dbac77dd52250dc9cd2d8103a0973cf87fa2880dfff",
-        ("shuffled-tail", "kfun"): "70bd2442e87220fed60e0c6b064a7a84c656fd7fe3ef7c8c5961f91f34320d99",
-        ("shuffled-tail", "kfun-past-end"): "e0e0e079b68dab0b028cb75b333c08a02bd9bd7a774480ca7c9da62953dff4e4",
+        ("shuffled-tail", "kfun"): "5c2f83a9bd51d742c0343aebf1a12c014ff3bbe0566fc15db29a07484c32cb63",
+        ("shuffled-tail", "kfun-past-end"): "d6b6723be080b7a9f79fc2aff220e14e297de6c8b29bde6d0b7e43c502516c88",
         ("shuffled", "rearrange"): "2dfb2bbb78499afc8c082da03b32d01b2de7abf225715697c5b180f4d527091b",
         ("shuffled", "norm-q1"): "d10f80d6295d68fa9d1b8799d6e4b1e38c9d2da547423096a0883a36460945a9",
         ("shuffled", "norm-qinf"): "25babc489bbe1b35434327eb5234d2d0439dcf85c63ab67f61b3a83fe8e6636a",
         ("shuffled", "hardy"): "b251df45130591035d37166ac2d72e5537b3a34a2ef233c28d86759da99f9d71",
         ("shuffled", "functor-norm"): "fe81b41ede4a232c487dd0b0f90c6ff2ed91f7e3d7fcfe02859a709e4a1343f2",
-        ("shuffled", "kfun"): "70bd2442e87220fed60e0c6b064a7a84c656fd7fe3ef7c8c5961f91f34320d99",
-        ("shuffled", "kfun-past-end"): "d2b34808bbf6c15aa73e8c9c3b3466bcbcffc6b918dffbcab81abdba9ce1dcd2",
+        ("shuffled", "kfun"): "5c2f83a9bd51d742c0343aebf1a12c014ff3bbe0566fc15db29a07484c32cb63",
+        ("shuffled", "kfun-past-end"): "51bcbb144b94def8080abec1cf61f0260087dcb122c50197b472ae78b918a40e",
         ("sorted", "rearrange"): "56519f2f37c203ea91ddf5c7fdf2cee1d1b6f31b24e38b6c126c1362dccd239d",
         ("sorted", "norm-q1"): "5b5da291c2866bb6f53420fcd4005956f5d3e5ef90cbf65a17a04aa74ce2cf89",
         ("sorted", "norm-qinf"): "909a8edbdec9e46bf7764cde17b42e7622d15214a1d098b14909f9bbaf023f27",
         ("sorted", "hardy"): "7e6156cd481b9317b32acf71a5bf43514951e83891365fb4cab72e8b587fa8f3",
         ("sorted", "functor-norm"): "ea4961e4326856694eeb7926ca38c05a08307043ab4efbfb909da95f5b3d2e0b",
         ("sorted", "kfun"): "c4df9d43a2fca1651820b4203bcea58618cdf8c69e2562ffe4a960b8c09d932c",
-        ("sorted", "kfun-past-end"): "78575748e05958a85b9a4f677da26a5a93aa85b0becad966112ed86d05573694",
+        ("sorted", "kfun-past-end"): "c8faa4563511619b07477e88f8765c8e2999d32f0d710e87ca4d747a823d20ef",
     }
 
     @staticmethod

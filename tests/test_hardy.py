@@ -463,6 +463,26 @@ class TestOverflow:
         with pytest.raises(ValueError, match="the envelope norm overflows the float range"):
             envelope_norm(env, LorentzParams(2.0, 2.0))
 
+    def test_overflowed_interval_terms_are_not_a_divergence(self):
+        # the norm of H^(1,1) f is sqrt(2) * 1e100, but the interval terms
+        # square values near 1e200 past the largest float while the head and
+        # tail terms stay finite: [inf, inf] would be a false bracket
+        env = hardy_upper(StepFunction((1e200,), (1.0,)), 1.0, 1.0)
+        with pytest.raises(ValueError, match="the envelope norm overflows the float range"):
+            envelope_norm(env, LorentzParams(2.0, 2.0))
+        # the same in the sup form: sup t**2 H_(2,inf) f(t) is about 1e330,
+        # finite, and only the interval maxima pass the largest float
+        env = hardy_lower(StepFunction((1.0, 1e100), (1e200, 1e130)), 2.0, INF)
+        with pytest.raises(ValueError, match="the envelope norm overflows the float range"):
+            envelope_norm(env, LorentzParams(0.5, INF))
+        assert envelope_norm(env, LorentzParams(1.0, INF)).hi < INF
+
+    def test_divergent_norm_is_still_infinite(self):
+        # a positive tail makes the tail term of H^(1,1) f diverge in L(2,2)
+        env = hardy_upper(StepFunction((1e200,), (2.0,), 1.0), 1.0, 1.0)
+        enc = envelope_norm(env, LorentzParams(2.0, 2.0))
+        assert (enc.lo, enc.hi) == (INF, INF)
+
     def test_diverged_lower_average_is_not_an_overflow(self):
         f = StepFunction((1.0,), (1e200,), 1.0)
         assert hardy_lower(f, 2.0, 2.0).diverged

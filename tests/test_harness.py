@@ -179,7 +179,7 @@ class TestKDriver:
         )
 
     def test_one_k_table_per_function_and_no_piecewise_k(self, small_corpus, monkeypatch):
-        # each block of pairs makes two K kernel calls: the rows of its
+        # each block of pairs makes one K kernel call: the rows of its
         # members (at 1, on the grid and at its midpoints; K at each pair's
         # t is a grid column) and K of f + g at each pair's t; the piecewise
         # integral runs only inside the member records' norms, never for K
@@ -219,10 +219,11 @@ class TestKDriver:
         rep = verify_k_properties(list(small_corpus), n_pairs=n_pairs)
         assert rep.passed
         blocks = -(-n_pairs // 16)
-        assert len(calls) <= 2 * blocks
+        assert len(calls) == blocks
         assert max(map(max, calls)) == 1 + 33 + 32
-        # a block's rows: one per member that is an f or a g of its pairs
-        assert sum(len(rows) for rows in calls if max(rows) > 1) <= n_pairs + blocks
+        # a block's rows: its pairs' f and the last pair's g, then one t per pair
+        assert sum(rows.count(1 + 33 + 32) for rows in calls) <= n_pairs + blocks
+        assert sum(rows.count(1) for rows in calls) == n_pairs
         assert callers["elsewhere"] == 0 and callers["norms"] >= n_pairs
 
 

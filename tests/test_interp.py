@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import bisect
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -36,6 +38,7 @@ from rinorms.lorentz import _NORM_UNRESOLVED
 
 from conftest import (
     edge_step_functions,
+    fraction_k_l1_linf,
     loop_k_l1_linf,
     loop_k_upper_oracle,
     reference_levels,
@@ -378,13 +381,14 @@ _K_CORPORA = {
     "dyadic-positive-tail": {"dyadic": True, "positive_tail": True},
     "wide": {"bp_range": (2.0**-1000, 2.0**1000), "positive_tail": True},
 }
-_TINY_AND_HUGE_T = (5e-324, 1e-310, 2.0**-1022, 1e300, sys.float_info.max)
+_MAX_FLOAT = sys.float_info.max
+_TINY_AND_HUGE_T = (5e-324, 1e-310, 2.0**-1022, 1e300, _MAX_FLOAT)
 
 
 def _draw_ts(draw, fs: StepFunction) -> list[float]:
-    """A shuffled list of t values for ``fs``: breakpoints and their float
-    neighbours, t below the first and past the last breakpoint, subnormal
-    and huge t, and arbitrary t."""
+    """A shuffled list of finite t values for ``fs``: breakpoints and their
+    float neighbours, t below the first and past the last breakpoint,
+    subnormal and huge t, and arbitrary t."""
     bps = fs.breakpoints
     ts = list(_TINY_AND_HUGE_T)
     ts += draw(st.lists(st.floats(5e-324, sys.float_info.max), max_size=6))
@@ -392,7 +396,8 @@ def _draw_ts(draw, fs: StepFunction) -> list[float]:
         ts += [bps[0] / 3.0, bps[-1] * 2.0, math.nextafter(bps[-1], INF)]
         for i in draw(st.lists(st.integers(0, len(bps) - 1), max_size=8)) + [0, len(bps) - 1]:
             ts += [bps[i], math.nextafter(bps[i], 0.0), math.nextafter(bps[i], INF)]
-    return draw(st.permutations(ts))
+    # t stays finite, as the kernel's callers check
+    return draw(st.permutations([min(t, _MAX_FLOAT) for t in ts]))
 
 
 @st.composite
@@ -407,7 +412,8 @@ def k_table_cases(draw):
     return fs, _draw_ts(draw, fs)
 
 
-# a whole piece whose integral overflows: every K past it is inf
+# the hi / lo of its second piece passes the largest float, so the
+# piecewise integral is inf there; every K of it is a power of two
 WIDE = StepFunction((2.0**-1000, 2.0**1000), (2.0, 1.0))
 
 
@@ -440,19 +446,45 @@ def k_block_members(draw):
     return fs, _draw_ts(draw, fs)
 
 
+_MAX = Fraction(_MAX_FLOAT)
+
+
+def assert_rounding_bound(fs: StepFunction, ts, ks) -> None:
+    """Each ``K(t)`` of ``ks`` against the exact value: within ``(n + 2) *
+    2**-53`` of it for the ``n`` terms summed (the whole pieces before t and
+    the part of t's piece; each term is one rounded difference and one
+    rounded product), plus ``2**-1075`` per term where a product falls
+    below the normal float range; ``inf`` only where that bound reaches
+    past the largest float."""
+    for t, k, exact in zip(ts, ks, fraction_k_l1_linf(fs, ts)):
+        n = bisect.bisect_left(fs.breakpoints, t) + 1
+        slack = (n + 2) * Fraction(2) ** -53 * exact + n * Fraction(2) ** -1075
+        if k == INF:
+            assert exact + slack > _MAX, (t, exact)
+        else:
+            assert abs(Fraction(k) - exact) <= slack, (t, k, float(exact))
+
+
+def assert_close(got, want, rel: float = 1e-13) -> None:
+    """``got`` within ``rel`` of ``want`` wherever ``want`` is finite."""
+    for g, w in zip(got, want):
+        if w < INF:
+            assert abs(g - w) <= rel * w, (g, w)
+
+
 class TestKBlockKernel:
     """``interp._k_l1_linf_block`` on a block of members, each with its own t
-    row, against each member alone and the piecewise sum, bit for bit."""
+    row, against each member alone (bit for bit) and exact arithmetic."""
 
     @staticmethod
     def check(members):
         got = interp._k_l1_linf_block([fs for fs, _ in members], [ts for _, ts in members]).tolist()
         at = 0
         for fs, ts in members:
-            row = list(map(repr, got[at : at + len(ts)]))
+            row = got[at : at + len(ts)]
             at += len(ts)
-            assert row == list(map(repr, interp._k_l1_linf_block([fs], [ts]).tolist()))
-            assert row == [repr(weighted_power_integral(fs, 1.0, 1.0, 0.0, t)) for t in ts]
+            assert list(map(repr, row)) == list(map(repr, interp._k_l1_linf_block([fs], [ts]).tolist()))
+            assert_rounding_bound(fs, ts, row)
         assert at == len(got)
 
     @given(st.lists(k_block_members(), min_size=1, max_size=5))
@@ -467,29 +499,32 @@ class TestKBlockKernel:
         members = [(one[0].rearrange(), ts), (big, [*big.breakpoints[::97], *ts]), (one[1].rearrange(), [])]
         members += [(f.rearrange(), ts[::-1]) for f in one[2:]] + [(WIDE, [2.0**999, 2.0**1001])]
         self.check(members)
-        assert interp._k_l1_linf_block([WIDE], [[2.0**999, 2.0**1001]]).tolist() == [INF, INF]
+        assert interp._k_l1_linf_block([WIDE], [[2.0**999, 2.0**1001]]).tolist() == [2.0**999, 2.0**1000]
 
 
 class TestPrefixTableK:
-    """``interp._k_l1_linf`` against the piecewise sum it replaces, bit for bit."""
+    """``interp._k_l1_linf`` against the piecewise sum of
+    ``weighted_power_integral`` and exact arithmetic."""
 
     @given(k_table_cases())
     @settings(max_examples=150, deadline=None)
-    def test_bit_identical_to_the_piecewise_sum(self, case):
+    def test_matches_the_piecewise_sum(self, case):
         fs, ts = case
-        got = list(map(repr, interp._k_l1_linf(fs, ts)))
-        want = [repr(weighted_power_integral(fs, 1.0, 1.0, 0.0, t)) for t in ts]
-        assert got == want
-        assert [repr(k_exact_l1_linf(fs, t)) for t in ts[:3]] == want[:3]
+        got = interp._k_l1_linf(fs, ts)
+        assert_close(got, [weighted_power_integral(fs, 1.0, 1.0, 0.0, t) for t in ts])
+        assert_rounding_bound(fs, ts, got)
+        assert [repr(k_exact_l1_linf(fs, t)) for t in ts[:3]] == list(map(repr, got[:3]))
 
     def test_tail_and_overflow_branches(self):
-        # past the last breakpoint a positive tail keeps adding; a whole
-        # piece whose integral overflows makes every later value inf
+        # past the last breakpoint a positive tail keeps adding; on WIDE
+        # only the piecewise integral overflows, through hi / lo
         f = StepFunction((1.0, 2.0), (3.0, 2.0), 0.5)
         assert interp._k_l1_linf(f, [4.0, 0.5, 2.0]) == [3.0 + 2.0 + 1.0, 1.5, 5.0]
-        wide = StepFunction((2.0**-1000, 2.0**1000), (2.0, 1.0))
-        assert interp._k_l1_linf(wide, [2.0**999, 2.0**1001]) == [INF, INF]
-        assert weighted_power_integral(wide, 1.0, 1.0, 0.0, 2.0**999) == INF
+        assert interp._k_l1_linf(WIDE, [2.0**999, 2.0**1001]) == [2.0**999, 2.0**1000]
+        assert weighted_power_integral(WIDE, 1.0, 1.0, 0.0, 2.0**999) == INF
+        # a sum past the largest float is inf
+        big = StepFunction((2.0,), (_MAX_FLOAT,))
+        assert interp._k_l1_linf(big, [0.5, 1.0, 1.5]) == [_MAX_FLOAT / 2.0, _MAX_FLOAT, INF]
 
     def test_empty_t_list_and_constants(self):
         assert interp._k_l1_linf(CHI, []) == []
@@ -498,16 +533,17 @@ class TestPrefixTableK:
 
 
 class TestKTableLoop:
-    """``interp._k_l1_linf`` against the table loop it replaces, bit for bit."""
+    """``interp._k_l1_linf`` against the table loop over ``power_integral``
+    it replaced."""
 
     @given(k_table_cases())
     @settings(max_examples=25, deadline=None)
     def test_corpus_functions(self, case):
         fs, ts = case
-        want = loop_k_l1_linf(fs, ts)
-        assert repr(interp._k_l1_linf(fs, ts)) == repr(want)
-        # one t at a time: a chain of one partial piece, or none
-        assert repr([interp._k_l1_linf(fs, [t])[0] for t in ts]) == repr(want)
+        got = interp._k_l1_linf(fs, ts)
+        assert_close(got, loop_k_l1_linf(fs, ts))
+        # one t at a time: a table of one partial piece, or none
+        assert repr([interp._k_l1_linf(fs, [t])[0] for t in ts]) == repr(got)
 
     @given(st.data(), edge_step_functions())
     @settings(max_examples=40, deadline=None)
@@ -518,7 +554,51 @@ class TestKTableLoop:
             return
         ts = [t for t in data.draw(windows(fs)) if 0.0 < t < INF] + list(_TINY_AND_HUGE_T)
         ts = data.draw(st.permutations(ts + list(fs.breakpoints[:3])))
-        assert repr(interp._k_l1_linf(fs, ts)) == repr(loop_k_l1_linf(fs, ts))
+        got = interp._k_l1_linf(fs, ts)
+        assert_close(got, loop_k_l1_linf(fs, ts))
+        assert_rounding_bound(fs, ts, got)
+
+
+class TestKExactArithmetic:
+    """K against ``conftest.fraction_k_l1_linf``, the integral in rationals."""
+
+    @given(st.integers(0, 2**20), st.sampled_from([1, 12, 200]))
+    @settings(max_examples=40, deadline=None)
+    def test_exact_on_dyadic_corpora(self, seed, max_pieces):
+        # breakpoints on 2**-10, values on 2**-8 and t on 2**-12 (up to
+        # 2**21): every width, product and sum is a float
+        corpus = generate_corpus(seed, 4, max_pieces=max_pieces, dyadic=True, positive_tail=True)
+        for f in corpus.functions:
+            fs = f.rearrange()
+            bps = fs.breakpoints
+            ts = [2.0**k for k in range(-12, 22)] + [*bps, *(3.25 * b for b in bps[-1:])]
+            ts += [(a + b) / 2.0 for a, b in zip((0.0, *bps), bps)]
+            want = fraction_k_l1_linf(fs, ts)
+            assert list(map(Fraction, interp._k_l1_linf(fs, ts))) == want
+            assert [Fraction(k_exact_l1_linf(f, t)) for t in ts[::7]] == want[::7]
+
+    @given(st.data(), edge_step_functions())
+    @settings(max_examples=60, deadline=None)
+    def test_rounding_bound_on_edge_functions(self, data, f):
+        try:
+            fs = f.rearrange()
+        except ValueError:  # the lengths sum past the largest float
+            return
+        ts = _draw_ts(data.draw, fs)
+        assert_rounding_bound(fs, ts, interp._k_l1_linf(fs, ts))
+
+    def test_float_range_pins(self):
+        # hi / lo of the second piece is 1e320: K needs only b - lo
+        f = StepFunction((1e-300, 1e20), (2.0, 1.0))
+        assert k_exact_l1_linf(f, 1e10) == 1e10 == k_upper_oracle(f, 1e10, L1_LINF)
+        assert holmstedt_k(f, 1e10, L1_LINF, 1.0) == 2e10
+
+    def test_holmstedt_first_term_is_k(self, small_corpus):
+        # for (L_1, L_inf) Holmstedt's first term is K itself, so the
+        # expression is never below K, not even by a rounding
+        for f in list(small_corpus)[:20]:
+            for t in [*T_GRID.tolist(), *f.breakpoints]:
+                assert holmstedt_k(f, t, L1_LINF, 1.0) >= k_exact_l1_linf(f, t)
 
 
 class TestKShapeProperties:
@@ -584,6 +664,16 @@ class TestHolmstedt:
             assert holmstedt_k(CHI, 1.0, couple, theta) > 0.0
             with pytest.raises(ValueError, match="theta"):
                 holmstedt_k(CHI, 1.0, couple, theta * (1.0 + 1e-10))
+
+    def test_zero_second_term_and_overflow(self):
+        # X0 = L(1/2, inf), X1 = L_inf at theta = 1/2: f* vanishes past t, so
+        # the second term is 0 and t**2 = 1e400 is never taken
+        couple = LorentzCouple(LorentzParams(0.5, INF), LorentzParams(INF, INF))
+        f = StepFunction((1.0,), (1e300,))
+        assert holmstedt_k(f, 1e200, couple, 0.5) == 1e300
+        # the first term, sup s**2 f*(s) over (0, 1e200), is 1e400
+        with pytest.raises(ValueError, match="Holmstedt's expression of f overflows"):
+            holmstedt_k(StepFunction((1e200,), (1.0,)), 1e200, couple, 0.5)
 
     def test_theta_consistency_enforced(self):
         couple = LorentzCouple(LorentzParams(1.0, 1.0), LorentzParams(4.0, 4.0))

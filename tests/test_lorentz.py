@@ -179,6 +179,18 @@ class TestWeightedSup:
         assert outcome(_weighted_sup, fs, -2.0) == want
         assert _weighted_sup(fs, -2.0, 0.0, 1e-200) == INF
 
+    def test_sup_norm_past_the_float_range(self):
+        # lorentz_norm turns the OverflowError of b**(1/p) into a ValueError:
+        # the norm 1e400 overflows; 1e-300 * (1e200)**2 = 1e100 does not,
+        # but its weight does
+        l_half_inf = LorentzParams(0.5, INF)
+        with pytest.raises(ValueError, match="the Lorentz norm of f overflows the float range"):
+            lorentz_norm(StepFunction((1e200,), (1.0,)), l_half_inf)
+        with pytest.raises(ValueError, match="cannot be computed in floating point"):
+            lorentz_norm(StepFunction((1e200,), (1e-300,)), l_half_inf)
+        # a positive tail makes t**(1/p) f*(t) unbounded, whatever overflows first
+        assert lorentz_norm(StepFunction((1.0, 1e250), (3.0, 2.0), 1.0), l_half_inf) == INF
+
 
 class TestSpaceAxioms:
     @pytest.mark.parametrize("prm", NONTRIVIAL_GRID, ids=str)
