@@ -655,16 +655,19 @@ def _law_norm_term(coef: float, decay: float, gamma: float, q: float, lo: float,
     return INF if part == INF else coef**q * part
 
 
-def _law_sup_term(coef: float, decay: float, beta_p: float, lo: float, hi: float) -> float:
-    """``sup over (lo, hi] of t**beta_p * coef * t**-decay`` (extended real)."""
+def _law_sup_term(coef: float, decay: float, beta_p: float, end: float) -> float:
+    """``sup of t**beta_p * coef * t**-decay`` over a head ``(0, end]`` or a
+    tail ``[end, inf)`` on which it is bounded, so that it sits at ``end``.
+
+    A finite sup past the largest float raises ``OverflowError``, so that
+    it is not read as a divergence.
+    """
     if coef == 0.0:
         return 0.0
-    ex = beta_p - decay
-    if ex > 0.0:
-        return INF if hi == INF else coef * hi**ex
-    if ex == 0.0:
-        return coef
-    return INF if lo == 0.0 else coef * lo**ex
+    sup = coef * end ** (beta_p - decay)
+    if sup == INF:
+        raise OverflowError("the sup of a head or tail law overflows")
+    return sup
 
 
 def _split_terms(const, power, a, b, beta: float, gamma: float, q: float, upper: bool) -> np.ndarray:
@@ -763,15 +766,18 @@ def _norm_block(env: MonotoneEnvelope, params: LorentzParams) -> list[Enclosure]
                             raise ValueError(_NORM_OVERFLOW)
                         s += end
                     norms.append(s ** (1.0 / q) if s < INF else INF)
+                elif h_c[i] and h_d[i] > beta_p or t_c[i] and t_d[i] < beta_p:
+                    norms.append(INF)  # t**beta_p times the head or the tail law is unbounded
                 else:
-                    n = _law_sup_term(h_c[i], h_d[i], beta_p, 0.0, g0[i])
-                    end = _law_sup_term(t_c[i], t_d[i], beta_p, gm[i], INF)
+                    n = max(
+                        _law_sup_term(h_c[i], h_d[i], beta_p, g0[i]), _law_sup_term(t_c[i], t_d[i], beta_p, gm[i])
+                    )
                     if goff[i + 1] - goff[i] > 1:
                         top = maxima[side][col][i]
-                        if top == INF and max(n, end) < INF:
+                        if top == INF:
                             raise ValueError(_NORM_OVERFLOW)
                         n = max(n, top)
-                    norms.append(max(n, end))
+                    norms.append(n)
             out.append(Enclosure(min(norms), norms[0]))
     except ArithmeticError as err:  # a descriptor term such as coef**q
         raise ValueError(_NORM_OVERFLOW) from err

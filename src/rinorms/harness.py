@@ -697,58 +697,6 @@ _L1_LINF = LorentzCouple(LorentzParams(1.0, 1.0), LorentzParams(INF, INF))
 _PAIR_BLOCK = 1024
 
 
-class _KPair(NamedTuple):
-    """The scalar values of one (f, t) pair of the K battery, g the member
-    after f; K values of f and g are read from the K rows of their block."""
-
-    f: StepFunction
-    t: float
-    k: float  # K(t, f)
-    k_oracle: float
-    cap: float  # ||f||_{X0 ∩ X1}
-    k_sum: float  # K(t, f + g)
-    k_g: float  # K(t, g)
-    ratio: float | None  # Holmstedt / exact; None where K(t, f) = 0
-
-
-def _k_block(
-    records: Sequence[_Member], block: range, ts: list[float], table_ts: list[float]
-) -> tuple[list[_KPair], np.ndarray]:
-    """The pairs ``block`` of the K battery and the K rows of their f.
-
-    Pair ``i`` takes f the ``i``-th member and g the next at ``ts[i %
-    len(ts)]``.  Its oracle, f's norms and ``(f + g)*`` come pair by pair,
-    in the order of a pair loop; then one kernel call gives the rows
-    ``K(table_ts)`` of the members ``block.start`` to ``block.stop``, pair
-    ``j``'s f as row ``j`` and its g as row ``j + 1``, and ``K(t, f + g)``
-    of every pair.  ``K(t, f)`` and ``K(t, g)`` are read from the rows,
-    since each ``t`` is a column of ``table_ts``; Holmstedt's sum, which
-    takes ``K(t, f)``, comes last, pair by pair.
-    """
-    n, width = len(records), len(ts)
-    firsts = []  # (f's record, t, oracle, cap) of each pair
-    sum_stars = []  # (f + g)* of each pair
-    for i in block:
-        m = records[i % n]
-        t = ts[i % width]
-        k_oracle = k_upper_oracle(m.fs, t, _L1_LINF)
-        cap = max(m.norm(_L1_LINF.params0), m.norm(_L1_LINF.params1))
-        sum_stars.append((m.f + records[(i + 1) % n].f).rearrange())
-        firsts.append((m, t, k_oracle, cap))
-    members = [records[i % n].fs for i in range(block.start, block.stop + 1)]
-    ks = _k_l1_linf_block(members + sum_stars, [table_ts] * len(members) + [[t] for _, t, *_ in firsts])
-    table = ks[: len(members) * len(table_ts)].reshape(len(members), len(table_ts))
-    k_sums = ks[table.size :].tolist()
-    j = np.arange(len(block))
-    cols = [1 + i % width for i in block]  # t's column: table_ts is [1.0, *ts, *mids]
-    k_fs, k_gs = table[j, cols].tolist(), table[j + 1, cols].tolist()
-    pairs = []
-    for (m, t, k_oracle, cap), k, k_sum, k_g in zip(firsts, k_fs, k_sums, k_gs):
-        ratio = _holmstedt_sum(m.fs, t, _L1_LINF, 1.0, k) / k if k > 0.0 else None
-        pairs.append(_KPair(m.f, t, k, k_oracle, cap, k_sum, k_g, ratio))
-    return pairs, table[:-1]
-
-
 def verify_k_properties(
     corpus: Sequence[StepFunction],
     *,
@@ -764,17 +712,17 @@ def verify_k_properties(
     exact subadditivity ``K(t, f+g) <= K(t,f) + K(t,g)``; and the
     Holmstedt-to-exact ratio staying inside [1, 2].
 
-    The pairs are taken in blocks of at most ``_PAIR_BLOCK`` (:func:`_k_block`).
-    Every K value of a block comes from one kernel call (piece widths times
-    values, exact on dyadic inputs): the K rows of its members (at 1, on the
-    33-point grid, which holds each pair's ``t``, and at its midpoints) and
-    ``K(t, f + g)`` of its pairs.  The values that can raise are computed
-    pair by pair in pair order; should a block raise, it runs again one pair
-    at a time, so the error that surfaces is that of the first failing pair,
-    as in a pair-by-pair scan.  The five grid checks then
-    run once on the block's pairs x grid arrays, and the violations are read
-    out per pair in check order, so their count and the first witness are
-    those of a pair-by-pair scan.
+    The pairs are taken in blocks of at most ``_PAIR_BLOCK``.  The values
+    that can raise (the oracle, f's norms and ``(f + g)*``) are computed
+    pair by pair, in pair order, before the block's one kernel call, so the
+    error that surfaces is that of the first failing pair, as in a
+    pair-by-pair scan.  That call gives every K value of the block (piece
+    widths times values, exact on dyadic inputs): the K rows of its members
+    (at 1, on the 33-point grid, which holds each pair's ``t``, and at its
+    midpoints) and ``K(t, f + g)`` of its pairs.  Each check then gives one
+    mask over the block's pairs, and the violations are read out per pair in
+    check order, so their count and the first witness are those of a
+    pair-by-pair scan.
     """
     if n_pairs <= 0:
         raise ValueError(f"n_pairs must be positive, got {n_pairs}")
@@ -788,8 +736,14 @@ def _k_properties(
     oracle_tol: float = 1e-9,
     slack: float = POINTWISE_SLACK,
 ) -> RatioReport:
-    """The K battery of :func:`verify_k_properties` on the corpus of ``records``."""
+    """The K battery of :func:`verify_k_properties` on the corpus of ``records``.
+
+    Pair ``i`` takes f the ``i``-th member and g the next at ``ts[i %
+    len(ts)]``; in a block, pair ``j``'s f is K row ``j`` and its g row
+    ``j + 1``.
+    """
     scan = _Scan()
+    n = len(records)
     t_grid = np.geomspace(2.0**-8, 2.0**8, 33)
     ts = t_grid.tolist()
     mids = [float(0.5 * (t_grid[j] + t_grid[j + 1])) for j in range(t_grid.size - 1)]
@@ -797,40 +751,50 @@ def _k_properties(
     mins = np.minimum(1.0, t_grid)
     for start in range(0, n_pairs, _PAIR_BLOCK):
         block = range(start, min(start + _PAIR_BLOCK, n_pairs))
-        try:
-            pairs, table = _k_block(records, block, ts, table_ts)
-        except (ValueError, ArithmeticError):
-            for i in block:  # raises at the first failing pair
-                _k_block(records, range(i, i + 1), ts, table_ts)
-            raise
-        k1, cap = table[:, :1], np.array([[pair.cap] for pair in pairs])
-        ks, mid = table[:, 1 : 1 + len(ts)], table[:, 1 + len(ts) :]
-        over_t = ks / t_grid
-        grid_checks = (
-            ("monotone", np.diff(ks) < -slack * ks[:, :-1]),
-            ("k_over_t", np.diff(over_t) > slack * over_t[:, :-1]),
-            ("concavity", mid < 0.5 * (ks[:, :-1] + ks[:, 1:]) * (1.0 - slack)),
-            ("sandwich_lower", ks < mins * k1 * (1.0 - slack)),
-            ("sandwich_upper", ks > mins * cap * (1.0 + slack)),
+        t, oracle, cap, sum_stars = [], [], [], []
+        for i in block:  # what can raise, in pair order
+            m = records[i % n]
+            t.append(ts[i % len(ts)])
+            oracle.append(k_upper_oracle(m.fs, t[-1], _L1_LINF))
+            cap.append(max(m.norm(_L1_LINF.params0), m.norm(_L1_LINF.params1)))
+            sum_stars.append((m.f + records[(i + 1) % n].f).rearrange())
+        members = [records[i % n] for i in range(block.start, block.stop + 1)]
+        ks = _k_l1_linf_block(
+            [m.fs for m in members] + sum_stars, [table_ts] * len(members) + [[x] for x in t]
         )
-        failed = [(check, bad.any(axis=1)) for check, bad in grid_checks]
-        for j, pair in enumerate(pairs):
-            f, t, k_exact = pair.f, pair.t, pair.k
-            if abs(k_exact - pair.k_oracle) > oracle_tol * max(1.0, k_exact):
-                scan.violation(
-                    check="oracle", function=f.to_dict(), t=t, exact=k_exact, oracle=pair.k_oracle
-                )
-            for check, bad in failed:
-                if bad[j]:
-                    scan.violation(check=check, function=f.to_dict())
-            k_sum = pair.k_sum
-            if k_sum > k_exact + pair.k_g + slack * max(1.0, k_sum):
-                scan.violation(check="subadditivity", function=f.to_dict(), t=t)
-            r = pair.ratio
-            if r is not None:
-                scan.observe(r, r)
-                if not (1.0 - slack) <= r <= 2.0 * (1.0 + slack):
-                    scan.violation(check="holmstedt_ratio", function=f.to_dict(), t=t, ratio=r)
+        table = ks[: len(members) * len(table_ts)].reshape(len(members), len(table_ts))
+        k_sum = ks[table.size :]
+        j = np.arange(len(block))
+        col = 1 + (j + block.start) % len(ts)  # t's column: table_ts is [1.0, *ts, *mids]
+        k, k_g = table[j, col], table[j + 1, col]
+        exact = k.tolist()
+        ratio = []
+        for m, x, kf in zip(members, t, exact):
+            ratio.append(_holmstedt_sum(m.fs, x, _L1_LINF, 1.0, kf) / kf if kf > 0.0 else None)
+            if ratio[-1] is not None:
+                scan.observe(ratio[-1], ratio[-1])
+        k1, kt, mid = table[:-1, :1], table[:-1, 1 : 1 + len(ts)], table[:-1, 1 + len(ts) :]
+        over_t = kt / t_grid
+        with np.errstate(invalid="ignore"):  # inf - inf compares as no violation
+            checks = (
+                ("oracle", np.abs(k - oracle) > oracle_tol * np.maximum(1.0, k), ("t", "exact", "oracle")),
+                ("monotone", (np.diff(kt) < -slack * kt[:, :-1]).any(axis=1), ()),
+                ("k_over_t", (np.diff(over_t) > slack * over_t[:, :-1]).any(axis=1), ()),
+                ("concavity", (mid < 0.5 * (kt[:, :-1] + kt[:, 1:]) * (1.0 - slack)).any(axis=1), ()),
+                ("sandwich_lower", (kt < mins * k1 * (1.0 - slack)).any(axis=1), ()),
+                ("sandwich_upper", (kt > mins * np.array(cap)[:, None] * (1.0 + slack)).any(axis=1), ()),
+                ("subadditivity", k_sum > k + k_g + slack * np.maximum(1.0, k_sum), ("t",)),
+                (
+                    "holmstedt_ratio",
+                    [r is not None and not (1.0 - slack) <= r <= 2.0 * (1.0 + slack) for r in ratio],
+                    ("t", "ratio"),
+                ),
+            )
+        fields = {"t": t, "exact": exact, "oracle": oracle, "ratio": ratio}
+        for p, m in enumerate(members[:-1]):
+            for check, bad, names in checks:
+                if bad[p]:
+                    scan.violation(check=check, function=m.f.to_dict(), **{x: fields[x][p] for x in names})
     return scan.report(
         "kprops", f"couple={_L1_LINF},pairs={n_pairs}", size=n_pairs
     )

@@ -87,8 +87,9 @@ def lorentz_norm(f: StepFunction, params: LorentzParams) -> float:
     again for ``f`` scaled by a power of two (``||c f|| = c ||f||``); that
     result may differ from exact arithmetic in its last bits.  A norm beyond
     the largest float raises ``ValueError``, and so does one whose smaller
-    terms would fall below the float range at that scale, or a sup form
-    whose weight ``b**(1/p)`` passes the largest float.
+    terms would fall below the float range at that scale, a sup form
+    whose weight ``b**(1/p)`` passes the largest float, or an integral that
+    floating point gives as NaN.
     """
     fs = f.rearrange()
     if fs.is_zero:
@@ -111,6 +112,8 @@ def lorentz_norm(f: StepFunction, params: LorentzParams) -> float:
         val = weighted_power_integral(fs, q / p, q, 0.0, INF)
     except OverflowError:
         val = INF
+    if math.isnan(val):  # a piece integral whose parts left the float range
+        raise ValueError(_NORM_UNRESOLVED)
     if val == INF:
         # with q/p > 0 only a positive tail diverges; otherwise the sum overflowed
         return INF if fs.tail > 0.0 else _rescaled_norm(fs, q / p, q)

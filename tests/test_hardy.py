@@ -476,11 +476,20 @@ class TestOverflow:
         with pytest.raises(ValueError, match="the envelope norm overflows the float range"):
             envelope_norm(env, LorentzParams(0.5, INF))
         assert envelope_norm(env, LorentzParams(1.0, INF)).hi < INF
+        # and where the head term itself, 1e180 * grid[0]**1.5, passes it
+        env = hardy_lower(StepFunction((1e100,), (1e130,)), 2.0, INF)
+        with pytest.raises(ValueError, match="the envelope norm overflows the float range"):
+            envelope_norm(env, LorentzParams(0.5, INF))
 
     def test_divergent_norm_is_still_infinite(self):
         # a positive tail makes the tail term of H^(1,1) f diverge in L(2,2)
         env = hardy_upper(StepFunction((1e200,), (2.0,), 1.0), 1.0, 1.0)
         enc = envelope_norm(env, LorentzParams(2.0, 2.0))
+        assert (enc.lo, enc.hi) == (INF, INF)
+        # t**2 times the 1/t tail of H^(1,1) f is unbounded in L(1/2, inf);
+        # that the head term 1e130 * grid[0]**2 overflows does not hide it
+        env = hardy_upper(StepFunction((1e100,), (1e130,)), 1.0, 1.0)
+        enc = envelope_norm(env, LorentzParams(0.5, INF))
         assert (enc.lo, enc.hi) == (INF, INF)
 
     def test_diverged_lower_average_is_not_an_overflow(self):

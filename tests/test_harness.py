@@ -234,7 +234,7 @@ _K_CORPORA = {"default": {}, "dyadic": {"dyadic": True}, "positive-tail": {"posi
 class TestBatchedKBattery:
     """The batched K battery against the pair-by-pair loop in conftest, byte for byte."""
 
-    @pytest.fixture(params=[None, 7], ids=["one-block", "blocks-of-7"])
+    @pytest.fixture(params=[None, 1, 7], ids=["one-block", "blocks-of-1", "blocks-of-7"])
     def pair_block(self, request, monkeypatch):
         if request.param is not None:
             monkeypatch.setattr(harness, "_PAIR_BLOCK", request.param)
@@ -267,7 +267,7 @@ class TestBatchedKBattery:
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     @pytest.mark.parametrize("order", ["norm-first", "sum-first", "same-pair"])
-    def test_first_exception_matches_the_pair_loop(self, pair_block, order):
+    def test_first_exception_matches_the_pair_loop(self, pair_block, monkeypatch, order):
         # huge's L_1 norm overflows (raised at the norms of its pair); b + c
         # overflows (raised at K of f + g in b's pair); in b2's pair both
         # would raise, and the norms come first
@@ -281,6 +281,9 @@ class TestBatchedKBattery:
             "same-pair": ([b2, c], []),
         }[order]
         corpus = base[:11] + first + base[11:] + second
+        calls = []
+        kernel = harness._k_l1_linf_block
+        monkeypatch.setattr(harness, "_k_l1_linf_block", lambda *args: calls.append(1) or kernel(*args))
         messages = []
         for driver in (verify_k_properties, loop_verify_k_properties):
             with pytest.raises(ValueError) as info:
@@ -288,6 +291,9 @@ class TestBatchedKBattery:
             messages.append(str(info.value))
         assert messages[0] == messages[1]
         assert ("Lorentz norm" in messages[0]) == (order != "sum-first")
+        # pair 11 raises in its block's pair loop, before that block's one
+        # kernel call; every block before it made its call
+        assert len(calls) == 11 // harness._PAIR_BLOCK
 
 
 class TestReports:
