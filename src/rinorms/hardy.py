@@ -47,7 +47,7 @@ import numpy as np
 
 from .enclosure import Enclosure
 from .lorentz import LorentzParams, SpaceDescriptor, _check_exponent
-from .stepfn import INF, StepFunction, _power_integral_array, power_integral
+from .stepfn import INF, StepFunction, _power_integral, _power_integral_array
 
 __all__ = [
     "PowerLaw",
@@ -648,11 +648,19 @@ def _scale_block(env: MonotoneEnvelope, d: float) -> MonotoneEnvelope:
 
 
 def _law_norm_term(coef: float, decay: float, gamma: float, q: float, lo: float, hi: float) -> float:
-    """``integral_lo^hi t**(gamma-1) (coef * t**-decay)**q dt`` (extended real)."""
+    """``integral_lo^hi t**(gamma-1) (coef * t**-decay)**q dt`` over a head
+    ``(0, hi]`` or a tail ``(lo, inf)``: ``inf`` where it diverges, and an
+    ``OverflowError`` where a finite value passes the largest float.
+    """
     if coef == 0.0:
         return 0.0
-    part = power_integral(gamma - q * decay, lo, hi)
-    return INF if part == INF else coef**q * part
+    alpha = gamma - q * decay
+    if (alpha <= 0.0) if lo == 0.0 else (alpha >= 0.0):  # the head or the tail diverges
+        return INF
+    term = coef**q * _power_integral(alpha, lo, hi)
+    if term == INF:
+        raise OverflowError("the integral of a head or tail law overflows")
+    return term
 
 
 def _law_sup_term(coef: float, decay: float, beta_p: float, end: float) -> float:
@@ -762,9 +770,9 @@ def _norm_block(env: MonotoneEnvelope, params: LorentzParams) -> list[Enclosure]
                     if s < INF:
                         s += float(terms[side][col][goff[i] : goff[i + 1] - 1].sum())
                         end = _law_norm_term(t_c[i], t_d[i], gamma, q, gm[i], INF)
+                        s += end
                         if not s < INF and end < INF:
                             raise ValueError(_NORM_OVERFLOW)
-                        s += end
                     norms.append(s ** (1.0 / q) if s < INF else INF)
                 elif h_c[i] and h_d[i] > beta_p or t_c[i] and t_d[i] < beta_p:
                     norms.append(INF)  # t**beta_p times the head or the tail law is unbounded

@@ -57,8 +57,7 @@ from .lorentz import (
 from .stepfn import (
     INF,
     StepFunction,
-    _power_integral_array,
-    _power_parts,
+    _power_integral,
     weighted_power_integral,
 )
 
@@ -219,15 +218,13 @@ def _weights(fs: StepFunction, params: LorentzParams) -> list[float] | None:
         with np.errstate(over="ignore"):
             return [*(np.asarray(bps, dtype=float) ** (1.0 / p)).tolist(), INF]
     alpha = q / p
-    try:
-        return [*_power_parts(alpha, [0.0, *bps][:-1], bps), INF]
-    except OverflowError:
-        b = np.asarray(bps, dtype=float)
-        w = np.full(b.size + 1, INF)
-        with np.errstate(over="ignore"):
-            w[0] = b[0] ** alpha / alpha
-            w[1:-1] = _power_integral_array(alpha, b[:-1], b[1:])
-        return w.tolist()
+    weights = []
+    for lo, hi in zip((0.0, *bps), bps):
+        try:
+            weights.append(_power_integral(alpha, lo, hi))
+        except OverflowError:
+            weights.append(INF)
+    return [*weights, INF]
 
 
 # The two truncation costs at a level lam, from the values v_0 > v_1 > ...

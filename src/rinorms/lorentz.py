@@ -24,7 +24,7 @@ from itertools import chain, repeat
 from operator import mul
 from typing import Iterable, Sequence
 
-from .stepfn import INF, StepFunction, _nonzero_pieces, _power_parts, weighted_power_integral
+from .stepfn import INF, StepFunction, _nonzero_pieces, _power_integral, weighted_power_integral
 
 __all__ = [
     "LorentzParams",
@@ -137,7 +137,7 @@ def _rescaled_norm(fs: StepFunction, gamma: float, q: float) -> float:
     """
     try:
         vals, los, his = _nonzero_pieces(fs)
-        terms = list(zip(vals, _power_parts(gamma, los, his)))
+        terms = [(v, _power_integral(gamma, lo, hi)) for v, lo, hi in zip(vals, los, his)]
         k = math.ceil(max(q * math.log2(v) + math.log2(max(part, _TINY)) for v, part in terms) / q)
         if k > 1025:  # the largest term alone makes the norm exceed 2**(k-1)
             raise ValueError(_NORM_OVERFLOW)

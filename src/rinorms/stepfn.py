@@ -21,7 +21,7 @@ import operator
 import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import chain, compress, repeat
+from itertools import chain, compress
 
 import numpy as np
 
@@ -89,15 +89,32 @@ def power_integral(alpha: float, lo: float, hi: float) -> float:
         raise ValueError(f"need 0 <= lo <= hi, got [{lo}, {hi}]")
     if lo == hi:
         return 0.0
+    return _power_integral(alpha, lo, hi)
+
+
+def _power_integral(alpha: float, lo: float, hi: float) -> float:
+    """:func:`power_integral` without its argument checks, for a piece
+    ``0 <= lo < hi <= inf`` of a step function.
+
+    When ``hi / lo`` passes the largest float, the log ratio is a
+    difference of logs, and for ``alpha > 0`` the integral is anchored at
+    ``hi**alpha``, so that it overflows only where its value does.
+    """
     if lo == 0.0:
         if hi == INF:
             return INF
         return hi**alpha / alpha if alpha > 0.0 else INF
     if hi == INF:
         return -(lo**alpha) / alpha if alpha < 0.0 else INF
+    ratio = hi / lo
+    if ratio == INF:  # kept off the common path, whose bits it leaves alone
+        d = math.log(hi) - math.log(lo)
+        if alpha > 0.0:
+            return hi**alpha * -math.expm1(-alpha * d) / alpha
+        return d if alpha == 0.0 else lo**alpha * math.expm1(alpha * d) / alpha
     if alpha == 0.0:
-        return math.log(hi / lo)
-    return lo**alpha * math.expm1(alpha * math.log(hi / lo)) / alpha
+        return math.log(ratio)
+    return lo**alpha * math.expm1(alpha * math.log(ratio)) / alpha
 
 
 def _power_integral_array(alpha: float, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -474,34 +491,6 @@ def _nonzero_pieces(f: StepFunction, a: float = 0.0, b: float = INF) -> tuple[li
     return vals, los, his
 
 
-def _power_parts(alpha: float, los: list, his: list):
-    """``power_integral(alpha, lo, hi)`` of each piece, lazily and in piece order.
-
-    A piece inside ``(0, inf)`` takes the finite-interval formula of
-    :func:`power_integral` as a chain of ``map`` calls over ``math.log``,
-    ``math.expm1``, ``pow``, ``mul`` and ``truediv``: the same libm calls
-    and float operations in the same order, so every part is bit-identical
-    to it.  A piece from 0 or to ``inf`` goes through :func:`power_integral`
-    itself.  A piece is evaluated only when it is consumed (the one from 0,
-    which comes first, at once), so a caller that stops at an infinite part
-    raises no ``OverflowError`` of a later piece.
-    """
-    n = len(los)
-    i = 1 if n and los[0] == 0.0 else 0
-    j = max(i, n - 1 if n and his[-1] == INF else n)
-    lo, hi = (los, his) if i == 0 and j == n else (los[i:j], his[i:j])
-    a = repeat(alpha)
-    parts = map(math.log, map(operator.truediv, hi, lo))
-    if alpha != 0.0:
-        grown = map(math.expm1, map(operator.mul, a, parts))
-        parts = map(operator.truediv, map(operator.mul, map(pow, lo, a), grown), a)
-    if i:
-        parts = chain((power_integral(alpha, 0.0, his[0]),), parts)
-    if j < n:
-        parts = chain(parts, map(power_integral, a, los[j:], his[j:]))
-    return parts
-
-
 def weighted_power_integral(
     f: StepFunction, gamma: float, w: float, a: float = 0.0, b: float = INF
 ) -> float:
@@ -512,13 +501,11 @@ def weighted_power_integral(
     contribute (the integrand vanishes identically there), so ``0 * inf``
     cannot arise.
 
-    The parts come lazily from :func:`_power_parts`, the float operations of
-    :func:`power_integral`, and are added in piece order in a plain loop
-    (``sum()`` compensates from Python 3.12 on), so the value is the same
-    float as adding the terms of a per-piece :func:`power_integral` loop.
-    The first infinite part returns ``inf`` before any later piece is
-    evaluated, and an ``OverflowError`` is raised at the piece where that
-    loop raises it.
+    The terms are added in piece order in a plain loop (``sum()``
+    compensates from Python 3.12 on), so the value is the same float as
+    adding the terms of a per-piece :func:`power_integral` loop.  The first
+    infinite part returns ``inf`` before any later piece is evaluated, and
+    an ``OverflowError`` is raised at the piece where that loop raises it.
     """
     gamma = _as_float(gamma, "gamma")
     w = _as_float(w, "w")
@@ -530,7 +517,8 @@ def weighted_power_integral(
         raise ValueError(f"need 0 <= a < b <= inf, got ({a}, {b})")
     vals, los, his = _nonzero_pieces(f, a, b)
     total = 0.0
-    for v, part in zip(vals, _power_parts(gamma, los, his)):
+    for v, lo, hi in zip(vals, los, his):
+        part = _power_integral(gamma, lo, hi)
         if part == INF:
             return INF
         total += v**w * part

@@ -598,8 +598,13 @@ def _ref_law_norm_term(law, gamma, q, lo, hi):
     coef, decay = law
     if coef == 0.0:
         return 0.0
-    part = power_integral(gamma - q * decay, lo, hi)
-    return INF if part == INF else coef**q * part
+    alpha = gamma - q * decay
+    if (alpha <= 0.0) if lo == 0.0 else (alpha >= 0.0):  # a divergent head or tail
+        return INF
+    term = coef**q * power_integral(alpha, lo, hi)
+    if term == INF:
+        raise OverflowError("a finite head or tail term overflows")
+    return term
 
 
 def _ref_law_sup_term(law, beta_p, lo, hi):
@@ -647,18 +652,19 @@ def ref_envelope_norm(env: MonotoneEnvelope, params) -> Enclosure:
                 t2 = const**q * _power_integral_array(gamma, cross, b)
             return float(np.sum(np.where(const + power > 0.0, t1 + t2, 0.0)))
 
-        s_hi = _ref_law_norm_term(head_hi, gamma, q, 0.0, float(g[0]))
-        s_lo = _ref_law_norm_term(head_lo, gamma, q, 0.0, float(g[0]))
-        if s_hi < INF:
-            s_hi += interval_sum(c_hi, pw_hi if beta is not None else None, upper=True)
-        if s_lo < INF:
-            s_lo += interval_sum(c_lo, pw_lo if beta is not None else None, upper=False)
-        if s_hi < INF:
-            s_hi += _ref_law_norm_term(tail_hi, gamma, q, float(g[-1]), INF)
-        if s_lo < INF:
-            s_lo += _ref_law_norm_term(tail_lo, gamma, q, float(g[-1]), INF)
-        lo = s_lo ** (1.0 / q) if s_lo < INF else INF
-        hi = s_hi ** (1.0 / q) if s_hi < INF else INF
+        def side_norm(head, tail, const, power, upper):
+            s = _ref_law_norm_term(head, gamma, q, 0.0, float(g[0]))
+            if not s < INF:
+                return INF
+            s += interval_sum(const, power, upper)
+            end = _ref_law_norm_term(tail, gamma, q, float(g[-1]), INF)
+            s += end
+            if not s < INF and end < INF:  # a divergent tail is the only infinite sum
+                raise OverflowError("a finite norm overflows")
+            return s ** (1.0 / q) if s < INF else INF
+
+        hi = side_norm(head_hi, tail_hi, c_hi, pw_hi if beta is not None else None, upper=True)
+        lo = side_norm(head_lo, tail_lo, c_lo, pw_lo if beta is not None else None, upper=False)
     else:
         beta_p = 0.0 if p == INF else 1.0 / p
         sup_b = b**beta_p

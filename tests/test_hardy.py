@@ -481,6 +481,18 @@ class TestOverflow:
         with pytest.raises(ValueError, match="the envelope norm overflows the float range"):
             envelope_norm(env, LorentzParams(0.5, INF))
 
+    def test_overflowed_law_terms_are_not_a_divergence(self):
+        # the L(2,2) norm of H^(1,1) f is at most 2 ||f|| = 2e180, but its
+        # head term, 1e260 * grid[0], passes the largest float
+        env = hardy_upper(StepFunction((1e100,), (1e130,)), 1.0, 1.0)
+        with pytest.raises(ValueError, match="the envelope norm overflows the float range"):
+            envelope_norm(env, LorentzParams(2.0, 2.0))
+        # in L(1.01, 2) the head and interval terms (about 12 c**2) and the
+        # tail term (about 38 c**2) are finite; only their sum overflows
+        env = hardy_upper(StepFunction((1.0,), (2e153,)), 1.0, 1.0)
+        with pytest.raises(ValueError, match="the envelope norm overflows the float range"):
+            envelope_norm(env, LorentzParams(1.01, 2.0))
+
     def test_divergent_norm_is_still_infinite(self):
         # a positive tail makes the tail term of H^(1,1) f diverge in L(2,2)
         env = hardy_upper(StepFunction((1e200,), (2.0,), 1.0), 1.0, 1.0)

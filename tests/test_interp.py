@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rinorms import (
@@ -30,8 +30,8 @@ from rinorms import (
     lorentz_norm,
     min_power_norm_finite,
     interp,
+    power_integral,
     select_parameters,
-    stepfn,
     weighted_power_integral,
 )
 from rinorms.lorentz import _NORM_UNRESOLVED
@@ -217,6 +217,15 @@ class TestOracleAgainstLoopReference:
         st.one_of(st.none(), st.lists(st.floats(0.0, 2.0**9), min_size=1, max_size=12)),
     )
     @settings(max_examples=300, deadline=None)
+    @example(  # hi / lo overflows on the second piece of f*, whose L(4, 0.5) weight is finite
+        StepFunction(
+            (1.3850779625197533e-264, 2.305842330918357e44, 5.559295189487001e182),
+            (7.926856530984124e199, 0.0, 4.763292485221007e199),
+        ),
+        1.0,
+        _ORACLE_COUPLES[3],
+        [1.0],
+    )
     @pytest.mark.filterwarnings("error::RuntimeWarning")  # numpy overflow is silenced, never shown
     def test_matches_reference_at_the_edges(self, f, t, couple, levels):
         try:
@@ -308,13 +317,22 @@ class TestOracleAgainstLoopReference:
         ids=str,
     )
     def test_weight_past_the_float_range(self, couple, want):
-        # p = 0.5: the weight of (1, 1e200] is about 1e400 / 2; the map
-        # chain raises OverflowError there, and the weight counts as inf
+        # p = 0.5: the weight of (1, 1e200] is about 1e400 / 2; the kernel
+        # raises OverflowError there, and the weight counts as inf
         f = StepFunction((1.0, 1e200), (3.0, 2.0))
         with pytest.raises(OverflowError):
-            list(stepfn._power_parts(2.0, [0.0, 1.0], [1.0, 1e200]))
+            power_integral(2.0, 1.0, 1e200)
         assert k_upper_oracle(f, 0.75, couple) == want
         assert k_upper_oracle(f, 0.75, couple, [0.0, 2.0, 3.0]) == want
+
+    def test_one_overflowing_weight_leaves_the_others_bits(self):
+        # in L(0.5, 1) the last of 400 pieces, (about 1e6, 1e200], has a
+        # weight of about 1e400 / 2; every other weight is the kernel's
+        rng = np.random.default_rng(21)
+        bps = (*np.unique(rng.uniform(1.0, 1e6, 400)).tolist(), 1e200)
+        fs = StepFunction(bps, tuple(np.linspace(2.0, 1.0, len(bps)).tolist()))
+        want = [power_integral(2.0, lo, hi) for lo, hi in zip((0.0, *bps), bps[:-1])]
+        assert interp._weights(fs, LorentzParams(0.5, 1.0)) == [*want, INF, INF]
 
 
 class TestOracleLevelCut:
@@ -517,11 +535,11 @@ class TestPrefixTableK:
 
     def test_tail_and_overflow_branches(self):
         # past the last breakpoint a positive tail keeps adding; on WIDE
-        # only the piecewise integral overflows, through hi / lo
+        # hi / lo overflows, and the integral is anchored at hi
         f = StepFunction((1.0, 2.0), (3.0, 2.0), 0.5)
         assert interp._k_l1_linf(f, [4.0, 0.5, 2.0]) == [3.0 + 2.0 + 1.0, 1.5, 5.0]
         assert interp._k_l1_linf(WIDE, [2.0**999, 2.0**1001]) == [2.0**999, 2.0**1000]
-        assert weighted_power_integral(WIDE, 1.0, 1.0, 0.0, 2.0**999) == INF
+        assert weighted_power_integral(WIDE, 1.0, 1.0, 0.0, 2.0**999) == 2.0**999
         # a sum past the largest float is inf
         big = StepFunction((2.0,), (_MAX_FLOAT,))
         assert interp._k_l1_linf(big, [0.5, 1.0, 1.5]) == [_MAX_FLOAT / 2.0, _MAX_FLOAT, INF]
