@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import sys
 
@@ -304,8 +305,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built on the first call to main, not at import: parsing leaves the parser
+# as it was, so one process reuses it for every query
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except ValueError as e:

@@ -369,10 +369,13 @@ def _single_eval(blk: _Block, evaluate, const: float | None):
         return None
     if const is not None:
         return lambda t: np.full(np.shape(t), const)
+    # the breakpoints, not the block: a block keeps its envelopes, and an
+    # envelope that kept its block would be freed only by the cyclic GC
+    bp = blk.bp
 
     def eval_at(t):
         t = np.asarray(t, dtype=float)
-        return evaluate(t, np.searchsorted(blk.bp, t, side="left"))
+        return evaluate(t, np.searchsorted(bp, t, side="left"))
 
     return eval_at
 
@@ -753,42 +756,42 @@ def _norm_block(env: MonotoneEnvelope, params: LorentzParams) -> list[Enclosure]
                 pow_sup = np.where(sup_pow_exp >= 0.0, b**sup_pow_exp, a**sup_pow_exp)
                 maxima[0][1] = _segment_max(np.minimum(mid_hi, pw_hi * pow_sup), env.goff)
                 maxima[1][1] = _segment_max(np.maximum(mid_lo, pw_lo * pow_sup), env.goff)
-
-    out = []
-    try:
-        for i, (diverged, flat) in enumerate(zip(env.diverged.tolist(), env.flat.tolist())):
-            if diverged:
-                out.append(Enclosure(INF, INF))
-                continue
-            col = 0 if beta is None or flat else 1
-            norms = []
-            for side, (h_c, h_d), (t_c, t_d) in ((0, head_hi, tail_hi), (1, head_lo, tail_lo)):
-                # an interval term bounds a finite function on a finite
-                # interval: it is inf only where numpy overflowed it
-                if q < INF:
-                    s = _law_norm_term(h_c[i], h_d[i], gamma, q, 0.0, g0[i])
-                    if s < INF:
-                        s += float(terms[side][col][goff[i] : goff[i + 1] - 1].sum())
-                        end = _law_norm_term(t_c[i], t_d[i], gamma, q, gm[i], INF)
-                        s += end
-                        if not s < INF and end < INF:
-                            raise ValueError(_NORM_OVERFLOW)
-                    norms.append(s ** (1.0 / q) if s < INF else INF)
-                elif h_c[i] and h_d[i] > beta_p or t_c[i] and t_d[i] < beta_p:
-                    norms.append(INF)  # t**beta_p times the head or the tail law is unbounded
-                else:
-                    n = max(
-                        _law_sup_term(h_c[i], h_d[i], beta_p, g0[i]), _law_sup_term(t_c[i], t_d[i], beta_p, gm[i])
-                    )
-                    if goff[i + 1] - goff[i] > 1:
-                        top = maxima[side][col][i]
-                        if top == INF:
-                            raise ValueError(_NORM_OVERFLOW)
-                        n = max(n, top)
-                    norms.append(n)
-            out.append(Enclosure(min(norms), norms[0]))
-    except ArithmeticError as err:  # a descriptor term such as coef**q
-        raise ValueError(_NORM_OVERFLOW) from err
+        # the per-member sums overflow only where a norm does, which raises
+        out = []
+        try:
+            for i, (diverged, flat) in enumerate(zip(env.diverged.tolist(), env.flat.tolist())):
+                if diverged:
+                    out.append(Enclosure(INF, INF))
+                    continue
+                col = 0 if beta is None or flat else 1
+                norms = []
+                for side, (h_c, h_d), (t_c, t_d) in ((0, head_hi, tail_hi), (1, head_lo, tail_lo)):
+                    # an interval term bounds a finite function on a finite
+                    # interval: it is inf only where numpy overflowed it
+                    if q < INF:
+                        s = _law_norm_term(h_c[i], h_d[i], gamma, q, 0.0, g0[i])
+                        if s < INF:
+                            s += float(terms[side][col][goff[i] : goff[i + 1] - 1].sum())
+                            end = _law_norm_term(t_c[i], t_d[i], gamma, q, gm[i], INF)
+                            s += end
+                            if not s < INF and end < INF:
+                                raise ValueError(_NORM_OVERFLOW)
+                        norms.append(s ** (1.0 / q) if s < INF else INF)
+                    elif h_c[i] and h_d[i] > beta_p or t_c[i] and t_d[i] < beta_p:
+                        norms.append(INF)  # t**beta_p times the head or the tail law is unbounded
+                    else:
+                        n = max(
+                            _law_sup_term(h_c[i], h_d[i], beta_p, g0[i]), _law_sup_term(t_c[i], t_d[i], beta_p, gm[i])
+                        )
+                        if goff[i + 1] - goff[i] > 1:
+                            top = maxima[side][col][i]
+                            if top == INF:
+                                raise ValueError(_NORM_OVERFLOW)
+                            n = max(n, top)
+                        norms.append(n)
+                out.append(Enclosure(min(norms), norms[0]))
+        except ArithmeticError as err:  # a descriptor term such as coef**q
+            raise ValueError(_NORM_OVERFLOW) from err
     return out
 
 

@@ -133,10 +133,11 @@ def _rescaled_norm(fs: StepFunction, gamma: float, q: float) -> float:
     (``_SUB_ERR`` for a power or an integral, more when the scaled value is
     below it too).  When these errors could reach the last bit of the sum,
     or an integral over a piece overflows, the norm is refused rather than
-    returned wrong.
+    returned wrong; refused as beyond the float range when the log2 of its
+    largest term already is.
     """
+    vals, los, his = _nonzero_pieces(fs)
     try:
-        vals, los, his = _nonzero_pieces(fs)
         terms = [(v, _power_integral(gamma, lo, hi)) for v, lo, hi in zip(vals, los, his)]
         k = math.ceil(max(q * math.log2(v) + math.log2(max(part, _TINY)) for v, part in terms) / q)
         if k > 1025:  # the largest term alone makes the norm exceed 2**(k-1)
@@ -153,13 +154,29 @@ def _rescaled_norm(fs: StepFunction, gamma: float, q: float) -> float:
             if part < _TINY:
                 lost += x * _SUB_ERR
     except OverflowError:
-        raise ValueError(_NORM_UNRESOLVED) from None
+        top = max(math.log2(v) + _log2_power_integral(gamma, lo, hi) / q for v, lo, hi in zip(vals, los, his))
+        raise ValueError(_NORM_OVERFLOW if top >= 1024.0 else _NORM_UNRESOLVED) from None
     if not lost <= total * 2.0**-53 or total < _TINY:
         raise ValueError(_NORM_UNRESOLVED)
     try:
         return math.ldexp(total ** (1.0 / q), k)
     except OverflowError:
         raise ValueError(_NORM_OVERFLOW) from None
+
+
+def _log2_power_integral(alpha: float, lo: float, hi: float) -> float:
+    """``log2`` of ``power_integral(alpha, lo, hi)`` for ``alpha > 0`` and a
+    piece ``0 <= lo < hi < inf``, where the integral itself may overflow.
+
+    The integral is ``hi**alpha * (1 - (lo/hi)**alpha) / alpha``; ``-inf``
+    where the last factor underflows.
+    """
+    shrink = 1.0
+    if lo:
+        ratio = hi / lo
+        d = math.log(ratio) if ratio < INF else math.log(hi) - math.log(lo)
+        shrink = -math.expm1(-alpha * d)
+    return alpha * math.log2(hi) - math.log2(alpha) + (math.log2(shrink) if shrink else -INF)
 
 
 def _weighted_sup(fs: StepFunction, expo: float, lo: float = 0.0, hi: float = INF) -> float:

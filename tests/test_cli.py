@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import rinorms
-from rinorms import GridSpec, StepFunction, hardy_lower, hardy_upper
+from rinorms import GridSpec, StepFunction, cli, hardy_lower, hardy_upper
 from rinorms.cli import main
 
 from conftest import envelope_lower, envelope_upper
@@ -500,3 +500,19 @@ class TestGoldenOutputs:
             code, out = run_cli(capsys, *argv, "--input", str(src))
             assert code == 0
             assert hashlib.sha256(out.encode()).hexdigest() == self.DIGESTS[kind, name], name
+
+
+class TestParserReuse:
+    def test_a_rejected_argv_leaves_the_shared_parser_as_it_was(self, capsys, tmp_path):
+        src = tmp_path / "f.json"
+        TestGoldenOutputs.write_function(src, "shuffled-tail")
+        good = ["hardy", "--input", str(src), "--U", "1", "--p", "2", "--q", "2"]
+        cli._parser.cache_clear()
+        first = run_cli(capsys, *good)  # builds the parser
+        with pytest.raises(SystemExit) as exc:
+            main(["hardy", "--input", str(src), "--grid-per-decade", "8", "--U", "1", "--W", "-1"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert run_cli(capsys, *good) == first
+        assert cli._parser() is cli._parser()
+        assert cli.build_parser() is not cli.build_parser()

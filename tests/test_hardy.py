@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import gc
 import math
 import re
 import warnings
@@ -20,6 +21,7 @@ from rinorms import (
     SpaceDescriptor,
     StepFunction,
     envelope_norm,
+    functor_norm,
     hardy_lower,
     hardy_upper,
     predicted_bounded,
@@ -493,6 +495,13 @@ class TestOverflow:
         with pytest.raises(ValueError, match="the envelope norm overflows the float range"):
             envelope_norm(env, LorentzParams(1.01, 2.0))
 
+    def test_overflowing_interval_sum_raises_without_a_warning(self):
+        # the interval terms square values near 1.2e154 past the largest float
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy RuntimeWarning may escape
+            with pytest.raises(ValueError, match="the envelope norm overflows the float range"):
+                envelope_norm(hardy_upper(StepFunction((1.0,), (1.2e154,)), 1, 1), LorentzParams(2.0, 2.0))
+
     def test_divergent_norm_is_still_infinite(self):
         # a positive tail makes the tail term of H^(1,1) f diverge in L(2,2)
         env = hardy_upper(StepFunction((1e200,), (2.0,), 1.0), 1.0, 1.0)
@@ -507,6 +516,32 @@ class TestOverflow:
     def test_diverged_lower_average_is_not_an_overflow(self):
         f = StepFunction((1.0,), (1e200,), 1.0)
         assert hardy_lower(f, 2.0, 2.0).diverged
+
+
+class TestReferenceCycles:
+    def test_queries_leave_nothing_for_the_cyclic_collector(self):
+        # a block keeps its envelopes, so an envelope's evaluator must not
+        # keep its block: what a query builds is freed when it returns
+        rng = np.random.default_rng(3)
+        n = 10_000
+        f = StepFunction(
+            tuple(np.cumsum(rng.uniform(2.0**-10, 2.0**-2, n)).tolist()),
+            tuple(np.exp(rng.uniform(-6.0, 6.0, n)).tolist()),
+        )
+        queries = {
+            "hardy_upper": lambda: hardy_upper(f, 1.0, 1.0),
+            "hardy_lower": lambda: hardy_lower(f, 2.0, 1.0),
+            "envelope_norm": lambda: envelope_norm(hardy_upper(f, 1.0, 1.0), LorentzParams(2.0, 2.0)),
+            "functor_norm": lambda: functor_norm(f, *FUNCTORS[1]),
+        }
+        gc.collect()
+        gc.disable()
+        try:
+            for name, query in queries.items():
+                query()
+                assert gc.collect() == 0, name
+        finally:
+            gc.enable()
 
 
 # Step functions; zero, constant and positive-tail ones are among them.

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rinorms import INF, StepFunction, power_integral, weighted_power_integral
-from rinorms.stepfn import _LEVEL_SET_ARRAY_MIN
+from rinorms.stepfn import _LEVEL_SET_ARRAY_MIN, _json_number
 
 from conftest import (
     edge_step_functions,
@@ -572,6 +572,80 @@ class TestJson:
         with pytest.raises(ValueError) as e:
             StepFunction.from_json(payload)
         assert str(e.value) == message
+
+
+# one-entry faults: each sets a drawn entry of a drawn field to one of these
+_ENTRY_FAULTS = {
+    "nan": [math.nan],
+    "infinity": [math.inf, -math.inf],
+    "negative": [-1.0, -2.0**-1074],
+    "bool": [True, False],
+    "string": ["1.0"],
+    "null": [None],
+    "int": [0, 3],  # a valid entry, through the mixed-type path
+    "huge-int": [10**400],
+}
+# the other faults; the last three are valid, merged or absorbed
+_SHAPE_FAULTS = ["none", "length", "zero-breakpoint", "non-increasing", "equal-neighbours", "signed-zeros", "last-is-tail"]
+
+
+@st.composite
+def large_function_texts(draw, fault: str):
+    """JSON of a valid canonical function of ``_LEVEL_SET_ARRAY_MIN`` pieces
+    or more, with ``fault`` injected at a drawn index."""
+    n = draw(st.integers(_LEVEL_SET_ARRAY_MIN, _LEVEL_SET_ARRAY_MIN + 50))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bps = np.cumsum(rng.uniform(2.0**-10, 2.0**-2, n)).tolist()
+    vals = np.exp(rng.uniform(-6.0, 6.0, n)).tolist()
+    if draw(st.booleans()):
+        vals.sort(reverse=True)
+    d = {"breakpoints": bps, "values": vals, "tail": draw(st.sampled_from([0.0, -0.0, min(vals) / 2]))}
+    i = draw(st.sampled_from([0, n - 1]) | st.integers(0, n - 1))
+    if fault in _ENTRY_FAULTS:
+        entry = draw(st.sampled_from(_ENTRY_FAULTS[fault]))
+        field = draw(st.sampled_from(["breakpoints", "values", "tail"]))
+        if field == "tail":
+            d["tail"] = entry
+        else:
+            d[field][i] = entry
+    elif fault == "length":
+        d[draw(st.sampled_from(["breakpoints", "values"]))].pop(i)
+    elif fault == "zero-breakpoint":
+        bps[0] = draw(st.sampled_from([0.0, -0.0]))
+    elif fault == "non-increasing":
+        i = max(i, 1)
+        bps[i] = draw(st.sampled_from([bps[i - 1], bps[i - 1] / 2]))
+    elif fault == "equal-neighbours":
+        i = max(i, 1)
+        vals[i] = vals[i - 1]
+    elif fault == "signed-zeros":
+        i = max(i, 1)
+        vals[i - 1], vals[i] = 0.0, -0.0
+    elif fault == "last-is-tail":
+        vals[-1] = d["tail"]
+    return json.dumps(d)
+
+
+def _elementwise_from_json(text: str) -> tuple:
+    """The fields of a function file, each entry converted and checked on its own."""
+    d = json.loads(text)
+    bps, vals = ([_json_number(x, f"{k}[{i}]") for i, x in enumerate(d[k])] for k in ("breakpoints", "values"))
+    return loop_canonical(bps, vals, _json_number(d["tail"], "tail"))
+
+
+class TestJsonBulkValidation:
+    """Large function files are checked in bulk; whatever the bulk check
+    refuses goes through the constructor, so the stored fields and the
+    error messages are those of an entry-by-entry load."""
+
+    @pytest.mark.parametrize("fault", [*_ENTRY_FAULTS, *_SHAPE_FAULTS])
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_the_elementwise_reference(self, fault, data):
+        text = data.draw(large_function_texts(fault))
+        assert _outcome(lambda: _fields(StepFunction.from_json(text))) == _outcome(
+            lambda: _elementwise_from_json(text)
+        )
 
 
 class TestConcurrencySafety:
