@@ -112,6 +112,8 @@ def cmd_hardy(args) -> int:
     f = _load_function(args.input)
     if (args.U is None) == (args.V is None):
         raise SystemExit("hardy needs exactly one of --U (averaging over (0,t)) or --V (over (t,inf))")
+    if (args.p is None) != (args.q is None):
+        raise SystemExit("hardy's norm enclosure needs both --p and --q")
     if args.U is not None:
         env = hardy_upper(f, args.U, args.W, _grid(args))
     else:
@@ -128,7 +130,7 @@ def cmd_hardy(args) -> int:
     upper = [repr(float(env.upper_on_grid()[0])), *values[:-1]]
     rows = zip(map(repr, env.grid.tolist()), values, values, upper)
     text = "t,value,lower,upper\n" + "\n".join(map(",".join, rows)) + "\n"
-    if args.p is not None and args.q is not None:
+    if args.p is not None:
         enc = envelope_norm(env, _params(args))
         text += f"norm_enclosure,{enc.lo!r},{enc.hi!r},{enc.width!r}\n"
     _emit(args, text)
@@ -153,10 +155,7 @@ def cmd_functor_norm(args) -> int:
     couple = _couple(args)
     space = SpaceDescriptor.for_lorentz(_params(args))
     r = args.r if args.r is not None else args.p0
-    try:
-        enc = functor_norm(f, FunctorParams(args.theta, r, space), couple, _grid(args))
-    except ValueError as e:
-        raise SystemExit(str(e))
+    enc = functor_norm(f, FunctorParams(args.theta, r, space), couple, _grid(args))
     _emit(args, f"{repr(enc.lo)} {repr(enc.hi)}\n")
     return 0
 

@@ -652,33 +652,14 @@ def _scale_block(env: MonotoneEnvelope, d: float) -> MonotoneEnvelope:
 
 def _law_norm_term(coef: float, decay: float, gamma: float, q: float, lo: float, hi: float) -> float:
     """``integral_lo^hi t**(gamma-1) (coef * t**-decay)**q dt`` over a head
-    ``(0, hi]`` or a tail ``(lo, inf)``: ``inf`` where it diverges, and an
-    ``OverflowError`` where a finite value passes the largest float.
-    """
-    if coef == 0.0:
-        return 0.0
-    alpha = gamma - q * decay
-    if (alpha <= 0.0) if lo == 0.0 else (alpha >= 0.0):  # the head or the tail diverges
-        return INF
-    term = coef**q * _power_integral(alpha, lo, hi)
-    if term == INF:
-        raise OverflowError("the integral of a head or tail law overflows")
-    return term
+    ``(0, hi]`` or a tail ``(lo, inf)`` on which it converges."""
+    return coef**q * _power_integral(gamma - q * decay, lo, hi) if coef else 0.0
 
 
 def _law_sup_term(coef: float, decay: float, beta_p: float, end: float) -> float:
     """``sup of t**beta_p * coef * t**-decay`` over a head ``(0, end]`` or a
-    tail ``[end, inf)`` on which it is bounded, so that it sits at ``end``.
-
-    A finite sup past the largest float raises ``OverflowError``, so that
-    it is not read as a divergence.
-    """
-    if coef == 0.0:
-        return 0.0
-    sup = coef * end ** (beta_p - decay)
-    if sup == INF:
-        raise OverflowError("the sup of a head or tail law overflows")
-    return sup
+    tail ``[end, inf)`` on which it is bounded, so that it sits at ``end``."""
+    return coef * end ** (beta_p - decay) if coef else 0.0
 
 
 def _split_terms(const, power, a, b, beta: float, gamma: float, q: float, upper: bool) -> np.ndarray:
@@ -709,11 +690,11 @@ def _segment_max(x: np.ndarray, goff: np.ndarray) -> list:
 def _norm_block(env: MonotoneEnvelope, params: LorentzParams) -> list[Enclosure]:
     """:func:`envelope_norm` of every function of ``env``, in order.
 
-    The interval terms are computed for the whole block; each function's
-    terms are then added in the order of one function at a time.  A norm
-    that leaves the float range raises ``ValueError``, and so do interval
-    terms past it next to a finite head and tail: only a head or a tail
-    that diverges gives ``[inf, inf]``.
+    Each side of an enclosure follows one rule.  Where its head or its tail
+    law diverges, the side is ``inf``.  Otherwise its head, interval and
+    tail terms are added (``q < inf``) or their maximum is taken, each
+    function's in the order of one function at a time; a side that then
+    reads ``inf`` or NaN has left the float range, and raises ``ValueError``.
     """
     p, q = params.p, params.q
     g, vals, beta = env.grid, env.values, env.bracket_decay
@@ -721,78 +702,70 @@ def _norm_block(env: MonotoneEnvelope, params: LorentzParams) -> list[Enclosure]
     goff = env.goff.tolist()
     g0 = g[env.goff[:-1]].tolist()
     gm = g[env.goff[1:] - 1].tolist()
-    head_hi, head_lo, tail_hi, tail_lo = [
-        (l.coef.tolist(), l.decay.tolist())
-        for l in (env.head_hi, env.head_lo, env.tail_hi, env.tail_lo)
-    ]
-    plain = beta is None or env.flat.any()  # some function has no bracket
+    # the intervals of the functions without a bracket, in a block that mixes both
+    flat = np.repeat(env.flat, np.diff(env.goff))[:-1] if beta is not None and env.flat.any() else None
+    sides = []
     with np.errstate(all="ignore"):
         if beta is not None:
             phi = g**beta * vals
-            pw_hi = np.maximum(phi[:-1], phi[1:])
-            pw_lo = np.minimum(phi[:-1], phi[1:])
         if q < INF:
             gamma = 0.0 if p == INF else q / p
-            terms = [[None, None], [None, None]]  # (plain, bracketed) interval terms per side
-            if plain:
+            if beta is None or flat is not None:
                 weights = _power_integral_array(gamma, a, b)
-            for side, const, upper in ((0, vals[:-1], True), (1, vals[1:], False)):
-                if plain:
-                    terms[side][0] = const**q * weights
-                if beta is not None:
-                    power = pw_hi if upper else pw_lo
-                    terms[side][1] = _split_terms(const, power, a, b, beta, gamma, q, upper)
         else:
             beta_p = 0.0 if p == INF else 1.0 / p
             sup_b = b**beta_p
-            mid_hi = vals[:-1] * sup_b
-            mid_lo = vals[1:] * sup_b
-            maxima = [[None, None], [None, None]]  # (plain, bracketed) per side
-            if plain:
-                maxima[0][0] = _segment_max(mid_hi, env.goff)
-                maxima[1][0] = _segment_max(mid_lo, env.goff)
             if beta is not None:
                 sup_pow_exp = beta_p - beta
                 pow_sup = np.where(sup_pow_exp >= 0.0, b**sup_pow_exp, a**sup_pow_exp)
-                maxima[0][1] = _segment_max(np.minimum(mid_hi, pw_hi * pow_sup), env.goff)
-                maxima[1][1] = _segment_max(np.maximum(mid_lo, pw_lo * pow_sup), env.goff)
-        # the per-member sums overflow only where a norm does, which raises
-        out = []
         try:
-            for i, (diverged, flat) in enumerate(zip(env.diverged.tolist(), env.flat.tolist())):
-                if diverged:
-                    out.append(Enclosure(INF, INF))
-                    continue
-                col = 0 if beta is None or flat else 1
-                norms = []
-                for side, (h_c, h_d), (t_c, t_d) in ((0, head_hi, tail_hi), (1, head_lo, tail_lo)):
-                    # an interval term bounds a finite function on a finite
-                    # interval: it is inf only where numpy overflowed it
-                    if q < INF:
-                        s = _law_norm_term(h_c[i], h_d[i], gamma, q, 0.0, g0[i])
-                        if s < INF:
-                            s += float(terms[side][col][goff[i] : goff[i + 1] - 1].sum())
-                            end = _law_norm_term(t_c[i], t_d[i], gamma, q, gm[i], INF)
-                            s += end
-                            if not s < INF and end < INF:
-                                raise ValueError(_NORM_OVERFLOW)
-                        norms.append(s ** (1.0 / q) if s < INF else INF)
-                    elif h_c[i] and h_d[i] > beta_p or t_c[i] and t_d[i] < beta_p:
-                        norms.append(INF)  # t**beta_p times the head or the tail law is unbounded
+            for head, tail, const, upper in (
+                (env.head_hi, env.tail_hi, vals[:-1], True),
+                (env.head_lo, env.tail_lo, vals[1:], False),
+            ):
+                if beta is not None:
+                    power = (np.maximum if upper else np.minimum)(phi[:-1], phi[1:])
+                if q < INF:
+                    diverges = env.diverged | (head.coef != 0.0) & (gamma - q * head.decay <= 0.0)
+                    diverges |= (tail.coef != 0.0) & (gamma - q * tail.decay >= 0.0)
+                    if beta is None:
+                        mid = const**q * weights
                     else:
+                        mid = _split_terms(const, power, a, b, beta, gamma, q, upper)
+                        if flat is not None:
+                            mid = np.where(flat, const**q * weights, mid)
+                else:
+                    # t**beta_p times the head or the tail law is unbounded
+                    diverges = env.diverged | (head.coef != 0.0) & (head.decay > beta_p)
+                    diverges |= (tail.coef != 0.0) & (tail.decay < beta_p)
+                    mid = const * sup_b
+                    if beta is not None:
+                        clipped = (np.minimum if upper else np.maximum)(mid, power * pow_sup)
+                        mid = clipped if flat is None else np.where(flat, mid, clipped)
+                    tops = _segment_max(mid, env.goff)
+                h_c, h_d, t_c, t_d = head.coef.tolist(), head.decay.tolist(), tail.coef.tolist(), tail.decay.tolist()
+                norms = []
+                for i, d in enumerate(diverges.tolist()):
+                    if d:
+                        norms.append(INF)
+                        continue
+                    if q < INF:
+                        n = _law_norm_term(h_c[i], h_d[i], gamma, q, 0.0, g0[i])
+                        n += float(mid[goff[i] : goff[i + 1] - 1].sum())
+                        n += _law_norm_term(t_c[i], t_d[i], gamma, q, gm[i], INF)
+                    else:  # the interval maximum first, so that a NaN one wins and raises
                         n = max(
-                            _law_sup_term(h_c[i], h_d[i], beta_p, g0[i]), _law_sup_term(t_c[i], t_d[i], beta_p, gm[i])
+                            tops[i],
+                            _law_sup_term(h_c[i], h_d[i], beta_p, g0[i]),
+                            _law_sup_term(t_c[i], t_d[i], beta_p, gm[i]),
                         )
-                        if goff[i + 1] - goff[i] > 1:
-                            top = maxima[side][col][i]
-                            if top == INF:
-                                raise ValueError(_NORM_OVERFLOW)
-                            n = max(n, top)
-                        norms.append(n)
-                out.append(Enclosure(min(norms), norms[0]))
-        except ArithmeticError as err:  # a descriptor term such as coef**q
+                    if not n < INF:
+                        raise ValueError(_NORM_OVERFLOW)
+                    norms.append(n ** (1.0 / q) if q < INF else n)
+                sides.append(norms)
+        except ArithmeticError as err:  # a law term such as coef**q
             raise ValueError(_NORM_OVERFLOW) from err
-    return out
+    return [Enclosure(min(hi, lo), hi) for hi, lo in zip(*sides)]
 
 
 def envelope_norm(env: MonotoneEnvelope, params: LorentzParams) -> Enclosure:

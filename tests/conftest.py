@@ -653,15 +653,15 @@ def ref_envelope_norm(env: MonotoneEnvelope, params) -> Enclosure:
             return float(np.sum(np.where(const + power > 0.0, t1 + t2, 0.0)))
 
         def side_norm(head, tail, const, power, upper):
-            s = _ref_law_norm_term(head, gamma, q, 0.0, float(g[0]))
-            if not s < INF:
+            # both ends' divergence is decided before any term is formed
+            if head[0] and gamma - q * head[1] <= 0.0 or tail[0] and gamma - q * tail[1] >= 0.0:
                 return INF
+            s = _ref_law_norm_term(head, gamma, q, 0.0, float(g[0]))
             s += interval_sum(const, power, upper)
-            end = _ref_law_norm_term(tail, gamma, q, float(g[-1]), INF)
-            s += end
-            if not s < INF and end < INF:  # a divergent tail is the only infinite sum
+            s += _ref_law_norm_term(tail, gamma, q, float(g[-1]), INF)
+            if not s < INF:  # no law diverges, so the sum overflowed
                 raise OverflowError("a finite norm overflows")
-            return s ** (1.0 / q) if s < INF else INF
+            return s ** (1.0 / q)
 
         hi = side_norm(head_hi, tail_hi, c_hi, pw_hi if beta is not None else None, upper=True)
         lo = side_norm(head_lo, tail_lo, c_lo, pw_lo if beta is not None else None, upper=False)

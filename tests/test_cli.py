@@ -152,6 +152,12 @@ class TestHardy:
         with pytest.raises(SystemExit):
             main(["hardy", "--U", "1", "--V", "2", "--input", chi_file])
 
+    @pytest.mark.parametrize("flag", ["--p", "--q"])
+    def test_norm_needs_both_p_and_q(self, chi_file, flag):
+        with pytest.raises(SystemExit, match="needs both --p and --q") as e:
+            main(["hardy", "--U", "1", flag, "2", "--input", chi_file])
+        assert e.value.code != 0
+
     def test_lower_family_with_positive_tail_says_why(self, tmp_path):
         src = tmp_path / "f.json"
         src.write_text(StepFunction((1.0, 2.0), (1.0, 3.0), 0.5).to_json())
@@ -168,11 +174,11 @@ class TestHardy:
                 main(["hardy", family, "2", "--W", "2", "--input", str(src)])
 
     def test_overflowing_norm_exits_cleanly(self, tmp_path):
-        # the average's head coefficient is 2e200, and its square overflows
+        # the L(2,2) norm of the average is sqrt(3.4) * 1e308, past the largest float
         src = tmp_path / "f.json"
-        src.write_text(StepFunction((1.0,), (1e200,)).to_json())
+        src.write_text(StepFunction((1.7,), (1e308,)).to_json())
         with pytest.raises(SystemExit, match="the envelope norm overflows the float range"):
-            main(["hardy", "--U", "2", "--W", "1", "--p", "2", "--q", "2", "--input", str(src)])
+            main(["hardy", "--U", "1", "--W", "1", "--p", "2", "--q", "2", "--input", str(src)])
 
     @pytest.mark.parametrize("w", [1.0, 3.0, math.inf])
     @pytest.mark.parametrize("family", ["U", "V"])

@@ -460,10 +460,14 @@ class TestOverflow:
                 hardy(f, order, w)
 
     def test_envelope_norm_beyond_the_float_range_raises(self):
-        # the head coefficient of the average is 2e200, and its square overflows
-        env = hardy_upper(_HUGE, 2.0, 1.0)
+        # the L(2,2) norm of H^(1,1) f is sqrt(3.4) * 1e308, past the largest float
+        env = hardy_upper(StepFunction((1.7,), (1e308,)), 1.0, 1.0)
         with pytest.raises(ValueError, match="the envelope norm overflows the float range"):
             envelope_norm(env, LorentzParams(2.0, 2.0))
+        # at u = p_E = 2 the tail law of H^(2,1) f diverges, and the head
+        # coefficient 2e200, whose square overflows, does not hide it
+        enc = envelope_norm(hardy_upper(_HUGE, 2.0, 1.0), LorentzParams(2.0, 2.0))
+        assert (enc.lo, enc.hi) == (INF, INF)
 
     def test_overflowed_interval_terms_are_not_a_divergence(self):
         # the norm of H^(1,1) f is sqrt(2) * 1e100, but the interval terms
@@ -503,10 +507,11 @@ class TestOverflow:
                 envelope_norm(hardy_upper(StepFunction((1.0,), (1.2e154,)), 1, 1), LorentzParams(2.0, 2.0))
 
     def test_divergent_norm_is_still_infinite(self):
-        # a positive tail makes the tail term of H^(1,1) f diverge in L(2,2)
-        env = hardy_upper(StepFunction((1e200,), (2.0,), 1.0), 1.0, 1.0)
-        enc = envelope_norm(env, LorentzParams(2.0, 2.0))
-        assert (enc.lo, enc.hi) == (INF, INF)
+        # a positive tail makes the tail term of H^(1,1) f diverge in L(2,2),
+        # also where the head term (coefficient 1e200, squared) overflows
+        for f in (StepFunction((1e200,), (2.0,), 1.0), StepFunction((1.0,), (1e200,), 1.0)):
+            enc = envelope_norm(hardy_upper(f, 1.0, 1.0), LorentzParams(2.0, 2.0))
+            assert (enc.lo, enc.hi) == (INF, INF)
         # t**2 times the 1/t tail of H^(1,1) f is unbounded in L(1/2, inf);
         # that the head term 1e130 * grid[0]**2 overflows does not hide it
         env = hardy_upper(StepFunction((1e100,), (1e130,)), 1.0, 1.0)
@@ -516,6 +521,28 @@ class TestOverflow:
     def test_diverged_lower_average_is_not_an_overflow(self):
         f = StepFunction((1.0,), (1e200,), 1.0)
         assert hardy_lower(f, 2.0, 2.0).diverged
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        bps=st.lists(st.floats(2.0**-10, 2.0**10), max_size=6, unique=True).map(sorted),
+        vals=st.lists(st.floats(0.0, 1e300), min_size=6, max_size=6),
+        tail=st.floats(2.0**-8, 1e300),
+        u=st.sampled_from([0.5, 1.0, 2.0, 3.0]),
+        w=st.sampled_from([0.5, 1.0, 2.0, INF]),
+    )
+    @example(bps=[1.0], vals=[1e200] * 6, tail=1.0, u=1.0, w=1.0)
+    def test_a_positive_tail_diverges_however_large_the_head(self, bps, vals, tail, u, w):
+        # the tail law of the upper average of a positive tail is a
+        # constant, which diverges in every L(p,q) with p < inf
+        f = StepFunction(tuple(bps), tuple(vals[: len(bps)]), tail)
+        try:
+            env = hardy_upper(f, u, w)
+        except ValueError as err:
+            assert str(err) == "the Hardy average of f overflows the float range"
+            return
+        for p in NORM_PARAMS:
+            if p.p < INF:
+                assert envelope_norm(env, p).hi == INF
 
 
 class TestReferenceCycles:

@@ -129,6 +129,12 @@ class TestEquivalenceDriver:
         rep = verify_hardy_equivalence(small_corpus, L22, u=2.0, w=1.0, grid_spec=COARSE)
         assert rep.passed
         assert rep.extras["diverged"] == rep.size
+        # the second member's head coefficient 2e200, whose square
+        # overflows, does not hide that its tail law diverges
+        corpus = [StepFunction((1.0, 2.0), (3.0, 1.0)), StepFunction((1.0,), (1e200,))]
+        rep = verify_hardy_equivalence(corpus, L22, u=2.0, w=1.0)
+        assert rep.passed
+        assert rep.extras["diverged"] == 2
 
     def test_ratio_bound_enforced(self, small_corpus):
         rep = verify_hardy_equivalence(
@@ -809,13 +815,14 @@ class TestBlockDrivers:
         # a diverged lower average is checked on its own grid, like any other
         with pytest.raises(ValueError, match="evaluation point must be in"):
             verify_hardy_pointwise([good, edge + StepFunction.constant(0.5), huge], v=2.0, w=2.0)
-        # the norm path: huge's envelope norm overflows (its head coefficient
-        # 2e200 is squared) and near_max's average does
+        # the norm path: huge's envelope norm overflows in L(3,3) (its head
+        # coefficient 2e200 is cubed) and near_max's average does
         near_max = StepFunction((1.0,), (1.7e308,))
+        l33 = SpaceDescriptor.for_lorentz(LorentzParams(3.0, 3.0))
         with pytest.raises(ValueError, match="the envelope norm overflows"):
-            verify_hardy_equivalence([good, huge, near_max], L22, u=2.0, w=1.0)
+            verify_hardy_equivalence([good, huge, near_max], l33, u=2.0, w=1.0)
         with pytest.raises(ValueError, match="the Hardy average of f overflows"):
-            verify_hardy_equivalence([good, near_max, huge], L22, u=2.0, w=1.0)
+            verify_hardy_equivalence([good, near_max, huge], l33, u=2.0, w=1.0)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("check", ["lemma10", "thm11", "thm15", "all"])
@@ -848,8 +855,8 @@ class TestBlockDrivers:
     @pytest.mark.parametrize("gap", [0, harness._GRID_BATCH + 6], ids=["same-grid-batch", "later-grid-batch"])
     def test_a_member_whose_norm_raises_waits_its_turn(self, monkeypatch, gap):
         # bad's norm in L(2,2) raises, after huge, whose envelope norm
-        # overflows: huge's error surfaces, whether or not bad's norm is
-        # computed before huge's block is scored
+        # under H^(1,1) overflows: huge's error surfaces, whether or not
+        # bad's norm is computed before huge's block is scored
         good, huge = StepFunction((1.0, 2.0), (3.0, 1.0)), StepFunction((1.0,), (1e200,))
         bad = StepFunction((4.0,), (1.7e308,))
         with pytest.raises(ValueError, match="the Lorentz norm of f overflows"):
@@ -858,7 +865,7 @@ class TestBlockDrivers:
         monkeypatch.setattr(harness, "_BLOCK_POINTS", 10**6)
         monkeypatch.setattr(harness, "generate_corpus", lambda seed, size: corpus)
         with pytest.raises(ValueError, match="the envelope norm overflows"):
-            verify_hardy_equivalence(corpus, L22, u=2.0, w=1.0)
+            verify_hardy_equivalence(corpus, L22, u=1.0, w=1.0)
         with pytest.raises(ValueError, match="the envelope norm overflows"):
             default_check_reports("thm11", seed=0, size=len(corpus))
         # under "all", lemma10 runs first, and bad's average overflows there
