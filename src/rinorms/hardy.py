@@ -115,20 +115,12 @@ class GridSpec:
 
         Raises ``ValueError`` when the window leaves the float range.
         """
-        anchors = np.asarray(sorted(anchors), dtype=float)
-        (grid,) = self.build_many([anchors])
-        if grid is None:  # never for no anchors: the window around 1 fits
-            first, last = float(anchors[0]), float(anchors[-1])
-            raise ValueError(
-                f"the grid window around anchors [{first!r}, {last!r}] "
-                f"with span {self.span!r} leaves the float range"
-            )
-        return grid
+        return self.build_many([np.asarray(sorted(anchors), dtype=float)])[0]
 
-    def build_many(self, anchor_sets: Sequence) -> list[np.ndarray | None]:
+    def build_many(self, anchor_sets: Sequence) -> list[np.ndarray]:
         """The grid around each of ``anchor_sets`` (each sorted), as
-        :meth:`build` makes it, or ``None`` where the window leaves the
-        float range.
+        :meth:`build` makes it; raises ``ValueError`` at the first window
+        that leaves the float range, as :meth:`build` of that set does.
 
         The log-spaced points of all windows come from one set of numpy
         calls that perform the float operations of ``np.geomspace(lo, hi,
@@ -137,21 +129,22 @@ class GridSpec:
         ``hi``.  Each grid is then merged with its anchors.
         """
         anchor_sets = [a if len(a) else (1.0,) for a in anchor_sets]
-        windows = []  # (lo, hi, n) per anchor set, None outside the float range
+        windows = []  # (lo, hi, n) per anchor set
         for anchors in anchor_sets:
-            lo = float(anchors[0]) / self.span
-            hi = float(anchors[-1]) * self.span
+            first, last = float(anchors[0]), float(anchors[-1])
+            lo, hi = first / self.span, last * self.span
             if not (lo > 0.0 and hi < INF):
-                windows.append(None)
-                continue
+                raise ValueError(
+                    f"the grid window around anchors [{first!r}, {last!r}] "
+                    f"with span {self.span!r} leaves the float range"
+                )
             ratio = hi / lo
             # a window wider than the float range: count its decades by logs
             decades = math.log10(ratio) if ratio < INF else math.log10(hi) - math.log10(lo)
             windows.append((lo, hi, max(2, int(math.ceil(decades * self.points_per_decade)) + 1)))
-        valid = [w for w in windows if w is not None]
-        lo = np.array([w[0] for w in valid], dtype=float)
-        hi = np.array([w[1] for w in valid], dtype=float)
-        n = np.array([w[2] for w in valid], dtype=np.intp)
+        lo = np.array([w[0] for w in windows], dtype=float)
+        hi = np.array([w[1] for w in windows], dtype=float)
+        n = np.array([w[2] for w in windows], dtype=np.intp)
         off = _offsets(n)
         start, stop = np.log10(lo), np.log10(hi)
         # step is 0 only where start == stop, and geomspace's special case
@@ -164,11 +157,8 @@ class GridSpec:
         points = np.power(10.0, y)
         points[off[:-1]] = lo
         points[off[1:] - 1] = hi
-        spaced = iter(np.split(points, off[1:-1]))
-        return [
-            None if window is None else _sorted_distinct(np.concatenate([next(spaced), anchors]))
-            for anchors, window in zip(anchor_sets, windows)
-        ]
+        spaced = np.split(points, off[1:-1])
+        return [_sorted_distinct(np.concatenate([g, anchors])) for g, anchors in zip(spaced, anchor_sets)]
 
 
 DEFAULT_GRID = GridSpec()

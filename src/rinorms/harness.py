@@ -33,10 +33,13 @@ average several of them read is computed once per block and dropped with
 it.  Each member's outcome is read in corpus order, so the first witness
 and the violation counts are those of a member-by-member scan.  A kernel
 raises for its whole block when one member's average or norm leaves the
-float range.  One rule re-runs a scan that raises: every configuration
-runs again, one after another, with one member per block, so the error
-that surfaces is that of the first failing configuration at its first
-failing member in corpus order.  Verdict semantics are fixed per check:
+float range; so does the grid builder when one member's window leaves
+it, and lemma10's lower check when ``2t`` overflows at one member's grid
+point.  No block step keeps track of which member failed: one rule
+re-runs a scan that raises.  Every configuration runs again, one after
+another, with one member per block, so the error that surfaces is that
+of the first failing configuration at its first failing member in corpus
+order.  Verdict semantics are fixed per check:
 
 * pointwise checks pass iff no grid point violates the inequality beyond a
   relative slack;
@@ -354,11 +357,12 @@ def _blocks(records: Sequence[_Member], grid_spec: GridSpec, space: SpaceDescrip
     A block is yielded as soon as it holds ``block_points`` grid points or
     more, before the next member is prepared.  Records are read in batches
     of ``min(_GRID_BATCH, block_points)``: the members of a batch that take
-    part are found, then their grids are built in one call, and a member
-    whose window leaves the float range raises at its turn.  With
-    ``block_points`` 1 a batch is one record, so a member whose norm in E
-    cannot be computed raises at its turn too.  A grid lives as long as its
-    batch and its block.
+    part are found, then their grids are built in one call, which raises
+    when one member's window leaves the float range.  With
+    ``block_points`` 1, as in the re-run of :func:`_reports`, a batch is
+    one record, so a member whose window leaves the float range or whose
+    norm in E cannot be computed raises at its turn.  A grid lives as long
+    as its batch and its block.
     """
     taken: list[_Member] = []
     grids: list[np.ndarray] = []
@@ -367,8 +371,6 @@ def _blocks(records: Sequence[_Member], grid_spec: GridSpec, space: SpaceDescrip
     for start in range(0, len(records), step):
         batch = [m for m in records[start : start + step] if m.takes_part(space)]
         for m, grid in zip(batch, grid_spec.build_many([m.fs.breakpoints for m in batch])):
-            if grid is None:
-                grid_spec.build(m.fs.breakpoints)  # raises: the window leaves the float range
             taken.append(m)
             grids.append(grid)
             points += grid.size
@@ -492,16 +494,14 @@ def _pointwise_check(
             env_w = blk.envelope("upper", a, b)
             env_inf = blk.envelope("upper", a, INF)
             checks = [(env_w.values, env_inf.values), (env_inf.values, blk.f_star(blk.K))]
-            unchecked = None
         else:
-            doubled = 2.0 * blk.grid
+            with np.errstate(over="ignore"):
+                doubled = 2.0 * blk.grid
             checks = [(blk.envelope("lower", a, b).values, blk.f_star(blk.piece_index(doubled)))]
-            # members whose f*(2t) is undefined somewhere: 2t overflows
-            unchecked = (~np.logical_and.reduceat(doubled < INF, blk.goff[:-1])).tolist()
+            if doubled.max() == INF:
+                records[0].fs(doubled)  # raises: f*(2t) is undefined where 2t leaves the float range
         found = [_violations(blk, lhs, low, slack) for lhs, low in checks]
         for i, m in enumerate(records):
-            if unchecked and unchecked[i]:
-                m.fs(doubled[blk.goff[i] : blk.goff[i + 1]])  # raises where 2t leaves the float range
             for counts, first in found:
                 if counts[i]:
                     scan.violation(counts[i], function=m.f.to_dict(), t=first[i])

@@ -364,22 +364,13 @@ class StepFunction:
             self.breakpoints, tuple(v * s for v in self.values), self.tail * s
         )
 
-    def _merge(self, other: "StepFunction", op) -> "StepFunction":
-        bps = sorted(set(self.breakpoints) | set(other.breakpoints))
-        vals = []
-        i = j = 0
-        for b in bps:
-            while i < len(self.breakpoints) and self.breakpoints[i] < b:
-                i += 1
-            while j < len(other.breakpoints) and other.breakpoints[j] < b:
-                j += 1
-            a = self.values[i] if i < len(self.values) else self.tail
-            c = other.values[j] if j < len(other.values) else other.tail
-            vals.append(op(a, c))
-        return StepFunction(tuple(bps), tuple(vals), op(self.tail, other.tail))
-
     def __add__(self, other: "StepFunction") -> "StepFunction":
-        return self._merge(other, lambda a, b: a + b)
+        x, y = self.breakpoints, other.breakpoints
+        a, c = self.values + (self.tail,), other.values + (other.tail,)
+        bps = sorted(set(x) | set(y))
+        # each side's value on the piece that a merged breakpoint closes
+        vals = [a[bisect_left(x, b)] + c[bisect_left(y, b)] for b in bps]
+        return StepFunction(tuple(bps), tuple(vals), self.tail + other.tail)
 
     def minimum(self, level: float) -> "StepFunction":
         """Pointwise ``min(f, level)`` with ``level >= 0``."""

@@ -607,16 +607,10 @@ def _ref_law_norm_term(law, gamma, q, lo, hi):
     return term
 
 
-def _ref_law_sup_term(law, beta_p, lo, hi):
+def _ref_law_sup_term(law, beta_p, end):
+    """The sup of ``t**beta_p`` times a head or tail law that is bounded, at its finite end."""
     coef, decay = law
-    if coef == 0.0:
-        return 0.0
-    ex = beta_p - decay
-    if ex > 0.0:
-        return INF if hi == INF else coef * hi**ex
-    if ex == 0.0:
-        return coef
-    return INF if lo == 0.0 else coef * lo**ex
+    return coef * end ** (beta_p - decay) if coef else 0.0
 
 
 def ref_envelope_norm(env: MonotoneEnvelope, params) -> Enclosure:
@@ -667,21 +661,26 @@ def ref_envelope_norm(env: MonotoneEnvelope, params) -> Enclosure:
         lo = side_norm(head_lo, tail_lo, c_lo, pw_lo if beta is not None else None, upper=False)
     else:
         beta_p = 0.0 if p == INF else 1.0 / p
-        sup_b = b**beta_p
-        hi = _ref_law_sup_term(head_hi, beta_p, 0.0, float(g[0]))
-        lo = _ref_law_sup_term(head_lo, beta_p, 0.0, float(g[0]))
-        mid_hi = c_hi * sup_b
-        mid_lo = c_lo * sup_b
-        if beta is not None:
-            sup_pow_exp = beta_p - beta
-            pow_sup = np.where(sup_pow_exp >= 0.0, b**sup_pow_exp, a**sup_pow_exp)
-            mid_hi = np.minimum(mid_hi, pw_hi * pow_sup)
-            mid_lo = np.maximum(mid_lo, pw_lo * pow_sup)
-        if mid_hi.size:
-            hi = max(hi, float(np.max(mid_hi)))
-            lo = max(lo, float(np.max(mid_lo)))
-        hi = max(hi, _ref_law_sup_term(tail_hi, beta_p, float(g[-1]), INF))
-        lo = max(lo, _ref_law_sup_term(tail_lo, beta_p, float(g[-1]), INF))
+
+        def side_sup(head, tail, const, power, upper):
+            # both ends' divergence is decided before any term is formed
+            if head[0] and head[1] > beta_p or tail[0] and tail[1] < beta_p:
+                return INF
+            with np.errstate(over="ignore", invalid="ignore"):
+                mid = const * b**beta_p
+                if power is not None:
+                    sup_pow_exp = beta_p - beta
+                    pow_sup = np.where(sup_pow_exp >= 0.0, b**sup_pow_exp, a**sup_pow_exp)
+                    mid = (np.minimum if upper else np.maximum)(mid, power * pow_sup)
+                # the interval maximum first, so that a NaN one is not dropped
+                s = float(np.max(mid)) if mid.size else -INF
+                s = max(s, _ref_law_sup_term(head, beta_p, float(g[0])), _ref_law_sup_term(tail, beta_p, float(g[-1])))
+            if not s < INF:  # no law diverges, so the sup overflowed
+                raise OverflowError("a finite norm overflows")
+            return s
+
+        hi = side_sup(head_hi, tail_hi, c_hi, pw_hi if beta is not None else None, upper=True)
+        lo = side_sup(head_lo, tail_lo, c_lo, pw_lo if beta is not None else None, upper=False)
     return Enclosure(min(lo, hi), hi)
 
 

@@ -401,19 +401,18 @@ class TestGridBuilder:
 
     @pytest.mark.parametrize("spec", [COARSE, DEFAULT_GRID, GridSpec(points_per_decade=256)], ids=str)
     def test_many_grids_equal_geomspace_each(self, spec):
-        # windows of every width in one call, with windows outside the float
-        # range among them: those give None and leave the others alone
+        # windows of every width in one call
         sets = [tuple(sorted(a)) for a in _GRID_ANCHORS.values()]
-        sets += [(5e-324, 1.0), (1.0, 1.7e308)]
         sets += [f.rearrange().breakpoints for f in generate_corpus(11, 30, positive_tail=True)]
         got = spec.build_many(sets)
         assert len(got) == len(sets)
         for anchors, grid in zip(sets, got):
-            want = ref_grid(spec, anchors)
-            if want is None:
-                assert grid is None
-            else:
-                assert np.array_equal(grid, want), anchors
+            assert np.array_equal(grid, ref_grid(spec, anchors)), anchors
+        # a window outside the float range makes the whole call raise, wherever it sits
+        for bad in [(5e-324, 1.0), (1.0, 1.7e308)]:
+            for at in (0, len(sets) // 2, len(sets)):
+                with pytest.raises(ValueError, match="leaves the float range"):
+                    spec.build_many(sets[:at] + [bad] + sets[at:])
 
     def test_no_anchor_sets(self):
         assert DEFAULT_GRID.build_many([]) == []
@@ -587,7 +586,7 @@ CORPUS_KINDS = {
     "positive-tail": {"positive_tail": True},
     "dyadic-positive-tail": {"dyadic": True, "positive_tail": True},
 }
-NORM_PARAMS = [LorentzParams(*pq) for pq in ((2.0, 2.0), (3.0, 1.0), (1.0, 0.5), (2.0, INF), (INF, INF))]
+NORM_PARAMS = [LorentzParams(*pq) for pq in ((2.0, 2.0), (3.0, 1.0), (1.0, 0.5), (2.0, INF), (0.5, INF), (INF, INF))]
 L22 = SpaceDescriptor.for_lorentz(LorentzParams(2.0, 2.0))
 FUNCTORS = [
     (FunctorParams(4.0 / 3.0, 1.0, L22), LorentzCouple(LorentzParams(1.0, 1.0), LorentzParams(4.0, 4.0))),
@@ -715,7 +714,8 @@ class TestBlockKernels:
         fss = [
             f.rearrange()
             for f in (CHI, _HUGE, StepFunction.zero(), _NEAR_MAX, StepFunction.constant(1.7e308),
-                      StepFunction.constant(3.0), StepFunction((1.0,), (1e200,), 1.0), CHI.scale(2.0))
+                      StepFunction.constant(3.0), StepFunction((1.0,), (1e200,), 1.0), CHI.scale(2.0),
+                      StepFunction((1e100,), (1e130,)))
         ]
         self.check_block(fss, COARSE, 2.0, w)
 

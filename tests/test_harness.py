@@ -794,7 +794,6 @@ class TestBlockDrivers:
             monkeypatch.setattr(harness, "_BLOCK_POINTS", block_points)
             assert repr(verify_hardy_pointwise(corpus, v=2.0, w=1.0, grid_spec=COARSE)) == repr(want)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_errors_surface_in_corpus_order(self, monkeypatch):
         # a member whose grid leaves the float range and members whose
         # averages overflow: the first in corpus order raises, as one at a
@@ -824,7 +823,6 @@ class TestBlockDrivers:
         with pytest.raises(ValueError, match="the Hardy average of f overflows"):
             verify_hardy_equivalence([good, near_max, huge], l33, u=2.0, w=1.0)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("check", ["lemma10", "thm11", "thm15", "all"])
     def test_grouped_checks_raise_as_the_public_drivers_in_turn(self, monkeypatch, check):
         # the corpora of test_errors_surface_in_corpus_order: the grouped
@@ -851,7 +849,6 @@ class TestBlockDrivers:
                 default_check_reports(check, seed=0, size=len(corpus))
             assert repr(got.value) == repr(want.value), corpus
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("gap", [0, harness._GRID_BATCH + 6], ids=["same-grid-batch", "later-grid-batch"])
     def test_a_member_whose_norm_raises_waits_its_turn(self, monkeypatch, gap):
         # bad's norm in L(2,2) raises, after huge, whose envelope norm
@@ -875,7 +872,29 @@ class TestBlockDrivers:
             default_check_reports("all", seed=0, size=len(corpus))
         assert repr(got.value) == repr(want.value)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("block_points", [300, 16384, 10**6])
+    @pytest.mark.parametrize(
+        "bad, kind, match",
+        [
+            (StepFunction((1e303,), (1.0,)), {"u": 2.0}, "leaves the float range"),
+            (StepFunction((1e302,), (1.0,)), {"v": 2.0}, "evaluation point must be in"),
+            # its average overflows before 2t is read on its grid
+            (StepFunction((1e302,), (1e300,)), {"v": 2.0}, "the Hardy average of f overflows"),
+        ],
+        ids=["grid-window", "2t", "average-before-2t"],
+    )
+    def test_a_failing_member_raises_its_own_error_from_any_block(self, monkeypatch, block_points, bad, kind, match):
+        # the grid builder and lemma10's 2t check raise for the whole block;
+        # the re-run at one member per block names the member
+        with pytest.raises(ValueError, match=match) as alone:
+            verify_hardy_pointwise([bad], w=2.0, **kind)
+        corpus = list(generate_corpus(3, 70))
+        corpus[40] = bad
+        monkeypatch.setattr(harness, "_BLOCK_POINTS", block_points)
+        with pytest.raises(ValueError) as got:
+            verify_hardy_pointwise(corpus, w=2.0, **kind)
+        assert str(got.value) == str(alone.value)
+
     def test_one_shot_corpus_raises_as_a_tuple_does(self, monkeypatch):
         # the member-by-member run after a failing block run reads the
         # corpus again: an iterator must give the error a tuple gives

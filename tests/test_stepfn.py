@@ -420,13 +420,6 @@ class TestAlgebra:
         for t in (1e-3, 0.5, 1.0, 7.0 / 256.0, 3.0, 4096.0):
             assert h(t) == f(t) + g(t)
 
-    @given(dyadic_steps(), dyadic_steps())
-    @settings(max_examples=60, deadline=None)
-    def test_max_matches_pointwise_evaluation(self, f, g):
-        h = f._merge(g, max)
-        for t in (1e-3, 0.5, 1.0, 3.0, 4096.0):
-            assert h(t) == max(f(t), g(t))
-
 
 class TestWeightedPowerIntegral:
     def test_square_root_weight(self, unit_indicator):
