@@ -117,10 +117,28 @@ class GridSpec:
         """
         return self.build_many([np.asarray(sorted(anchors), dtype=float)])[0]
 
+    def _window(self, anchors) -> tuple[float, float, int]:
+        """``(lo, hi, n)``: the window around the sorted ``anchors`` (around
+        1 when there are none) and the number of log-spaced points it takes.
+
+        Raises ``ValueError`` when the window leaves the float range.
+        """
+        first, last = (float(anchors[0]), float(anchors[-1])) if len(anchors) else (1.0, 1.0)
+        lo, hi = first / self.span, last * self.span
+        if not (lo > 0.0 and hi < INF):
+            raise ValueError(
+                f"the grid window around anchors [{first!r}, {last!r}] "
+                f"with span {self.span!r} leaves the float range"
+            )
+        ratio = hi / lo
+        # a window wider than the float range: count its decades by logs
+        decades = math.log10(ratio) if ratio < INF else math.log10(hi) - math.log10(lo)
+        return lo, hi, max(2, int(math.ceil(decades * self.points_per_decade)) + 1)
+
     def build_many(self, anchor_sets: Sequence) -> list[np.ndarray]:
         """The grid around each of ``anchor_sets`` (each sorted), as
         :meth:`build` makes it; raises ``ValueError`` at the first window
-        that leaves the float range, as :meth:`build` of that set does.
+        that leaves the float range (:meth:`_window`).
 
         The log-spaced points of all windows come from one set of numpy
         calls that perform the float operations of ``np.geomspace(lo, hi,
@@ -129,19 +147,7 @@ class GridSpec:
         ``hi``.  Each grid is then merged with its anchors.
         """
         anchor_sets = [a if len(a) else (1.0,) for a in anchor_sets]
-        windows = []  # (lo, hi, n) per anchor set
-        for anchors in anchor_sets:
-            first, last = float(anchors[0]), float(anchors[-1])
-            lo, hi = first / self.span, last * self.span
-            if not (lo > 0.0 and hi < INF):
-                raise ValueError(
-                    f"the grid window around anchors [{first!r}, {last!r}] "
-                    f"with span {self.span!r} leaves the float range"
-                )
-            ratio = hi / lo
-            # a window wider than the float range: count its decades by logs
-            decades = math.log10(ratio) if ratio < INF else math.log10(hi) - math.log10(lo)
-            windows.append((lo, hi, max(2, int(math.ceil(decades * self.points_per_decade)) + 1)))
+        windows = [self._window(anchors) for anchors in anchor_sets]
         lo = np.array([w[0] for w in windows], dtype=float)
         hi = np.array([w[1] for w in windows], dtype=float)
         n = np.array([w[2] for w in windows], dtype=np.intp)
@@ -203,19 +209,22 @@ def _accumulate(ufunc: np.ufunc, x: np.ndarray, off, reverse: bool = False) -> n
 class _Block:
     """``f*`` and envelope grid of consecutive functions, concatenated.
 
-    Function ``i`` owns pieces ``poff[i]:poff[i+1]`` of ``bp``/``vals`` and
-    grid points ``goff[i]:goff[i+1]`` of ``grid``.  Each grid must contain
-    its function's breakpoints, as :meth:`GridSpec.build` makes it.
-    Per-piece tables carry one more entry per function for its tail piece:
-    piece ``j`` of the block sits at entry ``vpos[j]``, and function ``i``'s
-    entries run from ``hpos[i]`` to its tail's, ``tpos[i]``.  ``K[j]`` is
+    ``fss`` are the functions' rearrangements; their grids come from one
+    :meth:`GridSpec.build_many` call of ``grid_spec``, which raises
+    ``ValueError`` when one window leaves the float range.  Function ``i``
+    owns pieces ``poff[i]:poff[i+1]`` of ``bp``/``vals`` and grid points
+    ``goff[i]:goff[i+1]`` of ``grid``.  Per-piece tables carry one more
+    entry per function for its tail piece: piece ``j`` of the block sits at
+    entry ``vpos[j]``, and function ``i``'s entries run from ``hpos[i]`` to
+    its tail's, ``tpos[i]``.  ``f_star`` is the table of ``f*`` and ``K[j]``
     the entry of the piece holding grid point ``j``.
 
     :meth:`envelope` keeps each Hardy average it computes, so the averages
     of a block live as long as the block.
     """
 
-    def __init__(self, fss: Sequence[StepFunction], grids: Sequence[np.ndarray]):
+    def __init__(self, fss: Sequence[StepFunction], grid_spec: GridSpec):
+        grids = grid_spec.build_many([fs.breakpoints for fs in fss])
         counts = [len(fs.breakpoints) for fs in fss]
         k = self.size = len(fss)
         self.poff = _offsets(counts)
@@ -229,12 +238,8 @@ class _Block:
         self.goff = _offsets([g.size for g in grids])
         self.grid = np.concatenate(grids)
         self.K = self.piece_index(self.grid)
+        self.f_star = self.table(self.vals, self.tails)
         self._envelopes: dict[tuple, MonotoneEnvelope] = {}
-
-    @classmethod
-    def of(cls, fs: StepFunction, grid_spec: GridSpec) -> "_Block":
-        """The block of one: ``f*`` on its grid."""
-        return cls([fs], [grid_spec.build(fs.breakpoints)])
 
     def envelope(self, kind: Literal["upper", "lower"], order: float, w: float) -> "MonotoneEnvelope":
         """:func:`_upper_block` or :func:`_lower_block` of the block from
@@ -271,10 +276,6 @@ class _Block:
         bounds[0], bounds[-1] = 0, t.size
         bounds[1:-1] = steps
         return np.repeat(np.arange(steps.size + 1), bounds[1:] - bounds[:-1])
-
-    def f_star(self, K: np.ndarray) -> np.ndarray:
-        """``f*`` at the points whose piece entries are ``K``."""
-        return self.table(self.vals, self.tails)[K]
 
 
 @dataclass(frozen=True, eq=False)
@@ -403,7 +404,7 @@ def _upper_block(blk: _Block, u: float, w: float) -> MonotoneEnvelope:
             factor = (u / w) ** (1.0 / w)
         except OverflowError:
             raise ValueError(_OVERFLOW) from None
-    allv = blk.table(blk.vals, tails)
+    allv = blk.f_star
     firsts = blk.poff[:-1][~flat]
     head = np.zeros(k)
     # an overflow in the tables or descriptors also overflows the values,
@@ -476,7 +477,7 @@ def _lower_block(blk: _Block, v: float, w: float) -> MonotoneEnvelope:
     diverged = blk.tails > 0.0
     flat = (counts == 0) & ~diverged  # the zero function
     regular = ~(flat | diverged)
-    allv = blk.table(blk.vals, 0.0)
+    allv = blk.f_star  # a tail entry's part is masked to 0 below
     inside = blk.table(True, False)  # entries of finite pieces, not tails
     firsts = blk.goff[:-1]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -546,7 +547,7 @@ def hardy_upper(
     the float range.
     """
     u, w = _checked_exponents(u, w)
-    return _upper_block(_Block.of(f.rearrange(), grid_spec), u, w)
+    return _upper_block(_Block([f.rearrange()], grid_spec), u, w)
 
 
 def hardy_lower(
@@ -560,7 +561,7 @@ def hardy_lower(
     Otherwise an average that leaves the float range raises ``ValueError``.
     """
     v, w = _checked_exponents(v, w)
-    return _lower_block(_Block.of(f.rearrange(), grid_spec), v, w)
+    return _lower_block(_Block([f.rearrange()], grid_spec), v, w)
 
 
 def _combine_laws(a, b, boundary: float, side: Literal["head", "tail"], hi: bool) -> tuple:

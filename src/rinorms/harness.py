@@ -19,14 +19,14 @@ it across all its configurations, the K battery's included.
 The Hardy checks have one driver, :func:`_reports`; a public ``verify_*``
 driver runs it on a single configuration.  It evaluates the
 configurations for a block of consecutive members at once (a block closes
-once it holds ``_BLOCK_POINTS`` grid points): the hardy module's block
-kernels make one set of numpy calls per block, bit-identical to one
-member at a time.  The members' envelope grids are built 64 at a time in
-one call and dropped with their block, so beyond the member records
-memory stays flat in the corpus size.  On glibc a Hardy scan raises
-malloc's trim and mmap thresholds for the whole process, so the heap the
-block kernels free stays mapped for the next block instead of being
-faulted in again (see ``_HEAP_TRIM_THRESHOLD``).  Configurations that take
+once its members' grid windows hold ``_BLOCK_POINTS`` points): the hardy
+module's block kernels make one set of numpy calls per block,
+bit-identical to one member at a time.  A block builds its members'
+envelope grids in one call and drops them with itself, so beyond the
+member records memory stays flat in the corpus size.  On glibc a Hardy
+scan raises malloc's trim and mmap thresholds for the whole process, so
+the heap the block kernels free stays mapped for the next block instead
+of being faulted in again (see ``_HEAP_TRIM_THRESHOLD``).  Configurations that take
 the same members form a group that walks its blocks once: each
 configuration keeps its own ``_Scan`` and scores every block, and a Hardy
 average several of them read is computed once per block and dropped with
@@ -104,9 +104,9 @@ __all__ = [
 POINTWISE_SLACK = 1e-12
 EQUIV_FLOOR_SLACK = 1e-6
 DEFAULT_RATIO_BOUND = 64.0
-# Grid points per block of members evaluated together: large enough that
-# per-call overhead vanishes, small enough that the block's temporaries
-# stay around a megabyte.
+# Window points (``GridSpec._window``, a little under the grid points) per
+# block of members evaluated together: large enough that per-call overhead
+# vanishes, small enough that the block's temporaries stay around a megabyte.
 _BLOCK_POINTS = 1 << 14
 # glibc malloc hands a freed heap top above M_TRIM_THRESHOLD (128 KiB by
 # default) back to the kernel, and each block's numpy temporaries, tens of
@@ -346,39 +346,30 @@ class _Check(NamedTuple):
     report: Callable[[_Scan], RatioReport]
 
 
-# Members whose grids are built by one GridSpec.build_many call.
-_GRID_BATCH = 64
-
-
 def _blocks(records: Sequence[_Member], grid_spec: GridSpec, space: SpaceDescriptor | None, block_points: int):
     """Yield ``(members, block)`` for the members of ``records`` that take
     part on ``space``, consecutive in corpus order.
 
-    A block is yielded as soon as it holds ``block_points`` grid points or
-    more, before the next member is prepared.  Records are read in batches
-    of ``min(_GRID_BATCH, block_points)``: the members of a batch that take
-    part are found, then their grids are built in one call, which raises
-    when one member's window leaves the float range.  With
-    ``block_points`` 1, as in the re-run of :func:`_reports`, a batch is
-    one record, so a member whose window leaves the float range or whose
+    A block is yielded as soon as its members' windows hold
+    ``block_points`` log-spaced points or more (``GridSpec._window``),
+    before the next member is prepared; making the block builds their grids.
+    With ``block_points`` 1, as in the re-run of :func:`_reports`, a block
+    is one member, so a member whose window leaves the float range or whose
     norm in E cannot be computed raises at its turn.  A grid lives as long
-    as its batch and its block.
+    as its block.
     """
     taken: list[_Member] = []
-    grids: list[np.ndarray] = []
     points = 0
-    step = min(_GRID_BATCH, block_points)
-    for start in range(0, len(records), step):
-        batch = [m for m in records[start : start + step] if m.takes_part(space)]
-        for m, grid in zip(batch, grid_spec.build_many([m.fs.breakpoints for m in batch])):
-            taken.append(m)
-            grids.append(grid)
-            points += grid.size
-            if points >= block_points:
-                yield taken, _Block([m.fs for m in taken], grids)
-                taken, grids, points = [], [], 0
+    for m in records:
+        if not m.takes_part(space):
+            continue
+        taken.append(m)
+        points += grid_spec._window(m.fs.breakpoints)[2]
+        if points >= block_points:
+            yield taken, _Block([m.fs for m in taken], grid_spec)
+            taken, points = [], 0
     if taken:
-        yield taken, _Block([m.fs for m in taken], grids)
+        yield taken, _Block([m.fs for m in taken], grid_spec)
 
 
 def _glibc_mallopt():
@@ -431,7 +422,7 @@ def _reports(records: tuple[_Member, ...], checks: Sequence[_Check]) -> list[Rat
     """The reports of ``checks`` on the corpus of ``records``, in order.
 
     Checks that take the same members on the same grids form a group, and
-    each group walks its blocks of ``_BLOCK_POINTS`` grid points once
+    each group walks its blocks of ``_BLOCK_POINTS`` window points once
     (:func:`_walk`).  A member that raises makes its whole block raise, and
     may raise before an earlier member's block is scored.  So if a walk
     raises, every check runs again, one after another, with one member per
@@ -464,16 +455,9 @@ def _violations(blk: _Block, lhs: np.ndarray, low: np.ndarray, slack: float):
     """Per member of ``blk``: the number of grid points where ``lhs`` falls
     below ``low`` beyond the relative slack, and the first such point."""
     bad = np.flatnonzero(lhs < low * (1.0 - slack))
-    counts = [0] * blk.size
-    first: list = [None] * blk.size
-    if bad.size:
-        owner = np.searchsorted(blk.goff, bad, side="right") - 1  # non-decreasing
-        at = np.flatnonzero(np.diff(owner, prepend=-1))  # each member's first bad point
-        n = np.diff(at, append=owner.size)
-        members = owner[at]
-        for i, j, c in zip(members.tolist(), bad[at].tolist(), n.tolist()):
-            counts[i] = c
-            first[i] = float(blk.grid[j])
+    at = bad.searchsorted(blk.goff)  # each member's first bad point, in bad
+    counts = np.diff(at).tolist()
+    first = [float(blk.grid[bad[j]]) if c else None for j, c in zip(at.tolist(), counts)]
     return counts, first
 
 
@@ -493,13 +477,14 @@ def _pointwise_check(
         if kind == "upper":
             env_w = blk.envelope("upper", a, b)
             env_inf = blk.envelope("upper", a, INF)
-            checks = [(env_w.values, env_inf.values), (env_inf.values, blk.f_star(blk.K))]
+            checks = [(env_w.values, env_inf.values), (env_inf.values, blk.f_star[blk.K])]
         else:
             with np.errstate(over="ignore"):
                 doubled = 2.0 * blk.grid
-            checks = [(blk.envelope("lower", a, b).values, blk.f_star(blk.piece_index(doubled)))]
+            checks = [(blk.envelope("lower", a, b).values, blk.f_star[blk.piece_index(doubled)])]
             if doubled.max() == INF:
-                records[0].fs(doubled)  # raises: f*(2t) is undefined where 2t leaves the float range
+                t = float(blk.grid[np.argmax(doubled == INF)])
+                raise ValueError(f"f*(2t) is undefined at grid point t = {t!r}: 2t leaves the float range")
         found = [_violations(blk, lhs, low, slack) for lhs, low in checks]
         for i, m in enumerate(records):
             for counts, first in found:

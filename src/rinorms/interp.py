@@ -503,7 +503,7 @@ def functor_norm(
     _check_functor(fp, couple)
     if f.is_zero:
         return Enclosure(0.0, 0.0)
-    return _functor_block(_Block.of(f.rearrange(), grid_spec), fp, couple)[0]
+    return _functor_block(_Block([f.rearrange()], grid_spec), fp, couple)[0]
 
 
 def _check_functor(fp: FunctorParams, couple: LorentzCouple) -> None:

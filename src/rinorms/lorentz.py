@@ -180,17 +180,12 @@ def _log2_power_integral(alpha: float, lo: float, hi: float) -> float:
 
 
 def _weighted_sup(fs: StepFunction, expo: float, lo: float = 0.0, hi: float = INF) -> float:
-    """``sup over (lo, hi) of s**expo * f*(s)`` for non-increasing step ``fs`` (extended real)."""
-    # For expo >= 0 the sup over a piece sits at its right end; b**0 == 1 and
-    # inf**expo == inf cover expo == 0 and the tail.  For expo < 0 it sits at
-    # the left end, and a piece from 0 makes the sup infinite.
-    vals, los, his = _nonzero_pieces(fs, lo, hi)
-    if expo >= 0.0:
-        return max(chain((0.0,), map(mul, vals, map(pow, his, repeat(expo)))))
-    head = ()
-    if los and los[0] == 0.0:
-        head, vals, los = (INF,), vals[1:], los[1:]
-    return max(chain((0.0,), head, map(mul, vals, map(pow, los, repeat(expo)))))
+    """``sup over (lo, hi) of s**expo * f*(s)`` for non-increasing step ``fs``
+    and ``expo >= 0`` (extended real)."""
+    # the sup over a piece sits at its right end; b**0 == 1 and inf**expo ==
+    # inf cover expo == 0 and the tail
+    vals, _, his = _nonzero_pieces(fs, lo, hi)
+    return max(chain((0.0,), map(mul, vals, map(pow, his, repeat(expo)))))
 
 
 def dilation_operator_norm(params: LorentzParams, a: float) -> float:

@@ -42,6 +42,7 @@ from rinorms.hardy import (
 from rinorms.interp import FunctorParams, LorentzCouple, _functor_block
 
 from conftest import (
+    edge_step_functions,
     envelope_lower,
     envelope_upper,
     ref_add_envelopes,
@@ -300,7 +301,7 @@ class TestEnvelopeAlgebra:
 
     def test_sum_envelope_norm_brackets_true_value(self, small_corpus):
         f = list(small_corpus)[2]
-        blk = _Block.of(f.rearrange(), COARSE)
+        blk = _Block([f.rearrange()], COARSE)
         e = _add_block(_upper_block(blk, 1.0, 1.0), _lower_block(blk, 4.0, 4.0))
         enc = envelope_norm(e, LorentzParams(2.0, 2.0))
         # Riemann check on a fine grid stays inside the certified enclosure
@@ -316,7 +317,7 @@ class TestEnvelopeAlgebra:
         # t**-0.5 f**(t) = t**-1.5 integral_0^t f*, on the grid and by the tail law beyond it
         fs = list(small_corpus)[2].rearrange()
         assert fs.tail == 0.0
-        e = _upper_block(_Block.of(fs, COARSE), 1.0, 1.0)
+        e = _upper_block(_Block([fs], COARSE), 1.0, 1.0)
         scaled = _scale_block(e, 0.5)
         for t, value in list(zip(scaled.grid.tolist(), scaled.values.tolist()))[::40]:
             assert value == pytest.approx(t**-1.5 * weighted_power_integral(fs, 1.0, 1.0, 0.0, t), rel=1e-12)
@@ -416,6 +417,24 @@ class TestGridBuilder:
 
     def test_no_anchor_sets(self):
         assert DEFAULT_GRID.build_many([]) == []
+
+    @settings(max_examples=60, deadline=None)
+    @given(f=edge_step_functions(), spec=st.sampled_from([COARSE, DEFAULT_GRID]))
+    @example(f=StepFunction.zero(), spec=DEFAULT_GRID)  # no anchors: the window around 1
+    def test_window_is_the_grid_window(self, f, spec):
+        # the window a block counts its points by is the one its grid fills
+        anchors = f.breakpoints
+        try:
+            grid = spec.build(anchors)
+        except ValueError as err:
+            with pytest.raises(ValueError) as got:
+                spec._window(anchors)
+            assert str(got.value) == str(err)
+            return
+        lo, hi, n = spec._window(anchors)
+        assert (lo, hi) == (grid[0], grid[-1])
+        # n log-spaced points merged with the anchors (the point 1 when there are none)
+        assert grid.size <= n + max(len(anchors), 1)
 
 
 class TestGridAtFloatRangeEnds:
@@ -627,11 +646,11 @@ def _reference_or_error(build):
         return err
 
 
-def _block_outcomes(fss, grids, order, w) -> dict:
-    """Every block kernel on the block of ``fss``: per kernel, one string
-    per member (its fields or its norm), or the ``repr`` of the
-    ``ValueError`` the kernel raises."""
-    blk = _Block(fss, grids)
+def _block_outcomes(fss, spec, order, w) -> dict:
+    """Every block kernel on the block of ``fss`` on grids of ``spec``: per
+    kernel, one string per member (its fields or its norm), or the ``repr``
+    of the ``ValueError`` the kernel raises."""
+    blk = _Block(fss, spec)
 
     @functools.cache
     def env(name):
@@ -663,7 +682,7 @@ class TestBlockKernels:
         shared block the members that do not raise keep their bits, and
         with one member that raises the block raises that member's error."""
         grids = [spec.build(fs.breakpoints) for fs in fss]
-        singles = [_block_outcomes([fs], [grid], order, w) for fs, grid in zip(fss, grids)]
+        singles = [_block_outcomes([fs], spec, order, w) for fs in fss]
         for fs, grid, single in zip(fss, grids, singles):
             own = {key: x if isinstance(x, str) else x[0] for key, x in single.items()}
             ref_up = _reference_or_error(lambda: ref_hardy_upper(fs, order, w, grid))
@@ -685,7 +704,7 @@ class TestBlockKernels:
                 for j, (fp, couple) in enumerate(FUNCTORS):
                     assert own["functor", j] == _outcome(lambda: ref_functor_norm(fs, fp, couple, grid))
         block_of = functools.cache(  # the outcomes of the block of the members at these indices
-            lambda members: _block_outcomes([fss[i] for i in members], [grids[i] for i in members], order, w)
+            lambda members: _block_outcomes([fss[i] for i in members], spec, order, w)
         )
         for key in singles[0]:
             fine = tuple(i for i, single in enumerate(singles) if not isinstance(single[key], str))

@@ -441,14 +441,16 @@ class TestSharedMemberWork:
         assert 1 < len(blocks) < len(small_corpus)
         grids = [COARSE.build(f.rearrange().breakpoints) for f in small_corpus]
         assert b"".join(blocks) == np.concatenate(grids).tobytes()
-        # a block closes at the member that brings it to 2000 points or more
-        sizes = iter(g.size for g in grids)
+        # a block closes at the member whose window count brings it to 2000
+        # points or more
+        sizes = iter((g.size, COARSE._window(f.rearrange().breakpoints)[2]) for f, g in zip(small_corpus, grids))
         for j, block in enumerate(blocks):
             members = []
-            while 8 * sum(members) < len(block):
+            while 8 * sum(size for size, _ in members) < len(block):
                 members.append(next(sizes))
-            assert sum(members[:-1]) < 2000
-            assert sum(members) >= 2000 or j == len(blocks) - 1
+            counts = [n for _, n in members]
+            assert sum(counts[:-1]) < 2000
+            assert sum(counts) >= 2000 or j == len(blocks) - 1
 
     @pytest.mark.parametrize("check", ["lemma10", "thm11", "thm15"])
     def test_one_block_and_one_envelope_per_block_for_all_configurations(self, monkeypatch, check):
@@ -461,9 +463,10 @@ class TestSharedMemberWork:
         blocks = []
         block = harness._Block
 
-        def counting_block(fss, grids):
-            blocks.append(np.concatenate(grids).tobytes())
-            return block(fss, grids)
+        def counting_block(fss, grid_spec):
+            blk = block(fss, grid_spec)
+            blocks.append(blk.grid.tobytes())
+            return blk
 
         averages = Counter()
         kernels = {"upper": hardy._upper_block, "lower": hardy._lower_block}
@@ -794,6 +797,18 @@ class TestBlockDrivers:
             monkeypatch.setattr(harness, "_BLOCK_POINTS", block_points)
             assert repr(verify_hardy_pointwise(corpus, v=2.0, w=1.0, grid_spec=COARSE)) == repr(want)
 
+    def test_violations_are_counted_per_member_from_its_first_grid_point(self):
+        # bad points at member 1's first grid point and inside it, and at
+        # member 2's last; member 0 has none
+        blk = harness._Block([f.rearrange() for f in generate_corpus(7, 3)], COARSE)
+        goff = blk.goff.tolist()
+        low = np.ones(blk.grid.size)
+        lhs = low.copy()
+        lhs[[goff[1], goff[1] + 5, goff[3] - 1]] = 0.5
+        counts, first = harness._violations(blk, lhs, low, harness.POINTWISE_SLACK)
+        assert counts == [0, 2, 1]
+        assert first == [None, blk.grid[goff[1]], blk.grid[goff[3] - 1]]
+
     def test_errors_surface_in_corpus_order(self, monkeypatch):
         # a member whose grid leaves the float range and members whose
         # averages overflow: the first in corpus order raises, as one at a
@@ -807,12 +822,12 @@ class TestBlockDrivers:
         with pytest.raises(ValueError, match="leaves the float range"):
             verify_hardy_pointwise([good, far, huge], u=2.0, w=2.0)
         edge = StepFunction((1e302,), (1.0,))  # its grid ends within a factor 2 of the largest float
-        with pytest.raises(ValueError, match="evaluation point must be in"):
+        with pytest.raises(ValueError, match="2t leaves the float range"):
             verify_hardy_pointwise([good, edge, huge], v=2.0, w=2.0)
         with pytest.raises(ValueError, match="overflows the float range"):
             verify_hardy_pointwise([good, huge, edge], v=2.0, w=2.0)
         # a diverged lower average is checked on its own grid, like any other
-        with pytest.raises(ValueError, match="evaluation point must be in"):
+        with pytest.raises(ValueError, match="2t leaves the float range"):
             verify_hardy_pointwise([good, edge + StepFunction.constant(0.5), huge], v=2.0, w=2.0)
         # the norm path: huge's envelope norm overflows in L(3,3) (its head
         # coefficient 2e200 is cubed) and near_max's average does
@@ -849,7 +864,7 @@ class TestBlockDrivers:
                 default_check_reports(check, seed=0, size=len(corpus))
             assert repr(got.value) == repr(want.value), corpus
 
-    @pytest.mark.parametrize("gap", [0, harness._GRID_BATCH + 6], ids=["same-grid-batch", "later-grid-batch"])
+    @pytest.mark.parametrize("gap", [0, 70], ids=["next-member", "70-members-later"])
     def test_a_member_whose_norm_raises_waits_its_turn(self, monkeypatch, gap):
         # bad's norm in L(2,2) raises, after huge, whose envelope norm
         # under H^(1,1) overflows: huge's error surfaces, whether or not
@@ -877,7 +892,7 @@ class TestBlockDrivers:
         "bad, kind, match",
         [
             (StepFunction((1e303,), (1.0,)), {"u": 2.0}, "leaves the float range"),
-            (StepFunction((1e302,), (1.0,)), {"v": 2.0}, "evaluation point must be in"),
+            (StepFunction((1e302,), (1.0,)), {"v": 2.0}, "2t leaves the float range"),
             # its average overflows before 2t is read on its grid
             (StepFunction((1e302,), (1e300,)), {"v": 2.0}, "the Hardy average of f overflows"),
         ],
