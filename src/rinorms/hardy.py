@@ -90,6 +90,12 @@ def _sorted_distinct(x: np.ndarray) -> np.ndarray:
     return x[keep]
 
 
+# The most points one grid window may take: 2**24 points are 128 MiB of
+# float64 per array, and the widest window of a function whose breakpoints
+# span the float range takes about 4*10**4 points at 64 per decade.
+_MAX_WINDOW_POINTS = 2**24
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Log-spaced evaluation grid: resolution and window half-width.
@@ -121,7 +127,8 @@ class GridSpec:
         """``(lo, hi, n)``: the window around the sorted ``anchors`` (around
         1 when there are none) and the number of log-spaced points it takes.
 
-        Raises ``ValueError`` when the window leaves the float range.
+        Raises ``ValueError`` when the window leaves the float range, or
+        takes more than ``_MAX_WINDOW_POINTS`` points.
         """
         first, last = (float(anchors[0]), float(anchors[-1])) if len(anchors) else (1.0, 1.0)
         lo, hi = first / self.span, last * self.span
@@ -133,7 +140,13 @@ class GridSpec:
         ratio = hi / lo
         # a window wider than the float range: count its decades by logs
         decades = math.log10(ratio) if ratio < INF else math.log10(hi) - math.log10(lo)
-        return lo, hi, max(2, int(math.ceil(decades * self.points_per_decade)) + 1)
+        n = max(2, int(math.ceil(decades * self.points_per_decade)) + 1)
+        if n > _MAX_WINDOW_POINTS:
+            raise ValueError(
+                f"the grid window [{lo!r}, {hi!r}] takes {n} points at {self.points_per_decade} "
+                f"points per decade, past the limit of {_MAX_WINDOW_POINTS}"
+            )
+        return lo, hi, n
 
     def build_many(self, anchor_sets: Sequence) -> list[np.ndarray]:
         """The grid around each of ``anchor_sets`` (each sorted), as
@@ -682,7 +695,8 @@ def _norm_block(env: MonotoneEnvelope, params: LorentzParams) -> list[Enclosure]
     """:func:`envelope_norm` of every function of ``env``, in order.
 
     Each side of an enclosure follows one rule.  Where its head or its tail
-    law diverges, the side is ``inf``.  Otherwise its head, interval and
+    law diverges, the side is ``inf``; a side on which every function
+    diverges does no array work.  Otherwise its head, interval and
     tail terms are added (``q < inf``) or their maximum is taken, each
     function's in the order of one function at a time; a side that then
     reads ``inf`` or NaN has left the float range, and raises ``ValueError``.
@@ -714,11 +728,19 @@ def _norm_block(env: MonotoneEnvelope, params: LorentzParams) -> list[Enclosure]
                 (env.head_hi, env.tail_hi, vals[:-1], True),
                 (env.head_lo, env.tail_lo, vals[1:], False),
             ):
-                if beta is not None:
-                    power = (np.maximum if upper else np.minimum)(phi[:-1], phi[1:])
                 if q < INF:
                     diverges = env.diverged | (head.coef != 0.0) & (gamma - q * head.decay <= 0.0)
                     diverges |= (tail.coef != 0.0) & (gamma - q * tail.decay >= 0.0)
+                else:
+                    # t**beta_p times the head or the tail law is unbounded
+                    diverges = env.diverged | (head.coef != 0.0) & (head.decay > beta_p)
+                    diverges |= (tail.coef != 0.0) & (tail.decay < beta_p)
+                if diverges.all():
+                    sides.append([INF] * len(diverges))
+                    continue
+                if beta is not None:
+                    power = (np.maximum if upper else np.minimum)(phi[:-1], phi[1:])
+                if q < INF:
                     if beta is None:
                         mid = const**q * weights
                     else:
@@ -726,9 +748,6 @@ def _norm_block(env: MonotoneEnvelope, params: LorentzParams) -> list[Enclosure]
                         if flat is not None:
                             mid = np.where(flat, const**q * weights, mid)
                 else:
-                    # t**beta_p times the head or the tail law is unbounded
-                    diverges = env.diverged | (head.coef != 0.0) & (head.decay > beta_p)
-                    diverges |= (tail.coef != 0.0) & (tail.decay < beta_p)
                     mid = const * sup_b
                     if beta is not None:
                         clipped = (np.minimum if upper else np.maximum)(mid, power * pow_sup)

@@ -55,6 +55,7 @@ Violations carry the witness function as JSON for reproduction.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
@@ -604,6 +605,17 @@ _CALIBRATION_TARGET = math.sqrt(2.0)
 _CALIBRATION_WIDTH = 1e-3
 
 
+@functools.cache
+def _calibration(fp: FunctorParams, couple: LorentzCouple, span: float):
+    """The functor norm enclosure of the unit indicator on a fine grid.
+
+    A pure function of its arguments, so one process evaluates it once
+    per configuration, however many scans calibrate.
+    """
+    chi = StepFunction.indicator(0.0, 1.0)
+    return functor_norm(chi, fp, couple, GridSpec(points_per_decade=256, span=span))
+
+
 def _interpolation_check(
     space: SpaceDescriptor,
     couple: LorentzCouple,
@@ -631,10 +643,7 @@ def _interpolation_check(
         passed = scan.violations == 0 and spread <= ratio_bound
         extras = {"spread": spread}
         if calibrate:
-            chi = StepFunction.indicator(0.0, 1.0)
-            enc = functor_norm(
-                chi, fp, couple, GridSpec(points_per_decade=256, span=grid_spec.span)
-            )
+            enc = _calibration(fp, couple, grid_spec.span)
             extras["calibration"] = str(enc)
             # endpoint sums are plain float accumulations; 1e-12 absorbs their roundoff
             if not (enc.contains(_CALIBRATION_TARGET, slack=1e-12) and enc.width <= _CALIBRATION_WIDTH):

@@ -34,6 +34,12 @@ INF = math.inf
 # 46 us at 128 pieces, 80 vs 66 us at 256.
 _LEVEL_SET_ARRAY_MIN = 200
 
+# orjson's decoder recurses on the C stack: orjson 3.8.3 ends the process
+# with SIGSEGV on a text nested 150,000 deep, where json raises
+# RecursionError.  A function file holds one object and two arrays, so a
+# text with more brackets than that is left to json.
+_ORJSON_MAX_BRACKETS = 3
+
 __all__ = [
     "INF",
     "StepFunction",
@@ -429,6 +435,20 @@ class StepFunction:
 
     @classmethod
     def from_json(cls, s: str) -> "StepFunction":
+        """The function of a JSON text, decoded by orjson where it can be.
+
+        Where orjson refuses the text, or :meth:`from_dict` refuses what
+        orjson made of it, ``json`` decodes it and decides, so that every
+        refusal is the one ``json`` gives.  orjson is imported here, not
+        at module load, so only callers that decode pay for its import.
+        """
+        if s.count("[") + s.count("{") <= _ORJSON_MAX_BRACKETS:
+            import orjson
+
+            try:
+                return cls.from_dict(orjson.loads(s))
+            except ValueError:  # orjson.JSONDecodeError is one
+                pass
         try:
             d = json.loads(s)
         except json.JSONDecodeError as e:

@@ -3,8 +3,12 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
 from bisect import bisect_left
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,12 +17,32 @@ from scipy.integrate import quad
 
 from rinorms import Enclosure, StepFunction, generate_corpus, lorentz_norm
 from rinorms.hardy import _OVERFLOW, MonotoneEnvelope, PowerLaw
-from rinorms.harness import _L1_LINF, POINTWISE_SLACK, _records, _Scan
+from rinorms.harness import _L1_LINF, POINTWISE_SLACK, _calibration, _records, _Scan
 from rinorms.interp import _k_l1_linf, holmstedt_k, k_exact_l1_linf, k_upper_oracle
 from rinorms.lorentz import _NORM_OVERFLOW
 from rinorms.stepfn import _power_integral_array, power_integral, weighted_power_integral
 
 INF = math.inf
+
+
+@pytest.fixture(autouse=True)
+def _fresh_calibration_memo():
+    """Each test starts without thm15's calibrations memoised by earlier
+    ones, as a fresh process does."""
+    _calibration.cache_clear()
+
+
+def golden(name: str) -> str:
+    """The committed report text ``tests/golden/<name>``, byte for byte."""
+    return (Path(__file__).parent / "golden" / name).read_bytes().decode()
+
+
+def in_fresh_process(code: str) -> str:
+    """What ``code`` prints, run in a new interpreter that imports rinorms from ``src``."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
 
 
 def quad_weighted_power(f: StepFunction, gamma: float, w: float, a: float = 0.0, b: float = INF) -> float:

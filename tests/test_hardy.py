@@ -29,6 +29,7 @@ from rinorms import (
 )
 from rinorms import generate_corpus
 from rinorms.hardy import (
+    _MAX_WINDOW_POINTS,
     _NORM_OVERFLOW,
     DEFAULT_GRID,
     PowerLaw,
@@ -450,6 +451,20 @@ class TestGridAtFloatRangeEnds:
     def test_window_outside_the_float_range_is_rejected(self, anchors):
         with pytest.raises(ValueError, match=re.escape(f"anchors [{anchors[0]!r}, {anchors[1]!r}] with span")):
             GridSpec().build(anchors)
+
+
+    def test_window_past_the_point_limit_is_refused(self, monkeypatch):
+        # refused from the window's size alone: nothing is allocated
+        monkeypatch.setattr("rinorms.hardy._offsets", None)
+        spec = GridSpec(points_per_decade=10**9)
+        with pytest.raises(ValueError, match=r"takes \d+ points at 1000000000 points per decade, past the limit"):
+            spec._window([1.0, 2.0])
+        with pytest.raises(ValueError, match=r"the grid window \[9\.5367431640625e-07, 2097152\.0\]"):
+            spec.build_many([np.array([1.0, 2.0])])
+
+    def test_widest_window_at_the_default_resolution_is_in_the_limit(self):
+        lo, hi, n = GridSpec()._window([2.0**-1002, 2.0**1003])
+        assert n < _MAX_WINDOW_POINTS // 100
 
 
 _HUGE = StepFunction((1.0,), (1e200,))

@@ -8,11 +8,8 @@ import io
 import json
 import math
 import os
-import subprocess
-import sys
 import tracemalloc
 from collections import Counter
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,6 +40,8 @@ from rinorms.harness import (
 from rinorms.interp import FunctorParams, _check_functor
 
 from conftest import (
+    golden,
+    in_fresh_process,
     loop_verify_k_properties,
     ref_envelope_norm,
     ref_functor_norm,
@@ -51,7 +50,6 @@ from conftest import (
 )
 
 COARSE = GridSpec(points_per_decade=16, span=2.0**12)
-SRC = str(Path(__file__).resolve().parents[1] / "src")
 L22 = SpaceDescriptor.for_lorentz(LorentzParams(2.0, 2.0))
 
 
@@ -136,6 +134,13 @@ class TestEquivalenceDriver:
         assert rep.passed
         assert rep.extras["diverged"] == 2
 
+    def test_boundary_builds_no_interval_terms(self, small_corpus, monkeypatch):
+        # every member diverges on both sides, so neither side's interval
+        # terms are worth building
+        monkeypatch.setattr(hardy, "_split_terms", None)
+        rep = verify_hardy_equivalence(small_corpus, L22, u=2.0, w=1.0, grid_spec=COARSE)
+        assert rep.extras["diverged"] == rep.size
+
     def test_ratio_bound_enforced(self, small_corpus):
         rep = verify_hardy_equivalence(
             small_corpus, L22, u=1.0, w=1.0, ratio_bound=1.01, grid_spec=COARSE
@@ -159,6 +164,24 @@ class TestInterpolationDriver:
         )
         assert rep.passed
         assert "calibration" in rep.extras
+
+    def test_calibration_is_evaluated_once_per_configuration(self, small_corpus, monkeypatch):
+        calls = []
+        functor_norm = harness.functor_norm
+
+        def counting(f, fp, couple, grid_spec):
+            calls.append(grid_spec)
+            return functor_norm(f, fp, couple, grid_spec)
+
+        monkeypatch.setattr(harness, "functor_norm", counting)
+        couple = LorentzCouple(LorentzParams(1.0, 1.0), LorentzParams(INF, INF))
+        corpus = list(small_corpus)[:4]
+        reports = [
+            verify_interpolation_identity(corpus, L22, couple, 1.0, grid_spec=grid, calibrate=True)
+            for grid in (COARSE, COARSE, GridSpec(points_per_decade=8, span=COARSE.span), DEFAULT_GRID)
+        ]
+        assert calls == [GridSpec(points_per_decade=256, span=span) for span in (COARSE.span, DEFAULT_GRID.span)]
+        assert len({r.extras["calibration"] for r in reports[:3]}) == 1
 
 
 class TestKDriver:
@@ -351,12 +374,8 @@ class TestReports:
         # scans share must stay keyed by its GridSpec.  Recorded on Python
         # 3.11 with numpy 2.4.
         reports = default_check_reports("all", seed=11, size=300, grid_spec=GridSpec(points_per_decade=16))
-        assert hashlib.sha256(reports_to_csv(reports).encode()).hexdigest() == (
-            "6691ae072decfffbe2407a981d27db8af437fa9a2e3989a9101e7fe45ef64381"
-        )
-        assert hashlib.sha256(reports_to_json(reports).encode()).hexdigest() == (
-            "d8d78aba1da7fac781d88d59880859350b4e0e55eaf50b45cd0799a46ded49d4"
-        )
+        assert reports_to_csv(reports) == golden("verify_all_seed11_size300_grid16.csv")
+        assert reports_to_json(reports) == golden("verify_all_seed11_size300_grid16.json")
 
 
 def _capture_corpus(monkeypatch, **kwargs) -> list:
@@ -513,14 +532,6 @@ class TestSharedMemberWork:
             assert len(scans) == 1
 
 
-def _in_fresh_process(code: str) -> str:
-    """What ``code`` prints, run in a new interpreter that imports rinorms from ``SRC``."""
-    env = {**os.environ, "PYTHONPATH": SRC}
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
-    assert done.returncode == 0, done.stderr
-    return done.stdout
-
-
 def _traced_peak(run) -> int:
     """The tracemalloc peak, in bytes, of ``run()``."""
     tracemalloc.start()
@@ -553,7 +564,7 @@ class TestScanFootprint:
             "default_check_reports('thm15', 7, 12)\n"
             "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
         )
-        assert int(_in_fresh_process(code)) < 100
+        assert int(in_fresh_process(code)) < 100
 
     def test_heap_thresholds_are_set_through_mallopt(self, monkeypatch):
         calls = []
@@ -587,7 +598,7 @@ class TestScanFootprint:
             f"default_check_reports({check!r}, 7, 12)\n"
             "print('numpy.ma' in sys.modules)\n"
         )
-        assert _in_fresh_process(code) == "False\n"
+        assert in_fresh_process(code) == "False\n"
 
 
 def _public_reports(corpus, grid_spec, check: str = "all") -> list:

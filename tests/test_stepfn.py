@@ -8,7 +8,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rinorms import INF, StepFunction, power_integral, weighted_power_integral
@@ -17,6 +17,7 @@ from rinorms.stepfn import _LEVEL_SET_ARRAY_MIN, _json_number
 from conftest import (
     edge_step_functions,
     excess,
+    in_fresh_process,
     loop_canonical,
     loop_sorted_above_tail,
     loop_weighted_power_integral,
@@ -639,6 +640,107 @@ class TestJsonBulkValidation:
         assert _outcome(lambda: _fields(StepFunction.from_json(text))) == _outcome(
             lambda: _elementwise_from_json(text)
         )
+
+
+def _stdlib_from_json(text: str) -> StepFunction:
+    """``from_json`` as it reads with the stdlib decoder alone."""
+    try:
+        d = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise ValueError(f"malformed step function JSON: {e}") from e
+    return StepFunction.from_dict(d)
+
+
+_MAX_DIGITS_INT = 10**309 - 1
+# integers orjson reads as floats (past the 64-bit range) and the edges of that range
+_BIG_INTS = st.sampled_from([2**63, 2**64, -(2**63), -(2**64)]).flatmap(lambda b: st.integers(b - 3, b + 3))
+_POSITIVE = st.one_of(
+    st.integers(1, 2**64 + 3),
+    st.integers(1, _MAX_DIGITS_INT),
+    st.floats(min_value=2.0**-1074, max_value=2.0**-1022),  # subnormals
+    st.floats(min_value=2.0**-1074, allow_infinity=False),
+)
+
+
+_NUMBER_TOKENS = st.one_of(
+    (_BIG_INTS | st.integers(-_MAX_DIGITS_INT, _MAX_DIGITS_INT) | st.integers(-10, 10)).map(str),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.builds(  # 25-digit mantissas, some past the float range either way
+        lambda sign, digits, exp: f"{sign}{digits[0]}.{digits[1:]}e{exp}",
+        st.sampled_from(["", "-"]),
+        st.text("0123456789", min_size=25, max_size=25),
+        st.integers(-345, 330),
+    ),
+    st.sampled_from(
+        ["-0", "-0.0", "0", "NaN", "Infinity", "-Infinity", "1e999", "-1e999", "1e-400", "1" + "0" * 400]
+    ),
+)
+_OTHER_TOKENS = st.sampled_from(
+    ["null", "true", '"1.0"', '"\\ud800"', '"\ud800"', "[18446744073709551616]", "[-0]", '{"a": 1e999}']
+)
+_ENTRIES = _NUMBER_TOKENS | _OTHER_TOKENS
+
+
+@st.composite
+def function_texts(draw):
+    """JSON texts of step functions, valid or not, that the two decoders may
+    read differently: big and out-of-range numbers, non-standard constants,
+    lone surrogates, a BOM, trailing data and duplicate keys."""
+    if draw(st.booleans()):  # valid fields, up to float rounding of the breakpoints
+        bps = sorted(draw(st.lists(_POSITIVE, max_size=6, unique=True)))
+        n = len(bps)
+        vals = draw(st.lists(_POSITIVE | st.just(0), min_size=n, max_size=n))
+        bps, vals, tail = map(repr, bps), map(repr, vals), repr(draw(_POSITIVE | st.just(0)))
+    else:
+        bps, vals, tail = draw(st.lists(_ENTRIES, max_size=5)), draw(st.lists(_ENTRIES, max_size=5)), draw(_ENTRIES)
+    fields = [("breakpoints", f"[{', '.join(bps)}]"), ("values", f"[{', '.join(vals)}]"), ("tail", tail)]
+    if draw(st.booleans()):
+        fields.append(("tail", draw(_NUMBER_TOKENS)))
+    fields = draw(st.permutations(fields))[draw(st.sampled_from([0, 0, 1, 2])) :]
+    text = "{" + ", ".join(f'"{k}": {v}' for k, v in fields) + "}"
+    prefix = draw(st.just("") | st.sampled_from(["\ufeff", " \n"]))
+    return prefix + text + draw(st.just("") | st.sampled_from(["\n", " x", "{}", ",1"]))
+
+
+class TestJsonDecoders:
+    """``from_json`` decodes with orjson and leaves what orjson or the field
+    checks refuse to the stdlib decoder, so it stores the fields and raises
+    the messages of a stdlib-only decode."""
+
+    @given(text=function_texts())
+    @example(text=f'{{"breakpoints": [1, {2**64 + 1}, {10**308 + 1}], "values": [{2**63 + 1}, 2, 1]}}')
+    @example(text=f'{{"values": [], "tail": [{2**64}]}}')  # message quotes the integer's digits
+    @settings(max_examples=600, deadline=None)
+    def test_matches_the_stdlib_decoder(self, text):
+        assert _outcome(lambda: _fields(StepFunction.from_json(text))) == _outcome(
+            lambda: _fields(_stdlib_from_json(text))
+        )
+
+    @pytest.mark.parametrize("opening, closing", [("[", "]"), ('{"a": ', "}")])
+    def test_deep_nesting_raises_as_the_stdlib_does(self, opening, closing):
+        # a text nested 200,000 deep overflows the C stack of orjson 3.8.3
+        code = (
+            "from rinorms import StepFunction\n"
+            f"text = {opening!r} * 200_000 + '1' + {closing!r} * 200_000\n"
+            "try:\n"
+            "    StepFunction.from_json(text)\n"
+            "except RecursionError:\n"
+            "    print('RecursionError')\n"
+        )
+        assert in_fresh_process(code) == "RecursionError\n"
+
+    def test_orjson_is_imported_only_to_decode(self):
+        code = (
+            "import os, sys\n"
+            "import rinorms\n"
+            "from rinorms.cli import main\n"
+            "seen = ['orjson' in sys.modules]\n"
+            "main(['verify', 'kprops', '--seed', '7', '--corpus-size', '12', '--output', os.devnull])\n"
+            "seen.append('orjson' in sys.modules)\n"
+            "rinorms.StepFunction.from_json('{}')\n"
+            "print(seen, 'orjson' in sys.modules)\n"
+        )
+        assert in_fresh_process(code) == "[False, False] True\n"
 
 
 class TestConcurrencySafety:
