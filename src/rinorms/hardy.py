@@ -197,7 +197,7 @@ _NORM_OVERFLOW = "the envelope norm overflows the float range"
 # on an element's neighbours and those reductions see the same arrays as a
 # lone function would, so every value is the one that function would get on
 # its own.  hardy_upper and hardy_lower are the same kernels on a block of
-# one.
+# one, and interp's K(t; L1, L_inf) is _upper_integral at (1, 1) on _Pieces.
 
 
 def _offsets(sizes) -> np.ndarray:
@@ -219,25 +219,14 @@ def _accumulate(ufunc: np.ufunc, x: np.ndarray, off, reverse: bool = False) -> n
     return out
 
 
-class _Block:
-    """``f*`` and envelope grid of consecutive functions, concatenated.
+class _Pieces:
+    """The pieces of consecutive ``f*`` ``fss``: function ``i`` owns pieces
+    ``poff[i]:poff[i+1]`` of ``bp``/``vals``.  Per-piece tables carry one
+    more entry per function for its tail piece: piece ``j`` sits at entry
+    ``vpos[j]``, function ``i``'s entries run from ``hpos[i]`` to its
+    tail's, ``tpos[i]``, and ``f_star`` is the table of ``f*``."""
 
-    ``fss`` are the functions' rearrangements; their grids come from one
-    :meth:`GridSpec.build_many` call of ``grid_spec``, which raises
-    ``ValueError`` when one window leaves the float range.  Function ``i``
-    owns pieces ``poff[i]:poff[i+1]`` of ``bp``/``vals`` and grid points
-    ``goff[i]:goff[i+1]`` of ``grid``.  Per-piece tables carry one more
-    entry per function for its tail piece: piece ``j`` of the block sits at
-    entry ``vpos[j]``, and function ``i``'s entries run from ``hpos[i]`` to
-    its tail's, ``tpos[i]``.  ``f_star`` is the table of ``f*`` and ``K[j]``
-    the entry of the piece holding grid point ``j``.
-
-    :meth:`envelope` keeps each Hardy average it computes, so the averages
-    of a block live as long as the block.
-    """
-
-    def __init__(self, fss: Sequence[StepFunction], grid_spec: GridSpec):
-        grids = grid_spec.build_many([fs.breakpoints for fs in fss])
+    def __init__(self, fss: Sequence[StepFunction]):
         counts = [len(fs.breakpoints) for fs in fss]
         k = self.size = len(fss)
         self.poff = _offsets(counts)
@@ -248,10 +237,30 @@ class _Block:
         self.vpos = np.arange(n) + np.repeat(np.arange(k), counts)
         self.hpos = self.poff[:-1] + np.arange(k)
         self.tpos = self.poff[1:] + np.arange(k)
+        self.f_star = self.table(self.vals, self.tails)
+
+    def table(self, pieces, tails) -> np.ndarray:
+        """A per-piece table: ``pieces`` at the pieces' entries, ``tails`` at the tails'."""
+        out = np.empty(self.vpos.size + self.size, dtype=np.result_type(pieces, tails))
+        out[self.vpos] = pieces
+        out[self.tpos] = tails
+        return out
+
+
+class _Block(_Pieces):
+    """:class:`_Pieces` and their envelope grids, built first by one
+    :meth:`GridSpec.build_many` call of ``grid_spec``, which raises
+    ``ValueError`` when one window leaves the float range.  Function ``i``
+    owns grid points ``goff[i]:goff[i+1]`` of ``grid``; ``K[j]`` is the
+    entry of the piece holding grid point ``j``.  :meth:`envelope` keeps
+    each Hardy average it computes for the life of the block."""
+
+    def __init__(self, fss: Sequence[StepFunction], grid_spec: GridSpec):
+        grids = grid_spec.build_many([fs.breakpoints for fs in fss])
+        super().__init__(fss)
         self.goff = _offsets([g.size for g in grids])
         self.grid = np.concatenate(grids)
         self.K = self.piece_index(self.grid)
-        self.f_star = self.table(self.vals, self.tails)
         self._envelopes: dict[tuple, MonotoneEnvelope] = {}
 
     def envelope(self, kind: Literal["upper", "lower"], order: float, w: float) -> "MonotoneEnvelope":
@@ -263,13 +272,6 @@ class _Block:
             kernel = _upper_block if kind == "upper" else _lower_block
             env = self._envelopes[key] = kernel(self, order, w)
         return env
-
-    def table(self, pieces, tails) -> np.ndarray:
-        """A per-piece table: ``pieces`` at the pieces' entries, ``tails`` at the tails'."""
-        out = np.empty(self.vpos.size + self.size, dtype=np.result_type(pieces, tails))
-        out[self.vpos] = pieces
-        out[self.tpos] = tails
-        return out
 
     def piece_index(self, t: np.ndarray) -> np.ndarray:
         """Table entry of the piece holding each point of ``t``.
@@ -384,7 +386,7 @@ def _single_eval(blk: _Block, evaluate, const: float | None):
     return eval_at
 
 
-def _power_tables(blk: _Block, w: float, order: float):
+def _power_tables(pcs: _Pieces, w: float, order: float):
     """Shared finite-``w`` tables of both families, with ``e = w / order``.
 
     Returns ``(e, edges, seg)``: ``edges`` holds ``bp**e`` at the entry
@@ -393,10 +395,26 @@ def _power_tables(blk: _Block, w: float, order: float):
     each piece.
     """
     e = w / order
-    edges = np.zeros(blk.vpos.size + blk.size)
-    edges[blk.vpos + 1] = blk.bp**e
-    seg = blk.vals**w * (edges[blk.vpos + 1] - edges[blk.vpos]) / e
+    edges = np.zeros(pcs.vpos.size + pcs.size)
+    edges[pcs.vpos + 1] = ends = pcs.bp**e
+    seg = pcs.vals**w * (ends - edges[pcs.vpos]) / e
     return e, edges, seg
+
+
+def _upper_integral(pcs: _Pieces, u: float, w: float):
+    """``(cum, inner)``: the upper inner integral ``integral_0^t [s**(1/u)
+    f*(s)]**w ds/s`` (``w < inf``) at each entry's piece start, summed in
+    piece order, and ``inner(t, K)`` at points ``t`` in entries ``K``; at
+    ``u = w = 1`` it is ``K(t, f; L_1, L_inf)``.  An overflow gives ``inf``."""
+    allv = pcs.f_star
+    e, edges, seg = _power_tables(pcs, w, u)
+    cum = np.zeros(allv.size)
+    cum[pcs.vpos + 1] = _accumulate(np.add, seg, pcs.poff)
+
+    def inner(t, K):
+        return cum[K] + allv[K] ** w * (t**e - edges[K]) / e
+
+    return cum, inner
 
 
 def _upper_block(blk: _Block, u: float, w: float) -> MonotoneEnvelope:
@@ -424,15 +442,12 @@ def _upper_block(blk: _Block, u: float, w: float) -> MonotoneEnvelope:
     # which _monotone_values marks
     with np.errstate(over="ignore", invalid="ignore"):
         if w < INF:
-            e, edges, seg = _power_tables(blk, w, u)
-            cum = np.zeros(allv.size)  # inner integral at piece starts
-            cum[blk.vpos + 1] = _accumulate(np.add, seg, blk.poff)
+            cum, inner = _upper_integral(blk, u, w)
 
             def evaluate(t, K):
-                inner = cum[K] + allv[K] ** w * (t**e - edges[K]) / e
                 # pow() monotonicity can slip an ulp right at a breakpoint;
                 # the clamp keeps the fractional power real
-                return t ** (-1.0 / u) * np.maximum(inner, 0.0) ** (1.0 / w)
+                return t ** (-1.0 / u) * np.maximum(inner(t, K), 0.0) ** (1.0 / w)
 
             head[~flat] = blk.vals[firsts] * factor
             # tail descriptors: power-law decay past a compact support, else

@@ -192,6 +192,8 @@ def generate_corpus(
 
 
 def generate_pairs(seed: int, n_pairs: int, **kwargs) -> list[tuple[StepFunction, StepFunction]]:
+    if n_pairs <= 0:
+        raise ValueError(f"n_pairs must be positive, got {n_pairs}")
     corpus = generate_corpus(seed, 2 * n_pairs, **kwargs)
     fs = corpus.functions
     return [(fs[2 * i], fs[2 * i + 1]) for i in range(n_pairs)]

@@ -6,9 +6,9 @@ Three representations of the Peetre K-functional
 
 are implemented for couples of Lorentz spaces:
 
-* :func:`k_exact_l1_linf` - the classical closed form
-  ``K(t, f; L_1, L_inf) = integral_0^t f*``, a prefix sum of piece widths
-  times values (exact on dyadic inputs; one kernel call serves a block);
+* :func:`k_exact_l1_linf` - the closed form ``K(t, f; L_1, L_inf) = integral_0^t
+  f*``, the upper Hardy inner integral at ``u = w = 1`` on the hardy module's
+  piece table (exact on dyadic inputs; one kernel call serves a block);
 * :func:`k_upper_oracle` - an upper bound minimising over truncation
   decompositions ``f* = (f* - lam)_+ + min(f*, lam)``, which is exactly
   optimal for (L_1, L_inf) and serves as the independent oracle: prefix
@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain
 from operator import add, mul, sub
 from typing import Sequence
 
@@ -43,7 +43,9 @@ from .hardy import (
     _add_block,
     _Block,
     _norm_block,
+    _Pieces,
     _scale_block,
+    _upper_integral,
 )
 from .lorentz import (
     _TINY,
@@ -113,8 +115,7 @@ def k_exact_l1_linf(f: StepFunction, t: float) -> float:
 
 
 def _k_l1_linf(fs: StepFunction, ts: Sequence[float]) -> list[float]:
-    """``K(t, f; L_1, L_inf)`` at each ``t`` of ``ts``, from ``fs = f*``: the
-    block of one of :func:`_k_l1_linf_block`."""
+    """:func:`_k_l1_linf_block` of the block of one ``fs = f*`` at ``ts``."""
     return _k_l1_linf_block([fs], [ts]).tolist()
 
 
@@ -122,43 +123,24 @@ def _k_l1_linf_block(fss: Sequence[StepFunction], ts_rows: Sequence[Sequence[flo
     """``K(t, f; L_1, L_inf)`` at each ``t`` of ``ts_rows[i]`` (finite and
     positive), from ``fss[i] = f*``, the rows concatenated in order.
 
-    ``K(t)`` is the sum of ``v * (b - lo)`` over the pieces ``(lo, b]``
-    before the one holding ``t``, in piece order, plus ``v * (t - lo)`` for
-    that piece (the tail past the last breakpoint).  Each member's pieces,
-    up to the one holding its largest ``t``, form a run with prefix sums
-    from 0.0, so a value does not depend on the rest of the block.  A term
-    is one rounded difference and one rounded product: ``K`` is exact on
-    dyadic inputs of few bits, within relative ``(k + 2) * 2**-53`` over
-    ``k`` terms otherwise (while the terms stay normal floats), and ``inf``
-    past the largest float.
+    ``K(t) = integral_0^t f*`` is :func:`hardy._upper_integral` at ``u = w = 1``:
+    the terms ``v * (b - lo)`` of the pieces ``(lo, b]`` before the one holding
+    ``t``, summed in piece order, plus ``v * (t - lo)`` for that piece.  Each
+    ``f*`` is cut after the piece holding its largest ``t``, so a value does
+    not depend on the rest of the block.  ``K`` is exact on dyadic inputs of
+    few bits, within relative ``(k + 2) * 2**-53`` over ``k`` terms otherwise
+    (while the terms stay normal floats), and ``inf`` past the largest float.
     """
-    tops = [bisect_left(fs.breakpoints, max(ts, default=0.0)) for fs, ts in zip(fss, ts_rows)]
-    off = [*accumulate(map(add, tops, repeat(1)), initial=0)]
+    ns = [bisect_left(fs.breakpoints, max(ts, default=0.0)) + 1 for fs, ts in zip(fss, ts_rows)]
+    pcs = _Pieces([StepFunction._canonical(fs.breakpoints[:n], fs.values[:n], fs.tail) for fs, n in zip(fss, ns)])
     rows = [*accumulate(map(len, ts_rows), initial=0)]
-    # Piece j of a member, up to its top one, is entry j of the member's run:
-    # the breakpoint that starts the piece (0.0 for the first) and its value
-    # (the tail past the last breakpoint).
-    starts = np.fromiter(
-        chain.from_iterable(chain((0.0,), fs.breakpoints[:top]) for fs, top in zip(fss, tops)), float, off[-1]
-    )
-    values = np.fromiter(
-        chain.from_iterable(
-            fs.values[: top + 1] if top < len(fs.values) else (*fs.values, fs.tail)
-            for fs, top in zip(fss, tops)
-        ),
-        float,
-        off[-1],
-    )
     t = np.fromiter(chain.from_iterable(ts_rows), float, rows[-1])
-    at = np.empty(t.size, dtype=np.intp)  # the entry of the piece holding each t
+    K = np.empty(t.size, dtype=np.intp)  # the table entry of the piece holding each t
+    poff = pcs.poff.tolist()
+    for p0, p1, c, d, h in zip(poff, poff[1:], rows, rows[1:], pcs.hpos.tolist()):
+        K[c:d] = pcs.bp[p0:p1].searchsorted(t[c:d]) + h
     with np.errstate(over="ignore"):
-        sums = np.empty(off[-1])  # entry j: the sum over the pieces before piece j
-        sums[1:] = values[:-1] * (starts[1:] - starts[:-1])
-        sums[off[:-1]] = 0.0  # the start of a run
-        for a, b, c, d in zip(off, off[1:], rows, rows[1:]):
-            np.add.accumulate(sums[a:b], out=sums[a:b])
-            at[c:d] = np.searchsorted(starts[a + 1 : b], t[c:d]) + a
-        return sums[at] + values[at] * (t - starts[at])
+        return _upper_integral(pcs, 1.0, 1.0)[1](t, K)
 
 
 def _piecewise_linear(params: LorentzParams) -> bool:

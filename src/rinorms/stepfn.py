@@ -451,7 +451,7 @@ class StepFunction:
                 pass
         try:
             d = json.loads(s)
-        except json.JSONDecodeError as e:
+        except (json.JSONDecodeError, RecursionError) as e:  # RecursionError: nested too deep
             raise ValueError(f"malformed step function JSON: {e}") from e
         return cls.from_dict(d)
 

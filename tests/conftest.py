@@ -8,6 +8,8 @@ import subprocess
 import sys
 from bisect import bisect_left
 from fractions import Fraction
+from itertools import accumulate, chain, repeat
+from operator import add
 from pathlib import Path
 
 import numpy as np
@@ -318,6 +320,36 @@ def loop_k_l1_linf(fs: StepFunction, ts) -> list[float]:
             part += v * power_integral(1.0, bps[k - 1] if k else 0.0, t)
         out.append(part)
     return out
+
+
+def ref_k_l1_linf_block(fss, ts_rows) -> np.ndarray:
+    """Run-layout reference for ``interp._k_l1_linf_block``: each ``f*``'s
+    pieces up to the one holding its largest t as one run of start
+    breakpoints and values, with its own prefix sums from 0.0."""
+    tops = [bisect_left(fs.breakpoints, max(ts, default=0.0)) for fs, ts in zip(fss, ts_rows)]
+    off = [*accumulate(map(add, tops, repeat(1)), initial=0)]
+    rows = [*accumulate(map(len, ts_rows), initial=0)]
+    starts = np.fromiter(
+        chain.from_iterable(chain((0.0,), fs.breakpoints[:top]) for fs, top in zip(fss, tops)), float, off[-1]
+    )
+    values = np.fromiter(
+        chain.from_iterable(
+            fs.values[: top + 1] if top < len(fs.values) else (*fs.values, fs.tail)
+            for fs, top in zip(fss, tops)
+        ),
+        float,
+        off[-1],
+    )
+    t = np.fromiter(chain.from_iterable(ts_rows), float, rows[-1])
+    at = np.empty(t.size, dtype=np.intp)
+    with np.errstate(over="ignore"):
+        sums = np.empty(off[-1])
+        sums[1:] = values[:-1] * (starts[1:] - starts[:-1])
+        sums[off[:-1]] = 0.0
+        for a, b, c, d in zip(off, off[1:], rows, rows[1:]):
+            np.add.accumulate(sums[a:b], out=sums[a:b])
+            at[c:d] = np.searchsorted(starts[a + 1 : b], t[c:d]) + a
+        return sums[at] + values[at] * (t - starts[at])
 
 
 def fraction_k_l1_linf(fs: StepFunction, ts) -> list[Fraction]:

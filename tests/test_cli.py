@@ -76,6 +76,12 @@ class TestNorm:
         with pytest.raises(SystemExit, match="invalid function file"):
             main(["norm", "--p", "2", "--q", "1", "--input", str(bad)])
 
+    def test_deeply_nested_json_rejected(self, tmp_path):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000)
+        with pytest.raises(SystemExit, match="invalid function file .*malformed step function JSON"):
+            main(["norm", "--p", "2", "--q", "2", "--input", str(deep)])
+
     def test_missing_file_rejected(self):
         with pytest.raises(SystemExit, match="cannot read"):
             main(["norm", "--p", "2", "--q", "1", "--input", "/nonexistent.json"])

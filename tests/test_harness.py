@@ -23,6 +23,7 @@ from rinorms import (
     SpaceDescriptor,
     StepFunction,
     generate_corpus,
+    generate_pairs,
     lorentz_norm,
     verify_hardy_equivalence,
     verify_hardy_pointwise,
@@ -195,6 +196,11 @@ class TestKDriver:
     def test_empty_battery_rejected(self, small_corpus, n_pairs):
         with pytest.raises(ValueError, match="n_pairs must be positive"):
             verify_k_properties(list(small_corpus), n_pairs=n_pairs)
+
+    @pytest.mark.parametrize("n_pairs", [0, -2])
+    def test_generate_pairs_names_its_argument(self, n_pairs):
+        with pytest.raises(ValueError, match=f"^n_pairs must be positive, got {n_pairs}$"):
+            generate_pairs(0, n_pairs)
 
     @pytest.mark.parametrize("dyadic", [False, True], ids=["positive-tail", "dyadic-positive-tail"])
     def test_positive_tail_golden(self, dyadic):

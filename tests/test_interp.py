@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from rinorms import (
@@ -23,6 +23,7 @@ from rinorms import (
     functor_admissible,
     functor_norm,
     generate_corpus,
+    hardy_upper,
     holmstedt_k,
     intersection_norm,
     k_exact_l1_linf,
@@ -41,6 +42,7 @@ from conftest import (
     fraction_k_l1_linf,
     loop_k_l1_linf,
     loop_k_upper_oracle,
+    ref_k_l1_linf_block,
     reference_levels,
     windows,
 )
@@ -518,6 +520,79 @@ class TestKBlockKernel:
         members += [(f.rearrange(), ts[::-1]) for f in one[2:]] + [(WIDE, [2.0**999, 2.0**1001])]
         self.check(members)
         assert interp._k_l1_linf_block([WIDE], [[2.0**999, 2.0**1001]]).tolist() == [2.0**999, 2.0**1000]
+
+
+# its sums pass the largest float from the second piece on; a positive tail
+OVERFLOWING = StepFunction((1.0, 2.0**1000), (_MAX_FLOAT, 2.0**23), 1.0)
+
+
+def _corpus_star(seed: int, max_pieces: int, kind: str) -> StepFunction:
+    return generate_corpus(seed, 1, max_pieces=max_pieces, **_K_CORPORA[kind]).functions[0].rearrange()
+
+
+corpus_stars = st.builds(
+    _corpus_star, st.integers(0, 2**20), st.sampled_from([1, 12, 200]), st.sampled_from(sorted(_K_CORPORA))
+)
+
+
+@st.composite
+def ref_block_members(draw):
+    """One member of a K block and its t row: the ``f*`` of an edge
+    function, of a corpus member (positive tails included) or
+    ``OVERFLOWING``; the row is a shuffled :func:`_draw_ts` list cut to a
+    random length, so rows are unsorted, ragged and sometimes empty."""
+    kind = draw(st.sampled_from(["edge", "corpus", "overflowing"]))
+    if kind == "edge":
+        try:
+            fs = draw(edge_step_functions(max_pieces=60)).rearrange()
+        except ValueError:  # the lengths sum past the largest float
+            assume(False)
+    else:
+        fs = draw(corpus_stars) if kind == "corpus" else OVERFLOWING
+    ts = _draw_ts(draw, fs)
+    return fs, ts[: draw(st.integers(0, len(ts)))]
+
+
+class TestKKernelAgainstRunLayout:
+    """``interp._k_l1_linf_block`` on the Hardy piece table gives the floats
+    of the run layout with its own prefix sums that it replaced
+    (``conftest.ref_k_l1_linf_block``), bit for bit, and K is ``t`` times
+    the Hardy average ``f** = hardy_upper(f, 1, 1)``."""
+
+    @staticmethod
+    def check(fss, rows) -> list[float]:
+        got = interp._k_l1_linf_block(fss, rows).tolist()
+        assert list(map(repr, got)) == list(map(repr, ref_k_l1_linf_block(fss, rows).tolist()))
+        return got
+
+    @given(st.lists(ref_block_members(), min_size=1, max_size=6))
+    @settings(max_examples=200, deadline=None)
+    def test_same_floats_as_the_run_layout(self, members):
+        self.check([fs for fs, _ in members], [ts for _, ts in members])
+
+    def test_tails_ragged_rows_and_overflow(self):
+        tail = StepFunction((1.0, 2.0), (3.0, 2.0), 0.5)
+        fss = [tail, CHI, OVERFLOWING, StepFunction.constant(3.0), tail]
+        rows = [[4.0, 1.0, 0.5, 2.0], [], [2.0**999, 1.0, 2.0, 2.0**1001], [_MAX_FLOAT], [0.25]]
+        got = self.check(fss, rows)
+        assert got == [6.0, 3.0, 1.5, 5.0, INF, _MAX_FLOAT, _MAX_FLOAT, INF, INF, 0.75]
+
+    @given(st.data(), st.one_of(edge_step_functions(max_pieces=60), corpus_stars))
+    @settings(max_examples=100, deadline=None)
+    def test_k_is_t_times_the_hardy_average(self, data, f):
+        try:
+            env = hardy_upper(f, 1.0, 1.0)
+        except ValueError:  # a window or an average past the float range
+            assume(False)
+        fs = f.rearrange()
+        ts = [t for t in _draw_ts(data.draw, fs) if 2.0**-1000 <= t <= 2.0**1000]
+        for t, k in zip(ts, interp._k_l1_linf(fs, ts)):
+            if not sys.float_info.min <= k < INF:
+                continue
+            h = env(t)
+            # relative rounding holds while both stay normal floats
+            if h >= sys.float_info.min:
+                assert abs(k - t * h) <= 4 * 2.0**-52 * k, (t, k, h)
 
 
 class TestPrefixTableK:

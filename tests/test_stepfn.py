@@ -724,10 +724,22 @@ class TestJsonDecoders:
             f"text = {opening!r} * 200_000 + '1' + {closing!r} * 200_000\n"
             "try:\n"
             "    StepFunction.from_json(text)\n"
-            "except RecursionError:\n"
-            "    print('RecursionError')\n"
+            "except ValueError as e:\n"
+            "    print(e)\n"
         )
-        assert in_fresh_process(code) == "RecursionError\n"
+        kind = "array" if opening == "[" else "object"
+        assert in_fresh_process(code).startswith(
+            f"malformed step function JSON: maximum recursion depth exceeded while decoding a JSON {kind}"
+        )
+
+    @pytest.mark.parametrize(
+        "text",
+        ["[" * 100_000 + "]" * 100_000, '{"breakpoints": ' + "[" * 5_000 + "]" * 5_000 + ', "values": []}'],
+        ids=["top-level", "in-breakpoints"],
+    )
+    def test_deep_nesting_is_a_malformed_text(self, text):
+        with pytest.raises(ValueError, match="malformed step function JSON: maximum recursion depth"):
+            StepFunction.from_json(text)
 
     def test_orjson_is_imported_only_to_decode(self):
         code = (
