@@ -74,9 +74,14 @@ class PowerLaw:
         self.decay = np.array(decay, dtype=float, ndmin=1)
 
     def __call__(self, t: float) -> float:
-        """The law of a block of one at ``t``."""
+        """The law of a block of one at ``t``; ``inf`` past the largest float."""
         (coef,), (decay,) = self.coef.tolist(), self.decay.tolist()
-        return coef * t ** (-decay) if coef else 0.0
+        if not coef:
+            return 0.0
+        try:
+            return coef * t ** (-decay)
+        except OverflowError:
+            return INF
 
 
 def _sorted_distinct(x: np.ndarray) -> np.ndarray:
@@ -197,7 +202,8 @@ _NORM_OVERFLOW = "the envelope norm overflows the float range"
 # on an element's neighbours and those reductions see the same arrays as a
 # lone function would, so every value is the one that function would get on
 # its own.  hardy_upper and hardy_lower are the same kernels on a block of
-# one, and interp's K(t; L1, L_inf) is _upper_integral at (1, 1) on _Pieces.
+# one, and interp's K(t; L1, L_inf) is _upper_integral at (1, 1) on _Pieces,
+# at one t row whose pieces piece_index finds, as it finds the grids'.
 
 
 def _offsets(sizes) -> np.ndarray:
@@ -246,6 +252,24 @@ class _Pieces:
         out[self.tpos] = tails
         return out
 
+    def piece_index(self, t: np.ndarray, toff: np.ndarray) -> np.ndarray:
+        """Table entry of the piece holding each point of ``t``; function
+        ``i`` owns the sorted points ``t[toff[i]:toff[i+1]]``.  The entry is
+        ``searchsorted(bp, t, "left")`` within the function.  It steps up at
+        the first point above each breakpoint and at each function's first
+        point (past the previous tail).
+        """
+        offs, poff, bp = toff.tolist(), self.poff.tolist(), self.bp
+        above = np.concatenate(
+            [t[t0:t1].searchsorted(bp[p0:p1], "right") for t0, t1, p0, p1 in zip(offs, offs[1:], poff, poff[1:])]
+        )
+        above += np.repeat(toff[:-1], np.diff(self.poff))
+        steps = np.sort(np.concatenate([above, toff[1:-1]]))
+        bounds = np.empty(steps.size + 2, dtype=np.intp)
+        bounds[0], bounds[-1] = 0, t.size
+        bounds[1:-1] = steps
+        return np.repeat(np.arange(steps.size + 1), bounds[1:] - bounds[:-1])
+
 
 class _Block(_Pieces):
     """:class:`_Pieces` and their envelope grids, built first by one
@@ -260,7 +284,7 @@ class _Block(_Pieces):
         super().__init__(fss)
         self.goff = _offsets([g.size for g in grids])
         self.grid = np.concatenate(grids)
-        self.K = self.piece_index(self.grid)
+        self.K = self.piece_index(self.grid, self.goff)
         self._envelopes: dict[tuple, MonotoneEnvelope] = {}
 
     def envelope(self, kind: Literal["upper", "lower"], order: float, w: float) -> "MonotoneEnvelope":
@@ -272,25 +296,6 @@ class _Block(_Pieces):
             kernel = _upper_block if kind == "upper" else _lower_block
             env = self._envelopes[key] = kernel(self, order, w)
         return env
-
-    def piece_index(self, t: np.ndarray) -> np.ndarray:
-        """Table entry of the piece holding each point of ``t``.
-
-        ``t`` is laid out like ``grid`` and sorted within each function:
-        the entry is ``searchsorted(bp, t, "left")`` within the function.
-        It steps up at the first point above each breakpoint and at each
-        function's first point (past the previous tail).
-        """
-        goff, poff, bp = self.goff.tolist(), self.poff.tolist(), self.bp
-        above = np.concatenate(
-            [t[g0:g1].searchsorted(bp[p0:p1], "right") for g0, g1, p0, p1 in zip(goff, goff[1:], poff, poff[1:])]
-        )
-        above += np.repeat(self.goff[:-1], np.diff(self.poff))
-        steps = np.sort(np.concatenate([above, self.goff[1:-1]]))
-        bounds = np.empty(steps.size + 2, dtype=np.intp)
-        bounds[0], bounds[-1] = 0, t.size
-        bounds[1:-1] = steps
-        return np.repeat(np.arange(steps.size + 1), bounds[1:] - bounds[:-1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -369,19 +374,28 @@ def _fill(blk: _Block, values: np.ndarray, members, consts) -> None:
         values[goff[i] : goff[i + 1]] = c
 
 
-def _single_eval(blk: _Block, evaluate, const: float | None):
-    """``eval`` of a block of one: ``evaluate(t, K)``, or the constant."""
+def _single_eval(blk: _Block, evaluate, const: float | None, mend=None):
+    """``eval`` of a block of one: ``evaluate(t, K)``, or the constant.
+
+    Off the grid the direct form can leave the float range: ``mend(t, out,
+    before, past)`` then sets, in place, the values at the points before and
+    past the grid that it cannot give.  numpy's warnings stay inside.
+    """
     if blk.size != 1:
         return None
     if const is not None:
         return lambda t: np.full(np.shape(t), const)
     # the breakpoints, not the block: a block keeps its envelopes, and an
     # envelope that kept its block would be freed only by the cyclic GC
-    bp = blk.bp
+    bp, first, last = blk.bp, float(blk.grid[0]), float(blk.grid[-1])
 
     def eval_at(t):
         t = np.asarray(t, dtype=float)
-        return evaluate(t, np.searchsorted(bp, t, side="left"))
+        with np.errstate(all="ignore"):
+            out = evaluate(t, np.searchsorted(bp, t, side="left"))
+            if mend is not None:
+                mend(t, out, t < first, t > last)
+        return out
 
     return eval_at
 
@@ -402,10 +416,11 @@ def _power_tables(pcs: _Pieces, w: float, order: float):
 
 
 def _upper_integral(pcs: _Pieces, u: float, w: float):
-    """``(cum, inner)``: the upper inner integral ``integral_0^t [s**(1/u)
-    f*(s)]**w ds/s`` (``w < inf``) at each entry's piece start, summed in
-    piece order, and ``inner(t, K)`` at points ``t`` in entries ``K``; at
-    ``u = w = 1`` it is ``K(t, f; L_1, L_inf)``.  An overflow gives ``inf``."""
+    """``(cum, edges, inner)``: the upper inner integral ``integral_0^t
+    [s**(1/u) f*(s)]**w ds/s`` (``w < inf``) at each entry's piece start,
+    summed in piece order, ``edges`` of :func:`_power_tables`, and
+    ``inner(t, K)`` at points ``t`` in entries ``K``; at ``u = w = 1`` it is
+    ``K(t, f; L_1, L_inf)``.  An overflow gives ``inf``."""
     allv = pcs.f_star
     e, edges, seg = _power_tables(pcs, w, u)
     cum = np.zeros(allv.size)
@@ -414,7 +429,7 @@ def _upper_integral(pcs: _Pieces, u: float, w: float):
     def inner(t, K):
         return cum[K] + allv[K] ** w * (t**e - edges[K]) / e
 
-    return cum, inner
+    return cum, edges, inner
 
 
 def _upper_block(blk: _Block, u: float, w: float) -> MonotoneEnvelope:
@@ -442,7 +457,7 @@ def _upper_block(blk: _Block, u: float, w: float) -> MonotoneEnvelope:
     # which _monotone_values marks
     with np.errstate(over="ignore", invalid="ignore"):
         if w < INF:
-            cum, inner = _upper_integral(blk, u, w)
+            cum, edges, inner = _upper_integral(blk, u, w)
 
             def evaluate(t, K):
                 # pow() monotonicity can slip an ulp right at a breakpoint;
@@ -477,6 +492,23 @@ def _upper_block(blk: _Block, u: float, w: float) -> MonotoneEnvelope:
     tail_lo = PowerLaw(np.where(flat, consts, np.where(decayed, decay_coef, tail_const)), tail_decay)
     tail_hi = PowerLaw(np.where(flat, consts, np.where(decayed, decay_coef, last)), tail_decay)
     heads = PowerLaw(np.where(flat, consts, head), np.zeros(k))
+    end = int(blk.tpos[0])  # the tail entry of a block of one
+
+    def mend(t, out, before, past):
+        # before the grid t lies in the first piece: the head constant
+        out[before] = head[0]
+        # past it, where t**e or a product overflows: the tail law of a
+        # compact support, or the factored form of a positive tail
+        bad = past & ~np.isfinite(out)
+        if w < INF and bad.any():
+            x = t[bad]
+            if tails[0]:
+                e = w / u
+                s = x**-e
+                out[bad] = (cum[end] * s + allv[end] ** w * (1.0 - edges[end] * s) / e) ** (1.0 / w)
+            else:
+                out[bad] = decay_coef[0] * x ** (-1.0 / u)
+
     return MonotoneEnvelope(
         grid=blk.grid,
         goff=blk.goff,
@@ -489,7 +521,7 @@ def _upper_block(blk: _Block, u: float, w: float) -> MonotoneEnvelope:
         flat=flat,
         diverged=np.zeros(k, dtype=bool),
         label=f"H_upper(u={u},w={w})",
-        eval=_single_eval(blk, evaluate, float(consts[0]) if flat[0] else None),
+        eval=_single_eval(blk, evaluate, float(consts[0]) if flat[0] else None, mend),
     )
 
 
@@ -554,8 +586,14 @@ def _lower_block(blk: _Block, v: float, w: float) -> MonotoneEnvelope:
         flat=flat,
         diverged=diverged,
         label=f"H_lower(v={v},w={w})",
-        eval=_single_eval(blk, evaluate, INF if diverged[0] else 0.0 if flat[0] else None),
+        eval=_single_eval(blk, evaluate, INF if diverged[0] else 0.0 if flat[0] else None, _mend_lower),
     )
+
+
+def _mend_lower(t, out, before, past) -> None:
+    """Off the grid of a lower average, ``t**(-1/v)`` can overflow where the
+    inner integral (or sup) reads 0, which its head law reads as 0 too."""
+    out[np.isnan(out)] = 0.0
 
 
 def _checked_exponents(order, w) -> tuple[float, float]:

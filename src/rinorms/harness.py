@@ -37,9 +37,10 @@ float range; so does the grid builder when one member's window leaves
 it, and lemma10's lower check when ``2t`` overflows at one member's grid
 point.  No block step keeps track of which member failed: one rule
 re-runs a scan that raises.  Every configuration runs again, one after
-another, with one member per block, so the error that surfaces is that
-of the first failing configuration at its first failing member in corpus
-order.  Verdict semantics are fixed per check:
+another, and the first that raises runs once more with one member per
+block, so the error that surfaces is that of the first failing
+configuration at its first failing member in corpus order.  Verdict
+semantics are fixed per check:
 
 * pointwise checks pass iff no grid point violates the inequality beyond a
   relative slack;
@@ -428,10 +429,10 @@ def _reports(records: tuple[_Member, ...], checks: Sequence[_Check]) -> list[Rat
     each group walks its blocks of ``_BLOCK_POINTS`` window points once
     (:func:`_walk`).  A member that raises makes its whole block raise, and
     may raise before an earlier member's block is scored.  So if a walk
-    raises, every check runs again, one after another, with one member per
-    block: reports at one member per block are those of the block walk, and
-    the error that surfaces is that of the first check that raises, at its
-    first failing member in corpus order.
+    raises, every check runs again, one after another, and the first that
+    raises runs once more with one member per block: a block raises exactly
+    when one of its members does, so the error that surfaces is that of the
+    first check that raises, at its first failing member in corpus order.
     """
     try:
         groups: dict[tuple, list[int]] = {}
@@ -444,7 +445,13 @@ def _reports(records: tuple[_Member, ...], checks: Sequence[_Check]) -> list[Rat
                 reports[i] = report
         return reports
     except (ValueError, ArithmeticError):
-        return [_walk(records, [check], 1)[0] for check in checks]
+        reports = []
+        for check in checks:
+            try:
+                reports.append(_walk(records, [check], _BLOCK_POINTS)[0])
+            except (ValueError, ArithmeticError):
+                reports.append(_walk(records, [check], 1)[0])
+        return reports
 
 
 def _averaging_kind(u: float | None, v: float | None) -> tuple[str, float]:
@@ -484,7 +491,7 @@ def _pointwise_check(
         else:
             with np.errstate(over="ignore"):
                 doubled = 2.0 * blk.grid
-            checks = [(blk.envelope("lower", a, b).values, blk.f_star[blk.piece_index(doubled)])]
+            checks = [(blk.envelope("lower", a, b).values, blk.f_star[blk.piece_index(doubled, blk.goff)])]
             if doubled.max() == INF:
                 t = float(blk.grid[np.argmax(doubled == INF)])
                 raise ValueError(f"f*(2t) is undefined at grid point t = {t!r}: 2t leaves the float range")
@@ -713,12 +720,12 @@ def verify_k_properties(
     pair by pair, in pair order, before the block's one kernel call, so the
     error that surfaces is that of the first failing pair, as in a
     pair-by-pair scan.  That call gives every K value of the block (piece
-    widths times values, exact on dyadic inputs): the K rows of its members
-    (at 1, on the 33-point grid, which holds each pair's ``t``, and at its
-    midpoints) and ``K(t, f + g)`` of its pairs.  Each check then gives one
-    mask over the block's pairs, and the violations are read out per pair in
-    check order, so their count and the first witness are those of a
-    pair-by-pair scan.
+    widths times values, exact on dyadic inputs) at one row shared by its
+    functions, the 33-point grid (which holds 1 and each pair's ``t``) and
+    its midpoints: the K rows of its members and of each pair's ``(f +
+    g)*``.  Each check then gives one mask over the block's pairs, and the
+    violations are read out per pair in check order, so their count and the
+    first witness are those of a pair-by-pair scan.
     """
     if n_pairs <= 0:
         raise ValueError(f"n_pairs must be positive, got {n_pairs}")
@@ -735,15 +742,16 @@ def _k_properties(
     """The K battery of :func:`verify_k_properties` on the corpus of ``records``.
 
     Pair ``i`` takes f the ``i``-th member and g the next at ``ts[i %
-    len(ts)]``; in a block, pair ``j``'s f is K row ``j`` and its g row
-    ``j + 1``.
+    len(ts)]``; in a block, pair ``j``'s f is K row ``j``, its g row ``j +
+    1`` and its ``(f + g)*`` row ``j`` after the members' rows.
     """
     scan = _Scan()
     n = len(records)
     t_grid = np.geomspace(2.0**-8, 2.0**8, 33)
+    if t_grid[16] != 1.0:  # K(1, f) is read at grid point 16
+        raise RuntimeError(f"np.geomspace(2**-8, 2**8, 33)[16] is {float(t_grid[16])!r}, not 1.0")
     ts = t_grid.tolist()
-    mids = [float(0.5 * (t_grid[j] + t_grid[j + 1])) for j in range(t_grid.size - 1)]
-    table_ts = [1.0, *ts, *mids]
+    row = np.insert(t_grid, range(1, t_grid.size), 0.5 * (t_grid[:-1] + t_grid[1:]))  # grid point c at column 2c
     mins = np.minimum(1.0, t_grid)
     for start in range(0, n_pairs, _PAIR_BLOCK):
         block = range(start, min(start + _PAIR_BLOCK, n_pairs))
@@ -755,21 +763,17 @@ def _k_properties(
             cap.append(max(m.norm(_L1_LINF.params0), m.norm(_L1_LINF.params1)))
             sum_stars.append((m.f + records[(i + 1) % n].f).rearrange())
         members = [records[i % n] for i in range(block.start, block.stop + 1)]
-        ks = _k_l1_linf_block(
-            [m.fs for m in members] + sum_stars, [table_ts] * len(members) + [[x] for x in t]
-        )
-        table = ks[: len(members) * len(table_ts)].reshape(len(members), len(table_ts))
-        k_sum = ks[table.size :]
+        table = _k_l1_linf_block([m.fs for m in members] + sum_stars, row)
         j = np.arange(len(block))
-        col = 1 + (j + block.start) % len(ts)  # t's column: table_ts is [1.0, *ts, *mids]
-        k, k_g = table[j, col], table[j + 1, col]
+        col = 2 * ((j + block.start) % len(ts))  # t's column
+        k, k_g, k_sum = table[j, col], table[j + 1, col], table[len(members) + j, col]
         exact = k.tolist()
         ratio = []
         for m, x, kf in zip(members, t, exact):
             ratio.append(_holmstedt_sum(m.fs, x, _L1_LINF, 1.0, kf) / kf if kf > 0.0 else None)
             if ratio[-1] is not None:
                 scan.observe(ratio[-1], ratio[-1])
-        k1, kt, mid = table[:-1, :1], table[:-1, 1 : 1 + len(ts)], table[:-1, 1 + len(ts) :]
+        k1, kt, mid = table[: len(block), 32:33], table[: len(block), ::2], table[: len(block), 1::2]
         over_t = kt / t_grid
         with np.errstate(invalid="ignore"):  # inf - inf compares as no violation
             checks = (

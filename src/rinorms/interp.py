@@ -8,7 +8,7 @@ are implemented for couples of Lorentz spaces:
 
 * :func:`k_exact_l1_linf` - the closed form ``K(t, f; L_1, L_inf) = integral_0^t
   f*``, the upper Hardy inner integral at ``u = w = 1`` on the hardy module's
-  piece table (exact on dyadic inputs; one kernel call serves a block);
+  piece table (exact on dyadic inputs; a block shares one call and t row);
 * :func:`k_upper_oracle` - an upper bound minimising over truncation
   decompositions ``f* = (f* - lam)_+ + min(f*, lam)``, which is exactly
   optimal for (L_1, L_inf) and serves as the independent oracle: prefix
@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, chain
+from itertools import accumulate
 from operator import add, mul, sub
 from typing import Sequence
 
@@ -116,31 +116,32 @@ def k_exact_l1_linf(f: StepFunction, t: float) -> float:
 
 def _k_l1_linf(fs: StepFunction, ts: Sequence[float]) -> list[float]:
     """:func:`_k_l1_linf_block` of the block of one ``fs = f*`` at ``ts``."""
-    return _k_l1_linf_block([fs], [ts]).tolist()
+    return _k_l1_linf_block([fs], ts)[0].tolist()
 
 
-def _k_l1_linf_block(fss: Sequence[StepFunction], ts_rows: Sequence[Sequence[float]]) -> np.ndarray:
-    """``K(t, f; L_1, L_inf)`` at each ``t`` of ``ts_rows[i]`` (finite and
-    positive), from ``fss[i] = f*``, the rows concatenated in order.
+def _k_l1_linf_block(fss: Sequence[StepFunction], ts: Sequence[float]) -> np.ndarray:
+    """``K(t, f; L_1, L_inf)`` of each ``fss[i] = f*`` (row ``i``) at each
+    ``t`` of the one row ``ts`` (finite and positive, in any order).
 
     ``K(t) = integral_0^t f*`` is :func:`hardy._upper_integral` at ``u = w = 1``:
     the terms ``v * (b - lo)`` of the pieces ``(lo, b]`` before the one holding
-    ``t``, summed in piece order, plus ``v * (t - lo)`` for that piece.  Each
-    ``f*`` is cut after the piece holding its largest ``t``, so a value does
-    not depend on the rest of the block.  ``K`` is exact on dyadic inputs of
-    few bits, within relative ``(k + 2) * 2**-53`` over ``k`` terms otherwise
-    (while the terms stay normal floats), and ``inf`` past the largest float.
+    ``t``, summed in piece order, plus ``v * (t - lo)`` for that piece, which
+    :meth:`hardy._Pieces.piece_index` finds in the sorted row.  Each ``f*`` is
+    cut after the piece holding the largest ``t``, and a value reads no later
+    piece.  ``K`` is exact on dyadic inputs of few bits, within relative
+    ``(k + 2) * 2**-53`` over ``k`` terms otherwise (while the terms stay
+    normal floats), and ``inf`` past the largest float.
     """
-    ns = [bisect_left(fs.breakpoints, max(ts, default=0.0)) + 1 for fs, ts in zip(fss, ts_rows)]
+    t = np.asarray(ts, dtype=float)
+    order = t.argsort()
+    top = float(t.max(initial=0.0))
+    ns = [bisect_left(fs.breakpoints, top) + 1 for fs in fss]
     pcs = _Pieces([StepFunction._canonical(fs.breakpoints[:n], fs.values[:n], fs.tail) for fs, n in zip(fss, ns)])
-    rows = [*accumulate(map(len, ts_rows), initial=0)]
-    t = np.fromiter(chain.from_iterable(ts_rows), float, rows[-1])
-    K = np.empty(t.size, dtype=np.intp)  # the table entry of the piece holding each t
-    poff = pcs.poff.tolist()
-    for p0, p1, c, d, h in zip(poff, poff[1:], rows, rows[1:], pcs.hpos.tolist()):
-        K[c:d] = pcs.bp[p0:p1].searchsorted(t[c:d]) + h
+    tiled = np.tile(t[order], pcs.size)
+    K = pcs.piece_index(tiled, np.arange(pcs.size + 1) * t.size)
     with np.errstate(over="ignore"):
-        return _upper_integral(pcs, 1.0, 1.0)[1](t, K)
+        ks = _upper_integral(pcs, 1.0, 1.0)[2](tiled, K).reshape(pcs.size, t.size)
+    return ks[:, order.argsort()]
 
 
 def _piecewise_linear(params: LorentzParams) -> bool:
@@ -356,11 +357,7 @@ def _underflow_exponent(vals: list[float], x0: LorentzParams, x1: LorentzParams)
 
 def _check_theta(couple: LorentzCouple, theta: float) -> None:
     p0, p1 = couple.params0.p, couple.params1.p
-    if p1 == INF:
-        if couple.params1.q != INF:
-            raise ValueError(
-                f"couple {couple} is degenerate: p1 = inf requires q1 = inf"
-            )
+    if p1 == INF:  # q1 = inf too: the couple refuses L(inf, q) for q < inf
         if not math.isclose(theta, p0, rel_tol=_REL_TOL):
             raise ValueError(
                 f"theta={theta} inconsistent with the (p1 = inf) regime, which needs theta = p0 = {p0}"

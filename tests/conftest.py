@@ -563,7 +563,24 @@ def ref_hardy_upper(fs: StepFunction, u: float, w: float, grid: np.ndarray) -> M
         tails = [(decay_coef, 1.0 / u)] * 2
     else:
         tails = [(tail_const, 0.0), (float(values[-1]), 0.0)]
-    return _ref_envelope(grid, values, [head, head, *tails], eval_upper, 1.0 / u, label)
+
+    def eval_off_grid(t):
+        # the head constant before the grid; past it, where the direct form
+        # is not finite, the tail law or (a positive tail) the factored form
+        t = np.asarray(t, dtype=float)
+        with np.errstate(all="ignore"):
+            out = np.where(t < grid[0], head[0], eval_upper(t))
+            bad = (t > grid[-1]) & ~np.isfinite(out)
+            if w < INF and bad.any():
+                if tail:
+                    s = t**-e
+                    far = (cum[-1] * s + allv[-1] ** w * (1.0 - edges_pow[-1] * s) / e) ** (1.0 / w)
+                else:
+                    far = decay_coef * t ** (-1.0 / u)
+                out = np.where(bad, far, out)
+        return out
+
+    return _ref_envelope(grid, values, [head, head, *tails], eval_off_grid, 1.0 / u, label)
 
 
 def ref_hardy_lower(fs: StepFunction, v: float, w: float, grid: np.ndarray) -> MonotoneEnvelope:
@@ -604,7 +621,12 @@ def ref_hardy_lower(fs: StepFunction, v: float, w: float, grid: np.ndarray) -> M
             heads = [(float(values[0] * grid[0] ** (1.0 / v)), 1.0 / v), (float(suf[0] ** (1.0 / w)), 1.0 / v)]
         else:
             heads = [(float(run[0]), 1.0 / v)] * 2
-    return _ref_envelope(grid, values, [*heads, (0.0, 0.0), (0.0, 0.0)], eval_lower, 1.0 / v, label)
+    def eval_off_grid(t):
+        # t**(-1/v) can overflow where the inner integral reads 0: 0, as its head law reads
+        with np.errstate(all="ignore"):
+            return np.nan_to_num(eval_lower(t), nan=0.0, posinf=INF)
+
+    return _ref_envelope(grid, values, [*heads, (0.0, 0.0), (0.0, 0.0)], eval_off_grid, 1.0 / v, label)
 
 
 def _ref_combine_laws(a, b, boundary, side, hi):

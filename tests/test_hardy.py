@@ -11,7 +11,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from rinorms import (
@@ -206,6 +206,68 @@ class TestEnvelopeInvariants:
         env = hardy_upper(f, 1.0, 1.0, COARSE)
         far = float(env.grid[-1]) * 16.0
         assert env(far) == pytest.approx(env.tail_hi(far), rel=1e-12)
+
+
+# its average passes the largest float in the direct form past the grid
+_FAR_TAIL = StepFunction(
+    (1.2795958482785108, 1.8305788584036908),
+    (4.6920762324727775e197, 3.227452208009678e201),
+    4.6920762324727775e197,
+)
+
+
+def _within_ulps(x: float, lo: float, hi: float, n: int = 4) -> bool:
+    return lo - n * math.ulp(lo) <= x <= hi + n * math.ulp(hi)
+
+
+class TestOffGridEvaluation:
+    """A block of one evaluated anywhere in [2**-1000, 2**1000] is never
+    NaN, is finite where its off-grid laws at t are, stays inside its tail
+    bracket past the grid and, for the upper family, equals its head
+    constant before it, without a numpy warning.
+
+    The tail bracket is checked where it is one at the last grid point.
+    Where the tables underflow (``f*`` times the breakpoints, or the w-th
+    powers of tiny values, below the float range) the grid values read 0,
+    so ``tail_hi`` falls below ``tail_lo`` and no evaluation is inside."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        f=edge_step_functions(max_pieces=60),
+        kind=st.sampled_from(["upper", "lower"]),
+        order=st.sampled_from([0.25, 0.5, 1.0, 2.0]),
+        w=st.sampled_from([1.0, 2.0, INF]),
+        ts=st.lists(st.floats(2.0**-1000, 2.0**1000), min_size=1, max_size=8),
+    )
+    @example(f=CHI, kind="upper", order=0.5, w=1.0, ts=[1e-200])
+    @example(f=CHI, kind="upper", order=0.25, w=2.0, ts=[1e-200, 1e-41])
+    @example(f=_FAR_TAIL, kind="upper", order=1.0, w=1.0, ts=[1e300])
+    @example(f=StepFunction((1.0, 2.0), (3.0, 1.0)), kind="lower", order=0.5, w=1.0, ts=[1e-300])
+    @example(f=StepFunction((1.0,), (2e-202,)), kind="lower", order=0.25, w=2.0, ts=[1e-301])
+    def test_never_nan_and_inside_its_laws(self, f, kind, order, w, ts):
+        try:
+            env = (hardy_upper if kind == "upper" else hardy_lower)(f, order, w)
+        except ValueError:  # a window or an average past the float range
+            assume(False)
+        first, last = float(env.grid[0]), float(env.grid[-1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bracket = env.tail_lo(last) <= env.tail_hi(last)
+            for t in ts:
+                x = env(t)
+                assert not math.isnan(x), t
+                if env.diverged[0]:  # its laws are zero: the average is inf everywhere
+                    assert x == INF
+                    continue
+                if first <= t <= last:
+                    continue
+                lo, hi = (env.head_lo(t), env.head_hi(t)) if t < first else (env.tail_lo(t), env.tail_hi(t))
+                if hi < INF:
+                    assert x < INF, (t, lo, hi)
+                if t > last and bracket:
+                    assert _within_ulps(x, lo, hi), (t, x, lo, hi)
+                elif t < first and kind == "upper":
+                    assert _within_ulps(x, hi, hi), (t, x, hi)
 
 
 class TestEnvelopeNorm:

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from rinorms import (
     INF,
+    Enclosure,
     LorentzCouple,
     LorentzParams,
     SpaceDescriptor,
@@ -185,6 +186,59 @@ class TestInterpolationDriver:
         assert len({r.extras["calibration"] for r in reports[:3]}) == 1
 
 
+class TestVerdictBranches:
+    """Verdict paths of thm11 and thm15 that no real corpus reaches, forced
+    with patched kernels on a two-member corpus whose real reports pass:
+    the pass cell, the violation count and the witness."""
+
+    CORPUS = (StepFunction.indicator(0.0, 1.0), StepFunction((1.0, 2.0), (3.0, 1.0)))
+    C11_INF = LorentzCouple(LorentzParams(1.0, 1.0), LorentzParams(INF, INF))
+
+    def equivalence(self):
+        return verify_hardy_equivalence(self.CORPUS, L22, u=1.0, w=1.0, grid_spec=COARSE)
+
+    def interpolation(self):
+        return verify_interpolation_identity(self.CORPUS, L22, self.C11_INF, 1.0, grid_spec=COARSE, calibrate=True)
+
+    def test_the_real_reports_pass(self):
+        assert self.equivalence().passed and self.interpolation().passed
+
+    def test_thm11_infinite_enclosure_where_predicted_bounded(self, monkeypatch):
+        monkeypatch.setattr(harness, "_norm_block", lambda env, params: [Enclosure(1.0, INF)] * env.goff[:-1].size)
+        rep = self.equivalence()
+        assert rep.extras["expected_bounded"] and rep.extras["diverged"] == 2
+        assert not rep.passed and rep.violations == 2
+        f = self.CORPUS[0]
+        assert json.loads(rep.witness) == {"function": f.to_dict(), "norm": lorentz_norm(f, L22.params)}
+
+    def test_thm11_floor_note(self, monkeypatch):
+        norm_block = harness._norm_block
+
+        def halved(env, params):
+            return [Enclosure(e.lo / 2.0, e.hi / 2.0) for e in norm_block(env, params)]
+
+        monkeypatch.setattr(harness, "_norm_block", halved)
+        rep = self.equivalence()
+        assert rep.min_ratio < 1.0 - harness.EQUIV_FLOOR_SLACK
+        assert not rep.passed and rep.violations == 0
+        assert json.loads(rep.witness) == {"floor": rep.min_ratio}
+
+    @pytest.mark.parametrize("enc", [Enclosure(1.0, INF), Enclosure(0.0, 0.0)], ids=["infinite", "zero"])
+    def test_thm15_infinite_or_zero_enclosure(self, monkeypatch, enc):
+        monkeypatch.setattr(harness, "_functor_block", lambda blk, fp, couple: [enc] * blk.size)
+        rep = self.interpolation()
+        assert not rep.passed and rep.violations == 2
+        assert json.loads(rep.witness) == {"function": self.CORPUS[0].to_dict(), "enclosure": str(enc)}
+
+    def test_thm15_calibration_failure(self, monkeypatch):
+        off = Enclosure(1.0, 1.0)  # misses sqrt(2)
+        monkeypatch.setattr(harness, "_calibration", lambda fp, couple, span: off)
+        rep = self.interpolation()
+        assert not rep.passed and rep.violations == 0
+        assert rep.extras["calibration"] == str(off)
+        assert json.loads(rep.witness) == {"calibration": str(off)}
+
+
 class TestKDriver:
     def test_battery_passes(self, small_corpus):
         rep = verify_k_properties(list(small_corpus), n_pairs=60)
@@ -213,19 +267,28 @@ class TestKDriver:
             "08f3167598809dc0ee22b5b3e64802b1f7a7fda1cfcb6410980301fbecd46e18"
         )
 
+    def test_k_at_one_is_a_grid_point(self, small_corpus, monkeypatch):
+        # K(1, f) is read at grid point 16, which np.geomspace gives as
+        # exactly 1.0; a numpy that moves it stops the battery
+        assert np.geomspace(2.0**-8, 2.0**8, 33)[16] == 1.0
+        geomspace = np.geomspace
+        monkeypatch.setattr(harness.np, "geomspace", lambda *args: np.nextafter(geomspace(*args), 2.0))
+        with pytest.raises(RuntimeError, match=r"np.geomspace\(2\*\*-8, 2\*\*8, 33\)\[16\] is 1.0000000000000002"):
+            verify_k_properties(list(small_corpus), n_pairs=5)
+
     def test_one_k_table_per_function_and_no_piecewise_k(self, small_corpus, monkeypatch):
-        # each block of pairs makes one K kernel call: the rows of its
-        # members (at 1, on the grid and at its midpoints; K at each pair's
-        # t is a grid column) and K of f + g at each pair's t; the piecewise
+        # each block of pairs makes one K kernel call, at one shared row
+        # (the grid, which holds 1 and each pair's t, and its midpoints),
+        # for its members and the f + g of its pairs; the piecewise
         # integral runs only inside the member records' norms, never for K
         # itself nor for Holmstedt's first term, which is the K the rows
         # already hold
         calls = []
         kernel = interp._k_l1_linf_block
 
-        def counting_kernel(fss, ts_rows):
-            calls.append([len(ts) for ts in ts_rows])
-            return kernel(fss, ts_rows)
+        def counting_kernel(fss, ts):
+            calls.append((len(fss), len(ts)))
+            return kernel(fss, ts)
 
         monkeypatch.setattr(interp, "_k_l1_linf_block", counting_kernel)
         monkeypatch.setattr(harness, "_k_l1_linf_block", counting_kernel)
@@ -255,10 +318,9 @@ class TestKDriver:
         assert rep.passed
         blocks = -(-n_pairs // 16)
         assert len(calls) == blocks
-        assert max(map(max, calls)) == 1 + 33 + 32
-        # a block's rows: its pairs' f and the last pair's g, then one t per pair
-        assert sum(rows.count(1 + 33 + 32) for rows in calls) <= n_pairs + blocks
-        assert sum(rows.count(1) for rows in calls) == n_pairs
+        assert [points for _, points in calls] == [33 + 32] * blocks
+        # a block's functions: its pairs' f and the last pair's g, then f + g per pair
+        assert sum(functions for functions, _ in calls) == 2 * n_pairs + blocks
         assert callers["elsewhere"] == 0 and callers["norms"] >= n_pairs
 
 

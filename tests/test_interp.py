@@ -493,33 +493,32 @@ def assert_close(got, want, rel: float = 1e-13) -> None:
 
 
 class TestKBlockKernel:
-    """``interp._k_l1_linf_block`` on a block of members, each with its own t
-    row, against each member alone (bit for bit) and exact arithmetic."""
+    """``interp._k_l1_linf_block`` on a block of members sharing one t row,
+    against each member alone (bit for bit) and exact arithmetic."""
 
     @staticmethod
-    def check(members):
-        got = interp._k_l1_linf_block([fs for fs, _ in members], [ts for _, ts in members]).tolist()
-        at = 0
-        for fs, ts in members:
-            row = got[at : at + len(ts)]
-            at += len(ts)
-            assert list(map(repr, row)) == list(map(repr, interp._k_l1_linf_block([fs], [ts]).tolist()))
+    def check(fss, ts):
+        got = interp._k_l1_linf_block(fss, ts)
+        assert got.shape == (len(fss), len(ts))
+        for fs, row in zip(fss, got.tolist()):
+            assert list(map(repr, row)) == list(map(repr, interp._k_l1_linf_block([fs], ts)[0].tolist()))
             assert_rounding_bound(fs, ts, row)
-        assert at == len(got)
 
     @given(st.lists(k_block_members(), min_size=1, max_size=5))
     @settings(max_examples=60, deadline=None)
     def test_block_matches_each_member_alone(self, members):
-        self.check(members)
+        # the members' t lists, one after another, are the block's one row
+        self.check([fs for fs, _ in members], [t for _, ts in members for t in ts])
 
     def test_thousand_pieces_next_to_one_piece(self):
         one = generate_corpus(3, 4, max_pieces=1).functions
         ts = [0.5, 1.0, 2.0, 1e300]
         big = _thousand_pieces(7)
-        members = [(one[0].rearrange(), ts), (big, [*big.breakpoints[::97], *ts]), (one[1].rearrange(), [])]
-        members += [(f.rearrange(), ts[::-1]) for f in one[2:]] + [(WIDE, [2.0**999, 2.0**1001])]
-        self.check(members)
-        assert interp._k_l1_linf_block([WIDE], [[2.0**999, 2.0**1001]]).tolist() == [2.0**999, 2.0**1000]
+        fss = [one[0].rearrange(), big, *(f.rearrange() for f in one[1:]), WIDE]
+        self.check(fss, [*big.breakpoints[::97], *ts, 2.0**999, 2.0**1001])
+        self.check(fss, ts[::-1])
+        self.check(fss, [])
+        assert interp._k_l1_linf_block([WIDE], [2.0**999, 2.0**1001]).tolist() == [[2.0**999, 2.0**1000]]
 
 
 # its sums pass the largest float from the second piece on; a positive tail
@@ -560,22 +559,30 @@ class TestKKernelAgainstRunLayout:
     the Hardy average ``f** = hardy_upper(f, 1, 1)``."""
 
     @staticmethod
-    def check(fss, rows) -> list[float]:
-        got = interp._k_l1_linf_block(fss, rows).tolist()
-        assert list(map(repr, got)) == list(map(repr, ref_k_l1_linf_block(fss, rows).tolist()))
+    def check(fss, ts) -> list[list[float]]:
+        got = interp._k_l1_linf_block(fss, ts).tolist()
+        want = ref_k_l1_linf_block(fss, [ts] * len(fss)).reshape(len(fss), len(ts)).tolist()
+        assert [list(map(repr, row)) for row in got] == [list(map(repr, row)) for row in want]
         return got
 
     @given(st.lists(ref_block_members(), min_size=1, max_size=6))
     @settings(max_examples=200, deadline=None)
     def test_same_floats_as_the_run_layout(self, members):
-        self.check([fs for fs, _ in members], [ts for _, ts in members])
+        # the members' rows, one after another, are the block's one row
+        self.check([fs for fs, _ in members], [t for _, ts in members for t in ts])
 
     def test_tails_ragged_rows_and_overflow(self):
+        # one unsorted row for functions of every kind: a positive tail,
+        # no breakpoint past the row, sums past the largest float
         tail = StepFunction((1.0, 2.0), (3.0, 2.0), 0.5)
-        fss = [tail, CHI, OVERFLOWING, StepFunction.constant(3.0), tail]
-        rows = [[4.0, 1.0, 0.5, 2.0], [], [2.0**999, 1.0, 2.0, 2.0**1001], [_MAX_FLOAT], [0.25]]
-        got = self.check(fss, rows)
-        assert got == [6.0, 3.0, 1.5, 5.0, INF, _MAX_FLOAT, _MAX_FLOAT, INF, INF, 0.75]
+        fss = [tail, CHI, OVERFLOWING, StepFunction.constant(3.0)]
+        ts = [4.0, 1.0, 0.5, 2.0, 2.0**999, 0.25, 2.0**1001, _MAX_FLOAT]
+        got = self.check(fss, ts)
+        assert got[0][:4] == [6.0, 3.0, 1.5, 5.0] and got[0][5] == 0.75
+        assert got[1] == [1.0, 1.0, 0.5, 1.0, 1.0, 0.25, 1.0, 1.0]
+        assert got[2][1:5] == [_MAX_FLOAT, 0.5 * _MAX_FLOAT, _MAX_FLOAT, INF] and got[2][6] == INF
+        assert got[3][-1] == INF
+        assert self.check(fss, []) == [[]] * len(fss)
 
     @given(st.data(), st.one_of(edge_step_functions(max_pieces=60), corpus_stars))
     @settings(max_examples=100, deadline=None)
@@ -726,6 +733,13 @@ class TestKShapeProperties:
 
 
 class TestHolmstedt:
+    def test_finite_q0_first_term(self):
+        # X0 = L(2, 2): the first term is (integral_0^1.5 f*(s)**2 ds)**(1/2)
+        # = sqrt(9 + 0.5); the second is 1.5**(1/2) times sup_{s > 1.5} f*
+        couple = LorentzCouple(LorentzParams(2.0, 2.0), LorentzParams(INF, INF))
+        f = StepFunction((1.0, 2.0, 5.0), (3.0, 1.0, 0.5))
+        assert holmstedt_k(f, 1.5, couple, 2.0) == math.sqrt(9.5) + math.sqrt(1.5) == 4.306951872876077
+
     def test_indicator_value(self):
         # both terms integrate in closed form: 1/4 + 1/4
         assert holmstedt_k(CHI, 0.25, L1_LINF, 1.0) == pytest.approx(0.5, rel=1e-12)
@@ -931,6 +945,12 @@ class TestCoupleValidation:
     def test_degenerate_member_rejected(self):
         with pytest.raises(ValueError):
             LorentzCouple(LorentzParams(1.0, 1.0), LorentzParams(INF, 2.0))
+
+    @pytest.mark.parametrize("q1", [0.5, 1.0, 2.0])
+    def test_p1_inf_needs_q1_inf_at_the_couple(self, q1):
+        # the theta check of an (X0, L(inf, q1)) couple relies on this refusal
+        with pytest.raises(ValueError, match=r"^L\(inf,\S+\) is the trivial space \{0\}; not a valid couple member$"):
+            LorentzCouple(LorentzParams(1.0, 1.0), LorentzParams(INF, q1))
 
     def test_functor_params_validation(self):
         with pytest.raises(ValueError):

@@ -157,6 +157,9 @@ class TestNormValues:
         # the integral over (2**-1000, 2**1000] overflows on its own: the norm is about 2**1999
         with pytest.raises(ValueError, match="the Lorentz norm of f overflows the float range"):
             lorentz_norm(StepFunction((2.0**-1000, 2.0**1000), (2.0, 1.0)), LorentzParams(0.5, 1.0))
+        # the integral 1e100 * 1e200 is a float; its 1/q-th power, 1e600, is not
+        with pytest.raises(ValueError, match="^the Lorentz norm of f overflows the float range$"):
+            lorentz_norm(StepFunction((1e200,), (1e200,)), LorentzParams(0.5, 0.5))
 
     def test_matches_quadrature_oracle(self, small_corpus):
         for f in list(small_corpus)[:20]:
