@@ -47,7 +47,7 @@ import numpy as np
 
 from .enclosure import Enclosure
 from .lorentz import LorentzParams, SpaceDescriptor, _check_exponent
-from .stepfn import INF, StepFunction, _power_integral, _power_integral_array
+from .stepfn import INF, StepFunction, _evaluation_points, _power_integral, _power_integral_array
 
 __all__ = [
     "PowerLaw",
@@ -74,7 +74,9 @@ class PowerLaw:
         self.decay = np.array(decay, dtype=float, ndmin=1)
 
     def __call__(self, t: float) -> float:
-        """The law of a block of one at ``t``; ``inf`` past the largest float."""
+        """The law of a block of one at ``t`` in ``(0, inf)``; ``inf`` past
+        the largest float."""
+        _evaluation_points(t)
         (coef,), (decay,) = self.coef.tolist(), self.decay.tolist()
         if not coef:
             return 0.0
@@ -195,15 +197,17 @@ _NORM_OVERFLOW = "the envelope norm overflows the float range"
 # -- blocks of members ---------------------------------------------------------
 #
 # The Hardy averages and their norms are evaluated for a block of functions
-# at once: the functions' pieces and grids are concatenated, every
-# elementwise kernel runs once over the whole block, and only reductions
-# (running sums, running extrema, interval sums) run per function, each on
-# its function's exact-length slice.  Elementwise numpy results do not depend
-# on an element's neighbours and those reductions see the same arrays as a
-# lone function would, so every value is the one that function would get on
-# its own.  hardy_upper and hardy_lower are the same kernels on a block of
-# one, and interp's K(t; L1, L_inf) is _upper_integral at (1, 1) on _Pieces,
-# at one t row whose pieces piece_index finds, as it finds the grids'.
+# at once: the functions' grids are concatenated, and their f* form one
+# table whose entries are each piece and then the tail, which ends at inf.
+# Every elementwise kernel runs once over the whole block, and only
+# reductions (running sums, running extrema, interval sums) run per
+# function, each on its function's exact-length slice, where a tail's term
+# is 0.  Elementwise numpy results do not depend on an element's neighbours
+# and those reductions add a lone function's terms in its order, so every
+# value is the one that function would get on its own.  hardy_upper and
+# hardy_lower are the same kernels on a block of one, and interp's
+# K(t; L1, L_inf) is _upper_integral at (1, 1) on _Pieces, at one t row
+# whose entries piece_index finds, as it finds the grids'.
 
 
 def _offsets(sizes) -> np.ndarray:
@@ -226,49 +230,39 @@ def _accumulate(ufunc: np.ufunc, x: np.ndarray, off, reverse: bool = False) -> n
 
 
 class _Pieces:
-    """The pieces of consecutive ``f*`` ``fss``: function ``i`` owns pieces
-    ``poff[i]:poff[i+1]`` of ``bp``/``vals``.  Per-piece tables carry one
-    more entry per function for its tail piece: piece ``j`` sits at entry
-    ``vpos[j]``, function ``i``'s entries run from ``hpos[i]`` to its
-    tail's, ``tpos[i]``, and ``f_star`` is the table of ``f*``."""
+    """The pieces of consecutive ``f*`` ``fss`` as one table: function ``i``
+    owns entries ``eoff[i]:eoff[i+1]``, one per piece of its ``f*`` and a
+    last one, ``tpos[i]``, for its tail.  ``ends`` holds each entry's right
+    end (``inf`` for a tail) and ``f_star`` its value."""
 
     def __init__(self, fss: Sequence[StepFunction]):
-        counts = [len(fs.breakpoints) for fs in fss]
-        k = self.size = len(fss)
-        self.poff = _offsets(counts)
-        n = int(self.poff[-1])
-        self.bp = np.fromiter(chain.from_iterable(fs.breakpoints for fs in fss), float, n)
-        self.vals = np.fromiter(chain.from_iterable(fs.values for fs in fss), float, n)
-        self.tails = np.array([fs.tail for fs in fss], dtype=float)
-        self.vpos = np.arange(n) + np.repeat(np.arange(k), counts)
-        self.hpos = self.poff[:-1] + np.arange(k)
-        self.tpos = self.poff[1:] + np.arange(k)
-        self.f_star = self.table(self.vals, self.tails)
+        self.size = len(fss)
+        self.eoff = _offsets([len(fs.breakpoints) + 1 for fs in fss])
+        m = int(self.eoff[-1])
+        self.ends = np.fromiter(chain.from_iterable(chain(fs.breakpoints, (INF,)) for fs in fss), float, m)
+        self.f_star = np.fromiter(chain.from_iterable(chain(fs.values, (fs.tail,)) for fs in fss), float, m)
+        self.tpos = self.eoff[1:] - 1
 
-    def table(self, pieces, tails) -> np.ndarray:
-        """A per-piece table: ``pieces`` at the pieces' entries, ``tails`` at the tails'."""
-        out = np.empty(self.vpos.size + self.size, dtype=np.result_type(pieces, tails))
-        out[self.vpos] = pieces
-        out[self.tpos] = tails
+    def before(self, x: np.ndarray) -> np.ndarray:
+        """``x`` at the entry before each entry; 0 at each function's first."""
+        out = np.concatenate(([0.0], x[:-1]))
+        out[self.eoff[:-1]] = 0.0
         return out
 
     def piece_index(self, t: np.ndarray, toff: np.ndarray) -> np.ndarray:
-        """Table entry of the piece holding each point of ``t``; function
-        ``i`` owns the sorted points ``t[toff[i]:toff[i+1]]``.  The entry is
-        ``searchsorted(bp, t, "left")`` within the function.  It steps up at
-        the first point above each breakpoint and at each function's first
-        point (past the previous tail).
-        """
-        offs, poff, bp = toff.tolist(), self.poff.tolist(), self.bp
-        above = np.concatenate(
-            [t[t0:t1].searchsorted(bp[p0:p1], "right") for t0, t1, p0, p1 in zip(offs, offs[1:], poff, poff[1:])]
+        """Entry of the piece holding each point of ``t``; function ``i`` owns
+        the sorted points ``t[toff[i]:toff[i+1]]``, none NaN.  The entry is
+        ``searchsorted(ends, t, "left")`` within the function.  It steps up at
+        the first point above each entry's end, a tail's past the function's
+        last point, so the block's steps come out in order."""
+        offs, eoff, ends = toff.tolist(), self.eoff.tolist(), self.ends
+        steps = np.zeros(eoff[-1] + 1, dtype=np.intp)  # 0, then the step at each entry's end
+        np.concatenate(
+            [t[t0:t1].searchsorted(ends[e0:e1], "right") for t0, t1, e0, e1 in zip(offs, offs[1:], eoff, eoff[1:])],
+            out=steps[1:],
         )
-        above += np.repeat(toff[:-1], np.diff(self.poff))
-        steps = np.sort(np.concatenate([above, toff[1:-1]]))
-        bounds = np.empty(steps.size + 2, dtype=np.intp)
-        bounds[0], bounds[-1] = 0, t.size
-        bounds[1:-1] = steps
-        return np.repeat(np.arange(steps.size + 1), bounds[1:] - bounds[:-1])
+        steps[1:] += np.repeat(toff[:-1], np.diff(self.eoff))
+        return np.repeat(np.arange(eoff[-1]), steps[1:] - steps[:-1])
 
 
 class _Block(_Pieces):
@@ -315,7 +309,8 @@ class MonotoneEnvelope:
     function of a block is usable.
 
     :func:`hardy_upper` and :func:`hardy_lower` return a block of one, which
-    evaluates anywhere: ``env(t)`` calls its ``eval``.  Instances are
+    evaluates at any point of ``(0, inf)``: ``env(t)`` calls its ``eval``,
+    and raises ``ValueError`` for NaN or a point outside.  Instances are
     immutable and ``eval`` is a pure closure, so envelopes are safe to share
     across threads.
     """
@@ -335,7 +330,7 @@ class MonotoneEnvelope:
 
     def __call__(self, t):
         scalar = np.isscalar(t)
-        out = self.eval(np.atleast_1d(np.asarray(t, dtype=float)))
+        out = self.eval(np.atleast_1d(_evaluation_points(t)))
         return float(out[0]) if scalar else out
 
     def upper_on_grid(self) -> np.ndarray:
@@ -385,14 +380,14 @@ def _single_eval(blk: _Block, evaluate, const: float | None, mend=None):
         return None
     if const is not None:
         return lambda t: np.full(np.shape(t), const)
-    # the breakpoints, not the block: a block keeps its envelopes, and an
+    # the entries' ends, not the block: a block keeps its envelopes, and an
     # envelope that kept its block would be freed only by the cyclic GC
-    bp, first, last = blk.bp, float(blk.grid[0]), float(blk.grid[-1])
+    ends, first, last = blk.ends, float(blk.grid[0]), float(blk.grid[-1])
 
     def eval_at(t):
         t = np.asarray(t, dtype=float)
         with np.errstate(all="ignore"):
-            out = evaluate(t, np.searchsorted(bp, t, side="left"))
+            out = evaluate(t, np.searchsorted(ends, t, side="left"))
             if mend is not None:
                 mend(t, out, t < first, t > last)
         return out
@@ -403,15 +398,17 @@ def _single_eval(blk: _Block, evaluate, const: float | None, mend=None):
 def _power_tables(pcs: _Pieces, w: float, order: float):
     """Shared finite-``w`` tables of both families, with ``e = w / order``.
 
-    Returns ``(e, edges, seg)``: ``edges`` holds ``bp**e`` at the entry
-    after each piece's (0 at each function's first entry) and ``seg`` is
-    the inner integral ``vals**w * (edges[next] - edges[this]) / e`` over
-    each piece.
+    Returns ``(e, edges, seg)``: ``edges`` holds ``ends**e`` of the entry
+    before each entry (0 at each function's first) and ``seg`` is the inner
+    integral ``f_star**w * (ends**e - edges) / e`` over each piece, 0 at the
+    tails.
     """
     e = w / order
-    edges = np.zeros(pcs.vpos.size + pcs.size)
-    edges[pcs.vpos + 1] = ends = pcs.bp**e
-    seg = pcs.vals**w * (ends - edges[pcs.vpos]) / e
+    with np.errstate(over="ignore", invalid="ignore"):  # a tail reads inf or 0 * inf
+        power = pcs.ends**e
+        edges = pcs.before(power)
+        seg = pcs.f_star**w * (power - edges) / e
+    seg[pcs.tpos] = 0.0
     return e, edges, seg
 
 
@@ -423,8 +420,7 @@ def _upper_integral(pcs: _Pieces, u: float, w: float):
     ``K(t, f; L_1, L_inf)``.  An overflow gives ``inf``."""
     allv = pcs.f_star
     e, edges, seg = _power_tables(pcs, w, u)
-    cum = np.zeros(allv.size)
-    cum[pcs.vpos + 1] = _accumulate(np.add, seg, pcs.poff)
+    cum = pcs.before(_accumulate(np.add, seg, pcs.eoff))
 
     def inner(t, K):
         return cum[K] + allv[K] ** w * (t**e - edges[K]) / e
@@ -439,9 +435,8 @@ def _upper_block(blk: _Block, u: float, w: float) -> MonotoneEnvelope:
     range.
     """
     k = blk.size
-    counts = np.diff(blk.poff)
-    tails = blk.tails
-    flat = counts == 0  # constants, zero included
+    tails = blk.f_star[blk.tpos]
+    flat = np.diff(blk.eoff) == 1  # constants, zero included
     zero = flat & (tails == 0.0)
     factor = 1.0
     if w < INF and not zero.all():
@@ -451,8 +446,7 @@ def _upper_block(blk: _Block, u: float, w: float) -> MonotoneEnvelope:
         except OverflowError:
             raise ValueError(_OVERFLOW) from None
     allv = blk.f_star
-    firsts = blk.poff[:-1][~flat]
-    head = np.zeros(k)
+    firsts = blk.eoff[:-1]  # a constant's is its tail, which its head law does not read
     # an overflow in the tables or descriptors also overflows the values,
     # which _monotone_values marks
     with np.errstate(over="ignore", invalid="ignore"):
@@ -464,19 +458,20 @@ def _upper_block(blk: _Block, u: float, w: float) -> MonotoneEnvelope:
                 # the clamp keeps the fractional power real
                 return t ** (-1.0 / u) * np.maximum(inner(t, K), 0.0) ** (1.0 / w)
 
-            head[~flat] = blk.vals[firsts] * factor
+            head = allv[firsts] * factor
             # tail descriptors: power-law decay past a compact support, else
             # the average tends to the tail's own constant
             decay_coef = np.array([float(c ** (1.0 / w)) for c in cum[blk.tpos]])
             tail_const = tails * factor
         else:
-            prev = np.zeros(allv.size)  # sup over the pieces fully left of each
-            prev[blk.vpos + 1] = _accumulate(np.maximum, blk.vals * blk.bp ** (1.0 / u), blk.poff)
+            terms = allv * blk.ends ** (1.0 / u)
+            terms[blk.tpos] = 0.0
+            prev = blk.before(_accumulate(np.maximum, terms, blk.eoff))  # sup over the pieces left of each entry
 
             def evaluate(t, K):
                 return np.maximum(prev[K] * t ** (-1.0 / u), allv[K])
 
-            head[~flat] = blk.vals[firsts]
+            head = allv[firsts]
             decay_coef = prev[blk.tpos]
             tail_const = tails
         values = evaluate(blk.grid, blk.K)
@@ -533,20 +528,18 @@ def _lower_block(blk: _Block, v: float, w: float) -> MonotoneEnvelope:
     a positive tail leaves the float range.
     """
     k = blk.size
-    counts = np.diff(blk.poff)
-    diverged = blk.tails > 0.0
-    flat = (counts == 0) & ~diverged  # the zero function
+    diverged = blk.f_star[blk.tpos] > 0.0
+    flat = (np.diff(blk.eoff) == 1) & ~diverged  # the zero function
     regular = ~(flat | diverged)
     allv = blk.f_star  # a tail entry's part is masked to 0 below
-    inside = blk.table(True, False)  # entries of finite pieces, not tails
+    inside = blk.ends < INF  # entries of finite pieces, not tails
     firsts = blk.goff[:-1]
     with np.errstate(over="ignore", invalid="ignore"):
         if w < INF:
             e, edges, seg = _power_tables(blk, w, v)
             # suffix sums keep the integral-from-t positive-term only (no
             # cancellation near the right edge of the support)
-            suf = np.zeros(allv.size)
-            suf[blk.vpos] = _accumulate(np.add, seg, blk.poff, reverse=True)
+            suf = _accumulate(np.add, seg, blk.eoff, reverse=True)
 
             def evaluate(t, K):
                 within = inside[K]
@@ -556,9 +549,9 @@ def _lower_block(blk: _Block, v: float, w: float) -> MonotoneEnvelope:
                 return t ** (-1.0 / v) * np.maximum(inner, 0.0) ** (1.0 / w)
 
         else:
-            run = _accumulate(np.maximum, blk.vals * blk.bp ** (1.0 / v), blk.poff, reverse=True)
-            suf_max = np.zeros(allv.size)
-            suf_max[blk.vpos] = run
+            terms = allv * blk.ends ** (1.0 / v)
+            terms[blk.tpos] = 0.0
+            suf_max = _accumulate(np.maximum, terms, blk.eoff, reverse=True)
 
             def evaluate(t, K):
                 return suf_max[K] * t ** (-1.0 / v)
@@ -568,10 +561,10 @@ def _lower_block(blk: _Block, v: float, w: float) -> MonotoneEnvelope:
         _fill(blk, values, np.flatnonzero(special).tolist(), np.where(diverged, INF, 0.0)[special])
         values = _monotone_values(blk, values, regular)
         if w < INF:
-            head_hi = [float(s ** (1.0 / w)) for s in suf[blk.hpos]]
+            head_hi = [float(s ** (1.0 / w)) for s in suf[blk.eoff[:-1]]]
             head_lo = [float(x * g ** (1.0 / v)) for x, g in zip(values[firsts], blk.grid[firsts])]
         else:
-            head_hi = head_lo = suf_max[blk.hpos]
+            head_hi = head_lo = suf_max[blk.eoff[:-1]]
     decay = np.where(regular, 1.0 / v, 0.0)
     zero = PowerLaw(np.zeros(k), np.zeros(k))
     return MonotoneEnvelope(

@@ -431,8 +431,8 @@ def _reports(records: tuple[_Member, ...], checks: Sequence[_Check]) -> list[Rat
     may raise before an earlier member's block is scored.  So if a walk
     raises, every check runs again, one after another, and the first that
     raises runs once more with one member per block: a block raises exactly
-    when one of its members does, so the error that surfaces is that of the
-    first check that raises, at its first failing member in corpus order.
+    when one of its members does, so that run raises, with the error of the
+    first check that raises at its first failing member in corpus order.
     """
     try:
         groups: dict[tuple, list[int]] = {}
@@ -445,13 +445,13 @@ def _reports(records: tuple[_Member, ...], checks: Sequence[_Check]) -> list[Rat
                 reports[i] = report
         return reports
     except (ValueError, ArithmeticError):
-        reports = []
         for check in checks:
             try:
-                reports.append(_walk(records, [check], _BLOCK_POINTS)[0])
+                _walk(records, [check], _BLOCK_POINTS)
             except (ValueError, ArithmeticError):
-                reports.append(_walk(records, [check], 1)[0])
-        return reports
+                _walk(records, [check], 1)
+                raise
+        raise
 
 
 def _averaging_kind(u: float | None, v: float | None) -> tuple[str, float]:

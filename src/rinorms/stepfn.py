@@ -55,6 +55,17 @@ def _as_float(x, what: str) -> float:
     return v
 
 
+def _evaluation_points(t) -> np.ndarray:
+    """``t`` (a point or an array of them) as a float array, every point in
+    ``(0, inf)``; raises ``ValueError`` otherwise."""
+    ts = np.asarray(t, dtype=float)
+    if not ((ts > 0.0) & (ts < INF)).all():
+        if np.isnan(ts).any():
+            raise ValueError("t must not be NaN")
+        raise ValueError(f"evaluation point must be in (0, inf), got {t}")
+    return ts
+
+
 def _floats(xs, what: str) -> tuple[float, ...]:
     """``xs`` as a tuple of floats, none of them NaN.
 
@@ -237,11 +248,7 @@ class StepFunction:
         Pieces are half-open ``(lo, hi]``, so a breakpoint takes the value of
         the piece it closes.  A point returns a float, an array an array.
         """
-        ts = np.asarray(t, dtype=float)
-        if not ((ts > 0.0) & (ts < INF)).all():
-            if np.isnan(ts).any():
-                raise ValueError("t must not be NaN")
-            raise ValueError(f"evaluation point must be in (0, inf), got {t}")
+        ts = _evaluation_points(t)
         i = np.searchsorted(self.breakpoints, ts, side="left")
         out = np.asarray(self.values + (self.tail,))[i]
         return float(out) if out.ndim == 0 else out

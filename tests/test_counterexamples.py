@@ -17,6 +17,7 @@ from rinorms import (
     step_function_report,
 )
 from rinorms.counterexamples import (
+    SequenceReport,
     report_rows,
     sequence_terms,
     step_function,
@@ -47,6 +48,11 @@ class TestSequence:
                 sequence_report(q, 100)
         with pytest.raises(ValueError):
             sequence_report(0.5, 1)
+
+    def test_report_rejects_negative_partial_sums(self):
+        with pytest.raises(ValueError) as err:
+            SequenceReport(n=2, l1_partial=-1.0, l1q_partial=0.0, q=0.5)
+        assert str(err.value) == "partial sums must be nonnegative"
 
     def test_partials_monotone_in_n(self):
         reps = [sequence_report(0.5, n) for n in (10, 100, 1000)]

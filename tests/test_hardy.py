@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from rinorms import (
     INF,
+    Enclosure,
     GridSpec,
     LorentzParams,
     SpaceDescriptor,
@@ -37,6 +38,7 @@ from rinorms.hardy import (
     _Block,
     _lower_block,
     _norm_block,
+    _Pieces,
     _scale_block,
     _upper_block,
 )
@@ -268,6 +270,33 @@ class TestOffGridEvaluation:
                     assert _within_ulps(x, lo, hi), (t, x, lo, hi)
                 elif t < first and kind == "upper":
                     assert _within_ulps(x, hi, hi), (t, x, hi)
+
+    @pytest.mark.parametrize(
+        "t,message",
+        [
+            (math.nan, "t must not be NaN"),
+            (np.array([1.0, math.nan]), "t must not be NaN"),
+            (-1.0, "evaluation point must be in (0, inf), got -1.0"),
+            (0.0, "evaluation point must be in (0, inf), got 0.0"),
+            (INF, "evaluation point must be in (0, inf), got inf"),
+            (np.array([1.0, -1.0, 0.5]), "evaluation point must be in (0, inf), got [ 1.  -1.   0.5]"),
+        ],
+        ids=["nan", "nan-in-array", "negative", "zero", "inf", "negative-in-array"],
+    )
+    @pytest.mark.parametrize("evaluator", ["upper", "lower", "law", "function"])
+    def test_points_outside_the_half_line_raise_as_for_a_step_function(self, t, message, evaluator):
+        # unchecked, an envelope reads f* outside its domain (NaN would index
+        # past its table) and a law's power turns complex or divides by 0
+        f = StepFunction((1.0, 2.0), (3.0, 1.0))
+        evaluate = {
+            "upper": lambda: hardy_upper(f, 1.0, 1.0),
+            "lower": lambda: hardy_lower(f, 2.0, 1.0),
+            "law": lambda: PowerLaw(2.0, 0.5),
+            "function": lambda: f,
+        }[evaluator]()
+        with pytest.raises(ValueError) as err:
+            evaluate(t)
+        assert str(err.value) == message
 
 
 class TestEnvelopeNorm:
@@ -841,3 +870,65 @@ class TestBlockKernels:
                 assert repr(public(ts).tolist()) == repr(ref.eval(ts).tolist())
             for p in NORM_PARAMS:
                 assert repr(envelope_norm(public, p)) == repr(ref_envelope_norm(ref, p))
+
+
+@st.composite
+def _members_with_points(draw):
+    """An ``f*`` (a constant, a corpus ``f*`` or one with breakpoints up to
+    ``2**±1000``) and sorted points for it: its ends, points next to and
+    past them, ``inf`` (an overflowing ``2t``), or none at all."""
+    kind = draw(st.sampled_from(["constant", "corpus", "wide"]))
+    if kind == "constant":
+        fs = StepFunction.constant(draw(st.sampled_from([0.0, 3.0])))
+    elif kind == "corpus":
+        corpus = generate_corpus(draw(st.integers(0, 2**16)), 1, positive_tail=draw(st.booleans()))
+        fs = corpus.functions[0].rearrange()
+    else:
+        exps = draw(st.lists(st.floats(-1000.0, 1000.0), min_size=1, max_size=12))
+        bps = sorted({2.0**x for x in exps})
+        vals = draw(st.lists(st.floats(0.0, 2.0**8), min_size=len(bps), max_size=len(bps)))
+        fs = StepFunction(tuple(bps), tuple(vals), draw(st.sampled_from([0.0, 0.5]))).rearrange()
+    pool = [5e-324, 1.0, 1e300, INF]
+    for b in fs.breakpoints:
+        pool += [b, math.nextafter(b, 0.0), math.nextafter(b, INF), 2.0 * b]
+    return fs, sorted(draw(st.lists(st.sampled_from(pool), max_size=10)))
+
+
+class TestPieceIndex:
+    @settings(max_examples=150, deadline=None)
+    @given(members=st.lists(_members_with_points(), min_size=1, max_size=8))
+    @example(members=[(StepFunction.zero(), [])])
+    @example(members=[(CHI, [INF, INF]), (StepFunction.constant(3.0), [1.0, INF]), (CHI, [1.0])])
+    def test_each_function_finds_its_entries_by_searchsorted(self, members):
+        fss = [fs for fs, _ in members]
+        pcs = _Pieces(fss)
+        assert pcs.ends.tolist() == [x for fs in fss for x in (*fs.breakpoints, INF)]
+        assert pcs.f_star.tolist() == [x for fs in fss for x in (*fs.values, fs.tail)]
+        toff = np.zeros(len(members) + 1, dtype=np.intp)
+        np.cumsum([len(points) for _, points in members], out=toff[1:])
+        K = pcs.piece_index(np.array([x for _, points in members for x in points], dtype=float), toff)
+        assert K.size == toff[-1]
+        first = 0  # the entry of the function's first piece
+        for (fs, points), lo, hi in zip(members, toff.tolist(), toff[1:].tolist()):
+            ends = np.array([*fs.breakpoints, INF])
+            expected = np.searchsorted(ends, np.array(points, dtype=float), "left") + first
+            assert K[lo:hi].tolist() == expected.tolist()
+            first += ends.size
+
+
+class TestEnclosure:
+    @pytest.mark.parametrize(
+        "lo,hi,message",
+        [
+            (math.nan, 1.0, "enclosure endpoints must not be NaN"),
+            (2.0, 1.0, "need 0 <= lo <= hi, got [2.0, 1.0]"),
+        ],
+    )
+    def test_rejects_nan_and_inverted_endpoints(self, lo, hi, message):
+        with pytest.raises(ValueError) as err:
+            Enclosure(lo, hi)
+        assert str(err.value) == message
+
+    def test_relative_width_of_zero_and_unbounded_enclosures(self):
+        assert Enclosure(0.0, 0.0).relative_width == 0.0
+        assert Enclosure(1.0, INF).relative_width == INF

@@ -21,6 +21,7 @@ from rinorms import (
     Enclosure,
     LorentzCouple,
     LorentzParams,
+    RatioReport,
     SpaceDescriptor,
     StepFunction,
     generate_corpus,
@@ -65,6 +66,16 @@ class TestCorpus:
     def test_size_zero_rejected(self):
         with pytest.raises(ValueError):
             generate_corpus(1, 0)
+
+    def test_max_pieces_zero_rejected(self):
+        with pytest.raises(ValueError) as err:
+            generate_corpus(7, 10, max_pieces=0)
+        assert str(err.value) == "max_pieces must be >= 1"
+
+    def test_report_rejects_an_inverted_ratio_range(self):
+        with pytest.raises(ValueError) as err:
+            RatioReport("lemma10", "cfg", 1, 2.0, 1.0, 0.0, 0, True)
+        assert str(err.value) == "min_ratio must not exceed max_ratio"
 
     def test_all_members_nonzero(self, small_corpus):
         assert all(not f.is_zero for f in small_corpus)

@@ -315,6 +315,13 @@ class TestDilation:
         with pytest.raises(ValueError):
             estimate_dilation_norm(space, 2.0, [])
 
+    def test_members_with_infinite_norm_are_skipped(self, unit_indicator):
+        space = SpaceDescriptor.for_lorentz(LorentzParams(2.0, 2.0))
+        positive_tail = StepFunction((1.0,), (2.0,), 1.0)  # its L(2,2) norm is infinite
+        est = estimate_dilation_norm(space, 2.0, [positive_tail, unit_indicator])
+        assert est == estimate_dilation_norm(space, 2.0, [unit_indicator])
+        assert est == pytest.approx(2.0**-0.5, rel=1e-12)
+
 
 class TestBoydIndices:
     S_GRID = [2.0, 2.0**5, 2.0**10, 2.0**20]
@@ -376,6 +383,12 @@ class TestQuasiTriangle:
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):
             estimate_quasi_triangle_constant(LorentzParams(2.0, 2.0), [])
+
+    def test_pairs_with_a_zero_function_are_skipped(self):
+        params = LorentzParams(1.0, 0.5)
+        f, g = StepFunction((1.0,), (1.0,)), StepFunction((1.0, 2.0), (0.0, 1.0))
+        c = estimate_quasi_triangle_constant(params, [(f, StepFunction.zero()), (f, g)])
+        assert c == estimate_quasi_triangle_constant(params, [(f, g)]) > 1.0
 
 
 class TestSpaceDescriptor:

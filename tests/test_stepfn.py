@@ -414,6 +414,21 @@ class TestAlgebra:
         f = StepFunction((1.0,), (2.0,), 1.0)
         assert f.restrict(3.0) == StepFunction((1.0, 3.0), (2.0, 1.0), 0.0)
 
+    @pytest.mark.parametrize(
+        "build,message",
+        [
+            (lambda f: StepFunction.indicator(1, 1), "need 0 <= a < b < inf, got (1.0, 1.0]"),
+            (lambda f: f.scale(-1), "scale factor must be finite and >= 0, got -1.0"),
+            (lambda f: f.minimum(-1), "level must be >= 0, got -1.0"),
+            (lambda f: f.restrict(0), "restriction bound must be in (0, inf), got 0.0"),
+        ],
+        ids=["indicator", "scale", "minimum", "restrict"],
+    )
+    def test_bad_arguments_rejected(self, unit_indicator, build, message):
+        with pytest.raises(ValueError) as err:
+            build(unit_indicator)
+        assert str(err.value) == message
+
     @given(dyadic_steps(), dyadic_steps())
     @settings(max_examples=60, deadline=None)
     def test_add_matches_pointwise_evaluation(self, f, g):
@@ -513,6 +528,18 @@ class TestPowerIntegral:
     )
     def test_values(self, alpha, lo, hi, expected):
         assert power_integral(alpha, lo, hi) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "alpha,lo,hi,message",
+        [
+            (math.nan, 1.0, 2.0, "power_integral arguments must not be NaN"),
+            (1.0, 2.0, 1.0, "need 0 <= lo <= hi, got [2.0, 1.0]"),
+        ],
+    )
+    def test_invalid_arguments(self, alpha, lo, hi, message):
+        with pytest.raises(ValueError) as err:
+            power_integral(alpha, lo, hi)
+        assert str(err.value) == message
 
     def test_narrow_interval_precision(self):
         # ((1+eps)**3 - 1)/3 ~ eps; the expm1 form keeps the cancellation benign
@@ -625,6 +652,12 @@ def _elementwise_from_json(text: str) -> tuple:
     d = json.loads(text)
     bps, vals = ([_json_number(x, f"{k}[{i}]") for i, x in enumerate(d[k])] for k in ("breakpoints", "values"))
     return loop_canonical(bps, vals, _json_number(d["tail"], "tail"))
+
+
+def test_from_dict_rejects_a_non_object():
+    with pytest.raises(ValueError) as err:
+        StepFunction.from_dict([1])
+    assert str(err.value) == "step function JSON must be an object"
 
 
 class TestJsonBulkValidation:
