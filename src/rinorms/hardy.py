@@ -310,9 +310,9 @@ class MonotoneEnvelope:
 
     :func:`hardy_upper` and :func:`hardy_lower` return a block of one, which
     evaluates at any point of ``(0, inf)``: ``env(t)`` calls its ``eval``,
-    and raises ``ValueError`` for NaN or a point outside.  Instances are
-    immutable and ``eval`` is a pure closure, so envelopes are safe to share
-    across threads.
+    which checks the points itself and raises ``ValueError`` for NaN or a
+    point outside.  Instances are immutable and ``eval`` is a pure closure,
+    so envelopes are safe to share across threads.
     """
 
     grid: np.ndarray
@@ -330,7 +330,7 @@ class MonotoneEnvelope:
 
     def __call__(self, t):
         scalar = np.isscalar(t)
-        out = self.eval(np.atleast_1d(_evaluation_points(t)))
+        out = self.eval(t)
         return float(out[0]) if scalar else out
 
     def upper_on_grid(self) -> np.ndarray:
@@ -349,28 +349,28 @@ class MonotoneEnvelope:
         return np.concatenate(([head], v[:-1]))
 
 
-def _monotone_values(blk: _Block, values: np.ndarray, regular: np.ndarray) -> np.ndarray:
-    """Every function's values made non-increasing; a regular function with
-    a non-finite value has overflowed, and raises ``ValueError``.
+def _settle(blk: _Block, values: np.ndarray, special: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """Every function's values made non-increasing, each ``special`` one's
+    set to its entry of ``consts``; any other with a non-finite value has
+    overflowed, and raises ``ValueError``.
 
     Evaluation rounding can break monotonicity by an ulp on flat stretches;
     the running minimum restores it and stays within one ulp of exact.
     """
+    if special.any():  # most blocks have none, and the masks cost a pass each
+        sizes = np.diff(blk.goff)
+        mask = np.repeat(special, sizes)
+        values[mask] = np.repeat(consts, sizes)[mask]
     bad = ~np.isfinite(values)
-    if bad.any() and (np.logical_or.reduceat(bad, blk.goff[:-1]) & regular).any():
+    if bad.any() and (np.logical_or.reduceat(bad, blk.goff[:-1]) & ~special).any():
         raise ValueError(_OVERFLOW)
     return _accumulate(np.minimum, values, blk.goff)
 
 
-def _fill(blk: _Block, values: np.ndarray, members, consts) -> None:
-    """Set the values of each function in ``members`` to its constant."""
-    goff = blk.goff.tolist()
-    for i, c in zip(members, consts):
-        values[goff[i] : goff[i + 1]] = c
-
-
-def _single_eval(blk: _Block, evaluate, const: float | None, mend=None):
-    """``eval`` of a block of one: ``evaluate(t, K)``, or the constant.
+def _single_eval(blk: _Block, evaluate, special: np.ndarray, consts: np.ndarray, mend):
+    """``eval`` of a block of one at points of ``(0, inf)``, checked as a
+    step function checks them: its constant if the function is ``special``,
+    else ``evaluate(t, K)``.
 
     Off the grid the direct form can leave the float range: ``mend(t, out,
     before, past)`` then sets, in place, the values at the points before and
@@ -378,18 +378,18 @@ def _single_eval(blk: _Block, evaluate, const: float | None, mend=None):
     """
     if blk.size != 1:
         return None
-    if const is not None:
-        return lambda t: np.full(np.shape(t), const)
+    const = float(consts[0]) if special[0] else None
     # the entries' ends, not the block: a block keeps its envelopes, and an
     # envelope that kept its block would be freed only by the cyclic GC
     ends, first, last = blk.ends, float(blk.grid[0]), float(blk.grid[-1])
 
     def eval_at(t):
-        t = np.asarray(t, dtype=float)
+        t = np.atleast_1d(_evaluation_points(t))
+        if const is not None:
+            return np.full(t.shape, const)
         with np.errstate(all="ignore"):
             out = evaluate(t, np.searchsorted(ends, t, side="left"))
-            if mend is not None:
-                mend(t, out, t < first, t > last)
+            mend(t, out, t < first, t > last)
         return out
 
     return eval_at
@@ -448,7 +448,7 @@ def _upper_block(blk: _Block, u: float, w: float) -> MonotoneEnvelope:
     allv = blk.f_star
     firsts = blk.eoff[:-1]  # a constant's is its tail, which its head law does not read
     # an overflow in the tables or descriptors also overflows the values,
-    # which _monotone_values marks
+    # which _settle marks
     with np.errstate(over="ignore", invalid="ignore"):
         if w < INF:
             cum, edges, inner = _upper_integral(blk, u, w)
@@ -478,8 +478,7 @@ def _upper_block(blk: _Block, u: float, w: float) -> MonotoneEnvelope:
     consts = np.where(zero, 0.0, tail_const)
     if (consts[flat] == INF).any():
         raise ValueError(_OVERFLOW)
-    _fill(blk, values, np.flatnonzero(flat).tolist(), consts[flat])
-    values = _monotone_values(blk, values, ~flat)
+    values = _settle(blk, values, flat, consts)
 
     decayed = tails == 0.0
     last = values[blk.goff[1:] - 1]
@@ -516,7 +515,7 @@ def _upper_block(blk: _Block, u: float, w: float) -> MonotoneEnvelope:
         flat=flat,
         diverged=np.zeros(k, dtype=bool),
         label=f"H_upper(u={u},w={w})",
-        eval=_single_eval(blk, evaluate, float(consts[0]) if flat[0] else None, mend),
+        eval=_single_eval(blk, evaluate, flat, consts, mend),
     )
 
 
@@ -530,7 +529,9 @@ def _lower_block(blk: _Block, v: float, w: float) -> MonotoneEnvelope:
     k = blk.size
     diverged = blk.f_star[blk.tpos] > 0.0
     flat = (np.diff(blk.eoff) == 1) & ~diverged  # the zero function
-    regular = ~(flat | diverged)
+    special = flat | diverged
+    regular = ~special
+    consts = np.where(diverged, INF, 0.0)
     allv = blk.f_star  # a tail entry's part is masked to 0 below
     inside = blk.ends < INF  # entries of finite pieces, not tails
     firsts = blk.goff[:-1]
@@ -556,10 +557,7 @@ def _lower_block(blk: _Block, v: float, w: float) -> MonotoneEnvelope:
             def evaluate(t, K):
                 return suf_max[K] * t ** (-1.0 / v)
 
-        values = evaluate(blk.grid, blk.K)
-        special = flat | diverged
-        _fill(blk, values, np.flatnonzero(special).tolist(), np.where(diverged, INF, 0.0)[special])
-        values = _monotone_values(blk, values, regular)
+        values = _settle(blk, evaluate(blk.grid, blk.K), special, consts)
         if w < INF:
             head_hi = [float(s ** (1.0 / w)) for s in suf[blk.eoff[:-1]]]
             head_lo = [float(x * g ** (1.0 / v)) for x, g in zip(values[firsts], blk.grid[firsts])]
@@ -579,7 +577,7 @@ def _lower_block(blk: _Block, v: float, w: float) -> MonotoneEnvelope:
         flat=flat,
         diverged=diverged,
         label=f"H_lower(v={v},w={w})",
-        eval=_single_eval(blk, evaluate, INF if diverged[0] else 0.0 if flat[0] else None, _mend_lower),
+        eval=_single_eval(blk, evaluate, special, consts, _mend_lower),
     )
 
 

@@ -388,15 +388,11 @@ def holmstedt_k(f: StepFunction, t: float, couple: LorentzCouple, theta: float) 
     fs = f.rearrange()
     if fs.is_zero:
         return 0.0
-    p0, q0 = couple.params0.p, couple.params0.q
     try:
-        if p0 == q0 == 1.0:
+        if couple.params0.p == couple.params0.q == 1.0:
             term0 = _k_l1_linf(fs, [t])[0]
-        elif q0 < INF:
-            inner0 = weighted_power_integral(fs, q0 / p0, q0, 0.0, t)
-            term0 = inner0 ** (1.0 / q0) if inner0 < INF else INF
         else:
-            term0 = _weighted_sup(fs, 1.0 / p0, 0.0, t)
+            term0 = _window_norm(fs, couple.params0, 0.0, t)
         return _holmstedt_sum(fs, t, couple, theta, term0)
     except OverflowError:
         raise ValueError(_HOLMSTEDT_OVERFLOW) from None
@@ -408,16 +404,21 @@ def _holmstedt_sum(fs: StepFunction, t: float, couple: LorentzCouple, theta: flo
     For (L_1, L_inf) at ``theta = 1`` that term is ``K(t, f)``, so a caller
     that has K passes it in instead of computing it again.
     """
-    p1, q1 = couple.params1.p, couple.params1.q
-    if q1 < INF:
-        inner1 = weighted_power_integral(fs, q1 / p1, q1, t, INF)
-        term1 = inner1 ** (1.0 / q1) if inner1 < INF else INF
-    else:
-        expo = 0.0 if p1 == INF else 1.0 / p1
-        term1 = _weighted_sup(fs, expo, t, INF)
+    term1 = _window_norm(fs, couple.params1, t, INF)
     if not term1:  # t**(1/theta) may pass the largest float
         return term0
     return term0 + t ** (1.0 / theta) * term1
+
+
+def _window_norm(fs: StepFunction, params: LorentzParams, a: float, b: float) -> float:
+    """``( integral_a^b [s**(1/p) f*(s)]**q ds/s )**(1/q)`` of ``fs = f*``,
+    or the sup of ``s**(1/p) f*(s)`` over ``(a, b)`` when ``q = inf``;
+    ``inf`` where the integral overflows."""
+    p, q = params.p, params.q
+    if q < INF:
+        inner = weighted_power_integral(fs, q / p, q, a, b)
+        return inner ** (1.0 / q) if inner < INF else INF
+    return _weighted_sup(fs, 1.0 / p, a, b)
 
 
 def intersection_norm(f: StepFunction, couple: LorentzCouple) -> float:

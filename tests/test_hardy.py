@@ -283,20 +283,54 @@ class TestOffGridEvaluation:
         ],
         ids=["nan", "nan-in-array", "negative", "zero", "inf", "negative-in-array"],
     )
-    @pytest.mark.parametrize("evaluator", ["upper", "lower", "law", "function"])
+    @pytest.mark.parametrize(
+        "evaluator",
+        [
+            "upper", "lower", "law", "function", "upper.eval", "lower.eval", "upper-sup.eval",
+            "lower-sup.eval", "constant.eval", "zero-upper.eval", "zero-lower.eval", "diverged.eval",
+        ],
+    )
     def test_points_outside_the_half_line_raise_as_for_a_step_function(self, t, message, evaluator):
         # unchecked, an envelope reads f* outside its domain (NaN would index
-        # past its table) and a law's power turns complex or divides by 0
+        # past its table) and a law's power turns complex or divides by 0;
+        # an envelope's eval is as public as its call, and checks as it does
         f = StepFunction((1.0, 2.0), (3.0, 1.0))
         evaluate = {
             "upper": lambda: hardy_upper(f, 1.0, 1.0),
             "lower": lambda: hardy_lower(f, 2.0, 1.0),
             "law": lambda: PowerLaw(2.0, 0.5),
             "function": lambda: f,
+            "upper.eval": lambda: hardy_upper(f, 1.0, 1.0).eval,
+            "lower.eval": lambda: hardy_lower(f, 2.0, 1.0).eval,
+            "upper-sup.eval": lambda: hardy_upper(f, 1.0, INF).eval,
+            "lower-sup.eval": lambda: hardy_lower(f, 2.0, INF).eval,
+            "constant.eval": lambda: hardy_upper(StepFunction.constant(2.0), 1.0, 1.0).eval,
+            "zero-upper.eval": lambda: hardy_upper(StepFunction.zero(), 1.0, 1.0).eval,
+            "zero-lower.eval": lambda: hardy_lower(StepFunction.zero(), 2.0, 1.0).eval,
+            "diverged.eval": lambda: hardy_lower(f + StepFunction.constant(0.5), 2.0, 1.0).eval,
         }[evaluator]()
         with pytest.raises(ValueError) as err:
             evaluate(t)
         assert str(err.value) == message
+
+    @pytest.mark.parametrize(
+        "f, kind, order, w",
+        [
+            (StepFunction((1.0, 2.0), (3.0, 1.0)), "upper", 1.0, 1.0),
+            (StepFunction((1.0, 2.0), (3.0, 1.0)), "lower", 2.0, 1.0),
+            (StepFunction((1.0, 2.0), (3.0, 1.0)), "upper", 1.0, INF),
+            (StepFunction((1.0, 2.0), (3.0, 1.0)), "lower", 2.0, INF),
+            (StepFunction.constant(2.0), "upper", 1.0, 1.0),
+            (StepFunction.zero(), "upper", 1.0, 1.0),
+            (StepFunction.zero(), "lower", 2.0, 1.0),
+            (StepFunction((1.0, 2.0), (3.0, 1.0), 0.5), "lower", 2.0, 1.0),
+        ],
+        ids=["upper", "lower", "upper-sup", "lower-sup", "constant", "zero-upper", "zero-lower", "diverged"],
+    )
+    def test_eval_is_the_call_at_points_of_the_half_line(self, f, kind, order, w):
+        env = (hardy_upper if kind == "upper" else hardy_lower)(f, order, w)
+        ts = np.array([1e-300, 0.1, 1.0, 1.5, 2.0, 3.0, 1e10, 1e300])
+        assert repr(env.eval(ts).tolist()) == repr(env(ts).tolist())
 
 
 class TestEnvelopeNorm:

@@ -928,6 +928,34 @@ class TestBlockDrivers:
         with pytest.raises(ValueError, match="the Hardy average of f overflows"):
             verify_hardy_equivalence([good, near_max, huge], l33, u=2.0, w=1.0)
 
+    @pytest.mark.parametrize(
+        "fails, calls, message",
+        [
+            # every check passes on its own: the grouped walk's error stands
+            (lambda checks, block_points: len(checks) > 1, [(2, "full"), (1, "full"), (1, "full")], "walk 1"),
+            # the first check raises on full blocks but not member by member:
+            # its own full-block error surfaces
+            (lambda checks, block_points: block_points != 1, [(2, "full"), (1, "full"), (1, 1)], "walk 2"),
+        ],
+        ids=["grouped-walk-only", "full-blocks-only"],
+    )
+    def test_a_walk_error_that_no_member_by_member_walk_repeats(self, monkeypatch, fails, calls, message):
+        # no known corpus makes these walks disagree: a stand-in raises on some of them
+        walk, seen = harness._walk, []
+
+        def stand_in(records, checks, block_points):
+            seen.append((len(checks), "full" if block_points == harness._BLOCK_POINTS else block_points))
+            if fails(checks, block_points):
+                raise ValueError(f"walk {len(seen)}")
+            return walk(records, checks, block_points)
+
+        monkeypatch.setattr(harness, "_walk", stand_in)
+        records = harness._records([StepFunction((1.0, 2.0), (3.0, 1.0))])
+        checks = [harness._pointwise_check(u=1.0, w=1.0), harness._pointwise_check(u=2.0, w=1.0)]
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            harness._reports(records, checks)
+        assert seen == calls
+
     @pytest.mark.parametrize("check", ["lemma10", "thm11", "thm15", "all"])
     def test_grouped_checks_raise_as_the_public_drivers_in_turn(self, monkeypatch, check):
         # the corpora of test_errors_surface_in_corpus_order: the grouped

@@ -25,6 +25,7 @@ from rinorms import (
     lorentz_norm,
     weighted_power_integral,
 )
+from rinorms import lorentz
 from rinorms.lorentz import _weighted_sup
 
 from conftest import edge_step_functions, loop_weighted_sup, outcome, quad_lorentz_norm, windows
@@ -148,6 +149,13 @@ class TestNormValues:
         assert lorentz_norm(f, LorentzParams(0.5, 1.0)) == pytest.approx(5e39, rel=1e-15, abs=0.0)
         f = StepFunction((1e-300, 1e60), (1e300, 1e-30))
         assert lorentz_norm(f, LorentzParams(1.0, 1.0)) == pytest.approx(1e30, rel=1e-15, abs=0.0)
+
+    def test_a_nan_integral_is_refused(self, monkeypatch):
+        # no known input makes the kernel's sum NaN; a stand-in that does
+        # must meet the refusal, not a NaN norm
+        monkeypatch.setattr(lorentz, "weighted_power_integral", lambda *args: math.nan)
+        with pytest.raises(ValueError, match="^the Lorentz norm of f cannot be computed in floating point$"):
+            lorentz_norm(StepFunction((1.0, 2.0), (3.0, 1.0)), LorentzParams(2.0, 2.0))
 
     def test_norm_beyond_the_float_range_raises(self):
         with pytest.raises(ValueError, match="the Lorentz norm of f overflows the float range"):
