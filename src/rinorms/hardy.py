@@ -191,6 +191,7 @@ DEFAULT_GRID = GridSpec()
 
 
 _OVERFLOW = "the Hardy average of f overflows the float range"
+_UNDERFLOW = "the Hardy average of f cannot be computed: its inner integral underflows the float range"
 _NORM_OVERFLOW = "the envelope norm overflows the float range"
 
 
@@ -311,7 +312,8 @@ class MonotoneEnvelope:
     :func:`hardy_upper` and :func:`hardy_lower` return a block of one, which
     evaluates at any point of ``(0, inf)``: ``env(t)`` calls its ``eval``,
     which checks the points itself and raises ``ValueError`` for NaN or a
-    point outside.  Instances are immutable and ``eval`` is a pure closure,
+    point outside.  Other blocks have no ``eval``, and calling one raises
+    ``ValueError``.  Instances are immutable and ``eval`` is a pure closure,
     so envelopes are safe to share across threads.
     """
 
@@ -329,6 +331,10 @@ class MonotoneEnvelope:
     eval: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __call__(self, t):
+        if self.eval is None:
+            raise ValueError(
+                f"the envelope {self.label} has no evaluator: only a block of one evaluates off its grid"
+            )
         scalar = np.isscalar(t)
         out = self.eval(t)
         return float(out[0]) if scalar else out
@@ -482,6 +488,9 @@ def _upper_block(blk: _Block, u: float, w: float) -> MonotoneEnvelope:
 
     decayed = tails == 0.0
     last = values[blk.goff[1:] - 1]
+    # the average is at least its tail constant: a value of 0 has underflowed
+    if ((last == 0.0) & (tail_const > 0.0)).any():
+        raise ValueError(_UNDERFLOW)
     tail_decay = np.where(decayed & ~flat, 1.0 / u, 0.0)
     tail_lo = PowerLaw(np.where(flat, consts, np.where(decayed, decay_coef, tail_const)), tail_decay)
     tail_hi = PowerLaw(np.where(flat, consts, np.where(decayed, decay_coef, last)), tail_decay)

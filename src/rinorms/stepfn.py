@@ -420,7 +420,12 @@ class StepFunction:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict())
+        """``json.dumps(self.to_dict())``, byte for byte, with the floats
+        printed through orjson (:func:`_float_texts`)."""
+        n = len(self.values)
+        texts = _float_texts(np.array(self.breakpoints + self.values + (self.tail,)))
+        bps, vals = ", ".join(texts[:n]), ", ".join(texts[n:-1])
+        return f'{{"breakpoints": [{bps}], "values": [{vals}], "tail": {texts[-1]}}}'
 
     @classmethod
     def from_dict(cls, d: dict) -> "StepFunction":
@@ -461,6 +466,30 @@ class StepFunction:
         except (json.JSONDecodeError, RecursionError) as e:  # RecursionError: nested too deep
             raise ValueError(f"malformed step function JSON: {e}") from e
         return cls.from_dict(d)
+
+
+def _float_texts(xs: np.ndarray) -> list[str]:
+    """``repr`` of every entry of a C-contiguous float64 array, printed by
+    orjson.
+
+    Both print the shortest text that reads back as the same float, and
+    they agree wherever ``repr`` writes no exponent: at zero and at
+    magnitudes in [1e-4, 1e16).  The other entries, where orjson writes
+    ``1e16`` or ``0.00001`` for ``1e+16`` and ``1e-05``, and ``null`` for
+    inf and NaN, are printed again by ``repr``.  orjson is imported here,
+    as in :meth:`StepFunction.from_json`, so only callers that print pay
+    for its import.
+    """
+    import orjson
+
+    if not xs.size:
+        return []
+    texts = orjson.dumps(xs, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
+    a = np.abs(xs)
+    (other,) = np.nonzero(~((a >= 1e-4) & (a < 1e16)) & (xs != 0.0))
+    for i, x in zip(other.tolist(), xs[other].tolist()):
+        texts[i] = repr(x)
+    return texts
 
 
 def _json_number(x, where: str) -> float:

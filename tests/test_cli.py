@@ -472,6 +472,9 @@ class TestGoldenOutputs:
         "kfun": ["kfun", "--p0", "1", "--q0", "1", "--p1", "inf", "--q1", "inf", "--t", "0.7", "--theta", "1"],
         # t past the last breakpoint (about 256): the tail's term enters
         "kfun-past-end": ["kfun", "--p0", "1", "--q0", "1", "--p1", "inf", "--q1", "inf", "--t", "1000", "--theta", "1"],
+        "dilate": ["dilate", "--a", "0.001"],
+        "hardy-lower": ["hardy", "--V", "2", "--W", "1"],
+        "hardy-plain": ["hardy", "--U", "1", "--W", "1"],
     }
     DIGESTS = {
         ("shuffled-tail", "rearrange"): "3c4f18297bc31ea7d3e3c221a9af21a70e7115562cd6130152a56eb0db39fd36",
@@ -495,12 +498,30 @@ class TestGoldenOutputs:
         ("sorted", "functor-norm"): "ea4961e4326856694eeb7926ca38c05a08307043ab4efbfb909da95f5b3d2e0b",
         ("sorted", "kfun"): "c4df9d43a2fca1651820b4203bcea58618cdf8c69e2562ffe4a960b8c09d932c",
         ("sorted", "kfun-past-end"): "c8faa4563511619b07477e88f8765c8e2999d32f0d710e87ca4d747a823d20ef",
+        ("sorted", "dilate"): "8b5413511ec4123db8685250f0573cc57a64f4cced19916ba89966088a3cf3f0",
+        ("shuffled", "dilate"): "b6c4277a5a8f5086bae0f0f735b9155247616dd8aacb07e769f04507117fb99b",
+        ("sorted", "hardy-lower"): "014bf0e6b78238b87702da221483050358a003c5909ff7b4f2a2bf0c2f3e82b7",
+        ("shuffled", "hardy-lower"): "8a943da7274fbef863950a9a186235ab31cef2780a9fecdf7ee30355f6d6616b",
+        ("wide", "rearrange"): "05e1cafac8df5f56684df56806f90749123a2c81ee96624c68fe5d7681aaad86",
+        ("wide", "hardy-plain"): "1d28eb0476c7151d4d0f1d7b799d9e34c96ea62ef19c93883864dcfd318846ae",
     }
 
     @staticmethod
     def write_function(path, kind: str) -> None:
         """2,000 seeded pieces; shuffled values, with or without a positive
-        tail, or sorted non-increasing (the rearrangement fast path)."""
+        tail, or sorted non-increasing (the rearrangement fast path).
+
+        ``wide``: 3,000 non-increasing pieces with breakpoints from about
+        e^-600 to e^600 and values from about e^6 down to e^-20, so that much
+        of its output lies outside [1e-4, 1e16), where ``repr`` writes an
+        exponent.
+        """
+        if kind == "wide":
+            rng = np.random.default_rng(20242)
+            bps = np.exp(np.sort(rng.uniform(-600.0, 600.0, 3000)))
+            vals = -np.sort(-np.exp(rng.uniform(-20.0, 6.0, 3000)))
+            path.write_text(json.dumps({"breakpoints": bps.tolist(), "values": vals.tolist(), "tail": 0.0}))
+            return
         shuffled = kind != "sorted"
         rng = np.random.default_rng(20240 + shuffled)
         bps = np.cumsum(rng.uniform(2.0**-10, 2.0**-2, 2000))
@@ -510,12 +531,12 @@ class TestGoldenOutputs:
             vals = -np.sort(-vals)
         path.write_text(json.dumps({"breakpoints": bps.tolist(), "values": vals.tolist(), "tail": tail}))
 
-    @pytest.mark.parametrize("kind", ["shuffled-tail", "shuffled", "sorted"])
+    @pytest.mark.parametrize("kind", ["shuffled-tail", "shuffled", "sorted", "wide"])
     def test_digests(self, capsys, tmp_path, kind):
         src = tmp_path / f"{kind}.json"
         self.write_function(src, kind)
-        for name, argv in self.QUERIES.items():
-            code, out = run_cli(capsys, *argv, "--input", str(src))
+        for name in (name for k, name in self.DIGESTS if k == kind):
+            code, out = run_cli(capsys, *self.QUERIES[name], "--input", str(src))
             assert code == 0
             assert hashlib.sha256(out.encode()).hexdigest() == self.DIGESTS[kind, name], name
 

@@ -229,9 +229,11 @@ class TestOffGridEvaluation:
     constant before it, without a numpy warning.
 
     The tail bracket is checked where it is one at the last grid point.
-    Where the tables underflow (``f*`` times the breakpoints, or the w-th
-    powers of tiny values, below the float range) the grid values read 0,
-    so ``tail_hi`` falls below ``tail_lo`` and no evaluation is inside."""
+    An upper average of a positive tail whose tables underflow raises, but
+    rounding can still leave its last grid value, ``tail_hi``, one ulp
+    below its tail constant, ``tail_lo``: at u = 1/4, w = 1, for
+    ``StepFunction((1.0312710365145719,), (0.12407662308095113,),
+    0.01932421746436117)``."""
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -331,6 +333,12 @@ class TestOffGridEvaluation:
         env = (hardy_upper if kind == "upper" else hardy_lower)(f, order, w)
         ts = np.array([1e-300, 0.1, 1.0, 1.5, 2.0, 3.0, 1e10, 1e300])
         assert repr(env.eval(ts).tolist()) == repr(env(ts).tolist())
+
+    def test_an_envelope_without_an_evaluator_raises(self):
+        env = hardy_upper(StepFunction((1.0, 2.0), (3.0, 1.0)), 1.0, 1.0)
+        for bare in (dataclasses.replace(env, eval=None), _add_block(env, env)):
+            with pytest.raises(ValueError, match=r"^the envelope .* has no evaluator: only a block of one evaluates"):
+                bare(1.0)
 
 
 class TestEnvelopeNorm:
@@ -616,6 +624,21 @@ class TestOverflow:
             warnings.simplefilter("error")  # no numpy RuntimeWarning may escape
             with pytest.raises(ValueError, match="the Hardy average of f overflows the float range"):
                 hardy(f, order, w)
+
+    @pytest.mark.parametrize(
+        "f, u, w",
+        [
+            (StepFunction((1.0312710365145719,), (1.2407662308095114e-201,), 1.9324217464361168e-202), 0.25, 2.0),
+            (StepFunction((6.112157820150325e-270,), (2.8254160981320274e-199,), 5.399494300305889e-202), 1.0, 1.0),
+        ],
+        ids=["powers", "products"],
+    )
+    def test_underflowed_average_of_a_positive_tail_raises(self, f, u, w):
+        # the average is at least its tail constant, a positive float, but
+        # values**w, or v * (b - lo) and v * t, fall below the float range:
+        # the grid values would read 0 under the tail constant
+        with pytest.raises(ValueError, match="its inner integral underflows the float range"):
+            hardy_upper(f, u, w)
 
     def test_envelope_norm_beyond_the_float_range_raises(self):
         # the L(2,2) norm of H^(1,1) f is sqrt(3.4) * 1e308, past the largest float

@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from rinorms import INF, StepFunction, power_integral, weighted_power_integral
-from rinorms.stepfn import _LEVEL_SET_ARRAY_MIN, _json_number
+from rinorms.stepfn import _LEVEL_SET_ARRAY_MIN, _float_texts, _json_number
 
 from conftest import (
     edge_step_functions,
@@ -786,6 +787,48 @@ class TestJsonDecoders:
             "print(seen, 'orjson' in sys.modules)\n"
         )
         assert in_fresh_process(code) == "[False, False] True\n"
+
+    def test_orjson_is_imported_to_encode(self):
+        code = "import sys\nimport rinorms\nrinorms.StepFunction.zero().to_json()\nprint('orjson' in sys.modules)\n"
+        assert in_fresh_process(code) == "True\n"
+
+
+# where repr's notation changes (1e-4, 1e16), their neighbours, and the
+# entries orjson cannot print as repr does
+_EDGE_FLOATS = np.array(
+    [math.nan, INF, 0.0, -0.0, 5e-324, 1e-4, 1e16, *np.nextafter([1e-4, 1e-4, 1e16, 1e16], [0.0, INF, 0.0, INF])]
+)
+
+
+class TestJsonEncoder:
+    """Floats are printed through orjson with the bytes of ``repr``, so
+    ``to_json`` is ``json.dumps(to_dict())`` byte for byte."""
+
+    @given(xs=arrays(np.float64, st.integers(0, 40), elements=st.floats()))
+    @example(xs=_EDGE_FLOATS)
+    @example(xs=-_EDGE_FLOATS)
+    @example(xs=np.array([]))
+    @settings(max_examples=300, deadline=None)
+    def test_float_texts_are_reprs(self, xs):
+        assert _float_texts(xs) == [repr(x) for x in xs.tolist()]
+
+    def test_float_texts_over_every_exponent(self):
+        # uniform bit patterns: every binary exponent, subnormals, inf and NaN
+        xs = np.random.default_rng(0).integers(0, 2**64, 200_000, dtype=np.uint64).view(np.float64)
+        assert _float_texts(xs) == [repr(x) for x in xs.tolist()]
+
+    @given(f=edge_step_functions())
+    @example(f=StepFunction.zero())
+    @example(f=StepFunction((1.0, 2.0), (-0.0, 1.0)))
+    @settings(max_examples=200, deadline=None)
+    def test_to_json_is_json_dumps(self, f):
+        assert f.to_json() == json.dumps(f.to_dict())
+
+    def test_to_json_is_json_dumps_at_1e5_pieces(self):
+        rng = np.random.default_rng(10**5)
+        bps = np.cumsum(rng.uniform(2.0**-10, 2.0**-2, 10**5))
+        f = StepFunction(tuple(bps.tolist()), tuple(np.exp(rng.uniform(-30.0, 30.0, 10**5)).tolist()), 1e-20)
+        assert f.to_json() == json.dumps(f.to_dict())
 
 
 class TestConcurrencySafety:
