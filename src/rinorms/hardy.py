@@ -234,14 +234,22 @@ class _Pieces:
     """The pieces of consecutive ``f*`` ``fss`` as one table: function ``i``
     owns entries ``eoff[i]:eoff[i+1]``, one per piece of its ``f*`` and a
     last one, ``tpos[i]``, for its tail.  ``ends`` holds each entry's right
-    end (``inf`` for a tail) and ``f_star`` its value."""
+    end (``inf`` for a tail) and ``f_star`` its value.  A block of one,
+    which may be one large function, reads its ``StepFunction._arrays``;
+    a longer block, of many small ones, reads their tuples."""
 
     def __init__(self, fss: Sequence[StepFunction]):
         self.size = len(fss)
         self.eoff = _offsets([len(fs.breakpoints) + 1 for fs in fss])
-        m = int(self.eoff[-1])
-        self.ends = np.fromiter(chain.from_iterable(chain(fs.breakpoints, (INF,)) for fs in fss), float, m)
-        self.f_star = np.fromiter(chain.from_iterable(chain(fs.values, (fs.tail,)) for fs in fss), float, m)
+        if self.size == 1:
+            (fs,) = fss
+            bps, vals = fs._arrays
+            self.ends = np.concatenate((bps, [INF]))
+            self.f_star = np.concatenate((vals, [fs.tail]))
+        else:
+            m = int(self.eoff[-1])
+            self.ends = np.fromiter(chain.from_iterable(chain(fs.breakpoints, (INF,)) for fs in fss), float, m)
+            self.f_star = np.fromiter(chain.from_iterable(chain(fs.values, (fs.tail,)) for fs in fss), float, m)
         self.tpos = self.eoff[1:] - 1
 
     def before(self, x: np.ndarray) -> np.ndarray:
@@ -275,7 +283,9 @@ class _Block(_Pieces):
     each Hardy average it computes for the life of the block."""
 
     def __init__(self, fss: Sequence[StepFunction], grid_spec: GridSpec):
-        grids = grid_spec.build_many([fs.breakpoints for fs in fss])
+        # a block of one reads its breakpoints as _Pieces does, from its arrays
+        anchors = [fss[0]._arrays[0]] if len(fss) == 1 else [fs.breakpoints for fs in fss]
+        grids = grid_spec.build_many(anchors)
         super().__init__(fss)
         self.goff = _offsets([g.size for g in grids])
         self.grid = np.concatenate(grids)
@@ -493,7 +503,8 @@ def _upper_block(blk: _Block, u: float, w: float) -> MonotoneEnvelope:
         raise ValueError(_UNDERFLOW)
     tail_decay = np.where(decayed & ~flat, 1.0 / u, 0.0)
     tail_lo = PowerLaw(np.where(flat, consts, np.where(decayed, decay_coef, tail_const)), tail_decay)
-    tail_hi = PowerLaw(np.where(flat, consts, np.where(decayed, decay_coef, last)), tail_decay)
+    # rounding can leave the last value of a positive tail an ulp below its constant
+    tail_hi = PowerLaw(np.where(flat, consts, np.where(decayed, decay_coef, np.maximum(last, tail_const))), tail_decay)
     heads = PowerLaw(np.where(flat, consts, head), np.zeros(k))
     end = int(blk.tpos[0])  # the tail entry of a block of one
 

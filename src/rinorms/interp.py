@@ -136,7 +136,7 @@ def _k_l1_linf_block(fss: Sequence[StepFunction], ts: Sequence[float]) -> np.nda
     order = t.argsort()
     top = float(t.max(initial=0.0))
     ns = [bisect_left(fs.breakpoints, top) + 1 for fs in fss]
-    pcs = _Pieces([StepFunction._canonical(fs.breakpoints[:n], fs.values[:n], fs.tail) for fs, n in zip(fss, ns)])
+    pcs = _Pieces([fs._cut(n) for fs, n in zip(fss, ns)])
     tiled = np.tile(t[order], pcs.size)
     K = pcs.piece_index(tiled, np.arange(pcs.size + 1) * t.size)
     with np.errstate(over="ignore"):

@@ -21,6 +21,7 @@ import operator
 import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, compress
 
 import numpy as np
@@ -28,10 +29,11 @@ import numpy as np
 INF = math.inf
 
 # Piece count from which StepFunction._sorted_above_tail groups the level
-# sets with numpy instead of a dict loop, and StepFunction.from_dict checks
-# the fields with numpy before it falls back to the constructor.  On
-# shuffled functions loop and numpy cost the same near 200 pieces: 39 vs
-# 46 us at 128 pieces, 80 vs 66 us at 256.
+# sets with numpy instead of a dict loop, StepFunction.is_nonincreasing
+# compares the values as an array, and StepFunction.from_dict checks the
+# fields with numpy before it falls back to the constructor.  On shuffled
+# functions loop and numpy cost the same near 200 pieces: 39 vs 46 us at
+# 128 pieces, 80 vs 66 us at 256.
 _LEVEL_SET_ARRAY_MIN = 200
 
 # orjson's decoder recurses on the C stack: orjson 3.8.3 ends the process
@@ -83,11 +85,10 @@ def _floats(xs, what: str) -> tuple[float, ...]:
     return out
 
 
-def _increasing_positive(bps: tuple[float, ...]) -> bool:
-    """Whether non-NaN ``bps`` are finite, positive and strictly increasing."""
-    return not bps or (
-        bps[0] > 0.0 and bps[-1] < INF and all(map(operator.lt, bps, bps[1:]))
-    )
+def _read_only(b: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    b.flags.writeable = False
+    v.flags.writeable = False
+    return b, v
 
 
 def _breakpoint_error(bps: tuple[float, ...]) -> ValueError:
@@ -160,6 +161,15 @@ class StepFunction:
     all values are finite and ``>= 0`` (the quasi-norms computed elsewhere
     depend on a function only through the rearrangement of its absolute
     value, so signs and phases carry no information here).
+
+    ``_arrays``, the breakpoints and values as float64 arrays, is derived,
+    not a field: it is built from the tuples on first use, or handed over by
+    the operation that computed the fields as arrays (decoding, rearranging,
+    dilating), and it is marked read-only, so every numpy reader shares
+    it.  Equality, hashing, ``repr``, :meth:`to_dict` and pickles see the
+    fields only.  From Python 3.12 on ``cached_property`` takes no lock, so
+    two threads may each build the pair; they build equal arrays and one of
+    them is kept, which is harmless.
     """
 
     breakpoints: tuple[float, ...] = ()
@@ -176,7 +186,7 @@ class StepFunction:
             )
         if tail < 0.0 or not math.isfinite(tail):
             raise ValueError(f"tail must be finite and >= 0, got {tail}")
-        if not _increasing_positive(bps):
+        if bps and not (bps[0] > 0.0 and bps[-1] < INF and all(map(operator.lt, bps, bps[1:]))):
             raise _breakpoint_error(bps)
         if vals and (min(vals) < 0.0 or max(vals) == INF):
             bad = next(v for v in vals if v < 0.0 or v == INF)
@@ -196,8 +206,19 @@ class StepFunction:
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "tail", tail)
 
+    @cached_property
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(breakpoints, values)`` as read-only float64 arrays."""
+        n = len(self.values)
+        return _read_only(np.fromiter(self.breakpoints, float, n), np.fromiter(self.values, float, n))
+
+    def __getstate__(self) -> dict:
+        # pickles and copies carry the fields only, whether or not the
+        # derived pair was built
+        return {k: v for k, v in self.__dict__.items() if k != "_arrays"}
+
     @classmethod
-    def _canonical(cls, bps: tuple, vals: tuple, tail: float) -> "StepFunction":
+    def _canonical(cls, bps: tuple, vals: tuple, tail: float, arrays=None) -> "StepFunction":
         """Build from fields already valid and canonical, skipping validation.
 
         For results canonical by construction: :meth:`rearrange` (values
@@ -205,7 +226,8 @@ class StepFunction:
         increasing), :meth:`dilate` once its breakpoints are checked, and
         :meth:`from_dict` once ``_valid_canonical`` has passed.  The one
         invariant that can still fail is a last breakpoint that overflowed
-        to ``inf``; it raises as validation would.
+        to ``inf``; it raises as validation would.  ``arrays``, the fields
+        as float64 arrays where the caller has them, become ``_arrays``.
         """
         if bps and bps[-1] == INF:
             raise _breakpoint_error(bps)
@@ -213,7 +235,18 @@ class StepFunction:
         object.__setattr__(f, "breakpoints", bps)
         object.__setattr__(f, "values", vals)
         object.__setattr__(f, "tail", tail)
+        if arrays is not None:
+            f.__dict__["_arrays"] = _read_only(*arrays)
         return f
+
+    def _cut(self, n: int) -> "StepFunction":
+        """The first ``n`` pieces, then the tail unchanged.  Canonical for an
+        ``f*``, whose values stay above its tail; a built ``_arrays`` is
+        sliced, not converted again."""
+        arrays = self.__dict__.get("_arrays")
+        if arrays is not None:
+            arrays = (arrays[0][:n], arrays[1][:n])
+        return StepFunction._canonical(self.breakpoints[:n], self.values[:n], self.tail, arrays)
 
     # -- constructors -------------------------------------------------
 
@@ -268,40 +301,45 @@ class StepFunction:
         # canonical values differ from their neighbours and the last from the
         # tail, so non-increasing is strictly decreasing down to the tail
         vals = self.values
+        if len(vals) >= _LEVEL_SET_ARRAY_MIN:
+            v = self._arrays[1]
+            return bool(v[-1] > self.tail and (v[:-1] > v[1:]).all())
         return not vals or (vals[-1] > self.tail and all(map(operator.gt, vals, vals[1:])))
 
     # -- level-set machinery -------------------------------------------
 
-    def _sorted_above_tail(self) -> tuple[list[float], list[float]]:
-        """Distinct values above the tail (descending) with cumulative lengths.
+    def _sorted_above_tail(self) -> "StepFunction":
+        """``f*`` from the level sets: the distinct values above the tail
+        (descending) over their cumulative lengths.
 
-        ``cumlens[k]`` is the measure of ``{f > lam}`` for ``lam`` directly
-        below ``values_desc[k]``.  Both :meth:`distribution` and
-        :meth:`rearrange` are driven by this single routine, with the lengths
-        grouped in piece order and accumulated in descending value order, so
-        the two sides of any equimeasurability comparison perform the same
-        float additions and agree bit for bit.  A value whose length is lost
-        to rounding in the running sum is left out: its level set adds no
-        measure, and keeping it would give :meth:`rearrange` a repeated
-        breakpoint.
+        Breakpoint ``k`` of the result is the measure of ``{f > lam}`` for
+        ``lam`` directly below its value ``k``.  Both :meth:`distribution`
+        and :meth:`rearrange` are driven by this single routine, with the
+        lengths grouped in piece order and accumulated in descending value
+        order, so the two sides of any equimeasurability comparison perform
+        the same float additions and agree bit for bit.  A value whose
+        length is lost to rounding in the running sum is left out: its level
+        set adds no measure, and keeping it would give :meth:`rearrange` a
+        repeated breakpoint.
 
         From ``_LEVEL_SET_ARRAY_MIN`` pieces on, numpy does the grouping
         (``np.unique`` and ``np.bincount``) and the running sum
-        (``np.cumsum``); below it a dict loop is faster.  Both add the same
-        lengths one at a time in the same order, so they return the same
-        floats, and the choice depends only on the piece count, so
-        :meth:`distribution` and :meth:`rearrange` of one function always
-        take the same path.
+        (``np.cumsum``) on ``_arrays``, and hands its arrays to the result;
+        below it a dict loop is faster.  Both add the same lengths one at a
+        time in the same order, so they return the same floats, and the
+        choice depends only on the piece count, so :meth:`distribution` and
+        :meth:`rearrange` of one function always take the same path.
         """
         if len(self.values) >= _LEVEL_SET_ARRAY_MIN:
-            vals = np.array(self.values)
-            lens = np.diff(np.array(self.breakpoints), prepend=0.0)
+            bps, vals = self._arrays
+            lens = np.diff(bps, prepend=0.0)
             above = vals > self.tail
             levels, group = np.unique(vals[above], return_inverse=True)
             # bincount adds each group's lengths in piece order, as the loop does
             cum = np.cumsum(np.bincount(group, weights=lens[above], minlength=levels.size)[::-1])
             grows = cum > np.concatenate(([0.0], cum[:-1]))
-            return levels[::-1][grows].tolist(), cum[grows].tolist()
+            cum, levels = cum[grows], levels[::-1][grows]
+            return StepFunction._canonical(tuple(cum.tolist()), tuple(levels.tolist()), self.tail, (cum, levels))
         sums: dict[float, float] = {}
         prev = 0.0
         for b, v in zip(self.breakpoints, self.values):
@@ -317,7 +355,7 @@ class StepFunction:
                 values_desc.append(v)
                 cumlens.append(nxt)
                 acc = nxt
-        return values_desc, cumlens
+        return StepFunction._canonical(tuple(cumlens), tuple(values_desc), self.tail)
 
     def distribution(self, lam: float) -> float:
         """Lebesgue measure of ``{t > 0 : f(t) > lam}`` (``inf`` iff ``tail > lam``)."""
@@ -326,20 +364,17 @@ class StepFunction:
             raise ValueError(f"level must be >= 0, got {lam}")
         if self.tail > lam:
             return INF
-        # A non-increasing f is its own f*: the measure is a stored
-        # breakpoint, returned without re-summation so it matches the
+        # The measure is a breakpoint of f*, stored (a non-increasing f is
+        # its own f*) or summed as rearrange() sums it, so it matches the
         # rearranged function's breakpoints exactly.
-        if self.is_nonincreasing():
-            values_desc, cumlens = self.values, self.breakpoints
-        else:
-            values_desc, cumlens = self._sorted_above_tail()
+        fs = self if self.is_nonincreasing() else self._sorted_above_tail()
         k = 0
-        for v in values_desc:
+        for v in fs.values:
             if v > lam:
                 k += 1
             else:
                 break
-        return cumlens[k - 1] if k else 0.0
+        return fs.breakpoints[k - 1] if k else 0.0
 
     def rearrange(self) -> "StepFunction":
         """Non-increasing rearrangement ``f*``.
@@ -348,10 +383,7 @@ class StepFunction:
         not exceed the tail are absorbed by it, because the corresponding
         level sets already have infinite measure.
         """
-        if self.is_nonincreasing():
-            return self
-        values_desc, cumlens = self._sorted_above_tail()
-        return StepFunction._canonical(tuple(cumlens), tuple(values_desc), self.tail)
+        return self if self.is_nonincreasing() else self._sorted_above_tail()
 
     # -- algebra --------------------------------------------------------
 
@@ -360,14 +392,16 @@ class StepFunction:
         a = _as_float(a, "a")
         if a <= 0.0 or a == INF:
             raise ValueError(f"dilation factor must be in (0, inf), got {a}")
-        bps = tuple(b / a for b in self.breakpoints)
-        if not _increasing_positive(bps):
+        bps, vals = self._arrays
+        with np.errstate(over="ignore"):  # an overflow to inf is refused below
+            bps = bps / a
+        if bps.size and not (bps[0] > 0.0 and bps[-1] < INF and (bps[1:] > bps[:-1]).all()):
             raise ValueError(
                 f"dilation factor {a} takes breakpoints in [{self.breakpoints[0]}, "
                 f"{self.breakpoints[-1]}] out of the float range: b / a must stay "
                 f"distinct and within [{math.ulp(0.0)}, {sys.float_info.max}]"
             )
-        return StepFunction._canonical(bps, self.values, self.tail)
+        return StepFunction._canonical(tuple(bps.tolist()), self.values, self.tail, (bps, vals))
 
     def scale(self, s: float) -> "StepFunction":
         s = _as_float(s, "s")
@@ -423,7 +457,7 @@ class StepFunction:
         """``json.dumps(self.to_dict())``, byte for byte, with the floats
         printed through orjson (:func:`_float_texts`)."""
         n = len(self.values)
-        texts = _float_texts(np.array(self.breakpoints + self.values + (self.tail,)))
+        texts = _float_texts(np.concatenate((*self._arrays, [self.tail])))
         bps, vals = ", ".join(texts[:n]), ", ".join(texts[n:-1])
         return f'{{"breakpoints": [{bps}], "values": [{vals}], "tail": {texts[-1]}}}'
 
@@ -441,8 +475,10 @@ class StepFunction:
         bps = _json_numbers(bps, "breakpoints")
         vals = _json_numbers(vals, "values")
         tail = _json_number(d.get("tail", 0.0), "tail")
-        if len(vals) >= _LEVEL_SET_ARRAY_MIN and _valid_canonical(bps, vals, tail):
-            return cls._canonical(bps, vals, tail)
+        if len(vals) >= _LEVEL_SET_ARRAY_MIN:
+            arrays = _valid_canonical(bps, vals, tail)
+            if arrays is not None:
+                return cls._canonical(bps, vals, tail, arrays)
         return cls(bps, vals, tail)
 
     @classmethod
@@ -515,27 +551,32 @@ def _json_numbers(xs: list, field: str) -> tuple[float, ...]:
     return tuple(_json_number(x, f"{field}[{i}]") for i, x in enumerate(xs))
 
 
-def _valid_canonical(bps: tuple[float, ...], vals: tuple[float, ...], tail: float) -> bool:
-    """Whether nonempty float fields pass every check of the constructor
-    and are already canonical, with one numpy reduction per check; a last
-    breakpoint of ``inf`` is left to :meth:`StepFunction._canonical`.
+def _valid_canonical(
+    bps: tuple[float, ...], vals: tuple[float, ...], tail: float
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """The nonempty float fields as arrays if they pass every check of the
+    constructor and are already canonical, with one numpy reduction per
+    check, else ``None``; a last breakpoint of ``inf`` is left to
+    :meth:`StepFunction._canonical`.
 
     Where it says no, the constructor runs on the fields and raises or
     merges as it always does, so errors and canonical forms do not depend
     on this test.
     """
     if len(bps) != len(vals) or not 0.0 <= tail < INF or vals[-1] == tail:
-        return False
+        return None
     n = len(vals)
     b, v = np.fromiter(bps, float, n), np.fromiter(vals, float, n)
     # each comparison is False at a NaN
-    return bool(
+    if (
         b[0] > 0.0
         and (b[1:] > b[:-1]).all()
         and v.min() >= 0.0
         and v.max() < INF
         and (v[1:] != v[:-1]).all()
-    )
+    ):
+        return b, v
+    return None
 
 
 def _nonzero_pieces(f: StepFunction, a: float = 0.0, b: float = INF) -> tuple[list, list, list]:

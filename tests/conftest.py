@@ -248,8 +248,10 @@ def loop_canonical(breakpoints, values, tail) -> tuple[tuple, tuple, float]:
 # raise where they raise.
 
 
-def loop_sorted_above_tail(f: StepFunction) -> tuple[list[float], list[float]]:
-    """Dict-loop reference for ``StepFunction._sorted_above_tail``."""
+def loop_sorted_above_tail(f: StepFunction) -> StepFunction:
+    """Dict-loop reference for ``StepFunction._sorted_above_tail``: the
+    distinct values above the tail, descending, over their cumulative
+    lengths, through the validating constructor."""
     sums: dict[float, float] = {}
     prev = 0.0
     for b, v in zip(f.breakpoints, f.values):
@@ -265,7 +267,7 @@ def loop_sorted_above_tail(f: StepFunction) -> tuple[list[float], list[float]]:
             values_desc.append(v)
             cumlens.append(nxt)
             acc = nxt
-    return values_desc, cumlens
+    return StepFunction(tuple(cumlens), tuple(values_desc), f.tail)
 
 
 def loop_weighted_power_integral(f: StepFunction, gamma: float, w: float, a: float = 0.0, b: float = INF) -> float:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -539,6 +540,33 @@ class TestGoldenOutputs:
             code, out = run_cli(capsys, *self.QUERIES[name], "--input", str(src))
             assert code == 0
             assert hashlib.sha256(out.encode()).hexdigest() == self.DIGESTS[kind, name], name
+
+
+class TestArrayConversions:
+    def test_large_queries_convert_no_tuple_to_arrays(self, capsys, tmp_path, monkeypatch):
+        # from_dict and rearrange hand the arrays they computed to what they
+        # build, so a later numpy reader that converts the tuples again is waste
+        built = []
+        build = StepFunction.__dict__["_arrays"].func
+
+        def counting(self):
+            built.append(len(self.values))
+            return build(self)
+
+        prop = functools.cached_property(counting)
+        prop.__set_name__(StepFunction, "_arrays")
+        monkeypatch.setattr(StepFunction, "_arrays", prop)
+        rng = np.random.default_rng(1000)
+        src = tmp_path / "shuffled.json"
+        bps = np.cumsum(rng.uniform(2.0**-10, 2.0**-2, 1000))
+        vals = np.exp(rng.uniform(-6.0, 6.0, 1000))  # distinct: the file is canonical
+        src.write_text(json.dumps({"breakpoints": bps.tolist(), "values": vals.tolist(), "tail": 0.0}))
+        for name in ("rearrange", "norm-q1", "norm-qinf", "hardy", "hardy-lower", "functor-norm", "kfun", "dilate"):
+            code, _ = run_cli(capsys, *TestGoldenOutputs.QUERIES[name], "--input", str(src))
+            assert code == 0
+            assert built == [], name
+        StepFunction((1.0,), (2.0,))._arrays
+        assert built == [1]
 
 
 class TestParserReuse:

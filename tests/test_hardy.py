@@ -216,6 +216,8 @@ _FAR_TAIL = StepFunction(
     (4.6920762324727775e197, 3.227452208009678e201),
     4.6920762324727775e197,
 )
+# at u = 1/4, w = 1 its last grid value rounds one ulp below its tail constant
+_ULP_BELOW_TAIL = StepFunction((1.0312710365145719,), (0.12407662308095113,), 0.01932421746436117)
 
 
 def _within_ulps(x: float, lo: float, hi: float, n: int = 4) -> bool:
@@ -226,14 +228,7 @@ class TestOffGridEvaluation:
     """A block of one evaluated anywhere in [2**-1000, 2**1000] is never
     NaN, is finite where its off-grid laws at t are, stays inside its tail
     bracket past the grid and, for the upper family, equals its head
-    constant before it, without a numpy warning.
-
-    The tail bracket is checked where it is one at the last grid point.
-    An upper average of a positive tail whose tables underflow raises, but
-    rounding can still leave its last grid value, ``tail_hi``, one ulp
-    below its tail constant, ``tail_lo``: at u = 1/4, w = 1, for
-    ``StepFunction((1.0312710365145719,), (0.12407662308095113,),
-    0.01932421746436117)``."""
+    constant before it, without a numpy warning."""
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -246,6 +241,7 @@ class TestOffGridEvaluation:
     @example(f=CHI, kind="upper", order=0.5, w=1.0, ts=[1e-200])
     @example(f=CHI, kind="upper", order=0.25, w=2.0, ts=[1e-200, 1e-41])
     @example(f=_FAR_TAIL, kind="upper", order=1.0, w=1.0, ts=[1e300])
+    @example(f=_ULP_BELOW_TAIL, kind="upper", order=0.25, w=1.0, ts=[1e300])
     @example(f=StepFunction((1.0, 2.0), (3.0, 1.0)), kind="lower", order=0.5, w=1.0, ts=[1e-300])
     @example(f=StepFunction((1.0,), (2e-202,)), kind="lower", order=0.25, w=2.0, ts=[1e-301])
     def test_never_nan_and_inside_its_laws(self, f, kind, order, w, ts):
@@ -256,7 +252,6 @@ class TestOffGridEvaluation:
         first, last = float(env.grid[0]), float(env.grid[-1])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            bracket = env.tail_lo(last) <= env.tail_hi(last)
             for t in ts:
                 x = env(t)
                 assert not math.isnan(x), t
@@ -268,10 +263,17 @@ class TestOffGridEvaluation:
                 lo, hi = (env.head_lo(t), env.head_hi(t)) if t < first else (env.tail_lo(t), env.tail_hi(t))
                 if hi < INF:
                     assert x < INF, (t, lo, hi)
-                if t > last and bracket:
+                if t > last:
                     assert _within_ulps(x, lo, hi), (t, x, lo, hi)
                 elif t < first and kind == "upper":
                     assert _within_ulps(x, hi, hi), (t, x, hi)
+
+    def test_rounding_below_a_positive_tail_keeps_the_bracket_ordered(self):
+        env = hardy_upper(_ULP_BELOW_TAIL, 0.25, 1.0)
+        last = float(env.grid[-1])
+        # the last grid value rounds one ulp below the tail constant
+        assert math.nextafter(float(env.values[-1]), INF) == env.tail_lo(last)
+        assert env.tail_hi(last) == env.tail_lo(last)
 
     @pytest.mark.parametrize(
         "t,message",

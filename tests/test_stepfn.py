@@ -4,15 +4,19 @@ from __future__ import annotations
 
 import json
 import math
+import operator
+import pickle
 import sys
+from itertools import chain
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from rinorms import INF, StepFunction, power_integral, weighted_power_integral
+from rinorms.hardy import _Pieces
 from rinorms.stepfn import _LEVEL_SET_ARRAY_MIN, _float_texts, _json_number
 
 from conftest import (
@@ -351,7 +355,105 @@ class TestLevelSets:
             assert repr(f.distribution(lam)) == repr(fs.distribution(lam))
 
 
+@st.composite
+def built_functions(draw):
+    """A function at the numerical edges or on either side of the array
+    piece count, made again by one of the operations that build step
+    functions: the constructor, ``from_json``, ``rearrange``, ``dilate``,
+    or ``_canonical`` with or without arrays handed over."""
+    f = draw(st.one_of(edge_step_functions(), level_set_cases()))
+    route = draw(st.sampled_from(["constructor", "from_json", "rearrange", "dilate", "canonical", "canonical-arrays"]))
+    if route == "constructor":
+        return StepFunction(f.breakpoints, f.values, f.tail)
+    if route == "from_json":
+        return StepFunction.from_json(json.dumps(f.to_dict()))
+    if route == "rearrange":
+        return f.rearrange()
+    if route == "dilate":
+        try:
+            return f.dilate(draw(st.sampled_from([1e-3, 0.5, 3.0])))
+        except ValueError:  # breakpoints pushed out of the float range
+            assume(False)
+    arrays = (np.array(f.breakpoints, dtype=float), np.array(f.values, dtype=float))
+    return StepFunction._canonical(f.breakpoints, f.values, f.tail, arrays if route == "canonical-arrays" else None)
+
+
+class TestDerivedArrays:
+    """``_arrays`` is the fields as read-only float64 arrays, however the
+    function was made, and it is invisible to everything that reads the
+    fields."""
+
+    @given(built_functions())
+    @settings(max_examples=150, deadline=None)
+    def test_the_pair_is_the_tuples_and_read_only(self, f):
+        bps, vals = f._arrays
+        assert bps.dtype == vals.dtype == np.float64
+        assert bps.tobytes() == np.array(f.breakpoints, dtype=float).tobytes()
+        assert vals.tobytes() == np.array(f.values, dtype=float).tobytes()
+        for a in (bps, vals):
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 1.0
+        assert f._arrays is f._arrays  # built once
+        assert f.to_json() == json.dumps(f.to_dict())
+
+    @given(built_functions())
+    @settings(max_examples=100, deadline=None)
+    def test_equality_hash_repr_and_pickles_ignore_the_pair(self, f):
+        fresh = StepFunction._canonical(f.breakpoints, f.values, f.tail)
+        before = (repr(fresh), hash(fresh), pickle.dumps(fresh))
+        f._arrays, fresh._arrays
+        assert (repr(fresh), hash(fresh), pickle.dumps(fresh)) == before
+        assert fresh == f and hash(fresh) == hash(f) and repr(fresh) == repr(f)
+        assert pickle.dumps(f) == before[2]
+        back = pickle.loads(pickle.dumps(f))
+        assert back == f and "_arrays" not in vars(back)
+        assert back._arrays[0].tobytes() == f._arrays[0].tobytes()
+
+    @given(built_functions())
+    @settings(max_examples=100, deadline=None)
+    def test_is_nonincreasing_matches_the_tuple_loop(self, f):
+        vals = f.values
+        assert f.is_nonincreasing() is (
+            not vals or (vals[-1] > f.tail and all(map(operator.gt, vals, vals[1:])))
+        )
+
+    @given(built_functions())
+    @settings(max_examples=100, deadline=None)
+    def test_a_block_of_one_reads_the_chained_tuples(self, f):
+        pcs = _Pieces([f])
+        assert pcs.ends.tobytes() == np.fromiter(chain(f.breakpoints, (INF,)), float).tobytes()
+        assert pcs.f_star.tobytes() == np.fromiter(chain(f.values, (f.tail,)), float).tobytes()
+
+    @given(level_set_cases(), st.floats(0.0, 2.0**9))
+    @settings(max_examples=60, deadline=None)
+    def test_level_sets_return_python_floats(self, f, lam):
+        fs = f.rearrange()
+        assert all(type(x) is float for x in (*fs.breakpoints, *fs.values, fs.tail))
+        assert type(f.distribution(lam)) is float
+
+
+def _loop_dilate(f: StepFunction, a: float) -> tuple:
+    """The fields of ``f.dilate(a)`` from a per-breakpoint loop."""
+    bps = tuple(b / a for b in f.breakpoints)
+    if bps and not (bps[0] > 0.0 and bps[-1] < INF and all(map(operator.lt, bps, bps[1:]))):
+        raise ValueError(
+            f"dilation factor {a} takes breakpoints in [{f.breakpoints[0]}, "
+            f"{f.breakpoints[-1]}] out of the float range: b / a must stay "
+            f"distinct and within [{math.ulp(0.0)}, {sys.float_info.max}]"
+        )
+    return bps, f.values, f.tail
+
+
 class TestDilate:
+    @given(
+        st.one_of(edge_step_functions(), level_set_cases()),
+        st.sampled_from([1e-300, 2.0**-1000, 1e-3, 0.3, 1.0, 7.0, 1e300, 2.0**1000]),
+    )
+    @example(StepFunction.indicator(2e-323, 2.5e-323), 2.0)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_loop_bit_for_bit(self, f, a):
+        assert _outcome(lambda: _fields(f.dilate(a))) == _outcome(lambda: _loop_dilate(f, a))
+
     def test_indicator(self, unit_indicator):
         assert unit_indicator.dilate(2.0) == StepFunction.indicator(0.0, 0.5)
 
